@@ -3,7 +3,9 @@
 Operators are evaluated two ways: :func:`apply` uses the deterministic
 projection selection at every stage (what the iteration follows), while
 :func:`candidates` enumerates the full multivalued image so that
-:func:`residual_map` can take the infimum over it.
+:func:`residual_map` can take the infimum over it.  Each operator class
+implements both as methods on a float vector, and ``sets()`` gives the set
+pair of its first stage (iterates start on the first set).
 """
 
 from __future__ import annotations
@@ -19,33 +21,62 @@ from typing import Sequence, Union
 import numpy as np
 
 from .geometry import (
+    DEDUP_TOL,
     Lambda,
     SetSpec,
     Vector,
     WholeSpace,
+    as_target,
     as_vector,
     distance,
     norm,
     project_all,
     project_one,
     sample_ball,
+    sorted_unique,
+    target_distance,
 )
 
 
 @dataclass(frozen=True, eq=False)
-class AlternatingProjections:
+class _SetPair:
+    """An operator built from two sets; iterates start on A."""
+
+    A: SetSpec
+    B: SetSpec
+
+    def sets(self):
+        return self.A, self.B
+
+
+class AlternatingProjections(_SetPair):
     """T = P_A o P_B."""
 
-    A: SetSpec
-    B: SetSpec
+    def apply(self, x):
+        return project_one(self.A, project_one(self.B, x))
+
+    def candidates(self, x):
+        out = []
+        for b in project_all(self.B, x):
+            out.extend(project_all(self.A, b))
+        return sorted_unique(out, DEDUP_TOL)
 
 
-@dataclass(frozen=True, eq=False)
-class DouglasRachford:
+class DouglasRachford(_SetPair):
     """T = (Id + R_A R_B) / 2 with reflectors R_C = 2 P_C - Id."""
 
-    A: SetSpec
-    B: SetSpec
+    def apply(self, x):
+        rb = 2.0 * project_one(self.B, x) - x
+        ra = 2.0 * project_one(self.A, rb) - rb
+        return 0.5 * (x + ra)
+
+    def candidates(self, x):
+        out = []
+        for pb in project_all(self.B, x):
+            rb = 2.0 * pb - x
+            for pa in project_all(self.A, rb):
+                out.append(0.5 * (x + 2.0 * pa - rb))
+        return sorted_unique(out, DEDUP_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +84,15 @@ class Projector:
     """T = P_S."""
 
     S: SetSpec
+
+    def apply(self, x):
+        return project_one(self.S, x)
+
+    def candidates(self, x):
+        return list(project_all(self.S, x))
+
+    def sets(self):
+        return self.S, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +108,16 @@ class Relaxation:
             raise ValueError("relaxation parameter must lie in (0, 1)")
         object.__setattr__(self, "alpha", a)
 
+    def apply(self, x):
+        return (1.0 - self.alpha) * x + self.alpha * apply(self.inner, x)
+
+    def candidates(self, x):
+        a = self.alpha
+        return sorted_unique([(1.0 - a) * x + a * y for y in candidates(self.inner, x)], DEDUP_TOL)
+
+    def sets(self):
+        return self.inner.sets()
+
 
 @dataclass(frozen=True, eq=False)
 class Composition:
@@ -81,6 +131,20 @@ class Composition:
             raise ValueError("composition needs at least one stage")
         object.__setattr__(self, "stages", st)
 
+    def apply(self, x):
+        for stage in self.stages:
+            x = apply(stage, x)
+        return x
+
+    def candidates(self, x):
+        pts = [x]
+        for stage in self.stages:
+            pts = sorted_unique([y for p in pts for y in candidates(stage, p)], DEDUP_TOL)
+        return pts
+
+    def sets(self):
+        return self.stages[0].sets()
+
 
 OperatorSpec = Union[
     AlternatingProjections, DouglasRachford, Projector, Relaxation, Composition
@@ -89,80 +153,18 @@ OperatorSpec = Union[
 
 def apply(op: OperatorSpec, x) -> Vector:
     """Single-valued evaluation via the deterministic selection at each stage."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(op, AlternatingProjections):
-        return project_one(op.A, project_one(op.B, x))
-    if isinstance(op, DouglasRachford):
-        rb = 2.0 * project_one(op.B, x) - x
-        ra = 2.0 * project_one(op.A, rb) - rb
-        return 0.5 * (x + ra)
-    if isinstance(op, Projector):
-        return project_one(op.S, x)
-    if isinstance(op, Relaxation):
-        return (1.0 - op.alpha) * x + op.alpha * apply(op.inner, x)
-    if isinstance(op, Composition):
-        for stage in op.stages:
-            x = apply(stage, x)
-        return x
-    raise TypeError(f"unknown operator: {type(op).__name__}")
+    return op.apply(np.asarray(x, dtype=float))
 
 
 def candidates(op: OperatorSpec, x) -> list[Vector]:
     """Full multivalued image Tx as a finite candidate list."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(op, AlternatingProjections):
-        out = []
-        for b in project_all(op.B, x):
-            out.extend(project_all(op.A, b))
-        return _dedup(out)
-    if isinstance(op, DouglasRachford):
-        out = []
-        for pb in project_all(op.B, x):
-            rb = 2.0 * pb - x
-            for pa in project_all(op.A, rb):
-                out.append(0.5 * (x + 2.0 * pa - rb))
-        return _dedup(out)
-    if isinstance(op, Projector):
-        return list(project_all(op.S, x))
-    if isinstance(op, Relaxation):
-        return _dedup(
-            [(1.0 - op.alpha) * x + op.alpha * y for y in candidates(op.inner, x)]
-        )
-    if isinstance(op, Composition):
-        pts = [x]
-        for stage in op.stages:
-            pts = _dedup([y for p in pts for y in candidates(stage, p)])
-        return pts
-    raise TypeError(f"unknown operator: {type(op).__name__}")
-
-
-def _dedup(points: list[Vector], tol: float = 1e-12) -> list[Vector]:
-    points = sorted(points, key=lambda p: tuple(p))
-    out: list[Vector] = []
-    for p in points:
-        if out and norm(p - out[-1]) <= tol:
-            continue
-        out.append(p)
-    return out
+    return op.candidates(np.asarray(x, dtype=float))
 
 
 def residual_map(op: OperatorSpec, x) -> float:
     """dist(0, Tx - x): the infimum of ||x+ - x|| over the candidate image."""
     x = np.asarray(x, dtype=float)
     return min(norm(y - x) for y in candidates(op, x))
-
-
-def principal_set(op: OperatorSpec) -> SetSpec | None:
-    """The set used for the seed convention (iterates start on it)."""
-    if isinstance(op, (AlternatingProjections, DouglasRachford)):
-        return op.A
-    if isinstance(op, Projector):
-        return op.S
-    if isinstance(op, Relaxation):
-        return principal_set(op.inner)
-    if isinstance(op, Composition):
-        return principal_set(op.stages[0])
-    return None
 
 
 @dataclass
@@ -242,26 +244,6 @@ class Trace:
         return buf.getvalue()
 
 
-def _operator_sets(op: OperatorSpec) -> tuple[SetSpec | None, SetSpec | None]:
-    if isinstance(op, (AlternatingProjections, DouglasRachford)):
-        return op.A, op.B
-    if isinstance(op, Projector):
-        return op.S, None
-    if isinstance(op, Relaxation):
-        return _operator_sets(op.inner)
-    if isinstance(op, Composition):
-        return _operator_sets(op.stages[0])
-    return None, None
-
-
-def target_distance(x: Vector, target: SetSpec | Sequence[Vector] | None) -> float:
-    if target is None:
-        return math.nan
-    if isinstance(target, SetSpec):
-        return distance(target, x)
-    return min(norm(x - np.asarray(p, dtype=float)) for p in target)
-
-
 def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     """Iterate x_{k+1} = T x_k until the residual drops below tolerance.
 
@@ -271,7 +253,7 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     B-projections b_k and the joining sequence z (alternating x_k, b_k) are
     recorded as well.
     """
-    A, B = _operator_sets(op)
+    A, B = op.sets()
     x0 = cfg.seed_point
     raw_seed = x0.copy()
     if cfg.lam is not None and not isinstance(cfg.lam, WholeSpace):
@@ -279,12 +261,21 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     if A is not None:
         x0 = project_one(A, x0)
 
+    record_b = isinstance(op, AlternatingProjections)
+    bs: list[Vector] = []
+
+    def step(x: Vector) -> Vector:
+        if not record_b:
+            return apply(op, x)
+        bs.append(project_one(B, x))  # b_k, reused for x_{k+1} = P_A b_k
+        return project_one(A, bs[-1])
+
     xs = [x0]
     residuals: list[float] = []
     stop_reason = "max_iter"
     x = x0
     for _ in range(cfg.max_iter):
-        x_next = apply(op, x)
+        x_next = step(x)
         r = norm(x_next - x)
         residuals.append(r)
         if r <= cfg.residual_tol:
@@ -293,22 +284,18 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
         xs.append(x_next)
         x = x_next
     else:
-        residuals.append(norm(apply(op, x) - x))
+        residuals.append(norm(step(x) - x))
 
-    record_b = isinstance(op, AlternatingProjections) and B is not None
-    bs = [project_one(B, xk) for xk in xs] if record_b else []
     zs: list[Vector] = []
     if record_b and cfg.record_joining:
         for xk, bk in zip(xs, bs):
             zs.append(xk)
             zs.append(bk)
 
-    target = cfg.target
-    if target is None:
-        target = [xs[-1]]
+    target = as_target(cfg.target if cfg.target is not None else [xs[-1]])
+    dist_t = [target_distance(p, target) for p in xs]
     dist_A = [distance(A, p) if A is not None else math.nan for p in xs]
     dist_B = [distance(B, p) if B is not None else math.nan for p in xs]
-    dist_t = [target_distance(p, target) for p in xs]
     steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)] + [0.0]
 
     return Trace(

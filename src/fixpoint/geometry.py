@@ -10,7 +10,7 @@ candidates; convex variants always return exactly one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -20,7 +20,8 @@ Vector = np.ndarray
 #: absolute tolerance for membership tests and projection ties
 MEMBERSHIP_TOL = 1e-9
 TIE_TOL = 1e-9
-_DEDUP_TOL = 1e-12
+#: points closer than this are one point in projection and image lists
+DEDUP_TOL = 1e-12
 
 
 class DimensionMismatch(ValueError):
@@ -34,7 +35,9 @@ def as_vector(x, dim: int | None = None) -> Vector:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # a finite v.v proves every coordinate finite; a non-finite one may be an
+    # overflow, so only then are the coordinates tested one by one
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise ValueError(f"point has non-finite coordinates: {v}")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
@@ -42,7 +45,8 @@ def as_vector(x, dim: int | None = None) -> Vector:
 
 
 def norm(v) -> float:
-    return float(np.linalg.norm(v))
+    """Euclidean norm of a 1-d array: sqrt(v.v), which np.linalg.norm computes."""
+    return math.sqrt(v.dot(v))
 
 
 class ProjectionList(list):
@@ -56,15 +60,31 @@ class ProjectionList(list):
 
 
 class SetSpec:
-    """Base class for set descriptions.  Subclasses are immutable values."""
+    """Base class for set descriptions.  Subclasses are immutable values.
+
+    A variant, named by ``variant`` in the JSON form, lists its projection
+    candidates in ``_candidates``; the generic ``_distance`` and ``_project``
+    choose among them on a checked vector, and closed forms override them.
+    """
 
     dim: int
+    #: True when the projector is single-valued everywhere
+    convex = False
 
     def _candidates(self, x: Vector) -> list[Vector]:
         raise NotImplementedError
 
     def _infinite_fiber(self, x: Vector) -> bool:
         return False
+
+    def _distance(self, x: Vector) -> float:
+        return float(np.min(np.linalg.norm(np.asarray(self._candidates(x)) - x, axis=1)))
+
+    def _project(self, x: Vector) -> Vector:
+        cands = self._candidates(x)
+        if len(cands) == 1:
+            return cands[0]
+        return min(_nearest(cands, x), key=np.ndarray.tolist)
 
     def distance(self, x) -> float:
         return distance(self, x)
@@ -73,38 +93,94 @@ class SetSpec:
         return distance(self, x) <= tol
 
 
+def _nearest(cands: list[Vector], x: Vector) -> list[Vector]:
+    """The candidates within TIE_TOL of the least distance to x, in order."""
+    dists = np.linalg.norm(np.asarray(cands) - x, axis=1)
+    dmin = float(np.min(dists))
+    return [p for p, d in zip(cands, dists) if d <= dmin + TIE_TOL]
+
+
+def sorted_unique(points: list[Vector], tol: float) -> list[Vector]:
+    """Points in lexicographic order, dropping each within tol of the last kept."""
+    out: list[Vector] = []
+    for p in sorted(points, key=np.ndarray.tolist):
+        if not out or norm(p - out[-1]) > tol:
+            out.append(p)
+    return out
+
+
+def as_target(target) -> SetSpec | list[Vector]:
+    """A target for :func:`target_distance`: a set as is, a finite list of
+    probe points converted once to float vectors."""
+    if isinstance(target, SetSpec):
+        return target
+    return list(np.asarray(target, dtype=float).reshape(len(target), -1))
+
+
+def target_distance(x: Vector, target: SetSpec | list[Vector]) -> float:
+    """Distance from x to a target made by :func:`as_target`."""
+    if isinstance(target, SetSpec):
+        return distance(target, x)
+    return min(norm(x - p) for p in target)
+
+
 # ---------------------------------------------------------------------------
 # convex variants
 
 
+class _ConvexSet(SetSpec):
+    """A convex variant: ``_project`` is its closed-form projector."""
+
+    convex = True
+
+    def _candidates(self, x):
+        return [self._project(x)]
+
+
+def _finite_scalar(value, what: str) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
-class Halfspace(SetSpec):
+class Halfspace(_ConvexSet):
     """{x : <normal, x> <= offset}."""
+
+    variant = "halfspace"
 
     normal: Vector
     offset: float
 
     def __post_init__(self):
         n = as_vector(self.normal)
-        if norm(n) == 0.0:
+        nn = norm(n)
+        if nn == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _finite_scalar(self.offset, "halfspace offset"))
+        object.__setattr__(self, "_norm", nn)
 
     @property
     def dim(self) -> int:
         return self.normal.size
 
-    def _candidates(self, x):
+    def _project(self, x):
         excess = float(self.normal @ x) - self.offset
         if excess <= 0.0:
-            return [x.copy()]
-        return [x - (excess / float(self.normal @ self.normal)) * self.normal]
+            return x.copy()
+        return x - (excess / float(self.normal @ self.normal)) * self.normal
+
+    def _distance(self, x):
+        return max(0.0, (float(self.normal @ x) - self.offset) / self._norm)
 
 
 @dataclass(frozen=True, eq=False)
-class AffineSubspace(SetSpec):
+class AffineSubspace(_ConvexSet):
     """point + span(basis) with an orthonormal basis (possibly empty)."""
+
+    variant = "affine_subspace"
 
     point: Vector
     basis: np.ndarray  # shape (k, dim), rows orthonormal
@@ -121,21 +197,28 @@ class AffineSubspace(SetSpec):
     def dim(self) -> int:
         return self.point.size
 
-    def _candidates(self, x):
-        d = x - self.point
+    def _project(self, x):
         if self.basis.size == 0:
-            return [self.point.copy()]
-        return [self.point + self.basis.T @ (self.basis @ d)]
+            return self.point.copy()
+        return self.point + self.basis.T.dot(self.basis.dot(x - self.point))
+
+    def _distance(self, x):
+        # summed as an axis-1 norm, not with dot, so that distances (and the
+        # traces that record them) keep their last bits
+        q = self._project(x) - x
+        return math.sqrt(np.add.reduce(q * q))
 
 
 @dataclass(frozen=True, eq=False)
-class Ball(SetSpec):
+class Ball(_ConvexSet):
+    variant = "ball"
+
     center: Vector
     radius: float
 
     def __post_init__(self):
         c = as_vector(self.center)
-        r = float(self.radius)
+        r = _finite_scalar(self.radius, "ball radius")
         if r < 0:
             raise ValueError("ball radius must be >= 0")
         object.__setattr__(self, "center", c)
@@ -145,16 +228,21 @@ class Ball(SetSpec):
     def dim(self) -> int:
         return self.center.size
 
-    def _candidates(self, x):
+    def _project(self, x):
         u = x - self.center
         nu = norm(u)
         if nu <= self.radius:
-            return [x.copy()]
-        return [self.center + (self.radius / nu) * u]
+            return x.copy()
+        return self.center + (self.radius / nu) * u
+
+    def _distance(self, x):
+        return max(0.0, norm(x - self.center) - self.radius)
 
 
 @dataclass(frozen=True, eq=False)
-class Box(SetSpec):
+class Box(_ConvexSet):
+    variant = "box"
+
     lo: Vector
     hi: Vector
 
@@ -170,12 +258,17 @@ class Box(SetSpec):
     def dim(self) -> int:
         return self.lo.size
 
-    def _candidates(self, x):
-        return [np.clip(x, self.lo, self.hi)]
+    def _project(self, x):
+        return np.minimum(np.maximum(x, self.lo), self.hi)
+
+    def _distance(self, x):
+        return norm(x - self._project(x))
 
 
 @dataclass(frozen=True, eq=False)
-class WholeSpace(SetSpec):
+class WholeSpace(_ConvexSet):
+    variant = "whole_space"
+
     space_dim: int
 
     def __post_init__(self):
@@ -185,8 +278,11 @@ class WholeSpace(SetSpec):
     def dim(self) -> int:
         return self.space_dim
 
-    def _candidates(self, x):
-        return [x.copy()]
+    def _project(self, x):
+        return x.copy()
+
+    def _distance(self, x):
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +293,14 @@ class WholeSpace(SetSpec):
 class Sphere(SetSpec):
     """{x : ||x - center|| = radius}, radius > 0.  Nonconvex."""
 
+    variant = "sphere"
+
     center: Vector
     radius: float
 
     def __post_init__(self):
         c = as_vector(self.center)
-        r = float(self.radius)
+        r = _finite_scalar(self.radius, "sphere radius")
         if r <= 0:
             raise ValueError("sphere radius must be > 0")
         object.__setattr__(self, "center", c)
@@ -225,9 +323,14 @@ class Sphere(SetSpec):
     def _infinite_fiber(self, x):
         return norm(x - self.center) < 1e-15 * max(1.0, self.radius)
 
+    def _distance(self, x):
+        return abs(norm(x - self.center) - self.radius)
+
 
 @dataclass(frozen=True, eq=False)
 class FinitePointSet(SetSpec):
+    variant = "finite_point_set"
+
     points: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
@@ -247,10 +350,15 @@ class FinitePointSet(SetSpec):
     def _candidates(self, x):
         return [p.copy() for p in self.points]
 
+    def _distance(self, x):
+        return float(np.min(np.linalg.norm(self.points - x, axis=1)))
+
 
 @dataclass(frozen=True, eq=False)
 class LinearPiece:
     """Segment from start to end in R^2."""
+
+    kind = "linear"
 
     start: Vector
     end: Vector
@@ -272,6 +380,8 @@ class LinearPiece:
 @dataclass(frozen=True, eq=False)
 class ParabolicPiece:
     """Graph arc {(t, a t^2 + b t + c) : t in [t0, t1]} in R^2."""
+
+    kind = "parabolic"
 
     a: float
     b: float
@@ -340,6 +450,8 @@ CurvePiece = Union[LinearPiece, ParabolicPiece]
 class PiecewiseCurve(SetSpec):
     """A curve in R^2 given as a list of linear or parabolic pieces."""
 
+    variant = "piecewise_curve"
+
     pieces: tuple
 
     def __post_init__(self):
@@ -359,6 +471,7 @@ class PiecewiseCurve(SetSpec):
         object.__setattr__(
             self, "_par", [p for p in ps if isinstance(p, ParabolicPiece)]
         )
+        object.__setattr__(self, "convex", len(ps) == 1 and len(lin) == 1)
 
     @property
     def dim(self) -> int:
@@ -385,6 +498,8 @@ class Epigraph(SetSpec):
     f(t) = a t^2 + b t + c on the i-th interval.
     """
 
+    variant = "epigraph"
+
     breakpoints: Vector
     pieces: np.ndarray  # shape (len(breakpoints)+1, 3)
     convex: bool = True
@@ -399,6 +514,17 @@ class Epigraph(SetSpec):
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pc)
         object.__setattr__(self, "convex", bool(self.convex))
+        # boundary: an arc per interval, then vertical segments where f jumps
+        arcs: list[CurvePiece] = []
+        for i, (a, b, c) in enumerate(pc):
+            lo = -math.inf if i == 0 else float(bp[i - 1])
+            hi = math.inf if i == bp.size else float(bp[i])
+            arcs.append(ParabolicPiece(a, b, c, lo, hi))
+        for i, t in enumerate(bp):
+            v0, v1 = arcs[i].value(t), arcs[i + 1].value(t)
+            if abs(v0 - v1) > 1e-15:
+                arcs.append(LinearPiece((t, min(v0, v1)), (t, max(v0, v1))))
+        object.__setattr__(self, "_boundary", tuple(arcs))
 
     @property
     def dim(self) -> int:
@@ -409,38 +535,17 @@ class Epigraph(SetSpec):
         a, b, c = self.pieces[i]
         return (a * t + b) * t + c
 
-    def _piece_interval(self, i: int) -> tuple[float, float]:
-        lo = -math.inf if i == 0 else float(self.breakpoints[i - 1])
-        hi = math.inf if i == len(self.breakpoints) else float(self.breakpoints[i])
-        return lo, hi
-
     def _candidates(self, x):
-        t, y = float(x[0]), float(x[1])
-        if y >= self.value(t):
+        if float(x[1]) >= self.value(float(x[0])):
             return [x.copy()]
-        out = []
-        for i, (a, b, c) in enumerate(self.pieces):
-            lo, hi = self._piece_interval(i)
-            ts = _parabola_stationary_points(a, b, c, lo, hi, x)
-            for e in (lo, hi):
-                if math.isfinite(e):
-                    ts.append(e)
-            out.extend(np.array([s, (a * s + b) * s + c]) for s in ts)
-        # vertical boundary segments where f jumps at a breakpoint
-        for i, bp in enumerate(self.breakpoints):
-            a0, b0, c0 = self.pieces[i]
-            a1, b1, c1 = self.pieces[i + 1]
-            v0 = (a0 * bp + b0) * bp + c0
-            v1 = (a1 * bp + b1) * bp + c1
-            if abs(v0 - v1) > 1e-15:
-                seg = LinearPiece((bp, min(v0, v1)), (bp, max(v0, v1)))
-                out.extend(seg.candidates(x))
-        return out
+        return [p for piece in self._boundary for p in piece.candidates(x)]
 
 
 @dataclass(frozen=True, eq=False)
 class SetUnion(SetSpec):
     """Union of member sets; multivalued projector on ties."""
+
+    variant = "union"
 
     members: tuple
 
@@ -457,38 +562,27 @@ class SetUnion(SetSpec):
     def dim(self) -> int:
         return self.members[0].dim
 
-    def _candidates(self, x):
+    def _nearest_members(self, x) -> list[SetSpec]:
         dists = [distance(m, x) for m in self.members]
         dmin = min(dists)
-        out = []
-        for m, d in zip(self.members, dists):
-            if d <= dmin + TIE_TOL:
-                out.extend(m._candidates(x))
-        return out
+        return [m for m, d in zip(self.members, dists) if d <= dmin + TIE_TOL]
+
+    def _candidates(self, x):
+        return [p for m in self._nearest_members(x) for p in m._candidates(x)]
 
     def _infinite_fiber(self, x):
-        dists = [distance(m, x) for m in self.members]
-        dmin = min(dists)
-        return any(
-            d <= dmin + TIE_TOL and m._infinite_fiber(x)
-            for m, d in zip(self.members, dists)
-        )
+        return any(m._infinite_fiber(x) for m in self._nearest_members(x))
+
+    def _distance(self, x):
+        return min(distance(m, x) for m in self.members)
 
 
 Lambda = Union[WholeSpace, AffineSubspace]
 
-_CONVEX_TYPES = (Halfspace, AffineSubspace, Ball, Box, WholeSpace)
-
 
 def is_convex(s: SetSpec) -> bool:
     """True when the variant has a single-valued projector everywhere."""
-    if isinstance(s, _CONVEX_TYPES):
-        return True
-    if isinstance(s, Epigraph):
-        return s.convex
-    if isinstance(s, PiecewiseCurve):
-        return len(s.pieces) == 1 and isinstance(s.pieces[0], LinearPiece)
-    return False
+    return s.convex
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +595,7 @@ def _check_dim(s: SetSpec, x) -> Vector:
 
 def distance(s: SetSpec, x) -> float:
     """Euclidean distance from x to s (exact; 0 iff x lies in s)."""
-    x = _check_dim(s, x)
-    if isinstance(s, Halfspace):
-        return max(0.0, (float(s.normal @ x) - s.offset) / norm(s.normal))
-    if isinstance(s, Ball):
-        return max(0.0, norm(x - s.center) - s.radius)
-    if isinstance(s, Sphere):
-        return abs(norm(x - s.center) - s.radius)
-    if isinstance(s, Box):
-        return norm(x - np.clip(x, s.lo, s.hi))
-    if isinstance(s, WholeSpace):
-        return 0.0
-    if isinstance(s, FinitePointSet):
-        return float(np.min(np.linalg.norm(s.points - x, axis=1)))
-    if isinstance(s, SetUnion):
-        return min(distance(m, x) for m in s.members)
-    cands = s._candidates(x)
-    return float(np.min(np.linalg.norm(np.asarray(cands) - x, axis=1)))
+    return s._distance(_check_dim(s, x))
 
 
 def project_all(s: SetSpec, x) -> ProjectionList:
@@ -527,38 +605,16 @@ def project_all(s: SetSpec, x) -> ProjectionList:
     """
     x = _check_dim(s, x)
     cands = s._candidates(x)
-    if len(cands) == 1:
-        out = ProjectionList(cands)
-        out.infinite_fiber = s._infinite_fiber(x)
-        return out
-    dists = np.linalg.norm(np.asarray(cands) - x, axis=1)
-    dmin = float(np.min(dists))
-    keep = [p for p, d in zip(cands, dists) if d <= dmin + TIE_TOL]
-    keep.sort(key=lambda p: tuple(p))
-    out = ProjectionList()
-    for p in keep:
-        if out and norm(p - out[-1]) <= max(_DEDUP_TOL, TIE_TOL * 1e-2):
-            continue
-        out.append(p)
+    if len(cands) > 1:
+        cands = sorted_unique(_nearest(cands, x), max(DEDUP_TOL, TIE_TOL * 1e-2))
+    out = ProjectionList(cands)
     out.infinite_fiber = s._infinite_fiber(x)
     return out
 
 
 def project_one(s: SetSpec, x) -> Vector:
     """Deterministic selection: the lexicographically smallest projection."""
-    x = _check_dim(s, x)
-    if isinstance(s, _CONVEX_TYPES):
-        return s._candidates(x)[0]
-    cands = s._candidates(x)
-    if len(cands) == 1:
-        return cands[0]
-    dists = np.linalg.norm(np.asarray(cands) - x, axis=1)
-    dmin = float(np.min(dists))
-    best = None
-    for p, d in zip(cands, dists):
-        if d <= dmin + TIE_TOL and (best is None or tuple(p) < tuple(best)):
-            best = p
-    return best
+    return s._project(_check_dim(s, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -728,8 +784,8 @@ def pattern_polish(
     dirs = _polish_directions(x.size)
     for _ in range(max_rounds):
         improved = False
-        for d in dirs:
-            y = feasible(x + step * d)
+        for move in step * dirs:
+            y = feasible(x + move)
             if y is None:
                 continue
             sy = score(y)
@@ -747,101 +803,58 @@ def pattern_polish(
 # JSON wire format
 
 
-def _vec_list(v) -> list:
-    return [float(t) for t in np.asarray(v).reshape(-1)]
+#: JSON keys that differ from the dataclass field name
+_JSON_KEYS = {"space_dim": "dim"}
 
 
-def set_to_json(s: SetSpec) -> dict:
-    """Serialize a set description to its JSON object form."""
-    if isinstance(s, Halfspace):
-        return {"variant": "halfspace", "normal": _vec_list(s.normal), "offset": s.offset}
-    if isinstance(s, AffineSubspace):
-        return {
-            "variant": "affine_subspace",
-            "point": _vec_list(s.point),
-            "basis": [_vec_list(b) for b in s.basis],
-        }
-    if isinstance(s, Ball):
-        return {"variant": "ball", "center": _vec_list(s.center), "radius": s.radius}
-    if isinstance(s, Box):
-        return {"variant": "box", "lo": _vec_list(s.lo), "hi": _vec_list(s.hi)}
-    if isinstance(s, Sphere):
-        return {"variant": "sphere", "center": _vec_list(s.center), "radius": s.radius}
-    if isinstance(s, FinitePointSet):
-        return {"variant": "finite_point_set", "points": [_vec_list(p) for p in s.points]}
-    if isinstance(s, PiecewiseCurve):
-        pieces = []
-        for p in s.pieces:
-            if isinstance(p, LinearPiece):
-                pieces.append({"kind": "linear", "start": _vec_list(p.start), "end": _vec_list(p.end)})
-            else:
-                pieces.append({"kind": "parabolic", "a": p.a, "b": p.b, "c": p.c, "t0": p.t0, "t1": p.t1})
-        return {"variant": "piecewise_curve", "pieces": pieces}
-    if isinstance(s, Epigraph):
-        return {
-            "variant": "epigraph",
-            "breakpoints": _vec_list(s.breakpoints),
-            "pieces": [_vec_list(p) for p in s.pieces],
-            "convex": s.convex,
-        }
-    if isinstance(s, SetUnion):
-        return {"variant": "union", "members": [set_to_json(m) for m in s.members]}
-    if isinstance(s, WholeSpace):
-        return {"variant": "whole_space", "dim": s.space_dim}
-    raise TypeError(f"unknown set variant: {type(s).__name__}")
+def set_to_json(s: SetSpec | CurvePiece) -> dict:
+    """Serialize a set description (or a curve piece) to its JSON object form:
+    its variant (or kind), then its fields in declaration order."""
+    out = {"variant": s.variant} if isinstance(s, SetSpec) else {"kind": s.kind}
+    for f in fields(s):
+        v = getattr(s, f.name)
+        if isinstance(v, tuple):  # union members or curve pieces
+            v = [set_to_json(t) for t in v]
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        out[_JSON_KEYS.get(f.name, f.name)] = v
+    return out
+
+
+def _from_json(obj, tag: str, registry: dict, what: str):
+    """Build the class that ``obj[tag]`` names from the other keys of obj,
+    which must be its fields (those with a default may be left out)."""
+    name = obj.get(tag) if isinstance(obj, dict) else None
+    if name not in registry:
+        raise ValueError(f"unknown {what}: {name}")
+    cls = registry[name]
+    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    rest = {k: v for k, v in obj.items() if k != tag}
+    unknown = set(rest) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys for {name}: {sorted(unknown)}")
+    missing = [k for k, f in keys.items() if k not in rest and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing keys for {name}: {missing}")
+    args = {keys[k].name: v for k, v in rest.items()}
+    if cls is PiecewiseCurve:
+        args["pieces"] = tuple(
+            _from_json(p, "kind", _PIECES, "curve piece kind") for p in args["pieces"]
+        )
+    elif cls is SetUnion:
+        args["members"] = tuple(set_from_json(m) for m in args["members"])
+    return cls(**args)
+
+
+_VARIANTS = {c.variant: c for c in (
+    Halfspace, AffineSubspace, Ball, Box, Sphere, FinitePointSet,
+    PiecewiseCurve, Epigraph, SetUnion, WholeSpace,
+)}
+_PIECES = {c.kind: c for c in (LinearPiece, ParabolicPiece)}
 
 
 def set_from_json(obj: dict) -> SetSpec:
     """Inverse of :func:`set_to_json`; rejects unknown variants and keys."""
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError("set description must be an object with a 'variant' key")
-    kind = obj["variant"]
-    rest = {k: v for k, v in obj.items() if k != "variant"}
-
-    def take(*keys, optional=()):
-        unknown = set(rest) - set(keys) - set(optional)
-        if unknown:
-            raise ValueError(f"unknown keys for {kind}: {sorted(unknown)}")
-        missing = [k for k in keys if k not in rest]
-        if missing:
-            raise ValueError(f"missing keys for {kind}: {missing}")
-
-    if kind == "halfspace":
-        take("normal", "offset")
-        return Halfspace(rest["normal"], rest["offset"])
-    if kind == "affine_subspace":
-        take("point", "basis")
-        return AffineSubspace(rest["point"], rest["basis"])
-    if kind == "ball":
-        take("center", "radius")
-        return Ball(rest["center"], rest["radius"])
-    if kind == "box":
-        take("lo", "hi")
-        return Box(rest["lo"], rest["hi"])
-    if kind == "sphere":
-        take("center", "radius")
-        return Sphere(rest["center"], rest["radius"])
-    if kind == "finite_point_set":
-        take("points")
-        return FinitePointSet(rest["points"])
-    if kind == "piecewise_curve":
-        take("pieces")
-        pieces = []
-        for p in rest["pieces"]:
-            if p.get("kind") == "linear":
-                pieces.append(LinearPiece(p["start"], p["end"]))
-            elif p.get("kind") == "parabolic":
-                pieces.append(ParabolicPiece(p["a"], p["b"], p["c"], p["t0"], p["t1"]))
-            else:
-                raise ValueError(f"unknown curve piece kind: {p.get('kind')}")
-        return PiecewiseCurve(tuple(pieces))
-    if kind == "epigraph":
-        take("breakpoints", "pieces", optional=("convex",))
-        return Epigraph(rest["breakpoints"], rest["pieces"], rest.get("convex", True))
-    if kind == "union":
-        take("members")
-        return SetUnion(tuple(set_from_json(m) for m in rest["members"]))
-    if kind == "whole_space":
-        take("dim")
-        return WholeSpace(rest["dim"])
-    raise ValueError(f"unknown set variant: {kind}")
+    return _from_json(obj, "variant", _VARIANTS, "set variant")

@@ -20,6 +20,7 @@ from .geometry import (
     SetSpec,
     Vector,
     WholeSpace,
+    as_target,
     as_vector,
     distance,
     norm,
@@ -27,6 +28,7 @@ from .geometry import (
     project_one,
     sample_ball,
     sample_on_set,
+    target_distance,
 )
 
 RES_FLOOR = 1e-12
@@ -78,16 +80,15 @@ def _nominal_spacing(delta: float, count: int, dim: int) -> float:
 
 def _intersection_distance(
     x: Vector,
-    intersection: Intersection,
+    intersection: SetSpec | list[Vector],
     refine_op: engine.OperatorSpec | None = None,
 ) -> float:
-    """Distance to the intersection: exact set, probe, or probe sharpened by
-    running the iteration from x to high precision (the limit lies in the
-    intersection, so its distance is a valid upper bound)."""
-    if isinstance(intersection, SetSpec):
-        return distance(intersection, x)
-    d = min(norm(x - np.asarray(p, float)) for p in intersection)
-    if refine_op is not None:
+    """Distance to the intersection (made by ``as_target``): exact set,
+    probe, or probe sharpened by running the iteration from x to high
+    precision (the limit lies in the intersection, so its distance is a
+    valid upper bound)."""
+    d = target_distance(x, intersection)
+    if refine_op is not None and not isinstance(intersection, SetSpec):
         y = x
         for _ in range(400):
             y_next = engine.apply(refine_op, y)
@@ -158,6 +159,7 @@ def estimate_sr_prime(
         raise ValueError("intersection probe must be supplied")
     if not isinstance(intersection, SetSpec) and len(list(intersection)) == 0:
         raise ValueError("intersection probe is empty")
+    intersection = as_target(intersection)
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
@@ -220,6 +222,7 @@ def estimate_sr(
         raise ValueError("base point must lie in both sets")
     if intersection is None:
         raise ValueError("intersection probe must be supplied")
+    intersection = as_target(intersection)
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
@@ -326,6 +329,7 @@ def estimate_kappa(
     center = as_vector(center)
     if not isinstance(fix_probe, SetSpec) and len(list(fix_probe)) == 0:
         raise ValueError("fixed-point probe is empty")
+    fix_probe = as_target(fix_probe)
     refine_op = op if refine_numerator else None
 
     def make_ratio(refine):
@@ -559,6 +563,7 @@ def check_global_subtransversality(
         raise ValueError("rate c must lie in [0, 1)")
     if not isinstance(intersection, SetSpec) and len(list(intersection)) == 0:
         raise ValueError("intersection probe is empty")
+    intersection = as_target(intersection)
     kappa = 1.0 / (1.0 - c)
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
     worst_ratio = 0.0

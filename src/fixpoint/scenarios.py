@@ -375,7 +375,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         k: Expected(e["value"], e.get("provenance", "derived"), e.get("tol", 0.0))
         for k, e in obj.get("expected", {}).items()
     }
-    return Scenario(
+    sc = Scenario(
         name=obj["name"],
         A=set_from_json(obj["A"]),
         B=set_from_json(obj["B"]),
@@ -387,6 +387,27 @@ def scenario_from_json(obj: dict) -> Scenario:
         sequence=None if obj.get("sequence") is None else [as_vector(p) for p in obj["sequence"]],
         convex=bool(obj.get("convex", False)),
     )
+    _check_dimensions(sc)
+    return sc
+
+
+def _check_dimensions(sc: Scenario) -> None:
+    """Every set and point of a scenario must live in the space of A."""
+    probe = sc.intersection if isinstance(sc.intersection, list) else [sc.intersection]
+    parts = [
+        ("B", sc.B), ("lambda", sc.lam), ("base_point", sc.base_point),
+        ("seed_region.center", sc.seed_region[0]),
+    ]
+    parts += [("intersection", p) for p in probe]
+    parts += [("sequence", p) for p in sc.sequence or []]
+    for key, part in parts:
+        if part is None:
+            continue
+        dim = part.dim if isinstance(part, SetSpec) else part.size
+        if dim != sc.A.dim:
+            raise ValueError(
+                f"scenario key {key!r} has dimension {dim}, but A has dimension {sc.A.dim}"
+            )
 
 
 def load_scenario(path: str) -> Scenario:

@@ -3,6 +3,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from fixpoint.cli import main
 from fixpoint.scenarios import build, scenario_to_json
@@ -105,3 +106,25 @@ def test_dr_operator_flag(tmp_path):
     assert code in (0, 2)  # expectations target the default operator
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["operator"] == "dr"
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda o: o.update(A={"variant": "halfspace", "normal": [0, 1], "offset": math.nan}),
+         "halfspace offset must be finite, got nan"),
+        (lambda o: o.update(B={"variant": "ball", "center": [0, 0], "radius": math.nan}),
+         "ball radius must be finite, got nan"),
+        (lambda o: o.update(B={"variant": "sphere", "center": [0, 0], "radius": math.inf}),
+         "sphere radius must be finite, got inf"),
+    ],
+    ids=["halfspace_offset", "ball_radius", "sphere_radius"],
+)
+def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
+    obj = scenario_to_json(build("two_lines_pi3"))
+    corrupt(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))  # NaN and Infinity are valid to json.load
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixpoint.geometry import (
+    TIE_TOL,
     AffineSubspace,
     Ball,
     Box,
@@ -20,6 +21,7 @@ from fixpoint.geometry import (
     SetUnion,
     Sphere,
     WholeSpace,
+    as_vector,
     distance,
     elemental_subreg_estimate,
     is_convex,
@@ -358,3 +360,88 @@ def test_set_json_rejects_unknown():
         set_from_json({"variant": "pentagon"})
     with pytest.raises(ValueError):
         set_from_json({"variant": "ball", "center": [0, 0], "radius": 1, "extra": 1})
+    line = {"kind": "linear", "start": [0, 0], "end": [1, 1]}
+    for piece in (dict(line, extra=1), dict(line, kind="spline"), {"start": [0, 0]}):
+        with pytest.raises(ValueError):
+            set_from_json({"variant": "piecewise_curve", "pieces": [piece]})
+
+
+# ---------------------------------------------------------------------------
+# projector invariants of every variant
+
+
+VARIANTS = [
+    Halfspace([0.3, -1.2], 0.7),
+    AffineSubspace([1.0, 2.0], [[0.6, 0.8]]),
+    Ball([0.5, -0.5], 1.3),
+    Box([-1, -2], [0.5, 3]),
+    WholeSpace(2),
+    Sphere([0.2, 0.1], 0.9),
+    FinitePointSet([[0, 0], [1, 1], [2, -1], [0.6, 0.6]]),
+    PiecewiseCurve((LinearPiece([-1, 0], [0, 1]), ParabolicPiece(0.5, 0, 1, 0, 2))),
+    Epigraph([0.0], [[0, 0, 0], [0, 0, -1]], convex=False),
+    SetUnion((sawtooth_graph(8), Ball([-1, 1], 0.5))),
+]
+
+coordinate = st.floats(-5, 5, allow_nan=False)
+
+
+@pytest.mark.parametrize("s", VARIANTS, ids=lambda s: type(s).__name__)
+@settings(max_examples=40, deadline=None)
+@given(qx=coordinate, qy=coordinate)
+def test_projector_invariants(s, qx, qy):
+    x = np.array([qx, qy])
+    p = project_one(s, x)
+    d, dp = distance(s, x), norm(x - p)
+    slack = 1e-12 * max(1.0, d)
+    if s.convex:
+        assert abs(dp - d) <= slack
+    else:
+        # candidates within TIE_TOL of the nearest are ties, broken
+        # lexicographically, so the selection may be up to TIE_TOL farther
+        assert d - slack <= dp <= d + TIE_TOL + slack
+    assert norm(project_one(s, p) - p) <= 1e-12 * max(1.0, norm(p))
+    assert any(np.array_equal(p, q) for q in project_all(s, x))
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+
+@pytest.mark.parametrize(
+    "x,dim,error,message",
+    [
+        ([np.nan, 1.0], None, ValueError, "non-finite coordinates"),
+        ([np.inf, 1.0], None, ValueError, "non-finite coordinates"),
+        ([1.0, -np.inf], None, ValueError, "non-finite coordinates"),
+        (np.nan, None, ValueError, "non-finite coordinates"),
+        (3.0, 2, DimensionMismatch, r"expected dimension 2, got 1"),
+        ([[1.0, 2.0], [3.0, 4.0]], None, ValueError, r"expected a 1-d point, got shape \(2, 2\)"),
+        ([1.0, 2.0], 3, DimensionMismatch, "expected dimension 3, got 2"),
+    ],
+)
+def test_as_vector_rejects(x, dim, error, message):
+    with pytest.raises(error, match=message):
+        as_vector(x, dim)
+
+
+def test_as_vector_accepts_overflowing_dot():
+    # v.v overflows to inf, but every coordinate is finite
+    with np.errstate(over="ignore"):
+        assert np.array_equal(as_vector([1e200, 1e200], 2), [1e200, 1e200])
+    assert np.array_equal(as_vector(3.0), [3.0])
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda v: Halfspace([0.0, 1.0], v), "halfspace offset must be finite"),
+        (lambda v: Ball([0.0, 0.0], v), "ball radius must be finite"),
+        (lambda v: Sphere([0.0, 0.0], v), "sphere radius must be finite"),
+    ],
+    ids=["halfspace_offset", "ball_radius", "sphere_radius"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_set_scalars_must_be_finite(make, message, value):
+    with pytest.raises(ValueError, match=f"{message}, got {value}"):
+        make(value)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fixpoint.cli import main
 from fixpoint.engine import AlternatingProjections, residual_map
 from fixpoint.geometry import FinitePointSet, distance, norm
 from fixpoint.scenarios import (
@@ -131,3 +132,34 @@ def test_scenario_json_rejects_unknown_keys():
 def test_scenario_json_requires_core_keys():
     with pytest.raises(ValueError):
         scenario_from_json({"name": "x"})
+
+
+def _three_d(obj: dict, key: str) -> dict:
+    """Scenario JSON for two_lines_pi3 with one key moved to R^3."""
+    obj = dict(obj, seed_region=dict(obj["seed_region"]))
+    if key == "B":
+        obj["B"] = {"variant": "affine_subspace", "point": [0, 0, 0], "basis": [[1, 0, 0]]}
+    elif key == "lambda":
+        obj["lambda"] = {"variant": "whole_space", "dim": 3}
+    elif key == "seed_region.center":
+        obj["seed_region"]["center"] = [0.0, 0.0, 0.0]
+    elif key == "base_point":
+        obj["base_point"] = [0.0, 0.0, 0.0]
+    else:  # a probe point or sequence point among good ones
+        obj[key] = [[0.0, 0.0], [0.0, 0.0, 0.0]]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "key", ["B", "lambda", "base_point", "seed_region.center", "intersection", "sequence"]
+)
+def test_scenario_json_rejects_dimension_mismatch(key, tmp_path, capsys):
+    obj = _three_d(scenario_to_json(build("two_lines_pi3")), key)
+    message = f"scenario key '{key}' has dimension 3, but A has dimension 2"
+    with pytest.raises(ValueError, match=message):
+        scenario_from_json(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
