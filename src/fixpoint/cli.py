@@ -1,9 +1,11 @@
 """Batch front-end: run scenarios, export traces, verify suites.
 
 Subcommands:
-  run <name|path>       run a scenario; write trace.csv/.json, report.json, plot.svg
+  run <name|path|all>   run a scenario; write trace.csv/.json, report.json, plot.svg
+                        ("all" runs every built-in into <out>/<name>/)
   verify <suite>        run a verification suite; print a pass/fail table
-  estimate <constant> <name|path>   print one regularity estimate as JSON
+  estimate <constant|all> <name|path>   print a regularity estimate as JSON
+                        ("all" prints every constant, keyed by name)
 
 Exit codes: 0 success, 1 error, 2 scenario expectation mismatch.
 The FIXPOINT_SEED environment variable overrides the --seed flag.
@@ -30,7 +32,7 @@ from .engine import (
     run,
     trace_to_json_text,
 )
-from .geometry import distance, norm
+from .geometry import as_target, distance, norm, target_distance
 from .scenarios import Scenario, build, builtin_names, load_scenario
 
 
@@ -57,7 +59,8 @@ def _sequence_trace(sc: Scenario) -> Trace:
     """Wrap an explicitly shipped sequence as a trace record."""
     xs = [np.asarray(p, float) for p in sc.sequence]
     dist_o = [distance(sc.A, p) for p in xs]
-    dist_t = [diag.omega_distance(p, sc.intersection) for p in xs]
+    target = as_target(sc.intersection)
+    dist_t = [target_distance(p, target) for p in xs]
     steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)] + [0.0]
     return Trace(
         x=xs,
@@ -154,7 +157,7 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
             got = [float(t) for t in tr.limit]
             pts = np.asarray(exp.value, float)
             near = float(np.min(np.linalg.norm(pts - tr.limit, axis=1)))
-            in_intersection = diag.omega_distance(tr.limit, sc.intersection) <= 1e-9
+            in_intersection = target_distance(tr.limit, as_target(sc.intersection)) <= 1e-9
             add(key, "limit is a listed stuck point or the intersection", got, 1e-9,
                 near <= 1e-9 or in_intersection)
         elif key == "intersection":
@@ -207,6 +210,20 @@ def _plot_svg(ys: list[float], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: constant -> its estimate on a scenario at radius delta; ``run`` reports
+#: sr only for convex pairs and kappa (over A, radius 1) only when expected
+ESTIMATES = {
+    "sr_prime": lambda sc, delta, **kw: reg.estimate_sr_prime(
+        sc.A, sc.B, sc.base_point, delta, lam=sc.lam, intersection=sc.intersection, **kw),
+    "sr": lambda sc, delta, **kw: reg.estimate_sr(
+        sc.A, sc.B, sc.base_point, delta, lam=sc.lam, intersection=sc.intersection, **kw),
+    "kappa": lambda sc, delta, **kw: reg.estimate_kappa(
+        AlternatingProjections(sc.A, sc.B), sc.intersection, sc.base_point, delta,
+        lam=sc.lam, on_set=sc.A, **kw),
+    "sigma": lambda sc, delta, **kw: reg.estimate_sigma(sc.A, sc.B, sc.base_point, delta, **kw),
+}
+
+
 def execute_run(
     scenario: str,
     out_dir: str,
@@ -217,7 +234,14 @@ def execute_run(
     samples: int = 256,
     operator: str = "ap",
 ) -> int:
-    """Run one scenario end to end and write the output bundle."""
+    """Run one scenario end to end and write the output bundle; ``all``
+    runs every built-in into ``out_dir/<name>`` and returns the worst code."""
+    if scenario == "all":
+        return max(
+            execute_run(name, str(Path(out_dir, name)), seed, max_iter, residual_tol,
+                        delta, samples, operator)
+            for name in builtin_names()
+        )
     try:
         sc = _load(scenario)
         seed = _resolve_seed(seed)
@@ -235,6 +259,7 @@ def execute_run(
                 seed_point=_seed_point(sc, seed),
                 max_iter=max_iter,
                 residual_tol=residual_tol,
+                lam=sc.lam,
                 target=sc.intersection,
             )
             tr = run(op, cfg)
@@ -242,25 +267,13 @@ def execute_run(
         measured = _run_diagnostics(sc, tr)
         estimates: dict = {}
         if sc.base_point is not None and sc.intersection is not None and sc.sequence is None:
-            srp = reg.estimate_sr_prime(
-                sc.A, sc.B, sc.base_point, delta,
-                intersection=sc.intersection, samples=samples, seed=seed,
-            )
-            estimates["sr_prime"] = srp.value
-            estimates["sr_prime_local"] = srp.value
+            kw = {"samples": samples, "seed": seed}
+            srp = ESTIMATES["sr_prime"](sc, delta, **kw).value
+            estimates["sr_prime"] = estimates["sr_prime_local"] = srp
             if sc.convex:
-                sr = reg.estimate_sr(
-                    sc.A, sc.B, sc.base_point, delta,
-                    intersection=sc.intersection, samples=samples, seed=seed,
-                )
-                estimates["sr"] = sr.value
+                estimates["sr"] = ESTIMATES["sr"](sc, delta, **kw).value
             if "kappa_on_A" in sc.expected:
-                op = AlternatingProjections(sc.A, sc.B)
-                kap = reg.estimate_kappa(
-                    op, sc.intersection, sc.base_point, 1.0,
-                    on_set=sc.A, samples=samples, seed=seed,
-                )
-                estimates["kappa_on_A"] = kap.value
+                estimates["kappa_on_A"] = ESTIMATES["kappa"](sc, 1.0, **kw).value
 
         checks = _check_expectations(sc, tr, measured, estimates)
         report = {
@@ -314,27 +327,14 @@ def execute_estimate(constant: str, scenario: str, delta: float, samples: int, s
         seed = _resolve_seed(seed)
         if sc.base_point is None:
             raise ValueError("scenario has no base point to estimate at")
-        if constant == "sr_prime":
-            est = reg.estimate_sr_prime(
-                sc.A, sc.B, sc.base_point, delta,
-                intersection=sc.intersection, samples=samples, seed=seed,
-            )
-        elif constant == "sr":
-            est = reg.estimate_sr(
-                sc.A, sc.B, sc.base_point, delta,
-                intersection=sc.intersection, samples=samples, seed=seed,
-            )
-        elif constant == "kappa":
-            op = AlternatingProjections(sc.A, sc.B)
-            est = reg.estimate_kappa(
-                op, sc.intersection, sc.base_point, delta,
-                on_set=sc.A, samples=samples, seed=seed,
-            )
-        elif constant == "sigma":
-            est = reg.estimate_sigma(sc.A, sc.B, sc.base_point, delta, samples=samples, seed=seed)
+        kw = {"samples": samples, "seed": seed}
+        if constant == "all":
+            out = {name: est(sc, delta, **kw).to_json_dict() for name, est in ESTIMATES.items()}
+        elif constant in ESTIMATES:
+            out = ESTIMATES[constant](sc, delta, **kw).to_json_dict()
         else:
-            raise ValueError("constant must be one of: sr_prime, sr, kappa, sigma")
-        print(json.dumps(est.to_json_dict(), sort_keys=True, indent=1))
+            raise ValueError(f"constant must be one of: {', '.join(ESTIMATES)}, all")
+        print(json.dumps(out, sort_keys=True, indent=1))
         return 0
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="run a scenario and write the output bundle")
-    pr.add_argument("scenario", help=f"built-in name ({', '.join(builtin_names())}) or JSON file")
+    pr.add_argument("scenario", help=f"built-in name ({', '.join(builtin_names())}), JSON file or all")
     pr.add_argument("--max-iter", type=int, default=100_000)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--delta", type=float, default=0.5)
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", help="paper_examples | convex_properties | necessity_bounds | all")
 
     pe = sub.add_parser("estimate", help="estimate one regularity constant")
-    pe.add_argument("constant", help="sr_prime | sr | kappa | sigma")
+    pe.add_argument("constant", help="sr_prime | sr | kappa | sigma | all")
     pe.add_argument("scenario")
     pe.add_argument("--delta", type=float, default=0.5)
     pe.add_argument("--samples", type=int, default=256)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SetSpec, Vector, distance, norm
+from .geometry import SetSpec, Vector, as_target, norm, target_distance
 
 #: distances below this are treated as numerical noise in rate windows
 RATE_FLOOR = 1e-11
@@ -22,13 +22,6 @@ RATIO_FLOOR = 1e-12
 DEFAULT_TOL = 1e-9
 
 Omega = SetSpec | Sequence[Vector]
-
-
-def omega_distance(x: Vector, omega: Omega) -> float:
-    """Exact set distance, or min over a probe of points."""
-    if isinstance(omega, SetSpec):
-        return distance(omega, x)
-    return min(norm(np.asarray(x, float) - np.asarray(w, float)) for w in omega)
 
 
 def _points(seq) -> list[Vector]:
@@ -78,7 +71,8 @@ def check_linear_monotone(
     pts = _points(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    d = [omega_distance(p, omega) for p in pts]
+    target = as_target(omega)
+    d = [target_distance(p, target) for p in pts]
     ratios = [
         d[k + 1] / d[k] for k in range(len(d) - 1) if d[k] >= floor
     ]
@@ -232,7 +226,8 @@ def extract_monotone_subsequence(
     if not verify_r_certificate(pts, x_tilde, c, gamma, tol):
         raise ValueError("R-linear certificate (gamma, c) is invalid for this sequence")
     indices = [0]
-    d = omega_distance(pts[0], s_probe)
+    target = as_target(s_probe)
+    d = target_distance(pts[0], target)
     k = 1
     while d > floor and k < len(pts):
         while k < len(pts) and gamma * c**k > c * d:
@@ -240,7 +235,7 @@ def extract_monotone_subsequence(
         if k >= len(pts):
             break
         indices.append(k)
-        d = omega_distance(pts[k], s_probe)
+        d = target_distance(pts[k], target)
         k += 1
     return SubsequenceReport(indices, indices[1] if len(indices) > 1 else None)
 

@@ -25,7 +25,6 @@ from .geometry import (
     Lambda,
     SetSpec,
     Vector,
-    WholeSpace,
     as_target,
     as_vector,
     distance,
@@ -256,7 +255,7 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     A, B = op.sets()
     x0 = cfg.seed_point
     raw_seed = x0.copy()
-    if cfg.lam is not None and not isinstance(cfg.lam, WholeSpace):
+    if cfg.lam is not None:
         x0 = project_one(cfg.lam, x0)
     if A is not None:
         x0 = project_one(A, x0)
@@ -339,7 +338,7 @@ def approximate_fix_set(
     center = as_vector(center)
     limits: list[Vector] = []
     for start in sample_ball(center, radius, budget, seed):
-        if lam is not None and not isinstance(lam, WholeSpace):
+        if lam is not None:
             start = project_one(lam, start)
         x = start
         for _ in range(max_iter):

@@ -138,7 +138,10 @@ class _ConvexSet(SetSpec):
 
 
 def _finite_scalar(value, what: str) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {v}")
     return v

@@ -9,7 +9,7 @@ are drawn from per-index streams and polished independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,11 +62,7 @@ class RegularityEstimate:
             "base_point": [float(t) for t in np.asarray(self.base_point)],
             "delta": self.delta,
             "lam": None if self.lam is None else type(self.lam).__name__,
-            "certificate": {
-                "seed": self.certificate.seed,
-                "count": self.certificate.count,
-                "grid_spacing": self.certificate.grid_spacing,
-            },
+            "certificate": asdict(self.certificate),
             "degenerate": self.degenerate,
         }
 
@@ -91,11 +87,9 @@ def _intersection_distance(
     if refine_op is not None and not isinstance(intersection, SetSpec):
         y = x
         for _ in range(400):
-            y_next = engine.apply(refine_op, y)
-            if norm(y_next - y) <= 1e-13:
-                y = y_next
+            y, y_prev = engine.apply(refine_op, y), y
+            if norm(y - y_prev) <= 1e-13:
                 break
-            y = y_next
         if engine.residual_map(refine_op, y) <= 1e-10:
             d = min(d, norm(x - y))
     return d
@@ -106,31 +100,96 @@ def _intersection_distance(
 POLISH_STARTS = 32
 
 
+def _probe(target, what: str) -> SetSpec | list[Vector]:
+    """A supplied, non-empty probe (or exact set), made once by ``as_target``."""
+    if target is None:
+        raise ValueError(f"{what} probe must be supplied")
+    if not isinstance(target, SetSpec) and len(list(target)) == 0:
+        raise ValueError(f"{what} probe is empty")
+    return as_target(target)
+
+
+def _region(
+    center: Vector,
+    delta: float,
+    samples: int,
+    seed: int,
+    on_set: SetSpec | None = None,
+    lam: Lambda | None = None,
+) -> list[Vector]:
+    """The seeded sample: points of on_set (and lam) within delta of center,
+    ball points projected onto lam that stay within delta, or ball points."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if on_set is not None:
+        return sample_on_set(on_set, center, delta, samples, seed, lam)
+    pts = sample_ball(center, delta, samples, seed)
+    if lam is None or isinstance(lam, WholeSpace):
+        return pts
+    pts = [project_one(lam, p) for p in pts]
+    return [p for p in pts if norm(p - center) <= delta]
+
+
+def _feasible(
+    center: Vector,
+    delta: float,
+    project: SetSpec | None = None,
+    member: SetSpec | None = None,
+) -> Callable[[Vector], Vector | None]:
+    """The polish's map into the region: project onto ``project``, reject
+    points off ``member``, and keep only points within delta of center.
+    A whole-space lam may be passed as either; it changes no point."""
+
+    def feasible(y: Vector) -> Vector | None:
+        if project is not None:
+            y = project_one(project, y)
+        if member is not None and distance(member, y) > 1e-9:
+            return None
+        return y if norm(y - center) <= delta else None
+
+    return feasible
+
+
 def _sup_estimate(
-    samples: list[Vector],
+    kind: str,
+    pts: list[Vector],
     ratio: Callable[[Vector], float],
     feasible: Callable[[Vector], Vector | None] | None,
-    polish_step: float,
+    center: Vector,
+    delta: float,
+    lam: Lambda | None,
+    samples: int,
+    seed: int,
     final_ratio: Callable[[Vector], float] | None = None,
     polish_starts: int = POLISH_STARTS,
-) -> float:
+) -> RegularityEstimate:
     """Max of the (final) ratio over samples and polished pattern-ascent
-    endpoints.  The ascent climbs the cheap ``ratio``; when a sharper
-    ``final_ratio`` is given it scores every sample and every polished
-    endpoint, so expensive refinement runs once per point instead of once
-    per ascent step."""
+    endpoints, with its certificate.  The ascent climbs the cheap ``ratio``;
+    a sharper ``final_ratio`` scores every sample and polished endpoint, so
+    expensive refinement runs once per point instead of once per step.
+    sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags only an
+    all-fixed-point sample (reported as 0); sigma raises on no usable one."""
     final = final_ratio if final_ratio is not None else ratio
     best = -math.inf
-    for i, p in enumerate(samples):
+    for i, p in enumerate(pts):
         v = final(p)
         if feasible is not None and i < polish_starts and math.isfinite(v):
-            cheap_val, q = pattern_polish(p, ratio, feasible, step=polish_step)
+            cheap_val, q = pattern_polish(p, ratio, feasible, step=delta / 4)
             if math.isfinite(cheap_val):
                 v = max(v, final(q))
         best = max(best, v)
         if best == math.inf:
             break
-    return best
+    if kind == "sigma":
+        if not math.isfinite(best) or best < 0:
+            raise ValueError("no usable samples (all residuals below the floor)")
+        value, degenerate = best, False
+    elif kind == "kappa_msr":
+        value, degenerate = (0.0, True) if best == -math.inf else (best, False)
+    else:
+        value, degenerate = max(best, 0.0), best <= 0.0
+    certificate = SampleCertificate(seed, samples, _nominal_spacing(delta, samples, center.size))
+    return RegularityEstimate(kind, value, center, delta, lam, certificate, degenerate)
 
 
 def estimate_sr_prime(
@@ -155,11 +214,7 @@ def estimate_sr_prime(
     x_bar = as_vector(base_point, A.dim)
     if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
         raise ValueError("base point must lie in both sets")
-    if intersection is None:
-        raise ValueError("intersection probe must be supplied")
-    if not isinstance(intersection, SetSpec) and len(list(intersection)) == 0:
-        raise ValueError("intersection probe is empty")
-    intersection = as_target(intersection)
+    intersection = _probe(intersection, "intersection")
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
@@ -173,32 +228,14 @@ def estimate_sr_prime(
             return dn / db
         return ratio
 
-    pts = sample_on_set(A, x_bar, delta, samples, seed, lam)
-
-    def feasible(y: Vector) -> Vector | None:
-        p = project_one(A, y)
-        if lam is not None and not isinstance(lam, WholeSpace):
-            if distance(lam, p) > 1e-9:
-                return None
-        return p if norm(p - x_bar) <= delta else None
-
-    best = _sup_estimate(
-        pts,
+    return _sup_estimate(
+        "sr_prime",
+        _region(x_bar, delta, samples, seed, on_set=A, lam=lam),
         make_ratio(None),
-        feasible if polish else None,
-        delta / 4,
+        _feasible(x_bar, delta, project=A, member=lam) if polish else None,
+        x_bar, delta, lam, samples, seed,
         final_ratio=make_ratio(refine_op) if refine_numerator else None,
         polish_starts=polish_starts,
-    )
-    degenerate = best <= 0.0
-    return RegularityEstimate(
-        "sr_prime",
-        max(best, 0.0),
-        x_bar,
-        delta,
-        lam,
-        SampleCertificate(seed, samples, _nominal_spacing(delta, samples, A.dim)),
-        degenerate,
     )
 
 
@@ -220,9 +257,7 @@ def estimate_sr(
     x_bar = as_vector(base_point, A.dim)
     if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
         raise ValueError("base point must lie in both sets")
-    if intersection is None:
-        raise ValueError("intersection probe must be supplied")
-    intersection = as_target(intersection)
+    intersection = _probe(intersection, "intersection")
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
@@ -236,34 +271,14 @@ def estimate_sr(
             return dn / den
         return ratio
 
-    if lam is not None and not isinstance(lam, WholeSpace):
-        pts = [project_one(lam, p) for p in sample_ball(x_bar, delta, samples, seed)]
-        pts = [p for p in pts if norm(p - x_bar) <= delta]
-    else:
-        pts = sample_ball(x_bar, delta, samples, seed)
-
-    def feasible(y: Vector) -> Vector | None:
-        if lam is not None and not isinstance(lam, WholeSpace):
-            y = project_one(lam, y)
-        return y if norm(y - x_bar) <= delta else None
-
-    best = _sup_estimate(
-        pts,
+    return _sup_estimate(
+        "sr",
+        _region(x_bar, delta, samples, seed, lam=lam),
         make_ratio(None),
-        feasible if polish else None,
-        delta / 4,
+        _feasible(x_bar, delta, project=lam) if polish else None,
+        x_bar, delta, lam, samples, seed,
         final_ratio=make_ratio(refine_op) if refine_numerator else None,
         polish_starts=polish_starts,
-    )
-    degenerate = best <= 0.0
-    return RegularityEstimate(
-        "sr",
-        max(best, 0.0),
-        x_bar,
-        delta,
-        lam,
-        SampleCertificate(seed, samples, _nominal_spacing(delta, samples, A.dim)),
-        degenerate,
     )
 
 
@@ -287,21 +302,12 @@ def estimate_sigma(
             return -math.inf
         return math.hypot(distance(A, x), distance(B, x)) / r
 
-    pts = sample_ball(x_bar, delta, samples, seed)
-
-    def feasible(y: Vector) -> Vector | None:
-        return y if norm(y - x_bar) <= delta else None
-
-    best = _sup_estimate(pts, ratio, feasible if polish else None, delta / 4)
-    if not math.isfinite(best) or best < 0:
-        raise ValueError("no usable samples (all residuals below the floor)")
-    return RegularityEstimate(
+    return _sup_estimate(
         "sigma",
-        best,
-        x_bar,
-        delta,
-        None,
-        SampleCertificate(seed, samples, _nominal_spacing(delta, samples, A.dim)),
+        _region(x_bar, delta, samples, seed),
+        ratio,
+        _feasible(x_bar, delta) if polish else None,
+        x_bar, delta, None, samples, seed,
     )
 
 
@@ -327,9 +333,7 @@ def estimate_kappa(
     with kappa_hat = 0.
     """
     center = as_vector(center)
-    if not isinstance(fix_probe, SetSpec) and len(list(fix_probe)) == 0:
-        raise ValueError("fixed-point probe is empty")
-    fix_probe = as_target(fix_probe)
+    fix_probe = _probe(fix_probe, "fixed-point")
     refine_op = op if refine_numerator else None
 
     def make_ratio(refine):
@@ -341,54 +345,20 @@ def estimate_kappa(
             return dn / r
         return ratio
 
-    ratio = make_ratio(None)
-
-    if on_set is not None:
-        pts = sample_on_set(on_set, center, delta, samples, seed, lam)
-    elif lam is not None and not isinstance(lam, WholeSpace):
-        pts = [project_one(lam, p) for p in sample_ball(center, delta, samples, seed)]
-        pts = [p for p in pts if norm(p - center) <= delta]
-    else:
-        pts = sample_ball(center, delta, samples, seed)
+    pts = _region(center, delta, samples, seed, on_set=on_set, lam=lam)
     # the region center is always evaluated, so a grid shrunk onto a stuck
     # point reports the sentinel rather than a large finite ratio
     anchor = project_one(on_set, center) if on_set is not None else center
     if norm(anchor - center) <= delta:
         pts = [anchor] + pts
-
-    def feasible(y: Vector) -> Vector | None:
-        if on_set is not None:
-            y = project_one(on_set, y)
-        if lam is not None and not isinstance(lam, WholeSpace):
-            if distance(lam, y) > 1e-9:
-                return None
-        return y if norm(y - center) <= delta else None
-
-    best = _sup_estimate(
+    return _sup_estimate(
+        "kappa_msr",
         pts,
-        ratio,
-        feasible if polish else None,
-        delta / 4,
+        make_ratio(None),
+        _feasible(center, delta, project=on_set, member=lam) if polish else None,
+        center, delta, lam, samples, seed,
         final_ratio=make_ratio(refine_op) if refine_numerator else None,
         polish_starts=polish_starts,
-    )
-    if best == -math.inf:
-        return RegularityEstimate(
-            "kappa_msr",
-            0.0,
-            center,
-            delta,
-            lam,
-            SampleCertificate(seed, samples, _nominal_spacing(delta, samples, center.size)),
-            degenerate=True,
-        )
-    return RegularityEstimate(
-        "kappa_msr",
-        best,
-        center,
-        delta,
-        lam,
-        SampleCertificate(seed, samples, _nominal_spacing(delta, samples, center.size)),
     )
 
 
@@ -561,15 +531,13 @@ def check_global_subtransversality(
     """Verify dist(x, A cap B) <= dist(x, B)/(1-c) on samples of A in a region."""
     if not 0.0 <= c < 1.0:
         raise ValueError("rate c must lie in [0, 1)")
-    if not isinstance(intersection, SetSpec) and len(list(intersection)) == 0:
-        raise ValueError("intersection probe is empty")
-    intersection = as_target(intersection)
+    intersection = _probe(intersection, "intersection")
     kappa = 1.0 / (1.0 - c)
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
     worst_ratio = 0.0
     worst_point = None
     holds = True
-    for x in sample_on_set(A, center, radius, samples, seed):
+    for x in _region(center, radius, samples, seed, on_set=A):
         db = distance(B, x)
         dn = _intersection_distance(x, intersection, refine_op)
         if db < SKIP_FLOOR:

@@ -27,6 +27,7 @@ from .geometry import (
     SetSpec,
     SetUnion,
     Vector,
+    _finite_scalar,
     as_vector,
     distance,
     norm,
@@ -164,6 +165,12 @@ def _geometric(n: int) -> Scenario:
     A = FinitePointSet([zs[2 * k] for k in range(n + 1)])
     B = FinitePointSet([zs[2 * n]] + [zs[2 * k + 1] for k in range(n)])
     sol = zs[2 * n]
+    # The joining sequence alternates x_k and b_k = P_B x_k, so it is z_0,
+    # z_1, ..., z_2n, z_2n: the last point repeats once the fixed point is
+    # reached.  For n >= 2 consecutive steps shrink by 1/3, so a frequency-2
+    # block ratio is 1/9.  For n = 1 the sequence z_0, z_1, z_2, z_2 has the
+    # single block ratio ||z_3 - z_2|| / ||z_1 - z_0|| = 0.
+    extendible_c = 1.0 / 9.0 if n >= 2 else 0.0
     return Scenario(
         name=f"geometric_n{n}",
         A=A,
@@ -174,7 +181,7 @@ def _geometric(n: int) -> Scenario:
         expected={
             "iterations_to_solve": Expected(n, "literature"),
             "solution": Expected(tuple(float(t) for t in sol), "literature", 1e-12),
-            "extendible_c": Expected(1.0 / 9.0, "derived", 1e-9),
+            "extendible_c": Expected(extendible_c, "derived", 1e-9),
         },
         intersection=[as_vector(sol)],
         convex=False,
@@ -361,8 +368,7 @@ def scenario_from_json(obj: dict) -> Scenario:
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     for key in ("name", "A", "B", "seed_region"):
-        if key not in obj:
-            raise ValueError(f"scenario is missing required key {key!r}")
+        _at(obj, key)
     lam = obj.get("lambda")
     inter = obj.get("intersection")
     if isinstance(inter, dict):
@@ -371,9 +377,14 @@ def scenario_from_json(obj: dict) -> Scenario:
         intersection = [as_vector(p) for p in inter]
     else:
         intersection = None
+    exp = obj.get("expected", {})
+    if not isinstance(exp, dict):
+        raise ValueError("scenario key 'expected' must be an object")
     expected = {
-        k: Expected(e["value"], e.get("provenance", "derived"), e.get("tol", 0.0))
-        for k, e in obj.get("expected", {}).items()
+        k: Expected(
+            _at(obj, "expected", k, "value"), e.get("provenance", "derived"), e.get("tol", 0.0)
+        )
+        for k, e in exp.items()
     }
     sc = Scenario(
         name=obj["name"],
@@ -381,7 +392,10 @@ def scenario_from_json(obj: dict) -> Scenario:
         B=set_from_json(obj["B"]),
         lam=None if lam is None else set_from_json(lam),
         base_point=None if obj.get("base_point") is None else as_vector(obj["base_point"]),
-        seed_region=(as_vector(obj["seed_region"]["center"]), float(obj["seed_region"]["radius"])),
+        seed_region=(
+            as_vector(_at(obj, "seed_region", "center")),
+            _finite_scalar(_at(obj, "seed_region", "radius"), "scenario key 'seed_region.radius'"),
+        ),
         expected=expected,
         intersection=intersection,
         sequence=None if obj.get("sequence") is None else [as_vector(p) for p in obj["sequence"]],
@@ -389,6 +403,18 @@ def scenario_from_json(obj: dict) -> Scenario:
     )
     _check_dimensions(sc)
     return sc
+
+
+def _at(obj, *keys: str):
+    """obj[k1][k2]...; a missing key, or a value on the way that is not an
+    object, is an error that names its JSON path."""
+    for i, key in enumerate(keys):
+        if not isinstance(obj, dict):
+            raise ValueError(f"scenario key {'.'.join(keys[:i])!r} must be an object")
+        if key not in obj:
+            raise ValueError(f"scenario is missing required key {'.'.join(keys[:i + 1])!r}")
+        obj = obj[key]
+    return obj
 
 
 def _check_dimensions(sc: Scenario) -> None:

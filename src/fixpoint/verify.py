@@ -7,7 +7,9 @@ pass here is exactly a pass there.
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import json
 import math
 import tempfile
@@ -19,8 +21,8 @@ import numpy as np
 from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
-from .geometry import distance, norm, project_one, sample_ball
-from .scenarios import Scenario, build, random_convex_pair
+from .geometry import as_target, distance, norm, project_one, sample_ball, target_distance
+from .scenarios import FAMILIES, Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
 WINDOW_FLOOR = 1e-5
@@ -55,11 +57,7 @@ def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
 
 def _convex_corpus(count: int, dims=(2, 3)):
     for i in range(count):
-        fam = reg_families[i % 3]
-        yield i, random_convex_pair(i, dims[i % len(dims)], fam)
-
-
-reg_families = ("halfspace_ball", "box_affine", "ball_ball")
+        yield i, random_convex_pair(i, dims[i % len(dims)], FAMILIES[i % 3])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ def criterion_5() -> CriterionResult:
             and lim[1] == 0.0
             and tr.residual[-1] <= 1e-12
         )
-        d_int = distance_to_probe(lim, sc.intersection)
+        d_int = target_distance(lim, as_target(sc.intersection))
         if is_peak and tr.stop_reason == "fixed_point" and d_int >= 0.5 ** (n + 2):
             stuck_ok += 1
             details.append(f"1/2^{n}")
@@ -202,10 +200,6 @@ def criterion_5() -> CriterionResult:
         ok,
         f"stuck at {details}; sr'={srp_a.value:.6f} -> {srp_b.value:.6f} on doubling",
     )
-
-
-def distance_to_probe(x, probe) -> float:
-    return diag.omega_distance(np.asarray(x, float), probe)
 
 
 def criterion_6() -> CriterionResult:
@@ -239,7 +233,7 @@ def criterion_7() -> CriterionResult:
     bad_ratio = bad_sides = 0
     n_pairs, per_pair = 100, 100
     for i in range(n_pairs):
-        sc = random_convex_pair(i, 2 + i % 3, reg_families[i % 3])
+        sc = random_convex_pair(i, 2 + i % 3, FAMILIES[i % 3])
         A, B, x_common = sc.A, sc.B, sc.base_point
         for _ in range(per_pair):
             x = project_one(A, sc.base_point + rng.uniform(-1, 1, A.dim))
@@ -283,7 +277,8 @@ def criterion_8() -> CriterionResult:
         x_lim = tr.limit
         probe = [x_lim, sc.base_point]
         if rep.outcome == "never_reaches":
-            ds = [distance_to_probe(p, probe) for p in tr.x]
+            target = as_target(probe)
+            ds = [target_distance(p, target) for p in tr.x]
             idx = [k for k, d in enumerate(ds) if 1e-8 <= d <= 0.02]
             if len(idx) < 4:
                 continue
@@ -447,10 +442,13 @@ def criterion_13() -> CriterionResult:
     with tempfile.TemporaryDirectory() as tmp:
         out_a, out_b = Path(tmp, "a"), Path(tmp, "b")
         for out in (out_a, out_b):
-            code = execute_run(
-                scenario="two_lines_pi3", out_dir=str(out), seed=42, max_iter=2000,
-                samples=64, delta=0.5, operator="ap",
-            )
+            # the run's own lines name the temporary directory: keep them
+            # off the suite's output, which must not vary between runs
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = execute_run(
+                    scenario="two_lines_pi3", out_dir=str(out), seed=42, max_iter=2000,
+                    samples=64, delta=0.5, operator="ap",
+                )
             if code != 0:
                 return CriterionResult(13, "determinism", False, f"run exited {code}")
         names = ["trace.csv", "trace.json", "report.json", "plot.svg"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fixpoint.cli import main
-from fixpoint.scenarios import build, scenario_to_json
+from fixpoint.scenarios import build, builtin_names, scenario_to_json
 
 
 def test_run_two_lines(tmp_path, capsys):
@@ -117,8 +117,20 @@ def test_dr_operator_flag(tmp_path):
          "ball radius must be finite, got nan"),
         (lambda o: o.update(B={"variant": "sphere", "center": [0, 0], "radius": math.inf}),
          "sphere radius must be finite, got inf"),
+        (lambda o: o.update(seed_region=[0.0, 0.0]),
+         "scenario key 'seed_region' must be an object"),
+        (lambda o: o["seed_region"].pop("center"),
+         "scenario is missing required key 'seed_region.center'"),
+        (lambda o: o["seed_region"].pop("radius"),
+         "scenario is missing required key 'seed_region.radius'"),
+        (lambda o: o["seed_region"].update(radius="wide"),
+         "scenario key 'seed_region.radius' must be a number, got 'wide'"),
+        (lambda o: o["expected"]["q_rate"].pop("value"),
+         "scenario is missing required key 'expected.q_rate.value'"),
     ],
-    ids=["halfspace_offset", "ball_radius", "sphere_radius"],
+    ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
+         "seed_region_center", "seed_region_radius", "seed_region_radius_type",
+         "expected_value"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))
@@ -128,3 +140,47 @@ def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "two_lines_pi3"], ["estimate", "kappa", "two_lines_pi3"]],
+    ids=["run", "estimate"],
+)
+def test_zero_samples_is_a_usage_error(tmp_path, capsys, argv):
+    extra = ["--out", str(tmp_path / "o")] if argv[0] == "run" else []
+    assert main([*argv, "--samples", "0", *extra]) == 1
+    err = capsys.readouterr().err
+    assert "samples must be >= 1" in err and "Traceback" not in err
+
+
+def test_run_honours_lambda(tmp_path):
+    obj = scenario_to_json(build("two_lines_pi3"))
+    obj["lambda"] = {"variant": "affine_subspace", "point": [0.3, 0.0], "basis": [[0.0, 1.0]]}
+    obj["expected"] = {}
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--samples", "32"]) == 0
+    seed_point = json.loads((out / "trace.json").read_text())["metadata"]["seed_point"]
+    assert abs(seed_point[0] - 0.3) <= 1e-12  # the start lies on the line x = 0.3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_run_geometric_pairs_meet_expectations(tmp_path, n):
+    assert main(["run", f"geometric_n{n}", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_run_all_writes_every_builtin(tmp_path, capsys):
+    assert main(["run", "all", "--out", str(tmp_path), "--samples", "64"]) == 0
+    for name in builtin_names():
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["scenario"] == name and report["ok"]
+
+
+def test_estimate_all_keys_every_constant(capsys):
+    assert main(["estimate", "all", "two_lines_pi3", "--samples", "32"]) == 0
+    ests = json.loads(capsys.readouterr().out)
+    assert sorted(ests) == ["kappa", "sigma", "sr", "sr_prime"]
+    assert main(["estimate", "sr_prime", "two_lines_pi3", "--samples", "32"]) == 0
+    assert ests["sr_prime"] == json.loads(capsys.readouterr().out)
