@@ -32,8 +32,8 @@ from .engine import (
     run,
     trace_to_json_text,
 )
-from .geometry import as_target, distance, norm, target_distance
-from .scenarios import Scenario, build, builtin_names, load_scenario
+from .geometry import as_target, ball_point, distance, norm, target_distance
+from .scenarios import NUMBER_KEYS, Scenario, build, builtin_names, load_scenario
 
 
 def _load(name_or_path: str) -> Scenario:
@@ -58,38 +58,16 @@ def _resolve_seed(seed: int) -> int:
 def _sequence_trace(sc: Scenario) -> Trace:
     """Wrap an explicitly shipped sequence as a trace record."""
     xs = [np.asarray(p, float) for p in sc.sequence]
-    dist_o = [distance(sc.A, p) for p in xs]
-    target = as_target(sc.intersection)
-    dist_t = [target_distance(p, target) for p in xs]
-    steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)] + [0.0]
-    return Trace(
-        x=xs,
-        b=[],
-        z=[],
-        dist_A=dist_o,
-        dist_B=dist_o,
-        dist_target=dist_t,
-        residual=[math.nan] * len(xs),
-        step_norm=steps,
-        stop_reason="sequence",
-        metadata={"operator": "none", "seed_point": [float(t) for t in xs[0]]},
-    )
-
-
-def _seed_point(sc: Scenario, seed: int) -> np.ndarray:
-    from .geometry import ball_point
-
-    center, radius = sc.seed_region
-    return ball_point(center, radius, seed, 0)
+    return Trace.record(xs, sc.A, sc.B, sc.intersection, [math.nan] * len(xs), "sequence",
+                        {"operator": "none", "seed_point": [float(t) for t in xs[0]]})
 
 
 def _run_diagnostics(sc: Scenario, tr: Trace) -> dict:
     out: dict = {"stop_reason": tr.stop_reason, "iterations": len(tr.x) - 1,
                  "limit": [float(t) for t in tr.limit],
                  "final_residual": float(tr.residual[-1])}
-    probe = sc.intersection
-    if probe is not None and len(tr.x) >= 2:
-        mon = diag.check_linear_monotone(tr.x, probe)
+    if sc.intersection is not None and len(tr.x) >= 2:
+        mon = diag.check_linear_monotone(tr.x, sc.intersection)
         out["monotonicity_c"] = mon.c
         out["monotonicity_degenerate"] = mon.degenerate
     try:
@@ -112,6 +90,14 @@ def _run_diagnostics(sc: Scenario, tr: Trace) -> dict:
 
 
 def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict) -> list[dict]:
+    """One check per expected key (scenario_from_json admits only checkable ones)."""
+    numbers = {
+        **estimates,
+        "q_rate": measured.get("q_rate"),
+        "monotonicity_c": measured.get("monotonicity_c"),
+        "linear_c": measured.get("monotonicity_c"),
+        "extendible_c": measured.get("extendible_m2", {}).get("c"),
+    }
     checks = []
 
     def add(name, expected, got, tol, ok):
@@ -121,34 +107,16 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
 
     for key, exp in sc.expected.items():
         tol = exp.tol
-        if key in ("sr_prime", "sr", "sr_prime_local", "kappa_on_A"):
-            got = estimates.get(key)
-            if got is None:
-                continue
-            add(key, exp.value, got, tol, abs(got - exp.value) <= tol)
-        elif key in ("q_rate", "monotonicity_c", "linear_c"):
-            got = measured.get("q_rate" if key == "q_rate" else "monotonicity_c")
-            if got is None:
-                add(key, exp.value, None, tol, False)
-            else:
-                add(key, exp.value, got, tol, abs(got - exp.value) <= tol)
-        elif key == "extendible_c":
-            got = measured.get("extendible_m2", {}).get("c")
+        if key in NUMBER_KEYS:
+            got = numbers.get(key)
             add(key, exp.value, got, tol, got is not None and abs(got - exp.value) <= tol)
         elif key == "fejer_holds":
             witness = sc.expected.get("fejer_witness")
             probe = [np.asarray(witness.value, float)] if witness else list(sc.intersection or [])
             rep = diag.check_fejer(tr.x, probe)
             add(key, exp.value, rep.holds, 0, rep.holds == exp.value)
-        elif key == "fejer_witness":
-            continue  # consumed by fejer_holds
         elif key == "iterations_to_solve":
-            solved = [
-                k for k in range(len(tr.x))
-                if tr.dist_A[k] <= 1e-12 and tr.dist_B[k] <= 1e-12
-            ]
-            got = solved[0] if solved else None
-            add(key, exp.value, got, 0, got == exp.value)
+            add(key, exp.value, tr.solved_at, 0, tr.solved_at == exp.value)
         elif key == "solution":
             got = [float(t) for t in tr.limit]
             ok = norm(tr.limit - np.asarray(exp.value, float)) <= max(tol, 1e-12)
@@ -165,18 +133,8 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
             ok = distance(sc.A, p) <= 1e-9 and distance(sc.B, p) <= 1e-9
             add(key, exp.value, exp.value, 1e-9, ok)
         elif key == "global_ratio_diverges":
-            ratios = []
-            t = 0.02
-            for _ in range(3):
-                x = np.array([t, t * t])
-                ratios.append(distance(sc.intersection, x) / distance(sc.B, x))
-                t /= 2
-            diverges = all(
-                ratios[j + 1] >= (2 - 1e-2) * ratios[j] for j in range(len(ratios) - 1)
-            )
+            _, diverges = reg.global_ratio_growth(sc.intersection, sc.B, 3)
             add(key, exp.value, diverges, 0, diverges == exp.value)
-        else:
-            add(key, exp.value, None, tol, False)
     return checks
 
 
@@ -256,7 +214,7 @@ def execute_run(
             op_cls = AlternatingProjections if operator == "ap" else DouglasRachford
             op = op_cls(sc.A, sc.B)
             cfg = IterationConfig(
-                seed_point=_seed_point(sc, seed),
+                seed_point=ball_point(*sc.seed_region, seed, 0),
                 max_iter=max_iter,
                 residual_tol=residual_tol,
                 lam=sc.lam,

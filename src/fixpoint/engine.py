@@ -166,13 +166,32 @@ def residual_map(op: OperatorSpec, x) -> float:
     return min(norm(y - x) for y in candidates(op, x))
 
 
+def iterates(step, x: Vector, tol: float, max_iter: int):
+    """The one loop that applies an operator repeatedly: yields
+    (x_{k+1}, ||x_{k+1} - x_k||) for x_{k+1} = step(x_k), at most max_iter
+    times, and stops after the first step of length <= tol."""
+    for _ in range(max_iter):
+        x_next = step(x)
+        r = norm(x_next - x)
+        yield x_next, r
+        if r <= tol:
+            return
+        x = x_next
+
+
+def settle(op: OperatorSpec, x: Vector, tol: float, max_iter: int) -> Vector:
+    """The iterate of T from x at which a step is first <= tol (or the last)."""
+    for x, _ in iterates(lambda y: apply(op, y), x, tol, max_iter):
+        pass
+    return x
+
+
 @dataclass
 class IterationConfig:
     seed_point: Vector
     max_iter: int = 100_000
     residual_tol: float = 1e-12
     lam: Lambda | None = None
-    record_joining: bool = True
     target: SetSpec | Sequence[Vector] | None = None
 
     def __post_init__(self):
@@ -183,13 +202,16 @@ class IterationConfig:
             raise ValueError("residual_tol must be > 0")
 
 
+#: per-iterate scalar columns, in CSV order
+COLUMNS = ("dist_A", "dist_B", "dist_target", "step_norm", "residual")
+
+
 @dataclass
 class Trace:
     """Full iteration record of a fixed-point run."""
 
     x: list
     b: list
-    z: list
     dist_A: list
     dist_B: list
     dist_target: list
@@ -198,48 +220,59 @@ class Trace:
     stop_reason: str
     metadata: dict = field(default_factory=dict)
 
+    @classmethod
+    def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=()) -> "Trace":
+        """The one trace builder: iterates xs (with b_k = P_B x_k, if any) and
+        their distances to A, B and the target (the last iterate if None)."""
+        target = as_target(target if target is not None else [xs[-1]])
+        return cls(
+            x=xs,
+            b=list(b),
+            dist_A=[distance(A, p) if A is not None else math.nan for p in xs],
+            dist_B=[distance(B, p) if B is not None else math.nan for p in xs],
+            dist_target=[target_distance(p, target) for p in xs],
+            residual=residual,
+            step_norm=[norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)] + [0.0],
+            stop_reason=stop_reason,
+            metadata=metadata,
+        )
+
     @property
     def limit(self) -> Vector:
         return self.x[-1]
 
+    @property
+    def solved_at(self) -> int | None:
+        """The first k at which x_k lies in A and in B (to 1e-12), if any."""
+        return next((k for k, (da, db) in enumerate(zip(self.dist_A, self.dist_B))
+                     if da <= 1e-12 and db <= 1e-12), None)
+
+    @property
+    def z(self) -> list:
+        """The joining sequence x_0, b_0, x_1, b_1, ... (empty without b)."""
+        return [p for pair in zip(self.x, self.b) for p in pair]
+
     def to_json_dict(self) -> dict:
-        return {
-            "x": [[float(t) for t in p] for p in self.x],
-            "b": [[float(t) for t in p] for p in self.b],
-            "z": [[float(t) for t in p] for p in self.z],
-            "dist_A": [float(t) for t in self.dist_A],
-            "dist_B": [float(t) for t in self.dist_B],
-            "dist_target": [float(t) for t in self.dist_target],
-            "residual": [float(t) for t in self.residual],
-            "step_norm": [float(t) for t in self.step_norm],
-            "stop_reason": self.stop_reason,
-            "metadata": self.metadata,
-        }
+        out = {name: [[float(t) for t in p] for p in getattr(self, name)]
+               for name in ("x", "b", "z")}
+        for name in COLUMNS:
+            out[name] = [float(t) for t in getattr(self, name)]
+        out["stop_reason"] = self.stop_reason
+        out["metadata"] = self.metadata
+        return out
 
     def to_csv_text(self) -> str:
         """CSV with one row per iterate; floats in shortest round-trip form."""
         dim = self.x[0].size
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        head = ["k"]
-        head += [f"x_{i}" for i in range(dim)]
-        head += [f"b_{i}" for i in range(dim)]
-        head += ["dist_A", "dist_B", "dist_target", "step_norm", "residual"]
-        w.writerow(head)
+        w.writerow(["k", *(f"x_{i}" for i in range(dim)), *(f"b_{i}" for i in range(dim)),
+                    *COLUMNS])
+        columns = [getattr(self, name) for name in COLUMNS]
         for k, xk in enumerate(self.x):
-            row = [str(k)] + [repr(float(t)) for t in xk]
-            if k < len(self.b):
-                row += [repr(float(t)) for t in self.b[k]]
-            else:
-                row += [""] * dim
-            row += [
-                repr(float(self.dist_A[k])),
-                repr(float(self.dist_B[k])),
-                repr(float(self.dist_target[k])),
-                repr(float(self.step_norm[k])),
-                repr(float(self.residual[k])),
-            ]
-            w.writerow(row)
+            bk = [repr(float(t)) for t in self.b[k]] if k < len(self.b) else [""] * dim
+            w.writerow([str(k), *(repr(float(t)) for t in xk), *bk,
+                        *(repr(float(col[k])) for col in columns)])
         return buf.getvalue()
 
 
@@ -249,8 +282,8 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     The raw seed is projected onto the constraint set (if any) and then onto
     the operator's first set, so recorded iterates start on it; the raw seed
     is kept in the metadata.  For projection pairs the intermediate
-    B-projections b_k and the joining sequence z (alternating x_k, b_k) are
-    recorded as well.
+    B-projections b_k are recorded as well, and with them the joining
+    sequence ``Trace.z``.  residual[k] is the step length from x_k.
     """
     A, B = op.sets()
     x0 = cfg.seed_point
@@ -269,50 +302,23 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
         bs.append(project_one(B, x))  # b_k, reused for x_{k+1} = P_A b_k
         return project_one(A, bs[-1])
 
-    xs = [x0]
-    residuals: list[float] = []
-    stop_reason = "max_iter"
-    x = x0
-    for _ in range(cfg.max_iter):
-        x_next = step(x)
-        r = norm(x_next - x)
-        residuals.append(r)
-        if r <= cfg.residual_tol:
-            stop_reason = "fixed_point"
-            break
+    xs, residuals = [x0], []
+    for x_next, r in iterates(step, x0, cfg.residual_tol, cfg.max_iter):
         xs.append(x_next)
-        x = x_next
+        residuals.append(r)
+    if residuals[-1] <= cfg.residual_tol:
+        stop_reason = "fixed_point"
+        xs.pop()  # x_k is the limit: its step is below tolerance
     else:
-        residuals.append(norm(step(x) - x))
+        stop_reason = "max_iter"
+        residuals.append(norm(step(xs[-1]) - xs[-1]))
 
-    zs: list[Vector] = []
-    if record_b and cfg.record_joining:
-        for xk, bk in zip(xs, bs):
-            zs.append(xk)
-            zs.append(bk)
-
-    target = as_target(cfg.target if cfg.target is not None else [xs[-1]])
-    dist_t = [target_distance(p, target) for p in xs]
-    dist_A = [distance(A, p) if A is not None else math.nan for p in xs]
-    dist_B = [distance(B, p) if B is not None else math.nan for p in xs]
-    steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)] + [0.0]
-
-    return Trace(
-        x=xs,
-        b=bs,
-        z=zs,
-        dist_A=dist_A,
-        dist_B=dist_B,
-        dist_target=dist_t,
-        residual=residuals,
-        step_norm=steps,
-        stop_reason=stop_reason,
-        metadata={
-            "raw_seed": [float(t) for t in raw_seed],
-            "seed_point": [float(t) for t in x0],
-            "operator": type(op).__name__,
-        },
-    )
+    metadata = {
+        "raw_seed": [float(t) for t in raw_seed],
+        "seed_point": [float(t) for t in x0],
+        "operator": type(op).__name__,
+    }
+    return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs)
 
 
 def approximate_fix_set(
@@ -340,13 +346,7 @@ def approximate_fix_set(
     for start in sample_ball(center, radius, budget, seed):
         if lam is not None:
             start = project_one(lam, start)
-        x = start
-        for _ in range(max_iter):
-            x_next = apply(op, x)
-            if norm(x_next - x) <= residual_tol * 1e-2:
-                x = x_next
-                break
-            x = x_next
+        x = settle(op, start, residual_tol * 1e-2, max_iter)
         if residual_map(op, x) <= residual_tol:
             limits.append(x)
     limits.sort(key=lambda p: tuple(p))

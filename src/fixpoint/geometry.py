@@ -86,12 +86,6 @@ class SetSpec:
             return cands[0]
         return min(_nearest(cands, x), key=np.ndarray.tolist)
 
-    def distance(self, x) -> float:
-        return distance(self, x)
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return distance(self, x) <= tol
-
 
 def _nearest(cands: list[Vector], x: Vector) -> list[Vector]:
     """The candidates within TIE_TOL of the least distance to x, in order."""
@@ -828,7 +822,7 @@ def _from_json(obj, tag: str, registry: dict, what: str):
     """Build the class that ``obj[tag]`` names from the other keys of obj,
     which must be its fields (those with a default may be left out)."""
     name = obj.get(tag) if isinstance(obj, dict) else None
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise ValueError(f"unknown {what}: {name}")
     cls = registry[name]
     keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}

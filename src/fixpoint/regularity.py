@@ -85,11 +85,7 @@ def _intersection_distance(
     valid upper bound)."""
     d = target_distance(x, intersection)
     if refine_op is not None and not isinstance(intersection, SetSpec):
-        y = x
-        for _ in range(400):
-            y, y_prev = engine.apply(refine_op, y), y
-            if norm(y - y_prev) <= 1e-13:
-                break
+        y = engine.settle(refine_op, x, 1e-13, 400)
         if engine.residual_map(refine_op, y) <= 1e-10:
             d = min(d, norm(x - y))
     return d
@@ -548,3 +544,14 @@ def check_global_subtransversality(
         if dn > kappa * db + tol:
             holds = False
     return GlobalSubtransversalityReport(holds, kappa, worst_ratio, worst_point)
+
+
+def global_ratio_growth(intersection: SetSpec, B: SetSpec, count: int) -> tuple[list, bool]:
+    """The ratios dist(x, A cap B) / dist(x, B) at x = (t, t^2) in the plane for
+    t = 0.02, 0.01, ... (count of them), and whether each at least doubles
+    (to 1%) the one before: a ratio that diverges rules out a global modulus."""
+    ratios = []
+    for t in (0.02 / 2**j for j in range(count)):
+        x = np.array([t, t * t])
+        ratios.append(distance(intersection, x) / distance(B, x))
+    return ratios, all(r1 >= (2.0 - 1e-2) * r0 for r0, r1 in zip(ratios, ratios[1:]))

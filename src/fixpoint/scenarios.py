@@ -27,6 +27,7 @@ from .geometry import (
     SetSpec,
     SetUnion,
     Vector,
+    WholeSpace,
     _finite_scalar,
     as_vector,
     distance,
@@ -362,58 +363,117 @@ _SCENARIO_KEYS = {
     "expected", "convex", "intersection", "sequence",
 }
 
+#: expected keys whose value is a number that ``fixpoint run`` compares within tol
+NUMBER_KEYS = (
+    "sr_prime", "sr_prime_local", "sr", "kappa_on_A",
+    "q_rate", "monotonicity_c", "linear_c", "extendible_c",
+)
+#: every expected key that ``fixpoint run`` checks
+EXPECTED_KEYS = NUMBER_KEYS + (
+    "fejer_holds", "fejer_witness", "iterations_to_solve", "solution",
+    "stuck_points", "intersection", "global_ratio_diverges",
+)
+
 
 def scenario_from_json(obj: dict) -> Scenario:
+    if not isinstance(obj, dict):
+        raise ValueError("a scenario must be a JSON object")
     unknown = set(obj) - _SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     for key in ("name", "A", "B", "seed_region"):
         _at(obj, key)
-    lam = obj.get("lambda")
-    inter = obj.get("intersection")
-    if isinstance(inter, dict):
-        intersection = set_from_json(inter)
-    elif inter is not None:
-        intersection = [as_vector(p) for p in inter]
-    else:
-        intersection = None
     exp = obj.get("expected", {})
     if not isinstance(exp, dict):
         raise ValueError("scenario key 'expected' must be an object")
-    expected = {
-        k: Expected(
-            _at(obj, "expected", k, "value"), e.get("provenance", "derived"), e.get("tol", 0.0)
-        )
-        for k, e in exp.items()
-    }
+
+    def parse(key: str, make, value):
+        """make(value), None for a JSON null; any error names the key."""
+        try:
+            return None if value is None else make(value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"scenario key {key!r}: {e}") from None
+
+    inter = obj.get("intersection")
     sc = Scenario(
         name=obj["name"],
-        A=set_from_json(obj["A"]),
-        B=set_from_json(obj["B"]),
-        lam=None if lam is None else set_from_json(lam),
-        base_point=None if obj.get("base_point") is None else as_vector(obj["base_point"]),
+        A=parse("A", set_from_json, obj["A"]),
+        B=parse("B", set_from_json, obj["B"]),
+        lam=parse("lambda", set_from_json, obj.get("lambda")),
+        base_point=parse("base_point", as_vector, obj.get("base_point")),
         seed_region=(
-            as_vector(_at(obj, "seed_region", "center")),
+            parse("seed_region.center", as_vector, _at(obj, "seed_region", "center")),
             _finite_scalar(_at(obj, "seed_region", "radius"), "scenario key 'seed_region.radius'"),
         ),
-        expected=expected,
-        intersection=intersection,
-        sequence=None if obj.get("sequence") is None else [as_vector(p) for p in obj["sequence"]],
+        expected={k: _expected(obj, k) for k in exp},
+        intersection=parse("intersection", set_from_json if isinstance(inter, dict) else _points,
+                           inter),
+        sequence=parse("sequence", _points, obj.get("sequence")),
         convex=bool(obj.get("convex", False)),
     )
+    if sc.lam is not None and not isinstance(sc.lam, (AffineSubspace, WholeSpace)):
+        raise ValueError(f"scenario key 'lambda' must be an affine_subspace or whole_space, "
+                         f"got {sc.lam.variant}")
     _check_dimensions(sc)
+    for key in sc.expected:
+        need = _unmet_need(sc, key)
+        if need:
+            raise ValueError(f"scenario key 'expected.{key}' needs {need}")
     return sc
 
 
+def _points(value) -> list[Vector]:
+    if not isinstance(value, list) or not value:
+        raise ValueError("must list at least one point")
+    return [as_vector(p) for p in value]
+
+
+def _expected(obj: dict, key: str) -> Expected:
+    """expected.<key>: a key that ``fixpoint run`` checks, a number where the
+    check compares numbers, and a finite tol >= 0."""
+    path = f"scenario key 'expected.{key}"
+    if key not in EXPECTED_KEYS:
+        raise ValueError(f"{path}' is not one that run checks: {list(EXPECTED_KEYS)}")
+    value = _at(obj, "expected", key, "value")
+    if key in NUMBER_KEYS:
+        value = _finite_scalar(value, f"{path}.value'")
+    entry = obj["expected"][key]
+    tol = _finite_scalar(entry.get("tol", 0.0), f"{path}.tol'")
+    if tol < 0:
+        raise ValueError(f"{path}.tol' must be >= 0, got {tol}")
+    return Expected(value, entry.get("provenance", "derived"), tol)
+
+
+def _unmet_need(sc: Scenario, key: str) -> str | None:
+    """What the check of expected.<key> in ``fixpoint run`` needs and the
+    scenario does not supply, if anything."""
+    estimated = sc.base_point is not None and sc.intersection is not None and sc.sequence is None
+    if key in ("sr_prime", "sr_prime_local", "sr", "kappa_on_A") and not estimated:
+        return "a base_point, an intersection and no sequence"
+    if key == "sr" and not sc.convex:
+        return "a convex pair ('convex': true)"
+    if key in ("monotonicity_c", "linear_c", "stuck_points") and sc.intersection is None:
+        return "an intersection"
+    if key == "fejer_holds" and not ("fejer_witness" in sc.expected
+                                     or isinstance(sc.intersection, list)):
+        return "a fejer_witness or an intersection probe (a list of points)"
+    if key == "global_ratio_diverges" and not (isinstance(sc.intersection, SetSpec)
+                                               and sc.A.dim == 2):
+        return "an intersection set in the plane"
+    return None
+
+
 def _at(obj, *keys: str):
-    """obj[k1][k2]...; a missing key, or a value on the way that is not an
-    object, is an error that names its JSON path."""
+    """obj[k1][k2]...; a missing or null key, or a value on the way that is
+    not an object, is an error that names its JSON path."""
     for i, key in enumerate(keys):
         if not isinstance(obj, dict):
             raise ValueError(f"scenario key {'.'.join(keys[:i])!r} must be an object")
         if key not in obj:
             raise ValueError(f"scenario is missing required key {'.'.join(keys[:i + 1])!r}")
         obj = obj[key]
+    if obj is None:
+        raise ValueError(f"scenario key {'.'.join(keys)!r} must not be null")
     return obj
 
 

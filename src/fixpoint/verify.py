@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
-from .geometry import as_target, distance, norm, project_one, sample_ball, target_distance
+from .geometry import as_target, norm, project_one, sample_ball, target_distance
 from .scenarios import FAMILIES, Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
@@ -40,12 +40,9 @@ class CriterionResult:
         return f"[{mark}] criterion {self.cid:>2}: {self.name} ({self.details})"
 
 
-def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000, target=None):
+def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000):
     op = AlternatingProjections(sc.A, sc.B)
-    cfg = IterationConfig(
-        seed_point=seed_point, max_iter=max_iter, target=target or sc.intersection
-    )
-    return op, run(op, cfg)
+    return op, run(op, IterationConfig(seed_point, max_iter, target=sc.intersection))
 
 
 def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
@@ -139,13 +136,8 @@ def criterion_4() -> CriterionResult:
     ok = True
     for n in (1, 2, 3):
         sc = build(f"geometric_n{n}")
-        _, tr = _ap_trace(sc, [1.0, 0.0])
-        solved = [
-            k
-            for k in range(len(tr.x))
-            if tr.dist_A[k] <= 1e-12 and tr.dist_B[k] <= 1e-12
-        ]
-        took = solved[0] if solved else -1
+        took = _ap_trace(sc, [1.0, 0.0])[1].solved_at
+        took = -1 if took is None else took
         details.append(f"n={n}:{took}")
         ok = ok and took == n
     return CriterionResult(4, "geometric pairs solve in exactly n iterations", ok, ", ".join(details))
@@ -180,13 +172,10 @@ def criterion_5() -> CriterionResult:
         if is_peak and tr.stop_reason == "fixed_point" and d_int >= 0.5 ** (n + 2):
             stuck_ok += 1
             details.append(f"1/2^{n}")
-    srp_a = reg.estimate_sr_prime(
-        sc.A, sc.B, sc.base_point, 0.5, intersection=sc.intersection,
-        samples=192, seed=11, polish_starts=8,
-    )
-    srp_b = reg.estimate_sr_prime(
-        sc.A, sc.B, sc.base_point, 0.5, intersection=sc.intersection,
-        samples=384, seed=11, polish_starts=8,
+    srp_a, srp_b = (
+        reg.estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.5, intersection=sc.intersection,
+                              samples=n, seed=11, polish_starts=8)
+        for n in (192, 384)
     )
     stable = (
         math.isfinite(srp_a.value)
@@ -207,14 +196,12 @@ def criterion_6() -> CriterionResult:
     bad = 0
     outcomes = {"already_solved": 0, "solved_in_one": 0, "never_reaches": 0}
     for i, sc in _convex_corpus(200):
-        op = AlternatingProjections(sc.A, sc.B)
         seeds = [
             sc.base_point + 0.08 * sc.boundary_ray,
             sample_ball(sc.seed_region[0], sc.seed_region[1], 1, seed=900 + i)[0],
         ]
         for s in seeds:
-            tr = run(op, IterationConfig(seed_point=s, max_iter=50_000))
-            rep = diag.check_convex_dichotomy(tr)
+            rep = diag.check_convex_dichotomy(_ap_trace(sc, s)[1])
             outcomes[rep.outcome] += 1
             if rep.outcome == "never_reaches" and not rep.bound_holds:
                 bad += 1
@@ -268,11 +255,7 @@ def criterion_8() -> CriterionResult:
     n_linear = 0
     worst_i = worst_ii = math.inf
     for i, sc in _convex_corpus(100, dims=(2, 3)):
-        op = AlternatingProjections(sc.A, sc.B)
-        tr = run(
-            op,
-            IterationConfig(seed_point=sc.base_point + 0.08 * sc.boundary_ray, max_iter=50_000),
-        )
+        _, tr = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)
         rep = diag.check_convex_dichotomy(tr)
         x_lim = tr.limit
         probe = [x_lim, sc.base_point]
@@ -307,31 +290,27 @@ def criterion_8() -> CriterionResult:
     )
 
 
-def _convex_trace_corpus():
-    out = []
-    sc = build("two_lines_pi3")
-    out.append((sc, _ap_trace(sc, [1.0, 0.0])[1]))
+def _windowed_traces():
+    """(trace, K, frequency-2 extendibility of the joining sequence up to
+    x_K) for each AP trace of the convex corpus whose window ends at K >= 3."""
+    corpus = [(build("two_lines_pi3"), [1.0, 0.0])]
     for i in range(20):
         sc = random_convex_pair(i, 2, "box_affine")
-        out.append(
-            (sc, _ap_trace(sc, sc.base_point + 0.1 * sc.boundary_ray)[1])
-        )
-    return out
+        corpus.append((sc, sc.base_point + 0.1 * sc.boundary_ray))
+    for sc, seed_point in corpus:
+        tr = _ap_trace(sc, seed_point)[1]
+        K = _window_end(tr)
+        if K >= 3:
+            yield tr, K, diag.check_linear_extendible(tr.z[: 2 * K + 2], 2)
 
 
 def criterion_9() -> CriterionResult:
     """On Q-linear convex traces the joining sequence extends with rate <= c."""
     fails = checked = 0
-    for sc, tr in _convex_trace_corpus():
-        K = _window_end(tr)
-        if K < 3:
-            continue
+    for tr, K, ext in _windowed_traces():
         checked += 1
         q = diag.estimate_q_rate(tr.x[: K + 1], limit=tr.limit, floor=WINDOW_FLOOR)
-        if q.c >= 1.0:
-            continue
-        ext = diag.check_linear_extendible(tr.z[: 2 * K + 2], 2)
-        if not (ext.holds and ext.c <= q.c + 1e-9):
+        if q.c < 1.0 and not (ext.holds and ext.c <= q.c + 1e-9):
             fails += 1
     return CriterionResult(
         9,
@@ -344,16 +323,11 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Extendibility certifies the explicit geometric envelope."""
     fails = checked = 0
-    for sc, tr in _convex_trace_corpus():
-        K = _window_end(tr)
-        if K < 3:
-            continue
-        ext = diag.check_linear_extendible(tr.z[: 2 * K + 2], 2)
+    for tr, K, ext in _windowed_traces():
         if not ext.holds:
             continue
         checked += 1
-        sub = [tr.z[2 * k] for k in range((2 * K + 2) // 2)]
-        if not diag.verify_r_certificate(sub, tr.limit, ext.c, ext.gamma, tol=1e-9):
+        if not diag.verify_r_certificate(tr.x[: K + 1], tr.limit, ext.c, ext.gamma, tol=1e-9):
             fails += 1
     return CriterionResult(
         10,
@@ -366,26 +340,17 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Epigraph pair: finite local modulus, divergent global ratio."""
     sc = build("epigraph")
-    srp_a = reg.estimate_sr_prime(
-        sc.A, sc.B, sc.base_point, 0.3, intersection=sc.intersection, samples=128, seed=3
-    )
-    srp_b = reg.estimate_sr_prime(
-        sc.A, sc.B, sc.base_point, 0.3, intersection=sc.intersection, samples=256, seed=3
+    srp_a, srp_b = (
+        reg.estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.3, intersection=sc.intersection,
+                              samples=n, seed=3)
+        for n in (128, 256)
     )
     local_ok = (
         math.isfinite(srp_a.value)
         and srp_a.value <= srp_b.value <= 1.1 * srp_a.value
         and abs(srp_a.value - math.sqrt(2.0)) <= 1e-2
     )
-    ratios = []
-    t = 0.02
-    for _ in range(4):
-        x = np.array([t, t * t])
-        ratios.append(distance(sc.intersection, x) / distance(sc.B, x))
-        t /= 2.0
-    growth_ok = all(
-        ratios[j + 1] >= (2.0 - 1e-2) * ratios[j] for j in range(len(ratios) - 1)
-    )
+    ratios, growth_ok = reg.global_ratio_growth(sc.intersection, sc.B, 4)
     ok = local_ok and growth_ok
     return CriterionResult(
         11,
@@ -402,13 +367,12 @@ def criterion_12() -> CriterionResult:
         random_convex_pair(i, 2, "box_affine") for i in range(5)
     ]
     for sc in cases:
-        op = AlternatingProjections(sc.A, sc.B)
         seed = (
             sc.base_point + 0.1 * sc.boundary_ray
             if sc.boundary_ray is not None
             else np.array([0.9, 0.0])
         )
-        tr = run(op, IterationConfig(seed_point=seed, max_iter=50_000))
+        op, tr = _ap_trace(sc, seed)
         probe = [tr.limit, sc.base_point]
         eps = reg.estimate_violation(op, tr.limit, 2.0 / 3.0, tr.limit, 0.1, samples=96, seed=5)
         kap = reg.estimate_kappa(
@@ -455,17 +419,14 @@ def criterion_13() -> CriterionResult:
         same = all(
             filecmp.cmp(out_a / n, out_b / n, shallow=False) for n in names
         )
-        est_a = reg.estimate_sr_prime(
-            build("two_lines_pi3").A, build("two_lines_pi3").B, [0, 0], 0.5,
-            intersection=[np.zeros(2)], samples=64, seed=42,
+        est_a, est_b = (
+            json.dumps(reg.estimate_sr_prime(
+                build("two_lines_pi3").A, build("two_lines_pi3").B, [0, 0], 0.5,
+                intersection=[np.zeros(2)], samples=64, seed=42,
+            ).to_json_dict(), sort_keys=True)
+            for _ in range(2)
         )
-        est_b = reg.estimate_sr_prime(
-            build("two_lines_pi3").A, build("two_lines_pi3").B, [0, 0], 0.5,
-            intersection=[np.zeros(2)], samples=64, seed=42,
-        )
-        same_est = json.dumps(est_a.to_json_dict(), sort_keys=True) == json.dumps(
-            est_b.to_json_dict(), sort_keys=True
-        )
+        same_est = est_a == est_b
     ok = same and same_est
     return CriterionResult(13, "byte-identical repeated runs", ok, f"files equal={same}, estimates equal={same_est}")
 

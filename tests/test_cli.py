@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fixpoint.cli import main
+from fixpoint.geometry import distance, norm, set_from_json
 from fixpoint.scenarios import build, builtin_names, scenario_to_json
 
 
@@ -127,10 +128,42 @@ def test_dr_operator_flag(tmp_path):
          "scenario key 'seed_region.radius' must be a number, got 'wide'"),
         (lambda o: o["expected"]["q_rate"].pop("value"),
          "scenario is missing required key 'expected.q_rate.value'"),
+        (lambda o: o["expected"].update(q_rte=o["expected"].pop("q_rate")),
+         "scenario key 'expected.q_rte' is not one that run checks"),
+        (lambda o: o["expected"]["q_rate"].update(tol="x"),
+         "scenario key 'expected.q_rate.tol' must be a number, got 'x'"),
+        (lambda o: o["expected"]["q_rate"].update(tol=math.nan),
+         "scenario key 'expected.q_rate.tol' must be finite, got nan"),
+        (lambda o: o["expected"]["q_rate"].update(tol=-1e-6),
+         "scenario key 'expected.q_rate.tol' must be >= 0, got -1e-06"),
+        (lambda o: o["expected"]["sr_prime"].update(value="x"),
+         "scenario key 'expected.sr_prime.value' must be a number, got 'x'"),
+        (lambda o: o.update(scenario_to_json(build("sawtooth")), expected={"sr": {"value": 2.0}}),
+         "scenario key 'expected.sr' needs a convex pair"),
+        (lambda o: o.update(intersection={"variant": "halfspace", "normal": [0, 1], "offset": 0},
+                            expected={"fejer_holds": {"value": True}}),
+         "scenario key 'expected.fejer_holds' needs a fejer_witness or an intersection probe"),
+        (lambda o: o.update(expected={"global_ratio_diverges": {"value": True}}),
+         "scenario key 'expected.global_ratio_diverges' needs an intersection set in the plane"),
+        (lambda o: (o.pop("intersection"), o.update(expected={"stuck_points": {"value": [[0, 0]]}})),
+         "scenario key 'expected.stuck_points' needs an intersection"),
+        (lambda o: o.update(sequence=[]), "scenario key 'sequence': must list at least one point"),
+        (lambda o: o.update(intersection=[]),
+         "scenario key 'intersection': must list at least one point"),
+        (lambda o: o.update(**{"lambda": {"variant": "ball", "center": [0, 0], "radius": 1}}),
+         "scenario key 'lambda' must be an affine_subspace or whole_space, got ball"),
+        (lambda o: o["A"].update(point={"a": 1}), "scenario key 'A': "),
+        (lambda o: o["B"].update(variant=[1]), "scenario key 'B': unknown set variant: [1]"),
+        (lambda o: o.update(B={"variant": "union", "members": 5}), "scenario key 'B': "),
+        (lambda o: o.update(A=None), "scenario key 'A' must not be null"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
-         "expected_value"],
+         "expected_value", "expected_unknown_key", "expected_tol_type", "expected_tol_nan",
+         "expected_tol_negative", "expected_value_type", "sr_not_convex",
+         "fejer_holds_set_intersection", "global_ratio_probe", "stuck_points_no_intersection",
+         "sequence_empty", "intersection_empty", "lambda_ball", "set_point_type",
+         "set_variant_type", "union_members_type", "set_null"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))
@@ -184,3 +217,34 @@ def test_estimate_all_keys_every_constant(capsys):
     assert sorted(ests) == ["kappa", "sigma", "sr", "sr_prime"]
     assert main(["estimate", "sr_prime", "two_lines_pi3", "--samples", "32"]) == 0
     assert ests["sr_prime"] == json.loads(capsys.readouterr().out)
+
+
+def _sequence_scenario(tmp_path, **changes):
+    obj = scenario_to_json(build("monotone_not_fejer"))
+    obj.update(changes)
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({k: v for k, v in obj.items() if v is not None}))
+    return path
+
+
+def test_sequence_trace_records_dist_B_to_B(tmp_path):
+    B = {"variant": "halfspace", "normal": [1.0, 0.0], "offset": -1.0}  # x <= -1
+    out = tmp_path / "o"
+    assert main(["run", str(_sequence_scenario(tmp_path, B=B)), "--out", str(out)]) == 0
+    tr = json.loads((out / "trace.json").read_text())
+    B_set, A_set = set_from_json(B), build("monotone_not_fejer").A
+    assert tr["dist_B"] == [distance(B_set, x) for x in tr["x"]]
+    assert tr["dist_A"] == [distance(A_set, x) for x in tr["x"]]
+    assert tr["dist_B"] != tr["dist_A"]
+
+
+def test_sequence_without_intersection_targets_the_last_point(tmp_path, capsys):
+    expected = scenario_to_json(build("monotone_not_fejer"))["expected"]
+    expected.pop("linear_c")  # needs an intersection
+    path = _sequence_scenario(tmp_path, intersection=None, expected=expected)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    tr = json.loads((out / "trace.json").read_text())
+    last = np.array(tr["x"][-1])
+    assert tr["dist_target"] == [norm(np.array(x) - last) for x in tr["x"]]

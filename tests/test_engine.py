@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,14 @@ from fixpoint.engine import (
     IterationConfig,
     Projector,
     Relaxation,
+    Trace,
     apply,
     approximate_fix_set,
     candidates,
+    iterates,
     residual_map,
     run,
+    settle,
 )
 from fixpoint.geometry import (
     Ball,
@@ -117,6 +121,39 @@ def test_joining_sequence_interleaves():
     for k in range(len(tr.x)):
         assert np.array_equal(tr.z[2 * k], tr.x[k])
         assert np.array_equal(tr.z[2 * k + 1], tr.b[k])
+
+
+def test_joining_sequence_is_derived():
+    assert "z" not in {f.name for f in dataclasses.fields(Trace)}
+    assert "record_joining" not in {f.name for f in dataclasses.fields(IterationConfig)}
+    sc = build("two_lines_pi3")
+    tr = run(DouglasRachford(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.0], max_iter=5))
+    assert tr.b == [] and tr.z == [] and tr.to_json_dict()["z"] == []
+
+
+@pytest.mark.parametrize("max_iter,stop", [(3, "max_iter"), (100_000, "fixed_point")])
+def test_run_residual_is_the_step_from_each_iterate(max_iter, stop):
+    # on max_iter one more step is taken, so every recorded x_k has its residual
+    op = two_lines_op()
+    tr = run(op, IterationConfig(seed_point=[1.0, 0.0], max_iter=max_iter))
+    assert tr.stop_reason == stop
+    assert len(tr.residual) == len(tr.x) == len(tr.b)
+    for xk, rk in zip(tr.x, tr.residual):
+        assert rk == norm(apply(op, xk) - xk)
+    assert (tr.residual[-1] <= 1e-12) == (stop == "fixed_point")
+
+
+def test_iterates_stops_after_the_first_short_step():
+    steps = list(iterates(lambda x: x / 2, np.array([1.0]), 0.2, 10))
+    assert [r for _, r in steps] == [0.5, 0.25, 0.125]
+    assert [float(x[0]) for x, _ in steps] == [0.5, 0.25, 0.125]
+    assert len(list(iterates(lambda x: x / 2, np.array([1.0]), 0.0, 4))) == 4
+    op = two_lines_op()
+    y = np.array([1.0, 0.0])
+    for _ in range(4):
+        y = apply(op, y)
+    assert np.array_equal(settle(op, np.array([1.0, 0.0]), 1e-13, 4), y)  # the last of max_iter
+    assert np.array_equal(settle(op, y, 1e-13, 0), y)
 
 
 def test_residual_map_fixed_point_zero():
