@@ -205,6 +205,9 @@ def execute_run(
         seed = _resolve_seed(seed)
         if operator not in ("ap", "dr"):
             raise ValueError("operator must be 'ap' or 'dr'")
+        if operator == "dr" and "extendible_c" in sc.expected:
+            raise ValueError("scenario key 'expected.extendible_c' cannot be checked with "
+                             "--operator dr: a DR run records no joining sequence")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 

@@ -31,6 +31,7 @@ from .geometry import (
     norm,
     project_all,
     project_one,
+    row_norms,
     sample_ball,
     sorted_unique,
     target_distance,
@@ -54,6 +55,9 @@ class AlternatingProjections(_SetPair):
     def apply(self, x):
         return project_one(self.A, project_one(self.B, x))
 
+    def _image_many(self, X):
+        return self.A._project_many(self.B._project_many(X))
+
     def candidates(self, x):
         out = []
         for b in project_all(self.B, x):
@@ -76,6 +80,11 @@ class DouglasRachford(_SetPair):
             for pa in project_all(self.A, rb):
                 out.append(0.5 * (x + 2.0 * pa - rb))
         return sorted_unique(out, DEDUP_TOL)
+
+    def _image_many(self, X):
+        # the candidates' formula, which rounds differently from apply's
+        rb = 2.0 * self.B._project_many(X) - X
+        return 0.5 * (X + 2.0 * self.A._project_many(rb) - rb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +173,15 @@ def residual_map(op: OperatorSpec, x) -> float:
     """dist(0, Tx - x): the infimum of ||x+ - x|| over the candidate image."""
     x = np.asarray(x, dtype=float)
     return min(norm(y - x) for y in candidates(op, x))
+
+
+def residual_map_many(op: OperatorSpec, X: np.ndarray) -> np.ndarray:
+    """:func:`residual_map` of each row of a checked (m, d) array.  A
+    projection pair of closed-form sets has one candidate per row, computed
+    for all rows at once; other operators go row by row."""
+    if isinstance(op, _SetPair) and op.A.closed_form and op.B.closed_form:
+        return row_norms(op._image_many(X) - X)
+    return np.array([residual_map(op, x) for x in X], dtype=float)
 
 
 def iterates(step, x: Vector, tol: float, max_iter: int):

@@ -49,6 +49,35 @@ def norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def as_points(X, dim: int | None = None) -> np.ndarray:
+    """Coerce to a finite float64 (m, d) array of points: :func:`as_vector`
+    for a batch, checked once for the whole array."""
+    P = np.asarray(X, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"expected an (m, d) array of points, got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError("points have non-finite coordinates")
+    if dim is not None and P.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {P.shape[1]}")
+    return P
+
+
+# Row-wise kernels sum each row on its own (a reduction over the last axis),
+# never through a matrix product: BLAS rounds a row differently depending on
+# how many rows share the call, and a polished start must not depend on the
+# other starts.  They agree with the scalar kernels (which round their dot
+# products with FMA) to a few ulps, not bit for bit.
+
+
+def _row_dots(Y: np.ndarray, v: Vector) -> np.ndarray:
+    return np.add.reduce(Y * v, axis=1)
+
+
+def row_norms(U: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array."""
+    return np.sqrt(np.add.reduce(U * U, axis=1))
+
+
 class ProjectionList(list):
     """Projection candidates; ``infinite_fiber`` marks a non-enumerable fiber.
 
@@ -65,11 +94,18 @@ class SetSpec:
     A variant, named by ``variant`` in the JSON form, lists its projection
     candidates in ``_candidates``; the generic ``_distance`` and ``_project``
     choose among them on a checked vector, and closed forms override them.
+    ``_distance_many`` and ``_project_many`` do the same for each row of a
+    checked (m, dim) array (see :func:`as_points`): a row loop over the
+    scalar kernels, which keeps the nonconvex tie-break exact, unless the
+    variant has a closed form.
     """
 
     dim: int
     #: True when the projector is single-valued everywhere
     convex = False
+    #: True when the candidate list is always the one closed-form projection,
+    #: so ``project_all`` is ``[project_one]`` and ``_project_many`` is vectorized
+    closed_form = False
 
     def _candidates(self, x: Vector) -> list[Vector]:
         raise NotImplementedError
@@ -85,6 +121,12 @@ class SetSpec:
         if len(cands) == 1:
             return cands[0]
         return min(_nearest(cands, x), key=np.ndarray.tolist)
+
+    def _distance_many(self, Y: np.ndarray) -> np.ndarray:
+        return np.array([self._distance(y) for y in Y], dtype=float)
+
+    def _project_many(self, Y: np.ndarray) -> np.ndarray:
+        return np.array([self._project(y) for y in Y], dtype=float).reshape(Y.shape)
 
 
 def _nearest(cands: list[Vector], x: Vector) -> list[Vector]:
@@ -118,6 +160,14 @@ def target_distance(x: Vector, target: SetSpec | list[Vector]) -> float:
     return min(norm(x - p) for p in target)
 
 
+def target_distance_many(Y: np.ndarray, target: SetSpec | list[Vector]) -> np.ndarray:
+    """:func:`target_distance` of each row of a checked (m, d) array."""
+    if isinstance(target, SetSpec):
+        return target._distance_many(Y)
+    D = Y[:, None, :] - np.array(target)
+    return np.sqrt(np.add.reduce(D * D, axis=2)).min(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # convex variants
 
@@ -126,6 +176,7 @@ class _ConvexSet(SetSpec):
     """A convex variant: ``_project`` is its closed-form projector."""
 
     convex = True
+    closed_form = True
 
     def _candidates(self, x):
         return [self._project(x)]
@@ -172,6 +223,15 @@ class Halfspace(_ConvexSet):
     def _distance(self, x):
         return max(0.0, (float(self.normal @ x) - self.offset) / self._norm)
 
+    def _project_many(self, Y):
+        excess = _row_dots(Y, self.normal) - self.offset
+        moved = Y - (excess / float(self.normal @ self.normal))[:, None] * self.normal
+        return np.where(excess[:, None] > 0.0, moved, Y)
+
+    def _distance_many(self, Y):
+        d = (_row_dots(Y, self.normal) - self.offset) / self._norm
+        return np.where(d > 0.0, d, 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace(_ConvexSet):
@@ -205,6 +265,15 @@ class AffineSubspace(_ConvexSet):
         q = self._project(x) - x
         return math.sqrt(np.add.reduce(q * q))
 
+    def _project_many(self, Y):
+        if self.basis.size == 0:
+            return np.broadcast_to(self.point, Y.shape).copy()
+        coef = np.add.reduce((Y - self.point)[:, None, :] * self.basis, axis=2)
+        return self.point + np.add.reduce(coef[:, :, None] * self.basis, axis=1)
+
+    def _distance_many(self, Y):
+        return row_norms(self._project_many(Y) - Y)
+
 
 @dataclass(frozen=True, eq=False)
 class Ball(_ConvexSet):
@@ -235,6 +304,17 @@ class Ball(_ConvexSet):
     def _distance(self, x):
         return max(0.0, norm(x - self.center) - self.radius)
 
+    def _project_many(self, Y):
+        U = Y - self.center
+        nu = row_norms(U)
+        outside = nu > self.radius
+        scale = np.divide(self.radius, nu, out=np.ones_like(nu), where=outside)
+        return np.where(outside[:, None], self.center + scale[:, None] * U, Y)
+
+    def _distance_many(self, Y):
+        d = row_norms(Y - self.center) - self.radius
+        return np.where(d > 0.0, d, 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class Box(_ConvexSet):
@@ -261,6 +341,12 @@ class Box(_ConvexSet):
     def _distance(self, x):
         return norm(x - self._project(x))
 
+    def _project_many(self, Y):
+        return np.minimum(np.maximum(Y, self.lo), self.hi)
+
+    def _distance_many(self, Y):
+        return row_norms(Y - self._project_many(Y))
+
 
 @dataclass(frozen=True, eq=False)
 class WholeSpace(_ConvexSet):
@@ -280,6 +366,12 @@ class WholeSpace(_ConvexSet):
 
     def _distance(self, x):
         return 0.0
+
+    def _project_many(self, Y):
+        return Y.copy()
+
+    def _distance_many(self, Y):
+        return np.zeros(len(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +441,9 @@ class FinitePointSet(SetSpec):
 
     def _distance(self, x):
         return float(np.min(np.linalg.norm(self.points - x, axis=1)))
+
+    def _distance_many(self, Y):
+        return np.linalg.norm(Y[:, None, :] - self.points, axis=2).min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,6 +668,9 @@ class SetUnion(SetSpec):
     def _distance(self, x):
         return min(distance(m, x) for m in self.members)
 
+    def _distance_many(self, Y):
+        return np.min([m._distance_many(Y) for m in self.members], axis=0)
+
 
 Lambda = Union[WholeSpace, AffineSubspace]
 
@@ -759,6 +857,64 @@ def _polish_directions(d: int) -> np.ndarray:
     return _POLISH_DIRS[d]
 
 
+def ascend(
+    X0: np.ndarray,
+    score,
+    feasible,
+    step: float,
+    max_rounds: int = 48,
+    floor: float = 1e-9,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic pattern ascent of score from every row of X0 in lockstep.
+
+    ``feasible(Y)`` maps each row of an (m, d) array of trial points into the
+    admissible region and returns ``(Y', ok)``, with ``ok`` marking the rows
+    it admits; ``score(Y)`` scores each row.  One call covers every active
+    start, but rows never interact: each keeps its own best point and step,
+    polls the directions in a fixed order from its current point (moving on
+    the first trial that beats its best by 1e-15), halves its step after a
+    round without a move and stops below ``floor`` or after ``max_rounds``.
+    A start therefore ends where it would alone, so per-sample polishing
+    keeps nested-sample estimates monotone under refinement.  Returns the
+    best score of each row and the point attaining it (-inf and the start
+    for an inadmissible start).
+    """
+    X0 = as_points(X0)
+    m = len(X0)
+    X, ok = feasible(X0)
+    X = np.where(ok[:, None], X, X0)
+    best = np.full(m, -math.inf)
+    if ok.any():
+        best[ok] = score(X[ok])
+    steps = np.full(m, float(step))
+    active = ok.copy()
+    dirs = _polish_directions(X0.shape[1])
+    for _ in range(max_rounds):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        improved = np.zeros(m, dtype=bool)
+        moves = steps[rows, None, None] * dirs
+        for j in range(len(dirs)):
+            Y, ok = feasible(X[rows] + moves[:, j])
+            at = rows
+            if not ok.all():
+                at, Y = rows[ok], Y[ok]
+                if at.size == 0:
+                    continue
+            s = score(Y)
+            up = s > best[at] + 1e-15
+            if up.any():
+                at = at[up]
+                X[at] = Y[up]
+                best[at] = s[up]
+                improved[at] = True
+        halved = rows[~improved[rows]]
+        steps[halved] *= 0.5
+        active[halved[steps[halved] < floor]] = False
+    return best, X
+
+
 def pattern_polish(
     x0: Vector,
     score,
@@ -767,33 +923,18 @@ def pattern_polish(
     max_rounds: int = 48,
     floor: float = 1e-9,
 ) -> tuple[float, Vector]:
-    """Deterministic pattern ascent of score over feasible points.
-
-    ``feasible`` maps a trial point into the admissible region (or returns
-    None to reject it).  Depends only on the starting point, so per-sample
-    polishing keeps nested-sample estimates monotone under refinement.
-    Returns the best score and the point attaining it.
+    """:func:`ascend` from one start with scalar maps: ``feasible(y)`` returns
+    the admitted point or None, ``score(y)`` a float.  Returns the best score
+    and the point attaining it.
     """
-    x = feasible(np.asarray(x0, dtype=float))
-    if x is None:
-        return -math.inf, np.asarray(x0, dtype=float)
-    best = score(x)
-    dirs = _polish_directions(x.size)
-    for _ in range(max_rounds):
-        improved = False
-        for move in step * dirs:
-            y = feasible(x + move)
-            if y is None:
-                continue
-            sy = score(y)
-            if sy > best + 1e-15:
-                x, best = y, sy
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < floor:
-                break
-    return best, x
+
+    def feasible_row(Y):
+        y = feasible(Y[0])
+        return (Y if y is None else y[None, :]), np.array([y is not None])
+
+    best, X = ascend(np.asarray(x0, dtype=float)[None, :],
+                     lambda Y: np.array([score(Y[0])]), feasible_row, step, max_rounds, floor)
+    return float(best[0]), X[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ from .geometry import (
     WholeSpace,
     as_target,
     as_vector,
+    ascend,
     distance,
     norm,
-    pattern_polish,
     project_one,
+    row_norms,
     sample_ball,
     sample_on_set,
-    target_distance,
+    target_distance_many,
 )
 
 RES_FLOOR = 1e-12
@@ -75,20 +76,37 @@ def _nominal_spacing(delta: float, count: int, dim: int) -> float:
 
 
 def _intersection_distance(
-    x: Vector,
+    X: np.ndarray,
     intersection: SetSpec | list[Vector],
     refine_op: engine.OperatorSpec | None = None,
-) -> float:
-    """Distance to the intersection (made by ``as_target``): exact set,
-    probe, or probe sharpened by running the iteration from x to high
-    precision (the limit lies in the intersection, so its distance is a
-    valid upper bound)."""
-    d = target_distance(x, intersection)
+) -> np.ndarray:
+    """Distance of each row of X to the intersection (made by ``as_target``):
+    exact set, probe, or probe sharpened by running the iteration from the
+    row to high precision (the limit lies in the intersection, so its
+    distance is a valid upper bound).  The refinement runs row by row."""
+    d = target_distance_many(X, intersection)
     if refine_op is not None and not isinstance(intersection, SetSpec):
-        y = engine.settle(refine_op, x, 1e-13, 400)
-        if engine.residual_map(refine_op, y) <= 1e-10:
-            d = min(d, norm(x - y))
+        for i, x in enumerate(X):
+            y = engine.settle(refine_op, x, 1e-13, 400)
+            if engine.residual_map(refine_op, y) <= 1e-10:
+                d[i] = min(d[i], norm(x - y))
     return d
+
+
+def _divide(num: np.ndarray, den: np.ndarray, where: np.ndarray, fill: np.ndarray | float):
+    """num / den per row where ``where`` holds, ``fill`` elsewhere; the
+    division runs only where it is taken, so a zero den raises no warning."""
+    out = np.empty_like(num)
+    out[...] = fill
+    return np.divide(num, den, out=out, where=where)
+
+
+def _feasibility_ratio(dn: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """dn / den per row: 0 where both are below SKIP_FLOOR (the point is
+    skipped), +inf where den alone vanishes."""
+    q = _divide(dn, den, den != 0.0, math.inf)
+    q[(den < SKIP_FLOOR) & (dn < SKIP_FLOOR)] = 0.0
+    return q
 
 
 #: number of leading samples given a local pattern-ascent polish; a fixed
@@ -126,22 +144,30 @@ def _region(
     return [p for p in pts if norm(p - center) <= delta]
 
 
+#: a batched ratio: one value per row of an (m, d) array of points
+Ratio = Callable[[np.ndarray], np.ndarray]
+#: a batched map into a region: (mapped rows, which rows it admits)
+Feasible = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
 def _feasible(
     center: Vector,
     delta: float,
     project: SetSpec | None = None,
     member: SetSpec | None = None,
-) -> Callable[[Vector], Vector | None]:
-    """The polish's map into the region: project onto ``project``, reject
-    points off ``member``, and keep only points within delta of center.
-    A whole-space lam may be passed as either; it changes no point."""
+) -> Feasible:
+    """The polish's map into the region, row by row: project onto
+    ``project``, reject points off ``member``, and keep only points within
+    delta of center.  A whole-space lam may be passed as either; it changes
+    no point."""
 
-    def feasible(y: Vector) -> Vector | None:
+    def feasible(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if project is not None:
-            y = project_one(project, y)
-        if member is not None and distance(member, y) > 1e-9:
-            return None
-        return y if norm(y - center) <= delta else None
+            Y = project._project_many(Y)
+        ok = row_norms(Y - center) <= delta
+        if member is not None:
+            ok &= member._distance_many(Y) <= 1e-9
+        return Y, ok
 
     return feasible
 
@@ -149,33 +175,36 @@ def _feasible(
 def _sup_estimate(
     kind: str,
     pts: list[Vector],
-    ratio: Callable[[Vector], float],
-    feasible: Callable[[Vector], Vector | None] | None,
+    ratio: Ratio,
+    feasible: Feasible | None,
     center: Vector,
     delta: float,
     lam: Lambda | None,
     samples: int,
     seed: int,
-    final_ratio: Callable[[Vector], float] | None = None,
+    final_ratio: Ratio | None = None,
     polish_starts: int = POLISH_STARTS,
 ) -> RegularityEstimate:
     """Max of the (final) ratio over samples and polished pattern-ascent
-    endpoints, with its certificate.  The ascent climbs the cheap ``ratio``;
-    a sharper ``final_ratio`` scores every sample and polished endpoint, so
-    expensive refinement runs once per point instead of once per step.
-    sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags only an
-    all-fixed-point sample (reported as 0); sigma raises on no usable one."""
+    endpoints, with its certificate.  The samples among the first
+    ``polish_starts`` with a finite value are polished together in one
+    :func:`ascend`, each depending only on its own start.  The ascent climbs
+    the cheap ``ratio``; a sharper ``final_ratio`` scores every sample and
+    polished endpoint, so expensive refinement runs once per point instead of
+    once per step.  A +inf sample decides the supremum, so then no start is
+    polished.  sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags
+    only an all-fixed-point sample (reported as 0); sigma raises on no
+    usable one."""
     final = final_ratio if final_ratio is not None else ratio
-    best = -math.inf
-    for i, p in enumerate(pts):
-        v = final(p)
-        if feasible is not None and i < polish_starts and math.isfinite(v):
-            cheap_val, q = pattern_polish(p, ratio, feasible, step=delta / 4)
-            if math.isfinite(cheap_val):
-                v = max(v, final(q))
-        best = max(best, v)
-        if best == math.inf:
-            break
+    P = np.array(pts, dtype=float).reshape(len(pts), center.size)
+    vals = final(P)
+    best = float(np.max(vals, initial=-math.inf))
+    if feasible is not None and best < math.inf:
+        starts = np.flatnonzero(np.isfinite(vals[:polish_starts]))
+        if starts.size:
+            cheap, Q = ascend(P[starts], ratio, feasible, step=delta / 4)
+            Q = Q[np.isfinite(cheap)]
+            best = max(best, float(np.max(final(Q), initial=-math.inf)))
     if kind == "sigma":
         if not math.isfinite(best) or best < 0:
             raise ValueError("no usable samples (all residuals below the floor)")
@@ -214,14 +243,9 @@ def estimate_sr_prime(
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
-        def ratio(x: Vector) -> float:
-            db = distance(B, x)
-            dn = _intersection_distance(x, intersection, op)
-            if db < SKIP_FLOOR and dn < SKIP_FLOOR:
-                return 0.0
-            if db == 0.0:
-                return math.inf
-            return dn / db
+        def ratio(X: np.ndarray) -> np.ndarray:
+            return _feasibility_ratio(_intersection_distance(X, intersection, op),
+                                      B._distance_many(X))
         return ratio
 
     return _sup_estimate(
@@ -257,14 +281,9 @@ def estimate_sr(
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
-        def ratio(x: Vector) -> float:
-            den = max(distance(A, x), distance(B, x))
-            dn = _intersection_distance(x, intersection, op)
-            if den < SKIP_FLOOR and dn < SKIP_FLOOR:
-                return 0.0
-            if den == 0.0:
-                return math.inf
-            return dn / den
+        def ratio(X: np.ndarray) -> np.ndarray:
+            return _feasibility_ratio(_intersection_distance(X, intersection, op),
+                                      np.maximum(A._distance_many(X), B._distance_many(X)))
         return ratio
 
     return _sup_estimate(
@@ -292,11 +311,10 @@ def estimate_sigma(
     x_bar = as_vector(base_point, A.dim)
     op = engine.AlternatingProjections(A, B)
 
-    def ratio(x: Vector) -> float:
-        r = engine.residual_map(op, x)
-        if r <= RES_FLOOR:
-            return -math.inf
-        return math.hypot(distance(A, x), distance(B, x)) / r
+    def ratio(X: np.ndarray) -> np.ndarray:
+        r = engine.residual_map_many(op, X)
+        return _divide(np.hypot(A._distance_many(X), B._distance_many(X)), r,
+                       r > RES_FLOOR, -math.inf)
 
     return _sup_estimate(
         "sigma",
@@ -333,12 +351,11 @@ def estimate_kappa(
     refine_op = op if refine_numerator else None
 
     def make_ratio(refine):
-        def ratio(x: Vector) -> float:
-            r = engine.residual_map(op, x)
-            dn = _intersection_distance(x, fix_probe, refine)
-            if r <= RES_FLOOR:
-                return math.inf if dn > STUCK_DIST_TOL else -math.inf
-            return dn / r
+        def ratio(X: np.ndarray) -> np.ndarray:
+            r = engine.residual_map_many(op, X)
+            dn = _intersection_distance(X, fix_probe, refine)
+            stuck = np.where(dn > STUCK_DIST_TOL, math.inf, -math.inf)
+            return _divide(dn, r, r > RES_FLOOR, stuck)
         return ratio
 
     pts = _region(center, delta, samples, seed, on_set=on_set, lam=lam)
@@ -530,18 +547,20 @@ def check_global_subtransversality(
     intersection = _probe(intersection, "intersection")
     kappa = 1.0 / (1.0 - c)
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
+    pts = _region(center, radius, samples, seed, on_set=A)
+    X = np.array(pts, dtype=float).reshape(len(pts), A.dim)
+    db = B._distance_many(X)
+    dn = _intersection_distance(X, intersection, refine_op)
     worst_ratio = 0.0
     worst_point = None
     holds = True
-    for x in _region(center, radius, samples, seed, on_set=A):
-        db = distance(B, x)
-        dn = _intersection_distance(x, intersection, refine_op)
-        if db < SKIP_FLOOR:
+    for x, b, n in zip(pts, db, dn):
+        if b < SKIP_FLOOR:
             continue
-        ratio = dn / db
+        ratio = float(n / b)
         if ratio > worst_ratio:
             worst_ratio, worst_point = ratio, x
-        if dn > kappa * db + tol:
+        if n > kappa * b + tol:
             holds = False
     return GlobalSubtransversalityReport(holds, kappa, worst_ratio, worst_point)
 

@@ -31,6 +31,7 @@ from .geometry import (
     _finite_scalar,
     as_vector,
     distance,
+    is_convex,
     norm,
     set_from_json,
     set_to_json,
@@ -373,6 +374,9 @@ EXPECTED_KEYS = NUMBER_KEYS + (
     "fejer_holds", "fejer_witness", "iterations_to_solve", "solution",
     "stuck_points", "intersection", "global_ratio_diverges",
 )
+#: expected keys whose value is a JSON boolean, and those whose value is a point
+BOOLEAN_KEYS = ("fejer_holds", "global_ratio_diverges")
+POINT_KEYS = ("fejer_witness", "solution", "intersection")
 
 
 def scenario_from_json(obj: dict) -> Scenario:
@@ -395,9 +399,13 @@ def scenario_from_json(obj: dict) -> Scenario:
             raise ValueError(f"scenario key {key!r}: {e}") from None
 
     inter = obj.get("intersection")
+    A = parse("A", set_from_json, obj["A"])
+    convex = obj.get("convex", False)
+    if not isinstance(convex, bool):
+        raise ValueError(f"scenario key 'convex' must be true or false, got {convex!r}")
     sc = Scenario(
         name=obj["name"],
-        A=parse("A", set_from_json, obj["A"]),
+        A=A,
         B=parse("B", set_from_json, obj["B"]),
         lam=parse("lambda", set_from_json, obj.get("lambda")),
         base_point=parse("base_point", as_vector, obj.get("base_point")),
@@ -405,15 +413,19 @@ def scenario_from_json(obj: dict) -> Scenario:
             parse("seed_region.center", as_vector, _at(obj, "seed_region", "center")),
             _finite_scalar(_at(obj, "seed_region", "radius"), "scenario key 'seed_region.radius'"),
         ),
-        expected={k: _expected(obj, k) for k in exp},
+        expected={k: _expected(obj, k, A.dim) for k in exp},
         intersection=parse("intersection", set_from_json if isinstance(inter, dict) else _points,
                            inter),
         sequence=parse("sequence", _points, obj.get("sequence")),
-        convex=bool(obj.get("convex", False)),
+        convex=convex,
     )
     if sc.lam is not None and not isinstance(sc.lam, (AffineSubspace, WholeSpace)):
         raise ValueError(f"scenario key 'lambda' must be an affine_subspace or whole_space, "
                          f"got {sc.lam.variant}")
+    for key, part in (("A", sc.A), ("B", sc.B)):
+        if convex and not is_convex(part):
+            raise ValueError(f"scenario key 'convex' is true, but {key} ({part.variant}) "
+                             "is not a convex set")
     _check_dimensions(sc)
     for key in sc.expected:
         need = _unmet_need(sc, key)
@@ -428,20 +440,42 @@ def _points(value) -> list[Vector]:
     return [as_vector(p) for p in value]
 
 
-def _expected(obj: dict, key: str) -> Expected:
-    """expected.<key>: a key that ``fixpoint run`` checks, a number where the
-    check compares numbers, and a finite tol >= 0."""
+def _expected(obj: dict, key: str, dim: int) -> Expected:
+    """expected.<key>: a key that ``fixpoint run`` checks, a value of the type
+    its check compares (a number, a boolean, an iteration count, a point of
+    the scenario's dimension or a non-empty list of them), and a finite
+    tol >= 0."""
     path = f"scenario key 'expected.{key}"
     if key not in EXPECTED_KEYS:
         raise ValueError(f"{path}' is not one that run checks: {list(EXPECTED_KEYS)}")
     value = _at(obj, "expected", key, "value")
     if key in NUMBER_KEYS:
         value = _finite_scalar(value, f"{path}.value'")
+    elif key in BOOLEAN_KEYS and not isinstance(value, bool):
+        raise ValueError(f"{path}.value' must be true or false, got {value!r}")
+    elif key == "iterations_to_solve" and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 0
+    ):
+        raise ValueError(f"{path}.value' must be an integer >= 0, got {value!r}")
+    elif key in POINT_KEYS:
+        _expected_point(value, dim, f"{path}.value'")
+    elif key == "stuck_points":
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{path}.value' must be a non-empty list of points, got {value!r}")
+        for i, p in enumerate(value):
+            _expected_point(p, dim, f"{path}.value[{i}]'")
     entry = obj["expected"][key]
     tol = _finite_scalar(entry.get("tol", 0.0), f"{path}.tol'")
     if tol < 0:
         raise ValueError(f"{path}.tol' must be >= 0, got {tol}")
     return Expected(value, entry.get("provenance", "derived"), tol)
+
+
+def _expected_point(value, dim: int, what: str) -> None:
+    try:
+        as_vector(value, dim)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{what} must be a point in R^{dim}: {e}") from None
 
 
 def _unmet_need(sc: Scenario, key: str) -> str | None:
@@ -454,6 +488,8 @@ def _unmet_need(sc: Scenario, key: str) -> str | None:
         return "a convex pair ('convex': true)"
     if key in ("monotonicity_c", "linear_c", "stuck_points") and sc.intersection is None:
         return "an intersection"
+    if key == "extendible_c" and sc.sequence is not None:
+        return "an iteration run (a shipped sequence has no joining sequence)"
     if key == "fejer_holds" and not ("fejer_witness" in sc.expected
                                      or isinstance(sc.intersection, list)):
         return "a fejer_witness or an intersection probe (a list of points)"

@@ -109,6 +109,13 @@ def test_dr_operator_flag(tmp_path):
     assert report["config"]["operator"] == "dr"
 
 
+def _as_builtin(obj: dict, name: str) -> dict:
+    """Replace obj by the JSON form of a built-in; returns its expected map."""
+    obj.clear()
+    obj.update(scenario_to_json(build(name)))
+    return obj["expected"]
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -156,6 +163,29 @@ def test_dr_operator_flag(tmp_path):
         (lambda o: o["B"].update(variant=[1]), "scenario key 'B': unknown set variant: [1]"),
         (lambda o: o.update(B={"variant": "union", "members": 5}), "scenario key 'B': "),
         (lambda o: o.update(A=None), "scenario key 'A' must not be null"),
+        (lambda o: _as_builtin(o, "monotone_not_fejer")["fejer_holds"].update(value="yes"),
+         "scenario key 'expected.fejer_holds.value' must be true or false, got 'yes'"),
+        (lambda o: _as_builtin(o, "epigraph")["global_ratio_diverges"].update(value=1),
+         "scenario key 'expected.global_ratio_diverges.value' must be true or false, got 1"),
+        (lambda o: _as_builtin(o, "geometric_n2")["iterations_to_solve"].update(value="2"),
+         "scenario key 'expected.iterations_to_solve.value' must be an integer >= 0, got '2'"),
+        (lambda o: _as_builtin(o, "geometric_n2")["iterations_to_solve"].update(value=True),
+         "scenario key 'expected.iterations_to_solve.value' must be an integer >= 0, got True"),
+        (lambda o: _as_builtin(o, "geometric_n2")["iterations_to_solve"].update(value=-1),
+         "scenario key 'expected.iterations_to_solve.value' must be an integer >= 0, got -1"),
+        (lambda o: _as_builtin(o, "geometric_n2")["solution"].update(value=[1, 0, 0]),
+         "scenario key 'expected.solution.value' must be a point in R^2"),
+        (lambda o: _as_builtin(o, "sawtooth")["intersection"].update(value="origin"),
+         "scenario key 'expected.intersection.value' must be a point in R^2"),
+        (lambda o: _as_builtin(o, "sawtooth")["stuck_points"].update(value=5),
+         "scenario key 'expected.stuck_points.value' must be a non-empty list of points, got 5"),
+        (lambda o: _as_builtin(o, "sawtooth")["stuck_points"].update(value=[[1, 0], [1]]),
+         "scenario key 'expected.stuck_points.value[1]' must be a point in R^2"),
+        (lambda o: o.update(convex="no"), "scenario key 'convex' must be true or false, got 'no'"),
+        (lambda o: (_as_builtin(o, "sawtooth"), o.update(convex=True)),
+         "scenario key 'convex' is true, but A (union) is not a convex set"),
+        (lambda o: _as_builtin(o, "monotone_not_fejer").update(extendible_c={"value": 0.5}),
+         "scenario key 'expected.extendible_c' needs an iteration run"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -163,7 +193,11 @@ def test_dr_operator_flag(tmp_path):
          "expected_tol_negative", "expected_value_type", "sr_not_convex",
          "fejer_holds_set_intersection", "global_ratio_probe", "stuck_points_no_intersection",
          "sequence_empty", "intersection_empty", "lambda_ball", "set_point_type",
-         "set_variant_type", "union_members_type", "set_null"],
+         "set_variant_type", "union_members_type", "set_null", "fejer_holds_type",
+         "global_ratio_diverges_type", "iterations_to_solve_string", "iterations_to_solve_bool",
+         "iterations_to_solve_negative", "solution_dimension", "intersection_point_type",
+         "stuck_points_type", "stuck_points_dimension", "convex_type", "convex_not_convex",
+         "extendible_c_sequence"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))
@@ -173,6 +207,23 @@ def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_dr_run_rejects_extendible_c(tmp_path, capsys):
+    # a DR trace records no joining sequence, so extendible_c cannot be measured
+    code = main(["run", "geometric_n2", "--operator", "dr", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert "'expected.extendible_c'" in err and "--operator dr" in err
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtins_load_from_their_json(tmp_path, name):
+    # every built-in passes the load-time checks of its own JSON form
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(scenario_to_json(build(name))))
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--samples", "16",
+                 "--max-iter", "200"]) in (0, 2)
 
 
 @pytest.mark.parametrize(

@@ -21,11 +21,13 @@ from fixpoint.geometry import (
     SetUnion,
     Sphere,
     WholeSpace,
+    as_points,
     as_vector,
     distance,
     elemental_subreg_estimate,
     is_convex,
     norm,
+    pattern_polish,
     project_all,
     project_one,
     proximal_normal,
@@ -402,6 +404,74 @@ def test_projector_invariants(s, qx, qy):
         assert d - slack <= dp <= d + TIE_TOL + slack
     assert norm(project_one(s, p) - p) <= 1e-12 * max(1.0, norm(p))
     assert any(np.array_equal(p, q) for q in project_all(s, x))
+
+
+def _exact_rows(s) -> bool:
+    """Row loops over the scalar kernels (and mins of them) are exact; the
+    closed forms round their dot products differently."""
+    return not s.closed_form and all(_exact_rows(m) for m in getattr(s, "members", ()))
+
+
+@pytest.mark.parametrize("s", VARIANTS, ids=lambda s: type(s).__name__)
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6))
+def test_batched_kernels_equal_scalar_row_by_row(s, rows):
+    Y = as_points(rows, s.dim)
+    dists, projs = s._distance_many(Y), s._project_many(Y)
+    assert dists.shape == (len(Y),) and projs.shape == Y.shape
+    for y, d, p in zip(Y, dists, projs):
+        if _exact_rows(s):
+            assert d == distance(s, y) and np.array_equal(p, project_one(s, y))
+        else:  # a few ulps of the input's scale
+            ulps = 16 * np.finfo(float).eps * (1.0 + norm(y))
+            assert abs(d - distance(s, y)) <= ulps
+            assert np.max(np.abs(p - project_one(s, y))) <= ulps
+
+
+def reference_pattern_polish(x0, score, feasible, step, max_rounds=48, floor=1e-9):
+    """The scalar pattern ascent that the lockstep ascent replaced, kept as
+    the reference its one-row call must equal exactly."""
+    from fixpoint.geometry import _polish_directions
+
+    x = feasible(np.asarray(x0, dtype=float))
+    if x is None:
+        return -math.inf, np.asarray(x0, dtype=float)
+    best = score(x)
+    dirs = _polish_directions(x.size)
+    for _ in range(max_rounds):
+        improved = False
+        for move in step * dirs:
+            y = feasible(x + move)
+            if y is None:
+                continue
+            sy = score(y)
+            if sy > best + 1e-15:
+                x, best = y, sy
+                improved = True
+        if not improved:
+            step *= 0.5
+            if step < floor:
+                break
+    return best, x
+
+
+@pytest.mark.parametrize("s", VARIANTS, ids=lambda s: type(s).__name__)
+def test_pattern_polish_equals_the_scalar_ascent(s):
+    center, delta = np.array([0.4, 0.1]), 0.6
+    probe = np.array([0.9, -0.3])
+
+    def feasible(y):
+        p = project_one(s, y)
+        return p if norm(p - center) <= delta else None
+
+    def score(y):  # bounded, with kinks, -inf near the probe
+        d = norm(y - probe)
+        return -math.inf if d < 0.05 else math.sin(3.0 * y[0]) * y[1] / d
+
+    for x0 in sample_ball(center, delta, 8, seed=3) + [np.array([5.0, 5.0])]:
+        best, x = pattern_polish(x0, score, feasible, step=delta / 4)
+        ref_best, ref_x = reference_pattern_polish(x0, score, feasible, step=delta / 4)
+        assert best == ref_best and np.array_equal(x, ref_x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from fixpoint.engine import AlternatingProjections, IterationConfig, Projector, run
+from fixpoint.engine import (
+    AlternatingProjections,
+    DouglasRachford,
+    IterationConfig,
+    Projector,
+    residual_map,
+    residual_map_many,
+    run,
+)
 from fixpoint.geometry import (
     Ball,
     Box,
     NormalPair,
     Sphere,
+    as_target,
+    ascend,
     elemental_subreg_estimate,
     norm,
     sample_ball,
     sample_on_set,
+    target_distance_many,
 )
 from fixpoint.regularity import (
+    _feasibility_ratio,
+    _feasible,
     CpRatePrediction,
     check_global_subtransversality,
     estimate_kappa,
@@ -338,6 +351,43 @@ def test_monotone_refinement_never_decreases():
         for c in (96, 192)
     ]
     assert vals[0] <= vals[1]
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [build("sawtooth"), build("epigraph"), random_convex_pair(3, 3, "box_affine"),
+     random_convex_pair(5, 2, "ball_ball"), random_convex_pair(1, 3, "halfspace_ball")],
+    ids=lambda sc: sc.name,
+)
+def test_polish_of_a_start_ignores_the_other_starts(sc):
+    # the lockstep ascent must end each start where that start ends alone, so
+    # nested samples keep giving nested (monotone) estimates
+    delta = 0.3
+    feasible = _feasible(sc.base_point, delta, project=sc.A)
+    probe = as_target(sc.intersection)
+
+    def ratio(X):
+        return _feasibility_ratio(target_distance_many(X, probe), sc.B._distance_many(X))
+
+    P = np.array(sample_on_set(sc.A, sc.base_point, delta, 12, seed=1))
+    best, X = ascend(P, ratio, feasible, step=delta / 4)
+    for i in range(len(P)):
+        b1, X1 = ascend(P[i : i + 1], ratio, feasible, step=delta / 4)
+        assert np.array_equal(b1, best[i : i + 1]) and np.array_equal(X1[0], X[i])
+
+
+@pytest.mark.parametrize("op_cls", [AlternatingProjections, DouglasRachford])
+@pytest.mark.parametrize("name", ["two_lines_pi3", "sawtooth", "epigraph"])
+def test_batched_residual_map_equals_scalar(op_cls, name):
+    sc = build(name)
+    op = op_cls(sc.A, sc.B)
+    X = np.array(sample_ball(sc.base_point, 0.5, 24, seed=2))
+    ref = np.array([residual_map(op, x) for x in X])
+    got = residual_map_many(op, X)
+    if sc.A.closed_form and sc.B.closed_form:
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-15)
+    else:
+        assert np.array_equal(got, ref)
 
 
 def test_kappa_tightness_and_sufficiency_two_lines():
