@@ -30,7 +30,6 @@ from .engine import (
     IterationConfig,
     Trace,
     run,
-    trace_to_json_text,
 )
 from .geometry import as_target, ball_point, distance, norm, target_distance
 from .scenarios import NUMBER_KEYS, Scenario, build, builtin_names, load_scenario
@@ -67,15 +66,17 @@ def _run_diagnostics(sc: Scenario, tr: Trace) -> dict:
                  "limit": [float(t) for t in tr.limit],
                  "final_residual": float(tr.residual[-1])}
     if sc.intersection is not None and len(tr.x) >= 2:
-        mon = diag.check_linear_monotone(tr.x, sc.intersection)
+        # the trace's target is sc.intersection: dist_target holds the distances
+        mon = diag.check_linear_monotone(tr.x, sc.intersection, dists=tr.dist_target)
         out["monotonicity_c"] = mon.c
         out["monotonicity_degenerate"] = mon.degenerate
+    errs = [norm(p - tr.limit) for p in tr.x]  # shared by the Q- and R-rate
     try:
-        out["q_rate"] = diag.estimate_q_rate(tr.x, limit=tr.limit).c
+        out["q_rate"] = diag.estimate_q_rate(tr.x, limit=tr.limit, errs=errs).c
     except ValueError:
         out["q_rate"] = None
     try:
-        r = diag.estimate_r_rate(tr.x, limit=tr.limit)
+        r = diag.estimate_r_rate(tr.x, limit=tr.limit, errs=errs)
         out["r_rate"] = r.c
         out["r_gamma"] = r.gamma
     except ValueError:
@@ -193,13 +194,15 @@ def execute_run(
     operator: str = "ap",
 ) -> int:
     """Run one scenario end to end and write the output bundle; ``all``
-    runs every built-in into ``out_dir/<name>`` and returns the worst code."""
+    runs every built-in into ``out_dir/<name>`` and returns 1 if any run
+    had an error, else 2 if any expectation failed, else 0."""
     if scenario == "all":
-        return max(
+        codes = [
             execute_run(name, str(Path(out_dir, name)), seed, max_iter, residual_tol,
                         delta, samples, operator)
             for name in builtin_names()
-        )
+        ]
+        return 1 if 1 in codes else max(codes)
     try:
         sc = _load(scenario)
         seed = _resolve_seed(seed)
@@ -249,8 +252,9 @@ def execute_run(
             "ok": all(c["ok"] for c in checks),
         }
 
-        (out / "trace.csv").write_text(tr.to_csv_text(), encoding="utf-8")
-        (out / "trace.json").write_text(trace_to_json_text(tr), encoding="utf-8")
+        with open(out / "trace.csv", "w", encoding="utf-8") as fc, \
+                open(out / "trace.json", "w", encoding="utf-8") as fj:
+            tr.write(fc, fj)
         (out / "report.json").write_text(
             json.dumps(report, sort_keys=True, indent=1), encoding="utf-8"
         )
@@ -263,7 +267,7 @@ def execute_run(
         print(f"wrote {out}/trace.csv trace.json report.json plot.svg")
         return 0 if report["ok"] else 2
     except (ValueError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {scenario}: {e}", file=sys.stderr)
         return 1
 
 

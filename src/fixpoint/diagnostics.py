@@ -61,20 +61,22 @@ class MonotonicityReport:
 
 
 def check_linear_monotone(
-    points, omega: Omega, floor: float = RATIO_FLOOR
+    points, omega: Omega, floor: float = RATIO_FLOOR, dists=None
 ) -> MonotonicityReport:
     """Smallest empirical c with dist(x_{k+1}, Omega) <= c dist(x_k, Omega).
 
     Ratios whose denominator falls below ``floor`` are skipped; if every
     distance is already below the floor the report is degenerate with c = 0.
+    ``dists``, if given, are the distances dist(x_k, Omega) already computed
+    (a trace's ``dist_target`` for its own target).
     """
-    pts = _points(points)
-    if len(pts) < 2:
+    if dists is None:
+        target = as_target(omega)
+        dists = [target_distance(p, target) for p in _points(points)]
+    if len(dists) < 2:
         raise ValueError("need at least two points")
-    target = as_target(omega)
-    d = [target_distance(p, target) for p in pts]
     ratios = [
-        d[k + 1] / d[k] for k in range(len(d) - 1) if d[k] >= floor
+        dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] >= floor
     ]
     kind = "set" if isinstance(omega, SetSpec) else "probe"
     if not ratios:
@@ -92,13 +94,14 @@ class RateEstimate:
     valid_from: int = 0
 
 
-def estimate_q_rate(points, limit=None, floor: float = RATE_FLOOR) -> RateEstimate:
-    """Worst consecutive error ratio before the floating-point floor."""
-    pts = _points(points)
-    if len(pts) < 2:
+def estimate_q_rate(points, limit=None, floor: float = RATE_FLOOR, errs=None) -> RateEstimate:
+    """Worst consecutive error ratio before the floating-point floor.
+    ``errs``, if given, are the errors ||x_k - limit|| already computed."""
+    if len(points) < 2:
         raise ValueError("trace too short for a Q-rate")
-    x_tilde = np.asarray(limit, float) if limit is not None else pts[-1]
-    errs = [norm(p - x_tilde) for p in pts]
+    x_tilde = np.asarray(limit if limit is not None else points[-1], float)
+    if errs is None:
+        errs = [norm(p - x_tilde) for p in _points(points)]
     ratios = [
         errs[k + 1] / errs[k]
         for k in range(len(errs) - 1)
@@ -109,15 +112,15 @@ def estimate_q_rate(points, limit=None, floor: float = RATE_FLOOR) -> RateEstima
     return RateEstimate("Q", max(ratios), None, x_tilde)
 
 
-def estimate_r_rate(points, limit=None, floor: float = RATE_FLOOR) -> RateEstimate:
+def estimate_r_rate(points, limit=None, floor: float = RATE_FLOOR, errs=None) -> RateEstimate:
     """Geometric envelope fit: c from a log-linear least squares slope.
 
     gamma is then the smallest constant making ||x_k - limit|| <= gamma c^k
-    hold at every recorded index.
+    hold at every recorded index.  ``errs``, if given, are the errors
+    ||x_k - limit|| already computed.
     """
-    pts = _points(points)
-    x_tilde = np.asarray(limit, float) if limit is not None else pts[-1]
-    errs = np.array([norm(p - x_tilde) for p in pts])
+    x_tilde = np.asarray(limit if limit is not None else points[-1], float)
+    errs = np.array(errs if errs is not None else [norm(p - x_tilde) for p in _points(points)])
     window = np.nonzero(errs > floor)[0]
     if window.size < 3:
         raise ValueError("fewer than 3 usable points above the floor")

@@ -10,7 +10,6 @@ pair of its first stage (iterates start on the first set).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -27,7 +26,6 @@ from .geometry import (
     Vector,
     as_target,
     as_vector,
-    distance,
     norm,
     project_all,
     project_one,
@@ -224,6 +222,34 @@ class IterationConfig:
 COLUMNS = ("dist_A", "dist_B", "dist_target", "step_norm", "residual")
 
 
+#: rows formatted per ``str()`` call when a trace is written
+WRITE_BLOCK = 2048
+
+
+def _reprs(rows: np.ndarray) -> list[str]:
+    """Each row of a 2-d array as Python's list repr without brackets (the
+    shortest round-trip reprs joined by ", "), formatted in C a block at a time."""
+    return [r for i in range(0, len(rows), WRITE_BLOCK)
+            for r in str(rows[i:i + WRITE_BLOCK].tolist())[2:-2].split("], [")]
+
+
+def _json_list(rows: list[str], depth: int):
+    """Chunks of a top-level list as ``json.dumps(indent=1)`` lays it out:
+    of points (depth 2, a row string each) or numbers (depth 1, row strings
+    of consecutive values), non-finite floats as the json module writes them."""
+    if not rows:
+        yield "[]"
+        return
+    head, sep, tail = (("\n  [\n   ", "\n  ],\n  [\n   ", "\n  ]") if depth == 2
+                       else ("\n  ", ", ", ""))
+    pad = ",\n" + " " * (depth + 1)
+    yield "["
+    for i in range(0, len(rows), WRITE_BLOCK):
+        text = (head + sep.join(rows[i:i + WRITE_BLOCK]) + tail).replace(", ", pad)
+        yield ("," if i else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
+    yield "\n ]"
+
+
 @dataclass
 class Trace:
     """Full iteration record of a fixed-point run."""
@@ -239,18 +265,21 @@ class Trace:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=()) -> "Trace":
-        """The one trace builder: iterates xs (with b_k = P_B x_k, if any) and
-        their distances to A, B and the target (the last iterate if None)."""
+    def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=(), steps=None) -> "Trace":
+        """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
+        any) and their distances to A, B and the target (the last iterate if
+        None).  steps[k] = ||x_{k+1} - x_k|| is computed unless given."""
         target = as_target(target if target is not None else [xs[-1]])
+        if steps is None:
+            steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
         return cls(
             x=xs,
             b=list(b),
-            dist_A=[distance(A, p) if A is not None else math.nan for p in xs],
-            dist_B=[distance(B, p) if B is not None else math.nan for p in xs],
+            dist_A=[A._distance(p) for p in xs] if A is not None else [math.nan] * len(xs),
+            dist_B=[B._distance(p) for p in xs] if B is not None else [math.nan] * len(xs),
             dist_target=[target_distance(p, target) for p in xs],
             residual=residual,
-            step_norm=[norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)] + [0.0],
+            step_norm=[*steps, 0.0],
             stop_reason=stop_reason,
             metadata=metadata,
         )
@@ -270,27 +299,48 @@ class Trace:
         """The joining sequence x_0, b_0, x_1, b_1, ... (empty without b)."""
         return [p for pair in zip(self.x, self.b) for p in pair]
 
-    def to_json_dict(self) -> dict:
-        out = {name: [[float(t) for t in p] for p in getattr(self, name)]
-               for name in ("x", "b", "z")}
-        for name in COLUMNS:
-            out[name] = [float(t) for t in getattr(self, name)]
-        out["stop_reason"] = self.stop_reason
-        out["metadata"] = self.metadata
-        return out
+    def write(self, csv_file=None, json_file=None) -> None:
+        """Stream trace.csv and trace.json into open text files.
+
+        trace.csv has a header and one row per iterate (b_k blank where none
+        is recorded).  trace.json is what ``json.dumps(..., sort_keys=True,
+        indent=1)`` writes for x, b, z, the columns, stop_reason and metadata.
+        Each float is formatted once, to its shortest round-trip repr: one
+        string per row of x and of b (z reuses them) and per block of a column.
+        """
+        dim = self.x[0].size
+        x_rows = _reprs(np.asarray(self.x, dtype=float))
+        b_rows = _reprs(np.asarray(self.b, dtype=float))
+        columns = np.array([getattr(self, name) for name in COLUMNS], dtype=float)
+        blocks = [_reprs(columns[:, i:i + WRITE_BLOCK]) for i in range(0, len(x_rows), WRITE_BLOCK)]
+        if csv_file is not None:
+            csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
+                                     *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")
+            bs = b_rows + [", " * (dim - 1)] * (len(x_rows) - len(b_rows))
+            for i, block in zip(range(0, len(x_rows), WRITE_BLOCK), blocks):
+                rows = zip(map(str, range(i, len(x_rows))), x_rows[i:i + WRITE_BLOCK],
+                           bs[i:i + WRITE_BLOCK], *(t.split(", ") for t in block))
+                csv_file.write("\n".join(map(", ".join, rows)).replace(", ", ",") + "\n")
+        if json_file is not None:
+            items = {
+                "x": _json_list(x_rows, 2),
+                "b": _json_list(b_rows, 2),
+                "z": _json_list([r for pair in zip(x_rows, b_rows) for r in pair], 2),
+                **{name: _json_list([block[c] for block in blocks], 1)
+                   for c, name in enumerate(COLUMNS)},
+                "stop_reason": [json.dumps(self.stop_reason)],
+                "metadata": [json.dumps(self.metadata, sort_keys=True, indent=1)
+                             .replace("\n", "\n ")],
+            }
+            for n, key in enumerate(sorted(items)):
+                json_file.write(f'{"," if n else "{"}\n "{key}": ')
+                json_file.writelines(items[key])
+            json_file.write("\n}")
 
     def to_csv_text(self) -> str:
-        """CSV with one row per iterate; floats in shortest round-trip form."""
-        dim = self.x[0].size
+        """trace.csv as a string."""
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", *(f"x_{i}" for i in range(dim)), *(f"b_{i}" for i in range(dim)),
-                    *COLUMNS])
-        columns = [getattr(self, name) for name in COLUMNS]
-        for k, xk in enumerate(self.x):
-            bk = [repr(float(t)) for t in self.b[k]] if k < len(self.b) else [""] * dim
-            w.writerow([str(k), *(repr(float(t)) for t in xk), *bk,
-                        *(repr(float(col[k])) for col in columns)])
+        self.write(csv_file=buf)
         return buf.getvalue()
 
 
@@ -336,7 +386,8 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
         "seed_point": [float(t) for t in x0],
         "operator": type(op).__name__,
     }
-    return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs)
+    return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs,
+                        steps=residuals[:len(xs) - 1])
 
 
 def approximate_fix_set(
@@ -379,4 +430,7 @@ def approximate_fix_set(
 
 
 def trace_to_json_text(trace: Trace) -> str:
-    return json.dumps(trace.to_json_dict(), sort_keys=True, indent=1)
+    """trace.json as a string."""
+    buf = io.StringIO()
+    trace.write(json_file=buf)
+    return buf.getvalue()

@@ -262,6 +262,17 @@ def test_run_all_writes_every_builtin(tmp_path, capsys):
         assert report["scenario"] == name and report["ok"]
 
 
+def test_run_all_names_each_error_and_ranks_usage_errors_first(tmp_path, capsys):
+    # under DR, geometric_n1-3 cannot check extendible_c (exit 1) and sawtooth
+    # and two_lines_pi3 miss an expectation (exit 2): the usage errors win
+    code = main(["run", "all", "--operator", "dr", "--samples", "16", "--out", str(tmp_path)])
+    errors = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert errors == [f"error: geometric_n{n}: scenario key 'expected.extendible_c' cannot be "
+                      "checked with --operator dr: a DR run records no joining sequence"
+                      for n in (1, 2, 3)]
+
+
 def test_estimate_all_keys_every_constant(capsys):
     assert main(["estimate", "all", "two_lines_pi3", "--samples", "32"]) == 0
     ests = json.loads(capsys.readouterr().out)

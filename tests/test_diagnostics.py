@@ -302,3 +302,26 @@ def test_r_linear_iff_linearly_monotone_on_convex_pairs():
         # monotone with c < 1 iff a valid geometric envelope exists
         assert (mon.c < 1.0) == verify_r_certificate(window, lim, r.c, r.gamma)
         assert mon.c < 1.0
+
+
+@pytest.mark.parametrize("name", ["two_lines_pi3", "epigraph", "geometric_n2"])
+def test_precomputed_distances_and_errors_change_no_report(name):
+    # a run's dist_target and one shared error array stand in for the
+    # distances and errors the diagnostics would compute themselves
+    sc = build(name)
+    tr = run(AlternatingProjections(sc.A, sc.B),
+             IterationConfig(seed_point=[0.09, 0.03], max_iter=300, target=sc.intersection))
+    assert len(tr.x) >= 2
+    mon = check_linear_monotone(tr.x, sc.intersection)
+    assert check_linear_monotone(tr.x, sc.intersection, dists=tr.dist_target) == mon
+    errs = [norm(p - tr.limit) for p in tr.x]
+    for estimate in (estimate_q_rate, estimate_r_rate):
+        try:
+            own = estimate(tr.x, limit=tr.limit)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                estimate(tr.x, limit=tr.limit, errs=errs)
+            continue
+        shared = estimate(tr.x, limit=tr.limit, errs=errs)
+        assert (shared.kind, shared.c, shared.gamma) == (own.kind, own.c, own.gamma)
+        assert np.array_equal(shared.limit, own.limit)

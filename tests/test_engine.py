@@ -1,10 +1,14 @@
+import csv
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fixpoint.engine import (
+    COLUMNS,
     AlternatingProjections,
     Composition,
     DouglasRachford,
@@ -19,11 +23,13 @@ from fixpoint.engine import (
     residual_map,
     run,
     settle,
+    trace_to_json_text,
 )
 from fixpoint.geometry import (
     Ball,
     FinitePointSet,
     Halfspace,
+    distance,
     norm,
     project_one,
 )
@@ -128,7 +134,7 @@ def test_joining_sequence_is_derived():
     assert "record_joining" not in {f.name for f in dataclasses.fields(IterationConfig)}
     sc = build("two_lines_pi3")
     tr = run(DouglasRachford(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.0], max_iter=5))
-    assert tr.b == [] and tr.z == [] and tr.to_json_dict()["z"] == []
+    assert tr.b == [] and tr.z == [] and json.loads(trace_to_json_text(tr))["z"] == []
 
 
 @pytest.mark.parametrize("max_iter,stop", [(3, "max_iter"), (100_000, "fixed_point")])
@@ -257,9 +263,96 @@ def test_trace_csv_header_and_shape():
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
     tr = run(op, IterationConfig(seed_point=[1.0, 0.0], max_iter=10))
-    lines = tr.to_csv_text().splitlines()
+    buf = io.StringIO()
+    tr.write(csv_file=buf)
+    lines = buf.getvalue().splitlines()
     assert lines[0] == "k,x_0,x_1,b_0,b_1,dist_A,dist_B,dist_target,step_norm,residual"
     assert len(lines) == len(tr.x) + 1
+
+
+def reference_json(tr):
+    """trace.json as json.dumps wrote it from the trace's fields."""
+    out = {name: [[float(t) for t in p] for p in getattr(tr, name)] for name in ("x", "b", "z")}
+    for name in COLUMNS:
+        out[name] = [float(t) for t in getattr(tr, name)]
+    out["stop_reason"] = tr.stop_reason
+    out["metadata"] = tr.metadata
+    return json.dumps(out, sort_keys=True, indent=1)
+
+
+def reference_csv(tr):
+    """trace.csv as csv.writer wrote it, floats as repr(float(t))."""
+    dim = tr.x[0].size
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["k", *(f"x_{i}" for i in range(dim)), *(f"b_{i}" for i in range(dim)), *COLUMNS])
+    columns = [getattr(tr, name) for name in COLUMNS]
+    for k, xk in enumerate(tr.x):
+        bk = [repr(float(t)) for t in tr.b[k]] if k < len(tr.b) else [""] * dim
+        w.writerow([str(k), *(repr(float(t)) for t in xk), *bk,
+                    *(repr(float(col[k])) for col in columns)])
+    return buf.getvalue()
+
+
+def _non_finite_trace():
+    sc = build("two_lines_pi3")
+    tr = run(AlternatingProjections(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.0], max_iter=6))
+    tr.x[2] = np.array([math.nan, -math.inf])
+    tr.b = tr.b[:4]  # rows past b_3 have blank b columns
+    tr.dist_A[0], tr.dist_B[1], tr.residual[3] = math.inf, -math.inf, math.nan
+    tr.metadata["note"] = "inf nan"  # non-float strings keep their letters
+    return tr
+
+
+def _sequence_trace():
+    sc = build("monotone_not_fejer")
+    xs = [np.array(p, float) for p in sc.sequence]
+    return Trace.record(xs, sc.A, sc.B, sc.intersection, [math.nan] * len(xs), "sequence",
+                        {"operator": "none"})
+
+
+TRACES = {
+    "ap": lambda: run(two_lines_op(), IterationConfig(seed_point=[1.0, 0.3])),
+    "dr": lambda: run(DouglasRachford(*two_lines_op().sets()),
+                      IterationConfig(seed_point=[1.0, 0.3])),
+    "ap_long": lambda: run(two_lines_op(0.05),
+                           IterationConfig(seed_point=[1.0, 0.2], residual_tol=1e-6)),
+    "sequence": _sequence_trace,
+    "one_iterate": lambda: run(two_lines_op(), IterationConfig(seed_point=[0.0, 0.0])),
+    "non_finite": _non_finite_trace,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACES))
+def test_writer_matches_json_and_csv_modules_byte_for_byte(case, tmp_path):
+    tr = TRACES[case]()
+    with open(tmp_path / "trace.csv", "w", encoding="utf-8") as fc, \
+            open(tmp_path / "trace.json", "w", encoding="utf-8") as fj:
+        tr.write(fc, fj)
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == reference_csv(tr)
+    assert (tmp_path / "trace.json").read_text(encoding="utf-8") == reference_json(tr)
+    assert tr.to_csv_text() == reference_csv(tr)
+    assert trace_to_json_text(tr) == reference_json(tr)
+
+
+def test_one_iterate_and_dr_traces_have_the_expected_shape():
+    assert len(TRACES["one_iterate"]().x) == 1
+    dr = json.loads(trace_to_json_text(TRACES["dr"]()))
+    assert dr["b"] == [] and dr["z"] == []
+    assert len(TRACES["ap_long"]().x) > 2048  # more than one block of rows
+    assert "NaN" in trace_to_json_text(TRACES["sequence"]())
+
+
+@pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
+def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
+    sc = build("two_lines_pi3")
+    for max_iter in (5, 100_000):
+        tr = run(operator(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.3], max_iter=max_iter))
+        n = len(tr.x)
+        assert tr.step_norm[:-1] == tr.residual[:n - 1] and tr.step_norm[-1] == 0.0
+        assert tr.step_norm[:-1] == [norm(tr.x[k + 1] - tr.x[k]) for k in range(n - 1)]
+        assert tr.dist_A == [distance(sc.A, p) for p in tr.x]
+        assert tr.dist_B == [distance(sc.B, p) for p in tr.x]
 
 
 def test_iteration_config_validation():
