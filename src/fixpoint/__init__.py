@@ -9,14 +9,10 @@ govern linear convergence.
 from . import diagnostics, engine, geometry, regularity, scenarios
 from .engine import (
     AlternatingProjections,
-    Composition,
     DouglasRachford,
     IterationConfig,
-    Projector,
-    Relaxation,
     Trace,
     apply,
-    approximate_fix_set,
     candidates,
     residual_map,
     run,
@@ -38,7 +34,6 @@ from .geometry import (
     WholeSpace,
     distance,
     elemental_subreg_estimate,
-    is_convex,
     project_all,
     project_one,
     proximal_normal,

@@ -46,8 +46,12 @@ def _load(name_or_path: str) -> Scenario:
 
 
 def _resolve_seed(seed: int) -> int:
+    """FIXPOINT_SEED if set, else --seed: an integer >= 0."""
     env = os.environ.get("FIXPOINT_SEED")
-    return int(env) if env else int(seed)
+    source, value = ("FIXPOINT_SEED", env) if env else ("--seed", seed)
+    if not str(value).strip().isdecimal():
+        raise ValueError(f"{source} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,7 @@ def execute_run(
             print(f"  {mark} {c['name']}: expected={c['expected']} measured={c['measured']}")
         print(f"wrote {out}/trace.csv trace.json report.json plot.svg")
         return 0 if report["ok"] else 2
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {scenario}: {e}", file=sys.stderr)
         return 1
 
@@ -301,7 +305,7 @@ def execute_estimate(constant: str, scenario: str, delta: float, samples: int, s
             raise ValueError(f"constant must be one of: {', '.join(ESTIMATES)}, all")
         print(json.dumps(out, sort_keys=True, indent=1))
         return 0
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

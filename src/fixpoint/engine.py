@@ -1,19 +1,16 @@
-"""Fixed-point operators assembled from projectors, and trace recording.
+"""Fixed-point operators of a pair of sets A, B, and trace recording.
 
 Operators are evaluated two ways: :func:`apply` uses the deterministic
 projection selection at every stage (what the iteration follows), while
 :func:`candidates` enumerates the full multivalued image so that
 :func:`residual_map` can take the infimum over it.  Each operator class
-implements both as methods on a float vector, and ``sets()`` gives the set
-pair of its first stage (iterates start on the first set).
+implements both as methods on a float vector.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -30,7 +27,6 @@ from .geometry import (
     project_all,
     project_one,
     row_norms,
-    sample_ball,
     sorted_unique,
     target_distance,
 )
@@ -42,9 +38,6 @@ class _SetPair:
 
     A: SetSpec
     B: SetSpec
-
-    def sets(self):
-        return self.A, self.B
 
 
 class AlternatingProjections(_SetPair):
@@ -85,76 +78,7 @@ class DouglasRachford(_SetPair):
         return 0.5 * (X + 2.0 * self.A._project_many(rb) - rb)
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """T = P_S."""
-
-    S: SetSpec
-
-    def apply(self, x):
-        return project_one(self.S, x)
-
-    def candidates(self, x):
-        return list(project_all(self.S, x))
-
-    def sets(self):
-        return self.S, None
-
-
-@dataclass(frozen=True, eq=False)
-class Relaxation:
-    """T = (1 - alpha) Id + alpha * inner, alpha in (0, 1)."""
-
-    inner: "OperatorSpec"
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not 0.0 < a < 1.0:
-            raise ValueError("relaxation parameter must lie in (0, 1)")
-        object.__setattr__(self, "alpha", a)
-
-    def apply(self, x):
-        return (1.0 - self.alpha) * x + self.alpha * apply(self.inner, x)
-
-    def candidates(self, x):
-        a = self.alpha
-        return sorted_unique([(1.0 - a) * x + a * y for y in candidates(self.inner, x)], DEDUP_TOL)
-
-    def sets(self):
-        return self.inner.sets()
-
-
-@dataclass(frozen=True, eq=False)
-class Composition:
-    """Stages applied left to right: T = stages[-1] o ... o stages[0]."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        st = tuple(self.stages)
-        if not st:
-            raise ValueError("composition needs at least one stage")
-        object.__setattr__(self, "stages", st)
-
-    def apply(self, x):
-        for stage in self.stages:
-            x = apply(stage, x)
-        return x
-
-    def candidates(self, x):
-        pts = [x]
-        for stage in self.stages:
-            pts = sorted_unique([y for p in pts for y in candidates(stage, p)], DEDUP_TOL)
-        return pts
-
-    def sets(self):
-        return self.stages[0].sets()
-
-
-OperatorSpec = Union[
-    AlternatingProjections, DouglasRachford, Projector, Relaxation, Composition
-]
+OperatorSpec = Union[AlternatingProjections, DouglasRachford]
 
 
 def apply(op: OperatorSpec, x) -> Vector:
@@ -174,10 +98,10 @@ def residual_map(op: OperatorSpec, x) -> float:
 
 
 def residual_map_many(op: OperatorSpec, X: np.ndarray) -> np.ndarray:
-    """:func:`residual_map` of each row of a checked (m, d) array.  A
-    projection pair of closed-form sets has one candidate per row, computed
-    for all rows at once; other operators go row by row."""
-    if isinstance(op, _SetPair) and op.A.closed_form and op.B.closed_form:
+    """:func:`residual_map` of each row of a checked (m, d) array.  A pair of
+    closed-form sets has one candidate per row, computed for all rows at
+    once; other pairs go row by row."""
+    if op.A.closed_form and op.B.closed_form:
         return row_norms(op._image_many(X) - X)
     return np.array([residual_map(op, x) for x in X], dtype=float)
 
@@ -275,8 +199,8 @@ class Trace:
         return cls(
             x=xs,
             b=list(b),
-            dist_A=[A._distance(p) for p in xs] if A is not None else [math.nan] * len(xs),
-            dist_B=[B._distance(p) for p in xs] if B is not None else [math.nan] * len(xs),
+            dist_A=[A._distance(p) for p in xs],
+            dist_B=[B._distance(p) for p in xs],
             dist_target=[target_distance(p, target) for p in xs],
             residual=residual,
             step_norm=[*steps, 0.0],
@@ -348,18 +272,17 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     """Iterate x_{k+1} = T x_k until the residual drops below tolerance.
 
     The raw seed is projected onto the constraint set (if any) and then onto
-    the operator's first set, so recorded iterates start on it; the raw seed
-    is kept in the metadata.  For projection pairs the intermediate
-    B-projections b_k are recorded as well, and with them the joining
-    sequence ``Trace.z``.  residual[k] is the step length from x_k.
+    A, so recorded iterates start on A; the raw seed is kept in the
+    metadata.  For alternating projections the intermediate B-projections
+    b_k are recorded as well, and with them the joining sequence
+    ``Trace.z``.  residual[k] is the step length from x_k.
     """
-    A, B = op.sets()
+    A, B = op.A, op.B
     x0 = cfg.seed_point
     raw_seed = x0.copy()
     if cfg.lam is not None:
         x0 = project_one(cfg.lam, x0)
-    if A is not None:
-        x0 = project_one(A, x0)
+    x0 = project_one(A, x0)
 
     record_b = isinstance(op, AlternatingProjections)
     bs: list[Vector] = []
@@ -388,45 +311,6 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     }
     return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs,
                         steps=residuals[:len(xs) - 1])
-
-
-def approximate_fix_set(
-    op: OperatorSpec,
-    center,
-    radius: float,
-    budget: int,
-    lam: Lambda | None = None,
-    seed: int = 0,
-    residual_tol: float = 1e-9,
-    cluster_tol: float = 1e-6,
-    max_iter: int = 5000,
-) -> list[Vector]:
-    """Multi-start approximation of the fixed point set inside a ball.
-
-    Runs the iteration from ``budget`` seeded starts and returns the
-    deduplicated limit points whose residual (infimum over the multivalued
-    image) is below tolerance.  This is a sampling certificate for the fixed
-    point set, not the exact set; an empty result triggers a warning.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    center = as_vector(center)
-    limits: list[Vector] = []
-    for start in sample_ball(center, radius, budget, seed):
-        if lam is not None:
-            start = project_one(lam, start)
-        x = settle(op, start, residual_tol * 1e-2, max_iter)
-        if residual_map(op, x) <= residual_tol:
-            limits.append(x)
-    limits.sort(key=lambda p: tuple(p))
-    out: list[Vector] = []
-    for p in limits:
-        if any(norm(p - q) <= cluster_tol for q in out):
-            continue
-        out.append(p)
-    if not out:
-        warnings.warn("no start converged within budget; fixed-point sample empty")
-    return out
 
 
 def trace_to_json_text(trace: Trace) -> str:

@@ -675,11 +675,6 @@ class SetUnion(SetSpec):
 Lambda = Union[WholeSpace, AffineSubspace]
 
 
-def is_convex(s: SetSpec) -> bool:
-    """True when the variant has a single-valued projector everywhere."""
-    return s.convex
-
-
 # ---------------------------------------------------------------------------
 # core operations
 

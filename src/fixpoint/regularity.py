@@ -135,6 +135,8 @@ def _region(
     ball points projected onto lam that stay within delta, or ball points."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be a finite number > 0, got {delta}")
     if on_set is not None:
         return sample_on_set(on_set, center, delta, samples, seed, lam)
     pts = sample_ball(center, delta, samples, seed)
@@ -383,7 +385,6 @@ def estimate_violation(
     delta: float,
     samples: int = 256,
     seed: int = 0,
-    exclude: tuple | None = None,
 ) -> RegularityEstimate:
     """Averaging violation of T at a fixed point y with constant alpha.
 
@@ -391,7 +392,6 @@ def estimate_violation(
         ||x+ - y||^2 <= (1 + eps) ||x - y||^2
                         - (1-alpha)/alpha ||x - x+||^2
     over sampled x and all candidate evaluations x+, clamped at 0.
-    ``exclude`` = (center, radius) removes a ball from the sample.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -403,8 +403,6 @@ def estimate_violation(
     worst = -math.inf
     used = 0
     for x in sample_ball(center, delta, samples, seed):
-        if exclude is not None and norm(x - as_vector(exclude[0])) < exclude[1]:
-            continue
         nx = norm(x - y)
         if nx <= 1e-12:
             continue
@@ -519,50 +517,6 @@ def verify_bracket(
         raise ValueError("estimates carry mismatched certificates")
     sr, srp = sr_est.value, sr_prime_est.value
     return srp <= sr + tol and sr <= 1.0 + 2.0 * srp + tol
-
-
-@dataclass
-class GlobalSubtransversalityReport:
-    holds: bool
-    kappa: float
-    worst_ratio: float
-    worst_point: Vector | None
-
-
-def check_global_subtransversality(
-    A: SetSpec,
-    B: SetSpec,
-    center,
-    radius: float,
-    c: float,
-    intersection: Intersection,
-    samples: int = 512,
-    seed: int = 0,
-    tol: float = 1e-9,
-    refine_numerator: bool = False,
-) -> GlobalSubtransversalityReport:
-    """Verify dist(x, A cap B) <= dist(x, B)/(1-c) on samples of A in a region."""
-    if not 0.0 <= c < 1.0:
-        raise ValueError("rate c must lie in [0, 1)")
-    intersection = _probe(intersection, "intersection")
-    kappa = 1.0 / (1.0 - c)
-    refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
-    pts = _region(center, radius, samples, seed, on_set=A)
-    X = np.array(pts, dtype=float).reshape(len(pts), A.dim)
-    db = B._distance_many(X)
-    dn = _intersection_distance(X, intersection, refine_op)
-    worst_ratio = 0.0
-    worst_point = None
-    holds = True
-    for x, b, n in zip(pts, db, dn):
-        if b < SKIP_FLOOR:
-            continue
-        ratio = float(n / b)
-        if ratio > worst_ratio:
-            worst_ratio, worst_point = ratio, x
-        if n > kappa * b + tol:
-            holds = False
-    return GlobalSubtransversalityReport(holds, kappa, worst_ratio, worst_point)
 
 
 def global_ratio_growth(intersection: SetSpec, B: SetSpec, count: int) -> tuple[list, bool]:

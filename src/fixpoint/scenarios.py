@@ -31,7 +31,6 @@ from .geometry import (
     _finite_scalar,
     as_vector,
     distance,
-    is_convex,
     norm,
     set_from_json,
     set_to_json,
@@ -423,7 +422,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         raise ValueError(f"scenario key 'lambda' must be an affine_subspace or whole_space, "
                          f"got {sc.lam.variant}")
     for key, part in (("A", sc.A), ("B", sc.B)):
-        if convex and not is_convex(part):
+        if convex and not part.convex:
             raise ValueError(f"scenario key 'convex' is true, but {key} ({part.variant}) "
                              "is not a convex set")
     _check_dimensions(sc)

@@ -233,9 +233,27 @@ def test_builtins_load_from_their_json(tmp_path, name):
 )
 def test_zero_samples_is_a_usage_error(tmp_path, capsys, argv):
     extra = ["--out", str(tmp_path / "o")] if argv[0] == "run" else []
-    assert main([*argv, "--samples", "0", *extra]) == 1
+    bad = [("--samples", "0", "samples must be >= 1")] + [
+        ("--delta", d, f"delta must be a finite number > 0, got {float(d)}")
+        for d in ("-0.5", "0", "nan", "inf")]
+    for flag, value, message in bad:
+        assert main([*argv, f"{flag}={value}", *extra]) == 1, (flag, value)
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def test_estimate_on_a_directory_is_an_error(tmp_path, capsys):
+    assert main(["estimate", "sr_prime", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "samples must be >= 1" in err and "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch):
+    assert main(["estimate", "sr", "two_lines_pi3", "--seed=-3"]) == 1
+    assert "error: --seed must be an integer >= 0, got -3" in capsys.readouterr().err
+    monkeypatch.setenv("FIXPOINT_SEED", "abc")
+    assert main(["run", "two_lines_pi3", "--out", str(tmp_path / "o")]) == 1
+    assert "FIXPOINT_SEED must be an integer >= 0, got 'abc'" in capsys.readouterr().err
 
 
 def test_run_honours_lambda(tmp_path):

@@ -10,14 +10,10 @@ import pytest
 from fixpoint.engine import (
     COLUMNS,
     AlternatingProjections,
-    Composition,
     DouglasRachford,
     IterationConfig,
-    Projector,
-    Relaxation,
     Trace,
     apply,
-    approximate_fix_set,
     candidates,
     iterates,
     residual_map,
@@ -66,18 +62,6 @@ def test_dr_matches_reflector_composition():
         rb = 2 * project_one(sc.B, x) - x
         ra = 2 * project_one(sc.A, rb) - rb
         assert np.allclose(apply(op, x), 0.5 * (x + ra), atol=1e-12)
-
-
-def test_relaxation_and_composition():
-    hs = Halfspace([0, 1], 0.0)
-    inner = Projector(hs)
-    rel = Relaxation(inner, 0.5)
-    x = np.array([1.0, 2.0])
-    assert np.allclose(apply(rel, x), 0.5 * x + 0.5 * apply(inner, x))
-    comp = Composition((inner, inner))
-    assert np.allclose(apply(comp, x), apply(inner, x))
-    with pytest.raises(ValueError):
-        Relaxation(inner, 1.0)
 
 
 def test_run_orthogonal_lines_one_step():
@@ -195,33 +179,6 @@ def test_residual_map_minimizes_over_candidates():
     assert residual_map(op, x) == 0.0  # the other branch returns to x
 
 
-def test_approximate_fix_set_two_lines():
-    op = two_lines_op()
-    pts = approximate_fix_set(op, [0.0, 0.0], 1.0, budget=20, seed=1)
-    assert len(pts) == 1
-    assert norm(pts[0]) <= 1e-6
-
-
-def test_approximate_fix_set_sawtooth_contains_stuck_points():
-    sc = build("sawtooth")
-    op = AlternatingProjections(sc.A, sc.B)
-    pts = approximate_fix_set(op, [0.0, 0.0], 0.6, budget=60, seed=2)
-    xs = sorted(float(p[0]) for p in pts)
-    assert any(abs(v) <= 1e-6 for v in xs)  # the solution
-    stuck = [v for v in xs if any(abs(v - 0.5**n) <= 1e-6 for n in range(1, 20))]
-    assert len(stuck) >= 2
-
-
-def test_approximate_fix_set_warns_when_empty():
-    # parallel lines: the reflected average translates forever, no fixed point
-    A = Halfspace([0, 1], 0.0)
-    B = Halfspace([0, -1], -1.0)  # y >= 1
-    op = DouglasRachford(A, B)
-    with pytest.warns(UserWarning):
-        pts = approximate_fix_set(op, [0.0, 0.5], 0.2, budget=5, seed=3, max_iter=50)
-    assert pts == []
-
-
 def test_run_determinism_bit_identical():
     sc = build("sawtooth")
     op = AlternatingProjections(sc.A, sc.B)
@@ -313,7 +270,7 @@ def _sequence_trace():
 
 TRACES = {
     "ap": lambda: run(two_lines_op(), IterationConfig(seed_point=[1.0, 0.3])),
-    "dr": lambda: run(DouglasRachford(*two_lines_op().sets()),
+    "dr": lambda: run(DouglasRachford(line_through_origin(0.0), line_through_origin(math.pi / 3)),
                       IterationConfig(seed_point=[1.0, 0.3])),
     "ap_long": lambda: run(two_lines_op(0.05),
                            IterationConfig(seed_point=[1.0, 0.2], residual_tol=1e-6)),

@@ -25,7 +25,6 @@ from fixpoint.geometry import (
     as_vector,
     distance,
     elemental_subreg_estimate,
-    is_convex,
     norm,
     pattern_polish,
     project_all,
@@ -162,7 +161,7 @@ def test_projection_optimality_and_idempotence(s):
     ids=lambda s: type(s).__name__,
 )
 def test_firm_nonexpansiveness_convex(s):
-    assert is_convex(s)
+    assert s.convex
     rng = np.random.default_rng(11)
     for _ in range(10_000):
         x = rng.uniform(-3, 3, size=2)

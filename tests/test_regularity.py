@@ -7,16 +7,15 @@ from fixpoint.engine import (
     AlternatingProjections,
     DouglasRachford,
     IterationConfig,
-    Projector,
     residual_map,
     residual_map_many,
     run,
 )
 from fixpoint.geometry import (
     Ball,
-    Box,
     NormalPair,
     Sphere,
+    WholeSpace,
     as_target,
     ascend,
     elemental_subreg_estimate,
@@ -29,12 +28,12 @@ from fixpoint.regularity import (
     _feasibility_ratio,
     _feasible,
     CpRatePrediction,
-    check_global_subtransversality,
     estimate_kappa,
     estimate_sigma,
     estimate_sr,
     estimate_sr_prime,
     estimate_violation,
+    global_ratio_growth,
     necessity_bound,
     predicted_rate_cp,
     predicted_rate_msr,
@@ -72,7 +71,7 @@ def test_kappa_sentinel_at_sawtooth_stuck_point():
 
 def test_kappa_degenerate_when_all_samples_fixed():
     b = Ball([0.0, 0.0], 1.0)
-    op = Projector(b)
+    op = AlternatingProjections(b, WholeSpace(2))  # P_b: every point of b is fixed
     est = estimate_kappa(op, b, [0.0, 0.0], 0.5, samples=32, seed=1, polish=False)
     assert est.degenerate and est.value == 0.0
 
@@ -168,8 +167,8 @@ def test_sigma_grid_refinement_stabilizes():
 
 
 def test_violation_convex_projector_zero():
-    b = Ball([0.0, 0.0], 1.0)
-    est = estimate_violation(Projector(b), [1.0, 0.0], 0.5, [1.0, 0.0], 0.8, samples=128, seed=5)
+    op = AlternatingProjections(Ball([0.0, 0.0], 1.0), WholeSpace(2))  # P_ball
+    est = estimate_violation(op, [1.0, 0.0], 0.5, [1.0, 0.0], 0.8, samples=128, seed=5)
     assert est.value <= 1e-9
 
 
@@ -183,7 +182,8 @@ def test_violation_sphere_bounded_by_elemental_constant():
     sph = Sphere([0.0, 0.0], 1.0)
     y = np.array([1.0, 0.0])
     delta = 0.45
-    est = estimate_violation(Projector(sph), y, 0.5, y, delta, samples=256, seed=6)
+    op = AlternatingProjections(sph, WholeSpace(2))  # P_sphere
+    est = estimate_violation(op, y, 0.5, y, delta, samples=256, seed=6)
     # matched elemental constant over the same neighborhood
     pts = sample_ball(y, delta, 256, seed=6)
     eps = 0.0
@@ -203,9 +203,9 @@ def test_violation_sphere_bounded_by_elemental_constant():
 
 
 def test_violation_requires_fixed_point():
-    b = Ball([0.0, 0.0], 1.0)
+    op = AlternatingProjections(Ball([0.0, 0.0], 1.0), WholeSpace(2))  # P_ball
     with pytest.raises(ValueError):
-        estimate_violation(Projector(b), [2.0, 0.0], 0.5, [2.0, 0.0], 0.5)
+        estimate_violation(op, [2.0, 0.0], 0.5, [2.0, 0.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +284,6 @@ def test_bracket_property_on_random_pairs():
         srp = estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.1, **kw)
         sr = estimate_sr(sc.A, sc.B, sc.base_point, 0.1, **kw)
         assert verify_bracket(sr, srp), f"pair {i}: sr'={srp.value} sr={sr.value}"
-
-
-def test_global_subtransversality_two_lines():
-    rep = check_global_subtransversality(
-        PI3.A, PI3.B, [0, 0], 1.0, c=0.25, intersection=ORIGIN, samples=256, seed=1
-    )
-    assert rep.holds
-    assert rep.worst_ratio == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-9)
-
-
-def test_global_subtransversality_identical_sets():
-    A = Box([-1, -1], [1, 1])
-    rep = check_global_subtransversality(A, A, [0, 0], 1.0, c=0.0, intersection=A, samples=64, seed=1)
-    assert rep.holds
-
-
-def test_global_subtransversality_epigraph_fails():
-    sc = build("epigraph")
-    rep = check_global_subtransversality(
-        sc.A, sc.B, [0.05, 0.0], 0.05, c=0.9, intersection=sc.intersection,
-        samples=256, seed=2,
-    )
-    assert not rep.holds
-    assert rep.worst_ratio > 1.0 / (1.0 - 0.9)
 
 
 def test_epigraph_local_global_split():
@@ -449,11 +425,8 @@ def test_pointwise_and_global_fail_together_on_epigraph():
         sc.A, sc.B, [0.0, 0.0], 0.2, intersection=sc.intersection, samples=96, seed=3
     )
     assert srp_cusp.value > 1e3
-    rep = check_global_subtransversality(
-        sc.A, sc.B, [0.05, 0.0], 0.05, c=0.99, intersection=sc.intersection,
-        samples=256, seed=2,
-    )
-    assert not rep.holds
+    ratios, diverges = global_ratio_growth(sc.intersection, sc.B, 4)
+    assert diverges and ratios[-1] > 1.0 / (1.0 - 0.99)
     # while at the flat corner both are tame
     srp_flat = estimate_sr_prime(
         sc.A, sc.B, sc.base_point, 0.2, intersection=sc.intersection, samples=96, seed=3
