@@ -29,9 +29,10 @@ from .engine import (
     DouglasRachford,
     IterationConfig,
     Trace,
+    check_stop_rule,
     run,
 )
-from .geometry import as_target, ball_point, distance, norm, target_distance
+from .geometry import as_target, ball_point, distance, norm
 from .scenarios import NUMBER_KEYS, Scenario, build, builtin_names, load_scenario
 
 
@@ -127,12 +128,10 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
             ok = norm(tr.limit - np.asarray(exp.value, float)) <= max(tol, 1e-12)
             add(key, exp.value, got, tol, ok)
         elif key == "stuck_points":
-            got = [float(t) for t in tr.limit]
-            pts = np.asarray(exp.value, float)
-            near = float(np.min(np.linalg.norm(pts - tr.limit, axis=1)))
-            in_intersection = target_distance(tr.limit, as_target(sc.intersection)) <= 1e-9
-            add(key, "limit is a listed stuck point or the intersection", got, 1e-9,
-                near <= 1e-9 or in_intersection)
+            near = min(as_target(t, sc.A.dim, what)._distance(tr.limit)
+                       for t, what in ((exp.value, key), (sc.intersection, "intersection")))
+            add(key, "limit is a listed stuck point or the intersection",
+                [float(t) for t in tr.limit], 1e-9, near <= 1e-9)
         elif key == "intersection":
             p = np.asarray(exp.value, float)
             ok = distance(sc.A, p) <= 1e-9 and distance(sc.B, p) <= 1e-9
@@ -199,19 +198,22 @@ def execute_run(
 ) -> int:
     """Run one scenario end to end and write the output bundle; ``all``
     runs every built-in into ``out_dir/<name>`` and returns 1 if any run
-    had an error, else 2 if any expectation failed, else 0."""
-    if scenario == "all":
-        codes = [
-            execute_run(name, str(Path(out_dir, name)), seed, max_iter, residual_tol,
-                        delta, samples, operator)
-            for name in builtin_names()
-        ]
-        return 1 if 1 in codes else max(codes)
+    had an error, else 2 if any expectation failed, else 0.  Every flag is
+    checked first, whether or not the scenario uses it."""
     try:
-        sc = _load(scenario)
-        seed = _resolve_seed(seed)
+        reg.check_sampling(delta, samples)
+        check_stop_rule(max_iter, residual_tol)
         if operator not in ("ap", "dr"):
             raise ValueError("operator must be 'ap' or 'dr'")
+        if scenario == "all":
+            codes = [
+                execute_run(name, str(Path(out_dir, name)), seed, max_iter, residual_tol,
+                            delta, samples, operator)
+                for name in builtin_names()
+            ]
+            return 1 if 1 in codes else max(codes)
+        sc = _load(scenario)
+        seed = _resolve_seed(seed)
         if operator == "dr" and "extendible_c" in sc.expected:
             raise ValueError("scenario key 'expected.extendible_c' cannot be checked with "
                              "--operator dr: a DR run records no joining sequence")

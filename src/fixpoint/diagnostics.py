@@ -14,14 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SetSpec, Vector, as_target, norm, target_distance
+from .geometry import Target, Vector, as_target, norm
 
 #: distances below this are treated as numerical noise in rate windows
 RATE_FLOOR = 1e-11
 RATIO_FLOOR = 1e-12
 DEFAULT_TOL = 1e-9
-
-Omega = SetSpec | Sequence[Vector]
 
 
 def _points(seq) -> list[Vector]:
@@ -56,12 +54,11 @@ class MonotonicityReport:
     c: float
     monotone: bool
     degenerate: bool
-    omega_kind: str
     ratios_used: int
 
 
 def check_linear_monotone(
-    points, omega: Omega, floor: float = RATIO_FLOOR, dists=None
+    points, omega: Target, floor: float = RATIO_FLOOR, dists=None
 ) -> MonotonicityReport:
     """Smallest empirical c with dist(x_{k+1}, Omega) <= c dist(x_k, Omega).
 
@@ -70,19 +67,19 @@ def check_linear_monotone(
     ``dists``, if given, are the distances dist(x_k, Omega) already computed
     (a trace's ``dist_target`` for its own target).
     """
-    if dists is None:
-        target = as_target(omega)
-        dists = [target_distance(p, target) for p in _points(points)]
-    if len(dists) < 2:
+    if len(points) < 2:
         raise ValueError("need at least two points")
+    if dists is None:
+        pts = _points(points)
+        target = as_target(omega, pts[0].size, "omega")
+        dists = [target._distance(p) for p in pts]
     ratios = [
         dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] >= floor
     ]
-    kind = "set" if isinstance(omega, SetSpec) else "probe"
     if not ratios:
-        return MonotonicityReport(0.0, True, True, kind, 0)
+        return MonotonicityReport(0.0, True, True, 0)
     c = max(ratios)
-    return MonotonicityReport(c, c <= 1.0, False, kind, len(ratios))
+    return MonotonicityReport(c, c <= 1.0, False, len(ratios))
 
 
 @dataclass
@@ -210,7 +207,7 @@ class SubsequenceReport:
 
 def extract_monotone_subsequence(
     points,
-    s_probe: Omega,
+    s_probe: Target,
     c: float,
     gamma: float,
     limit=None,
@@ -229,8 +226,8 @@ def extract_monotone_subsequence(
     if not verify_r_certificate(pts, x_tilde, c, gamma, tol):
         raise ValueError("R-linear certificate (gamma, c) is invalid for this sequence")
     indices = [0]
-    target = as_target(s_probe)
-    d = target_distance(pts[0], target)
+    target = as_target(s_probe, pts[0].size, "s_probe")
+    d = target._distance(pts[0])
     k = 1
     while d > floor and k < len(pts):
         while k < len(pts) and gamma * c**k > c * d:
@@ -238,13 +235,13 @@ def extract_monotone_subsequence(
         if k >= len(pts):
             break
         indices.append(k)
-        d = target_distance(pts[k], target)
+        d = target._distance(pts[k])
         k += 1
     return SubsequenceReport(indices, indices[1] if len(indices) > 1 else None)
 
 
 def check_subsequence_monotone(
-    points, omega: Omega, n: int, floor: float = RATIO_FLOOR
+    points, omega: Target, n: int, floor: float = RATIO_FLOOR
 ) -> tuple[int, float]:
     """Best offset j in {0..n-1} minimizing the constant of (x_{j+nk})."""
     if n < 1:

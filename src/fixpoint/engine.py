@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .geometry import (
     DEDUP_TOL,
     Lambda,
     SetSpec,
+    Target,
     Vector,
     as_target,
     as_vector,
@@ -28,7 +30,6 @@ from .geometry import (
     project_one,
     row_norms,
     sorted_unique,
-    target_distance,
 )
 
 
@@ -126,20 +127,27 @@ def settle(op: OperatorSpec, x: Vector, tol: float, max_iter: int) -> Vector:
     return x
 
 
+def check_stop_rule(max_iter: int, residual_tol: float) -> None:
+    """:func:`run` stops after max_iter >= 1 steps or one <= residual_tol, a finite number > 0."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(residual_tol) and residual_tol > 0):
+        raise ValueError(f"residual_tol must be a finite number > 0, got {residual_tol}")
+
+
 @dataclass
 class IterationConfig:
     seed_point: Vector
     max_iter: int = 100_000
     residual_tol: float = 1e-12
     lam: Lambda | None = None
-    target: SetSpec | Sequence[Vector] | None = None
+    target: Target | None = None  # None: the limit
 
     def __post_init__(self):
         self.seed_point = as_vector(self.seed_point)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be > 0")
+        check_stop_rule(self.max_iter, self.residual_tol)
+        if self.target is not None:
+            self.target = as_target(self.target, self.seed_point.size, "target")
 
 
 #: per-iterate scalar columns, in CSV order
@@ -193,7 +201,7 @@ class Trace:
         """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
         any) and their distances to A, B and the target (the last iterate if
         None).  steps[k] = ||x_{k+1} - x_k|| is computed unless given."""
-        target = as_target(target if target is not None else [xs[-1]])
+        target = as_target(target if target is not None else [xs[-1]], xs[0].size, "target")
         if steps is None:
             steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
         return cls(
@@ -201,7 +209,7 @@ class Trace:
             b=list(b),
             dist_A=[A._distance(p) for p in xs],
             dist_B=[B._distance(p) for p in xs],
-            dist_target=[target_distance(p, target) for p in xs],
+            dist_target=[target._distance(p) for p in xs],
             residual=residual,
             step_norm=[*steps, 0.0],
             stop_reason=stop_reason,

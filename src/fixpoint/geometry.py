@@ -145,27 +145,25 @@ def sorted_unique(points: list[Vector], tol: float) -> list[Vector]:
     return out
 
 
-def as_target(target) -> SetSpec | list[Vector]:
-    """A target for :func:`target_distance`: a set as is, a finite list of
-    probe points converted once to float vectors."""
-    if isinstance(target, SetSpec):
-        return target
-    return list(np.asarray(target, dtype=float).reshape(len(target), -1))
+#: what a distance is measured to: a set, or a list of probe points
+Target = Union[SetSpec, Sequence[Vector]]
 
 
-def target_distance(x: Vector, target: SetSpec | list[Vector]) -> float:
-    """Distance from x to a target made by :func:`as_target`."""
-    if isinstance(target, SetSpec):
-        return distance(target, x)
-    return min(norm(x - p) for p in target)
-
-
-def target_distance_many(Y: np.ndarray, target: SetSpec | list[Vector]) -> np.ndarray:
-    """:func:`target_distance` of each row of a checked (m, d) array."""
-    if isinstance(target, SetSpec):
-        return target._distance_many(Y)
-    D = Y[:, None, :] - np.array(target)
-    return np.sqrt(np.add.reduce(D * D, axis=2)).min(axis=1)
+def as_target(target: Target | None, dim: int, what: str) -> SetSpec:
+    """The set that distances to a target are measured to: a set as is, a
+    list of probe points (a finite subset of the set meant) as the
+    :class:`FinitePointSet` of those points.  Checked once: the target must
+    be supplied, a probe non-empty, and the set of dimension dim; ``what``
+    names the target in the error."""
+    if target is None:
+        raise ValueError(f"{what} must be supplied")
+    if not isinstance(target, SetSpec):
+        if len(target) == 0:
+            raise ValueError(f"{what} is empty")
+        target = FinitePointSet(np.asarray(target, dtype=float).reshape(len(target), -1))
+    if target.dim != dim:
+        raise DimensionMismatch(f"{what} has dimension {target.dim}, expected {dim}")
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +416,9 @@ class Sphere(SetSpec):
 
 @dataclass(frozen=True, eq=False)
 class FinitePointSet(SetSpec):
+    """Finitely many points, and the form of every probe (see :func:`as_target`).
+    Both distance kernels take one dot product per point, so they agree bit for bit."""
+
     variant = "finite_point_set"
 
     points: np.ndarray  # shape (n, dim)
@@ -426,11 +427,13 @@ class FinitePointSet(SetSpec):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        if pts.shape[0] == 0:
+        if pts.size == 0:
             raise ValueError("finite point set must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ValueError("finite point set has non-finite coordinates")
         object.__setattr__(self, "points", pts)
+        # a tuple of row vectors iterates faster than the array's rows
+        object.__setattr__(self, "_rows", tuple(pts))
 
     @property
     def dim(self) -> int:
@@ -440,10 +443,11 @@ class FinitePointSet(SetSpec):
         return [p.copy() for p in self.points]
 
     def _distance(self, x):
-        return float(np.min(np.linalg.norm(self.points - x, axis=1)))
+        return min(norm(x - p) for p in self._rows)
 
     def _distance_many(self, Y):
-        return np.linalg.norm(Y[:, None, :] - self.points, axis=2).min(axis=1)
+        D = Y[:, None, :] - self.points
+        return np.sqrt(np.vecdot(D, D)).min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import engine
 from .geometry import (
+    FinitePointSet,
     Lambda,
     SetSpec,
-    Vector,
+    Target,
     WholeSpace,
     as_target,
     as_vector,
@@ -29,7 +30,6 @@ from .geometry import (
     row_norms,
     sample_ball,
     sample_on_set,
-    target_distance_many,
 )
 
 RES_FLOOR = 1e-12
@@ -68,24 +68,21 @@ class RegularityEstimate:
         }
 
 
-Intersection = SetSpec | Sequence[Vector]
-
-
 def _nominal_spacing(delta: float, count: int, dim: int) -> float:
     return 2.0 * delta / max(1.0, count ** (1.0 / max(1, dim)))
 
 
 def _intersection_distance(
     X: np.ndarray,
-    intersection: SetSpec | list[Vector],
+    target: SetSpec,
     refine_op: engine.OperatorSpec | None = None,
 ) -> np.ndarray:
-    """Distance of each row of X to the intersection (made by ``as_target``):
-    exact set, probe, or probe sharpened by running the iteration from the
-    row to high precision (the limit lies in the intersection, so its
-    distance is a valid upper bound).  The refinement runs row by row."""
-    d = target_distance_many(X, intersection)
-    if refine_op is not None and not isinstance(intersection, SetSpec):
+    """Distance of each row of X to a target made by ``as_target``.  With
+    refine_op, a probe (never an exact set) is sharpened row by row by running
+    the iteration from the row to high precision: the limit lies in the set
+    the probe samples, so its distance is a valid upper bound."""
+    d = target._distance_many(X)
+    if refine_op is not None and isinstance(target, FinitePointSet):
         for i, x in enumerate(X):
             y = engine.settle(refine_op, x, 1e-13, 400)
             if engine.residual_map(refine_op, y) <= 1e-10:
@@ -114,13 +111,12 @@ def _feasibility_ratio(dn: np.ndarray, den: np.ndarray) -> np.ndarray:
 POLISH_STARTS = 32
 
 
-def _probe(target, what: str) -> SetSpec | list[Vector]:
-    """A supplied, non-empty probe (or exact set), made once by ``as_target``."""
-    if target is None:
-        raise ValueError(f"{what} probe must be supplied")
-    if not isinstance(target, SetSpec) and len(list(target)) == 0:
-        raise ValueError(f"{what} probe is empty")
-    return as_target(target)
+def check_sampling(delta: float, samples: int) -> None:
+    """A seeded sample has samples >= 1 points within a radius delta, a finite number > 0."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be a finite number > 0, got {delta}")
 
 
 def _region(
@@ -133,10 +129,7 @@ def _region(
 ) -> list[Vector]:
     """The seeded sample: points of on_set (and lam) within delta of center,
     ball points projected onto lam that stay within delta, or ball points."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be a finite number > 0, got {delta}")
+    check_sampling(delta, samples)
     if on_set is not None:
         return sample_on_set(on_set, center, delta, samples, seed, lam)
     pts = sample_ball(center, delta, samples, seed)
@@ -178,7 +171,7 @@ def _sup_estimate(
     kind: str,
     pts: list[Vector],
     ratio: Ratio,
-    feasible: Feasible | None,
+    feasible: Feasible,
     center: Vector,
     delta: float,
     lam: Lambda | None,
@@ -201,7 +194,7 @@ def _sup_estimate(
     P = np.array(pts, dtype=float).reshape(len(pts), center.size)
     vals = final(P)
     best = float(np.max(vals, initial=-math.inf))
-    if feasible is not None and best < math.inf:
+    if best < math.inf:
         starts = np.flatnonzero(np.isfinite(vals[:polish_starts]))
         if starts.size:
             cheap, Q = ascend(P[starts], ratio, feasible, step=delta / 4)
@@ -225,10 +218,9 @@ def estimate_sr_prime(
     base_point,
     delta: float,
     lam: Lambda | None = None,
-    intersection: Intersection | None = None,
+    intersection: Target | None = None,
     samples: int = 256,
     seed: int = 0,
-    polish: bool = True,
     refine_numerator: bool = False,
     polish_starts: int = POLISH_STARTS,
 ) -> RegularityEstimate:
@@ -241,7 +233,7 @@ def estimate_sr_prime(
     x_bar = as_vector(base_point, A.dim)
     if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
         raise ValueError("base point must lie in both sets")
-    intersection = _probe(intersection, "intersection")
+    intersection = as_target(intersection, A.dim, "intersection probe")
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
@@ -254,7 +246,7 @@ def estimate_sr_prime(
         "sr_prime",
         _region(x_bar, delta, samples, seed, on_set=A, lam=lam),
         make_ratio(None),
-        _feasible(x_bar, delta, project=A, member=lam) if polish else None,
+        _feasible(x_bar, delta, project=A, member=lam),
         x_bar, delta, lam, samples, seed,
         final_ratio=make_ratio(refine_op) if refine_numerator else None,
         polish_starts=polish_starts,
@@ -267,10 +259,9 @@ def estimate_sr(
     base_point,
     delta: float,
     lam: Lambda | None = None,
-    intersection: Intersection | None = None,
+    intersection: Target | None = None,
     samples: int = 256,
     seed: int = 0,
-    polish: bool = True,
     refine_numerator: bool = False,
     polish_starts: int = POLISH_STARTS,
 ) -> RegularityEstimate:
@@ -279,7 +270,7 @@ def estimate_sr(
     x_bar = as_vector(base_point, A.dim)
     if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
         raise ValueError("base point must lie in both sets")
-    intersection = _probe(intersection, "intersection")
+    intersection = as_target(intersection, A.dim, "intersection probe")
     refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
 
     def make_ratio(op):
@@ -292,7 +283,7 @@ def estimate_sr(
         "sr",
         _region(x_bar, delta, samples, seed, lam=lam),
         make_ratio(None),
-        _feasible(x_bar, delta, project=lam) if polish else None,
+        _feasible(x_bar, delta, project=lam),
         x_bar, delta, lam, samples, seed,
         final_ratio=make_ratio(refine_op) if refine_numerator else None,
         polish_starts=polish_starts,
@@ -306,7 +297,6 @@ def estimate_sigma(
     delta: float,
     samples: int = 256,
     seed: int = 0,
-    polish: bool = True,
 ) -> RegularityEstimate:
     """Coupling constant between the two set distances and the step length
     of the projection pair, sampled on a ball around a common point."""
@@ -322,21 +312,20 @@ def estimate_sigma(
         "sigma",
         _region(x_bar, delta, samples, seed),
         ratio,
-        _feasible(x_bar, delta) if polish else None,
+        _feasible(x_bar, delta),
         x_bar, delta, None, samples, seed,
     )
 
 
 def estimate_kappa(
     op: engine.OperatorSpec,
-    fix_probe: Intersection,
+    fix_probe: Target,
     center,
     delta: float,
     lam: Lambda | None = None,
     on_set: SetSpec | None = None,
     samples: int = 256,
     seed: int = 0,
-    polish: bool = True,
     refine_numerator: bool = False,
     polish_starts: int = POLISH_STARTS,
 ) -> RegularityEstimate:
@@ -348,8 +337,8 @@ def estimate_kappa(
     reported.  If every sample is a fixed point the report is degenerate
     with kappa_hat = 0.
     """
-    center = as_vector(center)
-    fix_probe = _probe(fix_probe, "fixed-point")
+    center = as_vector(center, op.A.dim)
+    fix_probe = as_target(fix_probe, op.A.dim, "fixed-point probe")
     refine_op = op if refine_numerator else None
 
     def make_ratio(refine):
@@ -370,7 +359,7 @@ def estimate_kappa(
         "kappa_msr",
         pts,
         make_ratio(None),
-        _feasible(center, delta, project=on_set, member=lam) if polish else None,
+        _feasible(center, delta, project=on_set, member=lam),
         center, delta, lam, samples, seed,
         final_ratio=make_ratio(refine_op) if refine_numerator else None,
         polish_starts=polish_starts,

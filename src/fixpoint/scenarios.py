@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .geometry import (
     PiecewiseCurve,
     SetSpec,
     SetUnion,
+    Target,
     Vector,
     WholeSpace,
     _finite_scalar,
@@ -53,7 +53,7 @@ class Scenario:
     base_point: Vector | None
     seed_region: tuple  # (center, radius)
     expected: dict = field(default_factory=dict)
-    intersection: SetSpec | Sequence[Vector] | None = None
+    intersection: Target | None = None
     sequence: list | None = None  # explicit sequence scenarios bypass the engine
     convex: bool = False
     #: unit direction along bd A at the base point pointing out of B; seeds

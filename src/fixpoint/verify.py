@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
-from .geometry import as_target, norm, project_one, sample_ball, target_distance
+from .geometry import as_target, norm, project_one, sample_ball
 from .scenarios import FAMILIES, Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
@@ -168,8 +168,8 @@ def criterion_5() -> CriterionResult:
             and lim[1] == 0.0
             and tr.residual[-1] <= 1e-12
         )
-        d_int = target_distance(lim, as_target(sc.intersection))
-        if is_peak and tr.stop_reason == "fixed_point" and d_int >= 0.5 ** (n + 2):
+        # the trace's target is sc.intersection: its last distance is the limit's
+        if is_peak and tr.stop_reason == "fixed_point" and tr.dist_target[-1] >= 0.5 ** (n + 2):
             stuck_ok += 1
             details.append(f"1/2^{n}")
     srp_a, srp_b = (
@@ -260,8 +260,7 @@ def criterion_8() -> CriterionResult:
         x_lim = tr.limit
         probe = [x_lim, sc.base_point]
         if rep.outcome == "never_reaches":
-            target = as_target(probe)
-            ds = [target_distance(p, target) for p in tr.x]
+            ds = as_target(probe, x_lim.size, "probe")._distance_many(np.asarray(tr.x))
             idx = [k for k, d in enumerate(ds) if 1e-8 <= d <= 0.02]
             if len(idx) < 4:
                 continue

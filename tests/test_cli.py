@@ -228,18 +228,27 @@ def test_builtins_load_from_their_json(tmp_path, name):
 
 @pytest.mark.parametrize(
     "argv",
-    [["run", "two_lines_pi3"], ["estimate", "kappa", "two_lines_pi3"]],
-    ids=["run", "estimate"],
+    [["run", "two_lines_pi3"], ["run", "monotone_not_fejer"], ["run", "all"],
+     ["estimate", "kappa", "two_lines_pi3"]],
+    ids=["run", "run-sequence", "run-all", "estimate"],
 )
 def test_zero_samples_is_a_usage_error(tmp_path, capsys, argv):
-    extra = ["--out", str(tmp_path / "o")] if argv[0] == "run" else []
-    bad = [("--samples", "0", "samples must be >= 1")] + [
+    # monotone_not_fejer ships its sequence, so it neither iterates nor
+    # estimates: its flags are checked all the same, before anything is written
+    out = tmp_path / "o"
+    extra = ["--out", str(out)] if argv[0] == "run" else []
+    bad = [("--samples", "0", "samples must be >= 1, got 0")] + [
         ("--delta", d, f"delta must be a finite number > 0, got {float(d)}")
         for d in ("-0.5", "0", "nan", "inf")]
+    if argv[0] == "run":
+        bad += [("--max-iter", "0", "max_iter must be >= 1, got 0")] + [
+            ("--residual-tol", t, f"residual_tol must be a finite number > 0, got {float(t)}")
+            for t in ("-1", "0", "nan", "inf")]
     for flag, value, message in bad:
         assert main([*argv, f"{flag}={value}", *extra]) == 1, (flag, value)
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_estimate_on_a_directory_is_an_error(tmp_path, capsys):

@@ -315,8 +315,33 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
 def test_iteration_config_validation():
     with pytest.raises(ValueError):
         IterationConfig(seed_point=[0, 0], max_iter=0)
-    with pytest.raises(ValueError):
-        IterationConfig(seed_point=[0, 0], residual_tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="residual_tol must be a finite number > 0"):
+            IterationConfig(seed_point=[0, 0], residual_tol=tol)
+
+
+@pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
+def test_probe_target_distances_round_as_the_probe_formula(operator):
+    # the probe's distance formula before probes became finite point sets:
+    # the least sqrt(d.d) over the listed points
+    def reference(x, probe):
+        return min(math.sqrt((x - p).dot(x - p)) for p in probe)
+
+    A, B = line_through_origin(0.0), line_through_origin(0.3)
+    probe = [np.array([0.0, 0.0]), np.array([0.3, -0.1]), np.array([1e-3, 2e-3])]
+    tr = run(operator(A, B), IterationConfig(seed_point=[1.0, 0.3], target=probe))
+    assert len(tr.x) > 100
+    assert tr.dist_target == [reference(x, probe) for x in tr.x]
+
+
+@pytest.mark.parametrize("probe, message", [
+    ([[0.0, 0.0, 0.0]], "target has dimension 3, expected 2"),
+    ([], "target is empty"),
+])
+def test_run_rejects_a_malformed_target_probe(probe, message):
+    sc = build("two_lines_pi3")
+    with pytest.raises(ValueError, match=message):
+        run(AlternatingProjections(sc.A, sc.B), IterationConfig([1.0, 0.3], target=probe))
 
 
 def test_run_respects_affine_constraint():

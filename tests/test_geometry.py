@@ -22,6 +22,7 @@ from fixpoint.geometry import (
     Sphere,
     WholeSpace,
     as_points,
+    as_target,
     as_vector,
     distance,
     elemental_subreg_estimate,
@@ -425,6 +426,33 @@ def test_batched_kernels_equal_scalar_row_by_row(s, rows):
             ulps = 16 * np.finfo(float).eps * (1.0 + norm(y))
             assert abs(d - distance(s, y)) <= ulps
             assert np.max(np.abs(p - project_one(s, y))) <= ulps
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_finite_point_set_batched_distance_equals_scalar(dim, data):
+    # probes live in any dimension (long traces use R^8): the batched
+    # kernel must round exactly as the scalar one there too
+    point = st.lists(coordinate, min_size=dim, max_size=dim)
+    s = FinitePointSet(data.draw(st.lists(point, min_size=1, max_size=5)))
+    Y = as_points(data.draw(st.lists(point, min_size=1, max_size=6)), dim)
+    assert s._distance_many(Y).tolist() == [distance(s, y) for y in Y]
+
+
+def test_as_target_reads_a_probe_as_its_finite_point_set():
+    box = Box([0, 0], [1, 1])
+    assert as_target(box, 2, "target") is box
+    probe = as_target([np.array([3.0, 4.0]), [0.0, 1.0]], 2, "target")
+    assert isinstance(probe, FinitePointSet) and distance(probe, [0, 0]) == 1.0
+    with pytest.raises(ValueError, match="intersection probe is empty"):
+        as_target([], 2, "intersection probe")
+    with pytest.raises(DimensionMismatch, match="intersection probe has dimension 3, expected 2"):
+        as_target([[0.0, 0.0, 0.0]], 2, "intersection probe")
+    with pytest.raises(DimensionMismatch, match="target has dimension 2, expected 3"):
+        as_target(box, 3, "target")
+    with pytest.raises(ValueError, match="nonempty"):
+        FinitePointSet([])  # an empty list once made a set of one 0-d point
 
 
 def reference_pattern_polish(x0, score, feasible, step, max_rounds=48, floor=1e-9):

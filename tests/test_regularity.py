@@ -13,6 +13,7 @@ from fixpoint.engine import (
 )
 from fixpoint.geometry import (
     Ball,
+    DimensionMismatch,
     NormalPair,
     Sphere,
     WholeSpace,
@@ -22,7 +23,6 @@ from fixpoint.geometry import (
     norm,
     sample_ball,
     sample_on_set,
-    target_distance_many,
 )
 from fixpoint.regularity import (
     _feasibility_ratio,
@@ -72,7 +72,7 @@ def test_kappa_sentinel_at_sawtooth_stuck_point():
 def test_kappa_degenerate_when_all_samples_fixed():
     b = Ball([0.0, 0.0], 1.0)
     op = AlternatingProjections(b, WholeSpace(2))  # P_b: every point of b is fixed
-    est = estimate_kappa(op, b, [0.0, 0.0], 0.5, samples=32, seed=1, polish=False)
+    est = estimate_kappa(op, b, [0.0, 0.0], 0.5, samples=32, seed=1, polish_starts=0)
     assert est.degenerate and est.value == 0.0
 
 
@@ -123,6 +123,25 @@ def test_sr_estimators_require_probe_and_membership():
         estimate_sr_prime(PI3.A, PI3.B, [0.5, 0.5], 0.5, intersection=ORIGIN)
     with pytest.raises(ValueError):
         estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, intersection=[])
+
+
+@pytest.mark.parametrize("probe, message", [
+    ([np.zeros(3)], "probe has dimension 3, expected 2"),
+    ([], "probe is empty"),
+])
+def test_malformed_probes_are_named(probe, message):
+    # a 3-d probe on a 2-d pair once failed deep in numpy broadcasting
+    with pytest.raises(ValueError, match="intersection " + message):
+        estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, intersection=probe, samples=8)
+    with pytest.raises(ValueError, match="fixed-point " + message):
+        estimate_kappa(AlternatingProjections(PI3.A, PI3.B), probe, [0, 0], 0.5,
+                       on_set=PI3.A, samples=8)
+
+
+def test_kappa_names_a_center_of_the_wrong_dimension():
+    # the probe is measured in the pair's space, so a 3-d center is the error
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+        estimate_kappa(AlternatingProjections(PI3.A, PI3.B), ORIGIN, [0, 0, 0], 0.5, samples=8)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +305,21 @@ def test_bracket_property_on_random_pairs():
         assert verify_bracket(sr, srp), f"pair {i}: sr'={srp.value} sr={sr.value}"
 
 
+def test_numerator_refinement_sharpens_a_probe_and_never_an_exact_set():
+    # a distance to an exact set is already exact: settling would add only rounding
+    def values(sc, delta, intersection):
+        return [estimate_sr_prime(sc.A, sc.B, sc.base_point, delta, intersection=intersection,
+                                  samples=32, seed=1, refine_numerator=r).value
+                for r in (False, True)]
+
+    epi = build("epigraph")
+    plain, refined = values(epi, 0.3, epi.intersection)
+    assert plain == refined
+    pair = random_convex_pair(3, 2, "box_affine")
+    plain, refined = values(pair, 0.1, [pair.base_point])  # a one-point probe
+    assert refined < 1e-3 * plain
+
+
 def test_epigraph_local_global_split():
     # finite local modulus at the flat corner, unbounded ratio toward the cusp
     sc = build("epigraph")
@@ -340,10 +374,10 @@ def test_polish_of_a_start_ignores_the_other_starts(sc):
     # nested samples keep giving nested (monotone) estimates
     delta = 0.3
     feasible = _feasible(sc.base_point, delta, project=sc.A)
-    probe = as_target(sc.intersection)
+    probe = as_target(sc.intersection, sc.A.dim, "intersection")
 
     def ratio(X):
-        return _feasibility_ratio(target_distance_many(X, probe), sc.B._distance_many(X))
+        return _feasibility_ratio(probe._distance_many(X), sc.B._distance_many(X))
 
     P = np.array(sample_on_set(sc.A, sc.base_point, delta, 12, seed=1))
     best, X = ascend(P, ratio, feasible, step=delta / 4)
