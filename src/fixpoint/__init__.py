@@ -25,7 +25,6 @@ from .geometry import (
     FinitePointSet,
     Halfspace,
     LinearPiece,
-    NormalPair,
     ParabolicPiece,
     PiecewiseCurve,
     SetSpec,
@@ -33,10 +32,8 @@ from .geometry import (
     Sphere,
     WholeSpace,
     distance,
-    elemental_subreg_estimate,
     project_all,
     project_one,
-    proximal_normal,
 )
 from .scenarios import Scenario, build, builtin_names, random_convex_pair
 

@@ -137,7 +137,10 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
             ok = distance(sc.A, p) <= 1e-9 and distance(sc.B, p) <= 1e-9
             add(key, exp.value, exp.value, 1e-9, ok)
         elif key == "global_ratio_diverges":
-            _, diverges = reg.global_ratio_growth(sc.intersection, sc.B, 3)
+            try:
+                _, diverges = reg.global_ratio_growth(sc.intersection, sc.B, 3)
+            except ValueError as e:
+                raise ValueError(f"scenario key 'expected.{key}' cannot be checked: {e}") from None
             add(key, exp.value, diverges, 0, diverges == exp.value)
     return checks
 
@@ -217,9 +220,6 @@ def execute_run(
         if operator == "dr" and "extendible_c" in sc.expected:
             raise ValueError("scenario key 'expected.extendible_c' cannot be checked with "
                              "--operator dr: a DR run records no joining sequence")
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-
         if sc.sequence is not None:
             tr = _sequence_trace(sc)
         else:
@@ -258,6 +258,8 @@ def execute_run(
             "ok": all(c["ok"] for c in checks),
         }
 
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "trace.csv", "w", encoding="utf-8") as fc, \
                 open(out / "trace.json", "w", encoding="utf-8") as fj:
             tr.write(fc, fj)

@@ -54,7 +54,6 @@ class MonotonicityReport:
     c: float
     monotone: bool
     degenerate: bool
-    ratios_used: int
 
 
 def check_linear_monotone(
@@ -77,9 +76,9 @@ def check_linear_monotone(
         dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] >= floor
     ]
     if not ratios:
-        return MonotonicityReport(0.0, True, True, 0)
+        return MonotonicityReport(0.0, True, True)
     c = max(ratios)
-    return MonotonicityReport(c, c <= 1.0, False, len(ratios))
+    return MonotonicityReport(c, c <= 1.0, False)
 
 
 @dataclass
@@ -88,7 +87,6 @@ class RateEstimate:
     c: float
     gamma: float | None
     limit: Vector
-    valid_from: int = 0
 
 
 def estimate_q_rate(points, limit=None, floor: float = RATE_FLOOR, errs=None) -> RateEstimate:

@@ -236,9 +236,10 @@ class Trace:
 
         trace.csv has a header and one row per iterate (b_k blank where none
         is recorded).  trace.json is what ``json.dumps(..., sort_keys=True,
-        indent=1)`` writes for x, b, z, the columns, stop_reason and metadata.
-        Each float is formatted once, to its shortest round-trip repr: one
-        string per row of x and of b (z reuses them) and per block of a column.
+        indent=1)`` writes for x, b, the columns, stop_reason and metadata (not
+        ``z``, which x and b determine).  Each float is formatted once, to its
+        shortest round-trip repr: one string per row of x and of b and per
+        block of a column.
         """
         dim = self.x[0].size
         x_rows = _reprs(np.asarray(self.x, dtype=float))
@@ -257,7 +258,6 @@ class Trace:
             items = {
                 "x": _json_list(x_rows, 2),
                 "b": _json_list(b_rows, 2),
-                "z": _json_list([r for pair in zip(x_rows, b_rows) for r in pair], 2),
                 **{name: _json_list([block[c] for block in blocks], 1)
                    for c, name in enumerate(COLUMNS)},
                 "stop_reason": [json.dumps(self.stop_reason)],

@@ -17,8 +17,7 @@ import numpy as np
 
 Vector = np.ndarray
 
-#: absolute tolerance for membership tests and projection ties
-MEMBERSHIP_TOL = 1e-9
+#: absolute tolerance for projection ties
 TIE_TOL = 1e-9
 #: points closer than this are one point in projection and image lists
 DEDUP_TOL = 1e-12
@@ -78,16 +77,6 @@ def row_norms(U: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(U * U, axis=1))
 
 
-class ProjectionList(list):
-    """Projection candidates; ``infinite_fiber`` marks a non-enumerable fiber.
-
-    The only variant with an infinite fiber is the sphere queried at its
-    center, where the canonical representative ``center + r*e1`` is returned.
-    """
-
-    infinite_fiber: bool = False
-
-
 class SetSpec:
     """Base class for set descriptions.  Subclasses are immutable values.
 
@@ -109,9 +98,6 @@ class SetSpec:
 
     def _candidates(self, x: Vector) -> list[Vector]:
         raise NotImplementedError
-
-    def _infinite_fiber(self, x: Vector) -> bool:
-        return False
 
     def _distance(self, x: Vector) -> float:
         return float(np.min(np.linalg.norm(np.asarray(self._candidates(x)) - x, axis=1)))
@@ -407,9 +393,6 @@ class Sphere(SetSpec):
             return [self.center + e1]
         return [self.center + (self.radius / nu) * u]
 
-    def _infinite_fiber(self, x):
-        return norm(x - self.center) < 1e-15 * max(1.0, self.radius)
-
     def _distance(self, x):
         return abs(norm(x - self.center) - self.radius)
 
@@ -463,15 +446,6 @@ class LinearPiece:
         object.__setattr__(self, "start", as_vector(self.start, 2))
         object.__setattr__(self, "end", as_vector(self.end, 2))
 
-    def candidates(self, q: Vector) -> list[Vector]:
-        d = self.end - self.start
-        dd = float(d @ d)
-        if dd < 1e-30:
-            return [self.start.copy()]
-        t = float((q - self.start) @ d) / dd
-        t = min(1.0, max(0.0, t))
-        return [self.start + t * d]
-
 
 @dataclass(frozen=True, eq=False)
 class ParabolicPiece:
@@ -486,7 +460,9 @@ class ParabolicPiece:
     t1: float
 
     def __post_init__(self):
-        for f in ("a", "b", "c", "t0", "t1"):
+        for f in ("a", "b", "c"):
+            object.__setattr__(self, f, _finite_scalar(getattr(self, f), f"parabolic piece {f}"))
+        for f in ("t0", "t1"):  # may be -inf/inf: an arc over a half-line or the line
             object.__setattr__(self, f, float(getattr(self, f)))
         if not self.t0 <= self.t1:
             raise ValueError("parabolic piece needs t0 <= t1")
@@ -605,6 +581,9 @@ class Epigraph(SetSpec):
         pc = np.asarray(self.pieces, dtype=float).reshape(-1, 3)
         if pc.shape[0] != bp.size + 1:
             raise ValueError("need len(breakpoints)+1 coefficient triples")
+        for name, v in (("breakpoints", bp), ("pieces", pc)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"epigraph {name} must be finite, got {v.tolist()}")
         if bp.size > 1 and np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
@@ -620,7 +599,7 @@ class Epigraph(SetSpec):
             v0, v1 = arcs[i].value(t), arcs[i + 1].value(t)
             if abs(v0 - v1) > 1e-15:
                 arcs.append(LinearPiece((t, min(v0, v1)), (t, max(v0, v1))))
-        object.__setattr__(self, "_boundary", tuple(arcs))
+        object.__setattr__(self, "_boundary", PiecewiseCurve(tuple(arcs)))
 
     @property
     def dim(self) -> int:
@@ -634,7 +613,7 @@ class Epigraph(SetSpec):
     def _candidates(self, x):
         if float(x[1]) >= self.value(float(x[0])):
             return [x.copy()]
-        return [p for piece in self._boundary for p in piece.candidates(x)]
+        return self._boundary._candidates(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -666,9 +645,6 @@ class SetUnion(SetSpec):
     def _candidates(self, x):
         return [p for m in self._nearest_members(x) for p in m._candidates(x)]
 
-    def _infinite_fiber(self, x):
-        return any(m._infinite_fiber(x) for m in self._nearest_members(x))
-
     def _distance(self, x):
         return min(distance(m, x) for m in self.members)
 
@@ -692,95 +668,23 @@ def distance(s: SetSpec, x) -> float:
     return s._distance(_check_dim(s, x))
 
 
-def project_all(s: SetSpec, x) -> ProjectionList:
+def project_all(s: SetSpec, x) -> list[Vector]:
     """All nearest points of s to x, deduplicated, in lexicographic order.
 
-    Candidates within TIE_TOL of the minimal distance are all returned.
+    Candidates within TIE_TOL of the minimal distance are all returned.  A
+    fiber that is not finite (the sphere queried at its center) is
+    represented by one canonical point.
     """
     x = _check_dim(s, x)
     cands = s._candidates(x)
     if len(cands) > 1:
         cands = sorted_unique(_nearest(cands, x), max(DEDUP_TOL, TIE_TOL * 1e-2))
-    out = ProjectionList(cands)
-    out.infinite_fiber = s._infinite_fiber(x)
-    return out
+    return cands
 
 
 def project_one(s: SetSpec, x) -> Vector:
     """Deterministic selection: the lexicographically smallest projection."""
     return s._project(_check_dim(s, x))
-
-
-@dataclass(frozen=True, eq=False)
-class NormalPair:
-    """A base point of the set together with a proximal normal direction."""
-
-    base: Vector
-    direction: Vector
-
-
-def proximal_normal(s: SetSpec, w, tol: float = MEMBERSHIP_TOL) -> NormalPair:
-    """Proximal normal at the projection of an outside query w.
-
-    Returns (a, v) with a the deterministic projection of w and v = w - a,
-    so a + v projects back onto a.  Raises for queries already in the set,
-    where no canonical nonzero proximal normal exists.
-    """
-    w = _check_dim(s, w)
-    if distance(s, w) <= tol:
-        raise ValueError("query lies in the set; no canonical proximal normal")
-    a = project_one(s, w)
-    return NormalPair(a, w - a)
-
-
-def elemental_subreg_estimate(
-    s: SetSpec,
-    sample: Sequence[Vector],
-    pair: NormalPair,
-    center,
-    delta: float,
-    polish: bool = True,
-) -> float:
-    """Sampled constant of the one-sided normal-angle condition.
-
-    Over set points x in the ball B_delta(center), estimates
-        max(0, sup <v, x - a> / (||v|| ||x - a||))
-    for the normal pair (a, v).  The result is a lower bound on the true
-    constant for that neighborhood; refinement never decreases it.
-    """
-    center = _check_dim(s, center)
-    a, v = pair.base, pair.direction
-    nv = norm(v)
-    if nv <= 0:
-        raise ValueError("normal direction must be nonzero")
-    # rounding in <v, x-a> scales with the coordinate magnitudes; dividing by
-    # ||x-a|| amplifies it near the base point.  Subtracting this first-order
-    # bound keeps the estimate a lower bound instead of reporting noise.
-    scale = 8.0 * a.size * np.finfo(float).eps * max(1.0, norm(a) + abs(nv))
-
-    def ratio(x: Vector) -> float:
-        dx = x - a
-        nd = norm(dx)
-        if nd <= 1e-14:
-            return -math.inf
-        return float(v @ dx) / (nv * nd) - scale * max(1.0, norm(x)) / nd
-
-    pts = [p for p in sample if norm(p - center) <= delta + 1e-12]
-    vals = [ratio(p) for p in pts]
-    vals = [t for t in vals if t > -math.inf]
-    if not vals:
-        raise ValueError("empty sample after filtering the base point")
-    best = max(vals)
-    if polish:
-        def feasible(y: Vector) -> Vector | None:
-            p = project_one(s, y)
-            if norm(p - center) > delta:
-                return None
-            return p
-
-        for p in pts[:32]:  # fixed index prefix: refinement stays monotone
-            best = max(best, pattern_polish(p, ratio, feasible, step=delta / 4)[0])
-    return max(0.0, best)
 
 
 # ---------------------------------------------------------------------------

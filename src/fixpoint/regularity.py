@@ -511,9 +511,14 @@ def verify_bracket(
 def global_ratio_growth(intersection: SetSpec, B: SetSpec, count: int) -> tuple[list, bool]:
     """The ratios dist(x, A cap B) / dist(x, B) at x = (t, t^2) in the plane for
     t = 0.02, 0.01, ... (count of them), and whether each at least doubles
-    (to 1%) the one before: a ratio that diverges rules out a global modulus."""
+    (to 1%) the one before: a ratio that diverges rules out a global modulus.
+    A point (t, t^2) that lies in B leaves its ratio undefined: a ValueError."""
     ratios = []
     for t in (0.02 / 2**j for j in range(count)):
         x = np.array([t, t * t])
-        ratios.append(distance(intersection, x) / distance(B, x))
+        d_B = distance(B, x)
+        if d_B == 0.0:
+            raise ValueError(f"the probe point ({t}, {t * t}) lies in B, so "
+                             "dist(x, A cap B) / dist(x, B) is undefined there")
+        ratios.append(distance(intersection, x) / d_B)
     return ratios, all(r1 >= (2.0 - 1e-2) * r0 for r0, r1 in zip(ratios, ratios[1:]))

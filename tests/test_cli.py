@@ -186,6 +186,21 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'convex' is true, but A (union) is not a convex set"),
         (lambda o: _as_builtin(o, "monotone_not_fejer").update(extendible_c={"value": 0.5}),
          "scenario key 'expected.extendible_c' needs an iteration run"),
+        (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
+            {"kind": "parabolic", "a": math.nan, "b": 0, "c": 0, "t0": -1, "t1": 1}]}),
+         "scenario key 'B': parabolic piece a must be finite, got nan"),
+        (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
+            {"kind": "parabolic", "a": 1, "b": 0, "c": math.inf, "t0": -1, "t1": 1}]}),
+         "scenario key 'B': parabolic piece c must be finite, got inf"),
+        (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [math.nan],
+                               "pieces": [[0, 0, 0], [1, 0, 0]]}),
+         "scenario key 'B': epigraph breakpoints must be finite, got [nan]"),
+        (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [math.inf],
+                               "pieces": [[0, 0, 0], [1, 0, 0]]}),
+         "scenario key 'B': epigraph breakpoints must be finite, got [inf]"),
+        (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [0.0],
+                               "pieces": [[0, 0, 0], [1, -math.inf, 0]]}),
+         "scenario key 'B': epigraph pieces must be finite, got [[0.0, 0.0, 0.0], [1.0, -inf, 0.0]]"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -197,7 +212,8 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "global_ratio_diverges_type", "iterations_to_solve_string", "iterations_to_solve_bool",
          "iterations_to_solve_negative", "solution_dimension", "intersection_point_type",
          "stuck_points_type", "stuck_points_dimension", "convex_type", "convex_not_convex",
-         "extendible_c_sequence"],
+         "extendible_c_sequence", "parabolic_a_nan", "parabolic_c_inf", "epigraph_breakpoint_nan",
+         "epigraph_breakpoint_inf", "epigraph_piece_inf"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))
@@ -207,6 +223,22 @@ def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_global_ratio_check_with_probe_points_in_B_is_an_error(tmp_path, capsys):
+    # the probe points (t, t^2) of the check lie in B = {y >= 0}, where the
+    # ratio dist(x, A cap B) / dist(x, B) divides by zero
+    obj = scenario_to_json(build("epigraph"))
+    obj["B"] = {"variant": "halfspace", "normal": [0, -1], "offset": 0}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--samples", "16"]) == 1
+    err = capsys.readouterr().err
+    assert "scenario key 'expected.global_ratio_diverges' cannot be checked" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_dr_run_rejects_extendible_c(tmp_path, capsys):

@@ -15,7 +15,6 @@ from fixpoint.geometry import (
     FinitePointSet,
     Halfspace,
     LinearPiece,
-    NormalPair,
     ParabolicPiece,
     PiecewiseCurve,
     SetUnion,
@@ -25,12 +24,10 @@ from fixpoint.geometry import (
     as_target,
     as_vector,
     distance,
-    elemental_subreg_estimate,
     norm,
     pattern_polish,
     project_all,
     project_one,
-    proximal_normal,
     sample_ball,
     sample_on_set,
     set_from_json,
@@ -79,6 +76,9 @@ def test_distance_sawtooth_matches_sweep():
     x = [0.3, 0.1]
     ref, _ = segment_sweep_distance(saw, x)
     assert abs(distance(saw, x) - ref) <= 1e-6
+    w = [3.0 / 2**4, 0.05]
+    _, best_pt = segment_sweep_distance(saw, w)
+    assert norm(project_one(saw, w) - best_pt) <= 1e-5
 
 
 def test_distance_dimension_mismatch():
@@ -106,9 +106,7 @@ def test_project_all_sphere_center_canonical():
     ps = project_all(Sphere([0.0, 0.0, 0.0], 1.0), [0, 0, 0])
     assert len(ps) == 1
     assert np.allclose(ps[0], [1, 0, 0])
-    assert ps.infinite_fiber
     away = project_all(Sphere([0.0, 0.0], 1.0), [0.5, 0.0])
-    assert not away.infinite_fiber
     assert np.allclose(away[0], [1, 0])
 
 
@@ -199,13 +197,21 @@ def test_epigraph_membership_and_projection():
     assert distance(epi, [-0.5, 0.1]) == 0.0
     # below the flat part the projection is the vertical drop
     assert np.allclose(project_one(epi, [-0.5, -0.3]), [-0.5, 0.0])
-    # below t^2: compare against a sweep of the whole boundary
+    # below the graph: compare against a sweep of the whole boundary, which
+    # for f jumping from 0 down to -1 at t=0 includes the vertical segment
     ts = np.linspace(-3, 3, 10**6)
-    fs = np.where(ts < -1, -ts - 1, np.where(ts < 0, 0.0, ts * ts))
-    graph = np.stack([ts, fs], axis=1)
-    for x in ([0.8, 0.1], [0.4, -0.5], [-2.0, -1.0], [2.0, 1.0]):
-        ref = float(np.min(np.linalg.norm(graph - np.asarray(x), axis=1)))
-        assert abs(distance(epi, x) - ref) <= 1e-6
+    jump_segment = np.stack([np.zeros(10**5), np.linspace(-1.0, 0.0, 10**5)], axis=1)
+    cases = [
+        (epi, np.where(ts < -1, -ts - 1, np.where(ts < 0, 0.0, ts * ts)), [],
+         ([0.8, 0.1], [0.4, -0.5], [-2.0, -1.0], [2.0, 1.0])),
+        (Epigraph([0.0], [[0, 0, 0], [0, 0, -1]], convex=False), np.where(ts < 0, 0.0, -1.0),
+         [jump_segment], ([-0.3, -0.5], [-0.1, -0.95], [-0.5, -0.2], [0.4, -1.3], [-2.0, -3.0])),
+    ]
+    for s, fs, extra, queries in cases:
+        boundary = np.concatenate([np.stack([ts, fs], axis=1), *extra])
+        for x in queries:
+            ref = float(np.min(np.linalg.norm(boundary - np.asarray(x), axis=1)))
+            assert abs(distance(s, x) - ref) <= 1e-6
 
 
 def test_epigraph_jump_uses_vertical_segment():
@@ -213,85 +219,6 @@ def test_epigraph_jump_uses_vertical_segment():
     epi = Epigraph([0.0], [[0, 0, 0], [0, 0, -1]], convex=False)
     p = project_one(epi, [-0.3, -0.5])
     assert np.allclose(p, [0.0, -0.5])
-
-
-# ---------------------------------------------------------------------------
-# proximal normals and elemental subregularity
-
-
-def test_proximal_normal_halfspace():
-    pn = proximal_normal(Halfspace([0, 1], 0.0), [2, 3])
-    assert np.allclose(pn.base, [2, 0]) and np.allclose(pn.direction, [0, 3])
-
-
-def test_proximal_normal_sphere_inner_point():
-    pn = proximal_normal(Sphere([0, 0], 1.0), [0.5, 0])
-    assert np.allclose(pn.base, [1, 0]) and np.allclose(pn.direction, [-0.5, 0])
-
-
-def test_proximal_normal_reprojects():
-    for s, w in [
-        (Ball([0, 0], 1.0), [2.0, 1.0]),
-        (Box([0, 0], [1, 1]), [2.0, -0.4]),
-        (sawtooth_graph(10), [0.4, 0.2]),
-    ]:
-        pn = proximal_normal(s, w)
-        assert norm(project_one(s, pn.base + pn.direction) - pn.base) <= 1e-9
-
-
-def test_proximal_normal_sawtooth_matches_sweep():
-    saw = sawtooth_graph(20)
-    w = np.array([3.0 / 2**4, 0.05])
-    pn = proximal_normal(saw, w)
-    _, best_pt = segment_sweep_distance(saw, w)
-    assert norm(pn.base - best_pt) <= 1e-5
-
-
-def test_proximal_normal_rejects_interior_query():
-    with pytest.raises(ValueError):
-        proximal_normal(Ball([0, 0], 1.0), [0.2, 0.2])
-
-
-@pytest.mark.parametrize(
-    "s,w",
-    [
-        (Ball([0.0, 0.0], 1.0), [2.0, 0.5]),
-        (Halfspace([0.0, 1.0], 0.0), [0.3, 2.0]),
-        (Box([0.0, 0.0], [1.0, 1.0]), [2.0, 0.5]),
-        (AffineSubspace([0.0, 0.0], [[1.0, 0.0]]), [0.4, 1.0]),
-    ],
-    ids=lambda v: type(v).__name__ if hasattr(v, "dim") else "",
-)
-def test_elemental_zero_for_convex(s, w):
-    w = np.asarray(w, float)
-    pn = proximal_normal(s, w)
-    sample = sample_on_set(s, pn.base, 0.5, 128, seed=4)
-    assert elemental_subreg_estimate(s, sample, pn, pn.base, 0.5) <= 1e-12
-
-
-def test_elemental_sphere_outward_zero():
-    sph = Sphere([0.0, 0.0], 1.0)
-    sample = sample_on_set(sph, [1.0, 0.0], 0.5, 128, seed=9)
-    pair = NormalPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert elemental_subreg_estimate(sph, sample, pair, [1.0, 0.0], 0.5) == 0.0
-
-
-def test_elemental_sphere_inward_matches_angular_sweep():
-    sph = Sphere([0.0, 0.0], 1.0)
-    sample = sample_on_set(sph, [1.0, 0.0], 0.5, 256, seed=9)
-    pair = NormalPair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    est = elemental_subreg_estimate(sph, sample, pair, [1.0, 0.0], 0.5)
-    cap = 2.0 * math.asin(0.25)
-    ts = np.linspace(-cap, cap, 10**6)
-    ref = float(np.max(np.abs(np.sin(ts / 2.0))))
-    assert abs(est - ref) <= 1e-6
-
-
-def test_elemental_rejects_empty_sample():
-    sph = Sphere([0.0, 0.0], 1.0)
-    pair = NormalPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        elemental_subreg_estimate(sph, [pair.base], pair, [1.0, 0.0], 0.5)
 
 
 # ---------------------------------------------------------------------------

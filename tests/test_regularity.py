@@ -14,13 +14,10 @@ from fixpoint.engine import (
 from fixpoint.geometry import (
     Ball,
     DimensionMismatch,
-    NormalPair,
     Sphere,
     WholeSpace,
     as_target,
     ascend,
-    elemental_subreg_estimate,
-    norm,
     sample_ball,
     sample_on_set,
 )
@@ -203,20 +200,10 @@ def test_violation_sphere_bounded_by_elemental_constant():
     delta = 0.45
     op = AlternatingProjections(sph, WholeSpace(2))  # P_sphere
     est = estimate_violation(op, y, 0.5, y, delta, samples=256, seed=6)
-    # matched elemental constant over the same neighborhood
-    pts = sample_ball(y, delta, 256, seed=6)
-    eps = 0.0
-    on_set = sample_on_set(sph, y, 2 * delta, 128, seed=7)
-    for w in pts:
-        a = np.asarray(sph._candidates(w)[0])
-        v = w - a
-        if norm(v) <= 1e-12:
-            continue
-        pair = NormalPair(a, v)
-        eps = max(
-            eps,
-            elemental_subreg_estimate(sph, on_set, pair, y, 2 * delta, polish=False),
-        )
+    # the circle's elemental constant over B_{2 delta}(y): two of its points
+    # there are at most 4 asin(delta) apart in angle, and the normal-angle
+    # ratio <v, x - a> / (||v|| ||x - a||) at angle theta is sin(theta / 2)
+    eps = math.sin(2.0 * math.asin(delta))
     bound = 2 * eps + 2 * eps * eps
     assert est.value <= bound + 1e-3
 
