@@ -120,11 +120,22 @@ def iterates(step, x: Vector, tol: float, max_iter: int):
         x = x_next
 
 
-def settle(op: OperatorSpec, x: Vector, tol: float, max_iter: int) -> Vector:
-    """The iterate of T from x at which a step is first <= tol (or the last)."""
-    for x, _ in iterates(lambda y: apply(op, y), x, tol, max_iter):
-        pass
-    return x
+def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """:func:`iterates` of T from every row of a checked (m, d) array in
+    lockstep: each row's iterate at which its step is first <= tol, or its
+    max_iter-th (the row itself for max_iter = 0).  The rows still moving
+    step together through ``op._image_many``; rows never interact, so a
+    row's limit does not depend on the others."""
+    X = X.copy()
+    rows = np.arange(len(X))
+    for _ in range(max_iter):
+        if rows.size == 0:
+            break
+        Y = op._image_many(X[rows])
+        r = row_norms(Y - X[rows])
+        X[rows] = Y
+        rows = rows[r > tol]
+    return X
 
 
 def check_stop_rule(max_iter: int, residual_tol: float) -> None:

@@ -27,8 +27,9 @@ class DimensionMismatch(ValueError):
     """Query dimension does not match the set's ambient dimension."""
 
 
-def as_vector(x, dim: int | None = None) -> Vector:
-    """Coerce to a finite float64 vector, optionally checking the dimension."""
+def as_vector(x, dim: int | None = None, name: str = "point") -> Vector:
+    """Coerce to a finite float64 vector, optionally checking the dimension;
+    ``name`` names the vector in the non-finite error."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -37,7 +38,7 @@ def as_vector(x, dim: int | None = None) -> Vector:
     # a finite v.v proves every coordinate finite; a non-finite one may be an
     # overflow, so only then are the coordinates tested one by one
     if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
-        raise ValueError(f"point has non-finite coordinates: {v}")
+        raise ValueError(f"{name} has non-finite coordinates: {v}")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
@@ -186,7 +187,7 @@ class Halfspace(_ConvexSet):
     offset: float
 
     def __post_init__(self):
-        n = as_vector(self.normal)
+        n = as_vector(self.normal, name="halfspace normal")
         nn = norm(n)
         if nn == 0.0:
             raise ValueError("halfspace normal must be nonzero")
@@ -227,8 +228,10 @@ class AffineSubspace(_ConvexSet):
     basis: np.ndarray  # shape (k, dim), rows orthonormal
 
     def __post_init__(self):
-        p = as_vector(self.point)
+        p = as_vector(self.point, name="affine_subspace point")
         b = np.asarray(self.basis, dtype=float).reshape(-1, p.size)
+        if not np.isfinite(b).all():
+            raise ValueError(f"affine_subspace basis has non-finite coordinates: {b.tolist()}")
         if b.size and not np.allclose(b @ b.T, np.eye(b.shape[0]), atol=1e-9):
             raise ValueError("affine basis must be orthonormal")
         object.__setattr__(self, "point", p)
@@ -267,7 +270,7 @@ class Ball(_ConvexSet):
     radius: float
 
     def __post_init__(self):
-        c = as_vector(self.center)
+        c = as_vector(self.center, name="ball center")
         r = _finite_scalar(self.radius, "ball radius")
         if r < 0:
             raise ValueError("ball radius must be >= 0")
@@ -308,8 +311,8 @@ class Box(_ConvexSet):
     hi: Vector
 
     def __post_init__(self):
-        lo = as_vector(self.lo)
-        hi = as_vector(self.hi, lo.size)
+        lo = as_vector(self.lo, name="box lo")
+        hi = as_vector(self.hi, lo.size, "box hi")
         if np.any(lo > hi):
             raise ValueError("box needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -339,7 +342,10 @@ class WholeSpace(_ConvexSet):
     space_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "space_dim", int(self.space_dim))
+        d = self.space_dim
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise ValueError(f"whole_space dim must be an integer >= 1, got {d!r}")
+        object.__setattr__(self, "space_dim", int(d))
 
     @property
     def dim(self) -> int:
@@ -372,7 +378,7 @@ class Sphere(SetSpec):
     radius: float
 
     def __post_init__(self):
-        c = as_vector(self.center)
+        c = as_vector(self.center, name="sphere center")
         r = _finite_scalar(self.radius, "sphere radius")
         if r <= 0:
             raise ValueError("sphere radius must be > 0")
@@ -443,8 +449,8 @@ class LinearPiece:
     end: Vector
 
     def __post_init__(self):
-        object.__setattr__(self, "start", as_vector(self.start, 2))
-        object.__setattr__(self, "end", as_vector(self.end, 2))
+        object.__setattr__(self, "start", as_vector(self.start, 2, "linear piece start"))
+        object.__setattr__(self, "end", as_vector(self.end, 2, "linear piece end"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -638,7 +644,7 @@ class SetUnion(SetSpec):
         return self.members[0].dim
 
     def _nearest_members(self, x) -> list[SetSpec]:
-        dists = [distance(m, x) for m in self.members]
+        dists = [m._distance(x) for m in self.members]
         dmin = min(dists)
         return [m for m, d in zip(self.members, dists) if d <= dmin + TIE_TOL]
 
@@ -646,7 +652,7 @@ class SetUnion(SetSpec):
         return [p for m in self._nearest_members(x) for p in m._candidates(x)]
 
     def _distance(self, x):
-        return min(distance(m, x) for m in self.members)
+        return min(m._distance(x) for m in self.members)
 
     def _distance_many(self, Y):
         return np.min([m._distance_many(Y) for m in self.members], axis=0)
@@ -724,19 +730,23 @@ def sample_on_set(
 
     Ambient ball samples are projected onto the set; with an affine
     constraint a few alternating projections land the point in both sets.
-    Samples whose projection escapes the ball are dropped.
+    Samples whose projection escapes the ball are dropped.  The center is
+    checked once; the points are then projected by the variant kernels.
     """
     center = _check_dim(s, center)
+    affine = lam is not None and not isinstance(lam, WholeSpace)
+    if affine:
+        _check_dim(lam, center)  # lam and s share the dimension
     out = []
     for i in range(count):
-        p = project_one(s, ball_point(center, radius, seed, i))
-        if lam is not None and not isinstance(lam, WholeSpace):
+        p = s._project(ball_point(center, radius, seed, i))
+        if affine:
             for _ in range(40):
-                q = project_one(lam, p)
-                p = project_one(s, q)
+                q = lam._project(p)
+                p = s._project(q)
                 if norm(p - q) <= 1e-12:
                     break
-            if distance(lam, p) > 1e-9:
+            if lam._distance(p) > 1e-9:
                 continue
         if norm(p - center) <= radius + 1e-12:
             out.append(p)
@@ -772,15 +782,26 @@ def ascend(
 
     ``feasible(Y)`` maps each row of an (m, d) array of trial points into the
     admissible region and returns ``(Y', ok)``, with ``ok`` marking the rows
-    it admits; ``score(Y)`` scores each row.  One call covers every active
-    start, but rows never interact: each keeps its own best point and step,
-    polls the directions in a fixed order from its current point (moving on
-    the first trial that beats its best by 1e-15), halves its step after a
-    round without a move and stops below ``floor`` or after ``max_rounds``.
-    A start therefore ends where it would alone, so per-sample polishing
-    keeps nested-sample estimates monotone under refinement.  Returns the
-    best score of each row and the point attaining it (-inf and the start
-    for an inadmissible start).
+    it admits; ``score(Y)`` scores each row.  Rows never interact: each
+    keeps its own best point and step, polls the directions in a fixed order
+    from its current point (moving on the first trial that beats its best by
+    1e-15, then polling the remaining directions from there), halves its
+    step after a round without a move and stops below ``floor`` or after
+    ``max_rounds``.  A start therefore ends where it would alone, so
+    per-sample polishing keeps nested-sample estimates monotone under
+    refinement.
+
+    The poll is evaluated speculatively (the opportunistic coordinate poll
+    of pattern search, Torczon, SIAM J. Optim. 1997): each pass of a round
+    makes one ``feasible`` and one ``score`` call on every untried direction
+    of every row still polling, all from the row's current point.  A row
+    takes its first improving trial, which is the one the sequential poll
+    takes, since the trials before it start from the same point and fail;
+    it polls its remaining directions from the new point in the next pass,
+    and a row without an improving trial ends its round.  A round thus costs
+    1 + (moves) calls instead of one per direction, with the same steps.
+    Returns the best score of each row and the point attaining it (-inf and
+    the start for an inadmissible start).
     """
     X0 = as_points(X0)
     m = len(X0)
@@ -792,27 +813,32 @@ def ascend(
     steps = np.full(m, float(step))
     active = ok.copy()
     dirs = _polish_directions(X0.shape[1])
+    n_dirs = len(dirs)
     for _ in range(max_rounds):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        improved = np.zeros(m, dtype=bool)
-        moves = steps[rows, None, None] * dirs
-        for j in range(len(dirs)):
-            Y, ok = feasible(X[rows] + moves[:, j])
-            at = rows
-            if not ok.all():
-                at, Y = rows[ok], Y[ok]
-                if at.size == 0:
-                    continue
-            s = score(Y)
-            up = s > best[at] + 1e-15
-            if up.any():
-                at = at[up]
-                X[at] = Y[up]
-                best[at] = s[up]
-                improved[at] = True
-        halved = rows[~improved[rows]]
+        first = np.zeros(m, dtype=int)  # each row's first untried direction
+        pending = rows
+        while pending.size:
+            # trials row by row, each row's untried directions in order
+            r, j = np.nonzero(np.arange(n_dirs) >= first[pending, None])
+            at = pending[r]
+            Y, ok = feasible(X[at] + steps[at, None] * dirs[j])
+            s = np.full(at.size, -math.inf)
+            if ok.any():
+                s[ok] = score(Y[ok])
+            hits = np.flatnonzero(s > best[at] + 1e-15)
+            if hits.size == 0:
+                break
+            # the first improving trial of each row (trials are grouped by row)
+            hits = hits[np.r_[True, at[hits[1:]] != at[hits[:-1]]]]
+            moved = at[hits]
+            X[moved] = Y[hits]
+            best[moved] = s[hits]
+            first[moved] = j[hits] + 1
+            pending = moved[first[moved] < n_dirs]
+        halved = rows[first[rows] == 0]  # no move this round
         steps[halved] *= 0.5
         active[halved[steps[halved] < floor]] = False
     return best, X
@@ -831,12 +857,16 @@ def pattern_polish(
     and the point attaining it.
     """
 
-    def feasible_row(Y):
-        y = feasible(Y[0])
-        return (Y if y is None else y[None, :]), np.array([y is not None])
+    def feasible_rows(Y):
+        ys = [feasible(y) for y in Y]
+        ok = np.array([y is not None for y in ys], dtype=bool)
+        return np.array([t if y is None else y for y, t in zip(ys, Y)]).reshape(Y.shape), ok
+
+    def score_rows(Y):
+        return np.array([score(y) for y in Y], dtype=float)
 
     best, X = ascend(np.asarray(x0, dtype=float)[None, :],
-                     lambda Y: np.array([score(Y[0])]), feasible_row, step, max_rounds, floor)
+                     score_rows, feasible_rows, step, max_rounds, floor)
     return float(best[0]), X[0]
 
 

@@ -78,15 +78,15 @@ def _intersection_distance(
     refine_op: engine.OperatorSpec | None = None,
 ) -> np.ndarray:
     """Distance of each row of X to a target made by ``as_target``.  With
-    refine_op, a probe (never an exact set) is sharpened row by row by running
-    the iteration from the row to high precision: the limit lies in the set
-    the probe samples, so its distance is a valid upper bound."""
+    refine_op, a probe (never an exact set) is sharpened by running the
+    iteration from every row to high precision, all rows in lockstep: a
+    row's limit lies in the set the probe samples, so its distance is a valid
+    upper bound."""
     d = target._distance_many(X)
     if refine_op is not None and isinstance(target, FinitePointSet):
-        for i, x in enumerate(X):
-            y = engine.settle(refine_op, x, 1e-13, 400)
-            if engine.residual_map(refine_op, y) <= 1e-10:
-                d[i] = min(d[i], norm(x - y))
+        Y = engine.settle_many(refine_op, X, 1e-13, 400)
+        at = engine.residual_map_many(refine_op, Y) <= 1e-10
+        d[at] = np.minimum(d[at], row_norms(X[at] - Y[at]))
     return d
 
 

@@ -201,6 +201,10 @@ def _as_builtin(obj: dict, name: str) -> dict:
         (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [0.0],
                                "pieces": [[0, 0, 0], [1, -math.inf, 0]]}),
          "scenario key 'B': epigraph pieces must be finite, got [[0.0, 0.0, 0.0], [1.0, -inf, 0.0]]"),
+        (lambda o: o.update(B={"variant": "box", "lo": [math.nan, 0], "hi": [1, 1]}),
+         "scenario key 'B': box lo has non-finite coordinates"),
+        (lambda o: o.update(**{"lambda": {"variant": "whole_space", "dim": 2.7}}),
+         "scenario key 'lambda': whole_space dim must be an integer >= 1, got 2.7"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -213,7 +217,7 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "iterations_to_solve_negative", "solution_dimension", "intersection_point_type",
          "stuck_points_type", "stuck_points_dimension", "convex_type", "convex_not_convex",
          "extendible_c_sequence", "parabolic_a_nan", "parabolic_c_inf", "epigraph_breakpoint_nan",
-         "epigraph_breakpoint_inf", "epigraph_piece_inf"],
+         "epigraph_breakpoint_inf", "epigraph_piece_inf", "box_lo_nan", "whole_space_dim_float"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))

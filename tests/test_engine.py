@@ -18,7 +18,7 @@ from fixpoint.engine import (
     iterates,
     residual_map,
     run,
-    settle,
+    settle_many,
     trace_to_json_text,
 )
 from fixpoint.geometry import (
@@ -28,6 +28,7 @@ from fixpoint.geometry import (
     distance,
     norm,
     project_one,
+    sample_ball,
 )
 from fixpoint.scenarios import build, line_through_origin, random_convex_pair
 
@@ -138,12 +139,69 @@ def test_iterates_stops_after_the_first_short_step():
     assert [r for _, r in steps] == [0.5, 0.25, 0.125]
     assert [float(x[0]) for x, _ in steps] == [0.5, 0.25, 0.125]
     assert len(list(iterates(lambda x: x / 2, np.array([1.0]), 0.0, 4))) == 4
+
+
+class CountingOperator:
+    """An operator's batched image that records how many rows each call takes."""
+
+    def __init__(self, op):
+        self.op, self.sizes = op, []
+
+    def _image_many(self, X):
+        self.sizes.append(len(X))
+        return self.op._image_many(X)
+
+
+def settle_cases():
+    pair = random_convex_pair(3, 3, "box_affine")
+    two = build("two_lines_pi3")
+    saw = build("sawtooth")
+    return [
+        (AlternatingProjections(two.A, two.B), sample_ball(two.base_point, 0.5, 6, seed=1)),
+        (DouglasRachford(two.A, two.B), sample_ball(two.base_point, 0.5, 6, seed=2)),
+        (AlternatingProjections(pair.A, pair.B), sample_ball(pair.base_point, 0.5, 6, seed=3)),
+        (DouglasRachford(pair.A, pair.B), sample_ball(pair.base_point, 0.5, 6, seed=4)),
+        (AlternatingProjections(saw.A, saw.B), sample_ball(saw.base_point, 0.5, 6, seed=5)),
+    ]
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 3, 400])
+def test_settle_many_rows_equal_one_row_calls(max_iter):
+    for op, pts in settle_cases():
+        X = np.array(pts)
+        # a settled row stops after its first step, the others run longer
+        X[0] = settle_many(op, X[:1], 0.0, 400)[0]
+        got = settle_many(op, X, 1e-13, max_iter)
+        for i in range(len(X)):
+            assert np.array_equal(got[i], settle_many(op, X[i : i + 1], 1e-13, max_iter)[0])
+        if max_iter == 0:
+            assert np.array_equal(got, X) and not np.shares_memory(got, X)
+
+
+def test_settle_many_keeps_each_rows_cap_and_stop():
     op = two_lines_op()
-    y = np.array([1.0, 0.0])
+    X = np.array([[1.0, 0.0], [0.0, 0.0]])  # the origin is fixed from the start
+    counting = CountingOperator(op)
+    got = settle_many(counting, X, 1e-13, 4)
+    y = X[:1]
     for _ in range(4):
-        y = apply(op, y)
-    assert np.array_equal(settle(op, np.array([1.0, 0.0]), 1e-13, 4), y)  # the last of max_iter
-    assert np.array_equal(settle(op, y, 1e-13, 0), y)
+        y = op._image_many(y)
+    assert np.array_equal(got[0], y[0])  # the last of max_iter
+    assert np.array_equal(got[1], X[1])
+    assert counting.sizes == [2, 1, 1, 1]  # the origin stops after one zero step
+
+
+@pytest.mark.parametrize(
+    "sc", [build("two_lines_pi3"), random_convex_pair(3, 3, "box_affine")], ids=lambda sc: sc.name
+)
+def test_settle_many_takes_the_scalar_iterations_steps(sc):
+    op = AlternatingProjections(sc.A, sc.B)
+    X = np.array([project_one(sc.A, p) for p in sample_ball(sc.base_point, 0.5, 16, seed=7)])
+    steps = [len(list(iterates(lambda y: apply(op, y), x, 1e-13, 400))) for x in X]
+    counting = CountingOperator(op)
+    settle_many(counting, X, 1e-13, 400)
+    # the k-th lockstep call takes the rows that make more than k steps
+    assert counting.sizes == [sum(n > k for n in steps) for k in range(max(steps))]
 
 
 def test_residual_map_fixed_point_zero():

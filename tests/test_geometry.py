@@ -23,11 +23,13 @@ from fixpoint.geometry import (
     as_points,
     as_target,
     as_vector,
+    ascend,
     distance,
     norm,
     pattern_polish,
     project_all,
     project_one,
+    row_norms,
     sample_ball,
     sample_on_set,
     set_from_json,
@@ -382,9 +384,10 @@ def test_as_target_reads_a_probe_as_its_finite_point_set():
         FinitePointSet([])  # an empty list once made a set of one 0-d point
 
 
-def reference_pattern_polish(x0, score, feasible, step, max_rounds=48, floor=1e-9):
+def reference_pattern_polish(x0, score, feasible, step, max_rounds=48, floor=1e-9, moves=None):
     """The scalar pattern ascent that the lockstep ascent replaced, kept as
-    the reference its one-row call must equal exactly."""
+    the reference it must equal exactly.  ``moves`` collects the number of
+    moves of each round."""
     from fixpoint.geometry import _polish_directions
 
     x = feasible(np.asarray(x0, dtype=float))
@@ -393,7 +396,7 @@ def reference_pattern_polish(x0, score, feasible, step, max_rounds=48, floor=1e-
     best = score(x)
     dirs = _polish_directions(x.size)
     for _ in range(max_rounds):
-        improved = False
+        improved = 0
         for move in step * dirs:
             y = feasible(x + move)
             if y is None:
@@ -401,7 +404,9 @@ def reference_pattern_polish(x0, score, feasible, step, max_rounds=48, floor=1e-
             sy = score(y)
             if sy > best + 1e-15:
                 x, best = y, sy
-                improved = True
+                improved += 1
+        if moves is not None:
+            moves.append(improved)
         if not improved:
             step *= 0.5
             if step < floor:
@@ -426,6 +431,75 @@ def test_pattern_polish_equals_the_scalar_ascent(s):
         best, x = pattern_polish(x0, score, feasible, step=delta / 4)
         ref_best, ref_x = reference_pattern_polish(x0, score, feasible, step=delta / 4)
         assert best == ref_best and np.array_equal(x, ref_x)
+
+
+def batched_polish_maps(s, center, delta, probe):
+    """Row-wise feasible and score maps for :func:`ascend`, and the same maps
+    on one point (each a one-row call) for the scalar reference."""
+
+    def feasible_many(Y):
+        P = s._project_many(Y)
+        return P, row_norms(P - center) <= delta
+
+    def score_many(Y):  # bounded, with kinks, -inf near the probe
+        d = row_norms(Y - probe)
+        return np.where(d < 0.05, -math.inf, np.sin(3.0 * Y[:, 0]) * Y[:, 1] / d + Y[:, 2] ** 2)
+
+    def feasible(y):
+        P, ok = feasible_many(y[None, :])
+        return P[0] if ok[0] else None
+
+    def score(y):
+        return float(score_many(y[None, :])[0])
+
+    return feasible_many, score_many, feasible, score
+
+
+R3_SETS = [Box([-1.0, -1.0, -1.0], [1.0, 0.5, 1.0]), Ball([0.3, 0.0, 0.0], 0.8),
+           Halfspace([1.0, 1.0, -1.0], 0.2)]
+
+
+@pytest.mark.parametrize("s", R3_SETS, ids=lambda s: type(s).__name__)
+def test_ascend_in_r3_equals_the_scalar_ascent_row_by_row(s):
+    # 18 directions; inadmissible starts ride along in the same batch
+    center, delta = np.array([0.4, 0.1, -0.2]), 0.6
+    feasible_many, score_many, feasible, score = batched_polish_maps(
+        s, center, delta, np.array([0.9, -0.3, 0.1]))
+    starts = sample_ball(center, delta, 8, seed=3)
+    starts[2:2] = [np.array([5.0, 5.0, 5.0])]
+    starts.append(np.array([-4.0, 0.0, 3.0]))
+    best, X = ascend(np.array(starts), score_many, feasible_many, step=delta / 4)
+    assert np.isinf(best[2]) and np.array_equal(X[2], starts[2])
+    for i, x0 in enumerate(starts):
+        ref_best, ref_x = reference_pattern_polish(x0, score, feasible, step=delta / 4)
+        assert best[i] == ref_best and np.array_equal(X[i], ref_x)
+
+
+def test_ascend_makes_one_call_per_pass():
+    # a round costs at most 1 + (its moves) score calls, not one per direction
+    center, delta = np.array([0.4, 0.1, -0.2]), 0.6
+    feasible_many, score_many, feasible, score = batched_polish_maps(
+        R3_SETS[0], center, delta, np.array([0.9, -0.3, 0.1]))
+    starts = np.array(sample_ball(center, delta, 6, seed=4))
+    moves = []  # per start, its moves in each round
+    for x0 in starts:
+        moves.append([])
+        reference_pattern_polish(x0, score, feasible, step=delta / 4, moves=moves[-1])
+    calls = []
+    for rounds in range(13):
+        count = [0]
+
+        def counted(Y):
+            count[0] += 1
+            return score_many(Y)
+
+        ascend(starts, counted, feasible_many, step=delta / 4, max_rounds=rounds)
+        calls.append(count[0])
+    assert calls[0] == 1
+    for k in range(1, len(calls)):
+        moved = sum(m[k - 1] for m in moves if len(m) >= k)
+        assert calls[k] - calls[k - 1] <= 1 + moved
+    assert sum(map(sum, moves)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +543,35 @@ def test_as_vector_accepts_overflowing_dot():
 def test_set_scalars_must_be_finite(make, message, value):
     with pytest.raises(ValueError, match=f"{message}, got {value}"):
         make(value)
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [
+        ({"variant": "box", "lo": [math.nan, 0], "hi": [1, 1]}, "box lo"),
+        ({"variant": "box", "lo": [0, 0], "hi": [math.inf, 1]}, "box hi"),
+        ({"variant": "halfspace", "normal": [math.inf, 0], "offset": 0}, "halfspace normal"),
+        ({"variant": "ball", "center": [0, math.nan], "radius": 1}, "ball center"),
+        ({"variant": "sphere", "center": [-math.inf, 0], "radius": 1}, "sphere center"),
+        ({"variant": "affine_subspace", "point": [math.nan, 0], "basis": [[1, 0]]},
+         "affine_subspace point"),
+        ({"variant": "affine_subspace", "point": [0, 0], "basis": [[math.nan, 1]]},
+         "affine_subspace basis"),
+        ({"variant": "piecewise_curve", "pieces": [
+            {"kind": "linear", "start": [math.nan, 0], "end": [1, 1]}]}, "linear piece start"),
+        ({"variant": "piecewise_curve", "pieces": [
+            {"kind": "linear", "start": [0, 0], "end": [1, math.inf]}]}, "linear piece end"),
+    ],
+    ids=["box_lo", "box_hi", "halfspace_normal", "ball_center", "sphere_center",
+         "affine_point", "affine_basis", "linear_start", "linear_end"],
+)
+def test_non_finite_set_vectors_name_their_field(obj, field):
+    with pytest.raises(ValueError, match=f"^{field} has non-finite coordinates"):
+        set_from_json(obj)
+
+
+@pytest.mark.parametrize("dim", [2.7, 2.0, -2, 0, "2", True, None])
+def test_whole_space_dim_is_an_integer_of_at_least_one(dim):
+    with pytest.raises(ValueError, match=f"whole_space dim must be an integer >= 1, got {dim!r}"):
+        set_from_json({"variant": "whole_space", "dim": dim})
+    assert set_from_json({"variant": "whole_space", "dim": 3}).dim == 3
