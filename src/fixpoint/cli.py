@@ -61,7 +61,7 @@ def _resolve_seed(seed: int) -> int:
 
 def _sequence_trace(sc: Scenario) -> Trace:
     """Wrap an explicitly shipped sequence as a trace record."""
-    xs = [np.asarray(p, float) for p in sc.sequence]
+    xs = np.asarray(sc.sequence, dtype=float)
     return Trace.record(xs, sc.A, sc.B, sc.intersection, [math.nan] * len(xs), "sequence",
                         {"operator": "none", "seed_point": [float(t) for t in xs[0]]})
 
@@ -75,13 +75,12 @@ def _run_diagnostics(sc: Scenario, tr: Trace) -> dict:
         mon = diag.check_linear_monotone(tr.x, sc.intersection, dists=tr.dist_target)
         out["monotonicity_c"] = mon.c
         out["monotonicity_degenerate"] = mon.degenerate
-    errs = [norm(p - tr.limit) for p in tr.x]  # shared by the Q- and R-rate
     try:
-        out["q_rate"] = diag.estimate_q_rate(tr.x, limit=tr.limit, errs=errs).c
+        out["q_rate"] = diag.estimate_q_rate(tr.x, limit=tr.limit).c
     except ValueError:
         out["q_rate"] = None
     try:
-        r = diag.estimate_r_rate(tr.x, limit=tr.limit, errs=errs)
+        r = diag.estimate_r_rate(tr.x, limit=tr.limit)
         out["r_rate"] = r.c
         out["r_gamma"] = r.gamma
     except ValueError:
@@ -89,7 +88,7 @@ def _run_diagnostics(sc: Scenario, tr: Trace) -> dict:
     if len(tr.z) >= 4:
         ext = diag.check_linear_extendible(tr.z, 2)
         out["extendible_m2"] = {"holds": ext.holds, "c": ext.c, "gamma": ext.gamma}
-    if sc.convex and tr.b:
+    if sc.convex and len(tr.b):
         rep = diag.check_convex_dichotomy(tr)
         out["dichotomy"] = {"outcome": rep.outcome, "c": rep.c, "bound_holds": rep.bound_holds}
     return out

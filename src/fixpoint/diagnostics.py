@@ -1,9 +1,9 @@
 """Classification of finished iterate sequences.
 
-All checks work on plain point sequences so explicitly constructed sequences
-can be analyzed the same way as recorded traces.  Empirical constants are
-suprema over the recorded indices only; ratios below the floating-point
-floor are excluded from the statistics.
+All checks work on plain point sequences (an (n, d) array or a list of
+points) so explicitly constructed sequences can be analyzed the same way as
+recorded traces.  Empirical constants are suprema over the recorded indices
+only; ratios below the floating-point floor are excluded from the statistics.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ RATIO_FLOOR = 1e-12
 DEFAULT_TOL = 1e-9
 
 
-def _points(seq) -> list[Vector]:
-    return [np.asarray(p, dtype=float) for p in seq]
+def errors(points, limit) -> np.ndarray:
+    """||x_k - limit|| for each point x_k, in one batch: each is rounded as
+    :func:`norm` rounds it (one dot product), so the two agree bit for bit.
+    ``errors(z[1:], z[:-1])`` are the step lengths of a sequence z."""
+    D = np.asarray(points, dtype=float) - np.asarray(limit, dtype=float)
+    return np.sqrt(np.vecdot(D, D))
 
 
 @dataclass
@@ -35,17 +39,13 @@ class FejerReport:
 
 def check_fejer(points, probe: Sequence[Vector], tol: float = DEFAULT_TOL) -> FejerReport:
     """Distances to every probe point must never increase along the sequence."""
-    pts = _points(points)
-    ws = _points(probe)
-    if not ws:
+    if len(probe) == 0:
         raise ValueError("probe must be nonempty")
-    for w in ws:
-        d_prev = norm(pts[0] - w)
-        for k in range(1, len(pts)):
-            d = norm(pts[k] - w)
-            if d > d_prev + tol:
-                return FejerReport(False, k - 1, w)
-            d_prev = d
+    for w in np.asarray(probe, dtype=float):
+        d = errors(points, w)
+        rises = np.flatnonzero(d[1:] > d[:-1] + tol)
+        if rises.size:
+            return FejerReport(False, int(rises[0]), w)
     return FejerReport(True)
 
 
@@ -69,16 +69,19 @@ def check_linear_monotone(
     if len(points) < 2:
         raise ValueError("need at least two points")
     if dists is None:
-        pts = _points(points)
-        target = as_target(omega, pts[0].size, "omega")
-        dists = [target._distance(p) for p in pts]
-    ratios = [
-        dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] >= floor
-    ]
-    if not ratios:
+        X = np.asarray(points, dtype=float)
+        dists = as_target(omega, X.shape[1], "omega")._distance_many(X)
+    ratios = _ratios(np.asarray(dists, dtype=float), floor, np.greater_equal)
+    if not ratios.size:
         return MonotonicityReport(0.0, True, True)
-    c = max(ratios)
+    c = float(ratios.max())
     return MonotonicityReport(c, c <= 1.0, False)
+
+
+def _ratios(d: np.ndarray, floor: float, above=np.greater) -> np.ndarray:
+    """d[k+1] / d[k] at every k whose d[k] is above the floor."""
+    keep = above(d[:-1], floor)
+    return d[1:][keep] / d[:-1][keep]
 
 
 @dataclass
@@ -89,33 +92,25 @@ class RateEstimate:
     limit: Vector
 
 
-def estimate_q_rate(points, limit=None, floor: float = RATE_FLOOR, errs=None) -> RateEstimate:
-    """Worst consecutive error ratio before the floating-point floor.
-    ``errs``, if given, are the errors ||x_k - limit|| already computed."""
+def estimate_q_rate(points, limit=None, floor: float = RATE_FLOOR) -> RateEstimate:
+    """Worst consecutive error ratio before the floating-point floor."""
     if len(points) < 2:
         raise ValueError("trace too short for a Q-rate")
     x_tilde = np.asarray(limit if limit is not None else points[-1], float)
-    if errs is None:
-        errs = [norm(p - x_tilde) for p in _points(points)]
-    ratios = [
-        errs[k + 1] / errs[k]
-        for k in range(len(errs) - 1)
-        if errs[k] > floor
-    ]
-    if not ratios:
+    ratios = _ratios(errors(points, x_tilde), floor)
+    if not ratios.size:
         raise ValueError("no usable ratios above the floor")
-    return RateEstimate("Q", max(ratios), None, x_tilde)
+    return RateEstimate("Q", float(ratios.max()), None, x_tilde)
 
 
-def estimate_r_rate(points, limit=None, floor: float = RATE_FLOOR, errs=None) -> RateEstimate:
+def estimate_r_rate(points, limit=None, floor: float = RATE_FLOOR) -> RateEstimate:
     """Geometric envelope fit: c from a log-linear least squares slope.
 
     gamma is then the smallest constant making ||x_k - limit|| <= gamma c^k
-    hold at every recorded index.  ``errs``, if given, are the errors
-    ||x_k - limit|| already computed.
+    hold at every recorded index.
     """
     x_tilde = np.asarray(limit if limit is not None else points[-1], float)
-    errs = np.array(errs if errs is not None else [norm(p - x_tilde) for p in _points(points)])
+    errs = errors(points, x_tilde)
     window = np.nonzero(errs > floor)[0]
     if window.size < 3:
         raise ValueError("fewer than 3 usable points above the floor")
@@ -127,26 +122,20 @@ def estimate_r_rate(points, limit=None, floor: float = RATE_FLOOR, errs=None) ->
         c = 1e-300
     log_c = math.log(c)
     log_gamma = max(
-        math.log(e) - k * log_c for k, e in enumerate(errs) if e > 0.0
+        math.log(e) - k * log_c for k, e in enumerate(errs.tolist()) if e > 0.0
     )
     return RateEstimate("R", c, float(math.exp(log_gamma)), x_tilde)
 
 
 def verify_r_certificate(points, limit, c: float, gamma: float, tol: float = DEFAULT_TOL) -> bool:
     """Check ||x_k - limit|| <= gamma c^k + tol for every recorded k."""
-    x_tilde = np.asarray(limit, float)
-    return all(
-        norm(np.asarray(p, float) - x_tilde) <= gamma * c**k + tol
-        for k, p in enumerate(points)
-    )
+    return all(e <= gamma * c**k + tol for k, e in enumerate(errors(points, limit).tolist()))
 
 
 def extend_r_certificate(points, limit, c: float, gamma_tail: float, p: int) -> float:
     """Turn an eventual envelope (valid for k >= p) into one valid for all k."""
-    x_tilde = np.asarray(limit, float)
-    cands = [gamma_tail / c**p]
-    cands += [norm(np.asarray(points[k], float) - x_tilde) / c**k for k in range(min(p + 1, len(points)))]
-    return max(cands)
+    head = errors(points[: p + 1], limit).tolist()
+    return max([gamma_tail / c**p] + [e / c**k for k, e in enumerate(head)])
 
 
 @dataclass
@@ -173,28 +162,22 @@ def check_linear_extendible(
     """
     if m < 1:
         raise ValueError("frequency m must be >= 1")
-    zs = _points(z)
+    zs = np.asarray(z, dtype=float)
     if len(zs) < m + 2:
         raise ValueError("joining sequence too short for this frequency")
-    steps = [norm(zs[k + 1] - zs[k]) for k in range(len(zs) - 1)]
-    failing = None
-    for k in range(len(steps) - 1):
-        if steps[k + 1] > steps[k] + tol:
-            failing = k
-            break
-    ratios = []
-    k = 0
-    while m * (k + 1) < len(steps):
-        den = steps[m * k]
-        if den >= floor:
-            ratios.append((k, steps[m * (k + 1)] / den))
-        k += 1
-    c = max((r for _, r in ratios), default=0.0)
+    steps = errors(zs[1:], zs[:-1])
+    rises = np.flatnonzero(steps[1:] > steps[:-1] + tol)
+    failing = int(rises[0]) if rises.size else None
+    # block k compares steps[m (k + 1)] with steps[m k]
+    blocks = steps[: m * ((len(steps) - 1) // m) + 1 : m]
+    ratios = _ratios(blocks, floor, np.greater_equal)
+    c = float(ratios.max()) if ratios.size else 0.0
     holds = failing is None and c < 1.0
-    if not holds and failing is None and ratios:
-        failing = max(ratios, key=lambda t: t[1])[0]
-    gamma = m * steps[0] / (1.0 - c) if c < 1.0 else None
-    return ExtendibilityReport(m, c, holds, failing, gamma, steps[0])
+    if not holds and failing is None and ratios.size:
+        failing = int(np.flatnonzero(blocks[:-1] >= floor)[ratios.argmax()])
+    d0 = float(steps[0])
+    gamma = m * d0 / (1.0 - c) if c < 1.0 else None
+    return ExtendibilityReport(m, c, holds, failing, gamma, d0)
 
 
 @dataclass
@@ -219,12 +202,12 @@ def extract_monotone_subsequence(
     the first k with gamma c^k <= c d, which forces
     dist(x_k, S) <= ||x_k - limit|| <= gamma c^k <= c d.
     """
-    pts = _points(points)
+    pts = np.asarray(points, dtype=float)
     x_tilde = np.asarray(limit, float) if limit is not None else pts[-1]
     if not verify_r_certificate(pts, x_tilde, c, gamma, tol):
         raise ValueError("R-linear certificate (gamma, c) is invalid for this sequence")
     indices = [0]
-    target = as_target(s_probe, pts[0].size, "s_probe")
+    target = as_target(s_probe, pts.shape[1], "s_probe")
     d = target._distance(pts[0])
     k = 1
     while d > floor and k < len(pts):
@@ -244,7 +227,7 @@ def check_subsequence_monotone(
     """Best offset j in {0..n-1} minimizing the constant of (x_{j+nk})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = _points(points)
+    pts = np.asarray(points, dtype=float)
     best = (0, math.inf)
     for j in range(n):
         sub = pts[j::n]
@@ -273,7 +256,7 @@ def check_convex_dichotomy(trace, tol: float = DEFAULT_TOL) -> DichotomyReport:
     or the distances to B obey dist(x_k, B) >= c^k dist(x_0, B) at every
     recorded index, where sqrt(c) = ||x_1 - b_0|| / ||b_0 - x_0||.
     """
-    if not trace.b:
+    if len(trace.b) == 0:
         raise ValueError("dichotomy check needs a projection-pair trace")
     if trace.dist_A[0] <= tol and trace.dist_B[0] <= tol:
         return DichotomyReport("already_solved", None, None, None)

@@ -4,7 +4,7 @@ Operators are evaluated two ways: :func:`apply` uses the deterministic
 projection selection at every stage (what the iteration follows), while
 :func:`candidates` enumerates the full multivalued image so that
 :func:`residual_map` can take the infimum over it.  Each operator class
-implements both as methods on a float vector.
+implements both as methods on a checked float vector.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class AlternatingProjections(_SetPair):
     """T = P_A o P_B."""
 
     def apply(self, x):
-        return project_one(self.A, project_one(self.B, x))
+        return self.A._project(self.B._project(x))
 
     def _image_many(self, X):
         return self.A._project_many(self.B._project_many(X))
@@ -61,8 +61,8 @@ class DouglasRachford(_SetPair):
     """T = (Id + R_A R_B) / 2 with reflectors R_C = 2 P_C - Id."""
 
     def apply(self, x):
-        rb = 2.0 * project_one(self.B, x) - x
-        ra = 2.0 * project_one(self.A, rb) - rb
+        rb = 2.0 * self.B._project(x) - x
+        ra = 2.0 * self.A._project(rb) - rb
         return 0.5 * (x + ra)
 
     def candidates(self, x):
@@ -83,8 +83,9 @@ OperatorSpec = Union[AlternatingProjections, DouglasRachford]
 
 
 def apply(op: OperatorSpec, x) -> Vector:
-    """Single-valued evaluation via the deterministic selection at each stage."""
-    return op.apply(np.asarray(x, dtype=float))
+    """Single-valued evaluation via the deterministic selection at each stage.
+    x is checked here once; ``op.apply`` takes a checked vector."""
+    return op.apply(as_vector(x, op.A.dim))
 
 
 def candidates(op: OperatorSpec, x) -> list[Vector]:
@@ -195,10 +196,11 @@ def _json_list(rows: list[str], depth: int):
 
 @dataclass
 class Trace:
-    """Full iteration record of a fixed-point run."""
+    """Full iteration record of a fixed-point run: x and b as (n, d) arrays
+    (b has no rows where none is recorded), one list of floats per column."""
 
-    x: list
-    b: list
+    x: np.ndarray
+    b: np.ndarray
     dist_A: list
     dist_B: list
     dist_target: list
@@ -211,16 +213,23 @@ class Trace:
     def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=(), steps=None) -> "Trace":
         """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
         any) and their distances to A, B and the target (the last iterate if
-        None).  steps[k] = ||x_{k+1} - x_k|| is computed unless given."""
-        target = as_target(target if target is not None else [xs[-1]], xs[0].size, "target")
+        None), one batched kernel call per column; with b and a convex B,
+        dist_B is ||x_k - b_k||.  steps[k] = ||x_{k+1} - x_k|| is computed
+        unless given."""
+        X = np.array(xs, dtype=float)
+        Bk = np.array(b, dtype=float).reshape(-1, X.shape[1])
+        target = as_target(target if target is not None else X[-1:], X.shape[1], "target")
         if steps is None:
-            steps = [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
+            D = np.diff(X, axis=0)
+            steps = np.sqrt(np.vecdot(D, D)).tolist()  # rounded as norm() rounds each
+        # a nonconvex B's selected b_k may lie up to TIE_TOL beyond its nearest point
+        from_b = len(Bk) > 0 and B.convex
         return cls(
-            x=xs,
-            b=list(b),
-            dist_A=[A._distance(p) for p in xs],
-            dist_B=[B._distance(p) for p in xs],
-            dist_target=[target._distance(p) for p in xs],
+            x=X,
+            b=Bk,
+            dist_A=A._distance_many(X).tolist(),
+            dist_B=(row_norms(Bk - X) if from_b else B._distance_many(X)).tolist(),
+            dist_target=target._distance_many(X).tolist(),
             residual=residual,
             step_norm=[*steps, 0.0],
             stop_reason=stop_reason,
@@ -238,9 +247,10 @@ class Trace:
                      if da <= 1e-12 and db <= 1e-12), None)
 
     @property
-    def z(self) -> list:
-        """The joining sequence x_0, b_0, x_1, b_1, ... (empty without b)."""
-        return [p for pair in zip(self.x, self.b) for p in pair]
+    def z(self) -> np.ndarray:
+        """The joining sequence x_0, b_0, x_1, b_1, ... (no rows without b)."""
+        n = len(self.b)
+        return np.stack((self.x[:n], self.b), axis=1).reshape(2 * n, self.x.shape[1])
 
     def write(self, csv_file=None, json_file=None) -> None:
         """Stream trace.csv and trace.json into open text files.
@@ -252,9 +262,8 @@ class Trace:
         shortest round-trip repr: one string per row of x and of b and per
         block of a column.
         """
-        dim = self.x[0].size
-        x_rows = _reprs(np.asarray(self.x, dtype=float))
-        b_rows = _reprs(np.asarray(self.b, dtype=float))
+        dim = self.x.shape[1]
+        x_rows, b_rows = _reprs(self.x), _reprs(self.b)
         columns = np.array([getattr(self, name) for name in COLUMNS], dtype=float)
         blocks = [_reprs(columns[:, i:i + WRITE_BLOCK]) for i in range(0, len(x_rows), WRITE_BLOCK)]
         if csv_file is not None:
@@ -307,10 +316,11 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     bs: list[Vector] = []
 
     def step(x: Vector) -> Vector:
+        # x0 is checked above, and every iterate is a kernel's output
         if not record_b:
-            return apply(op, x)
-        bs.append(project_one(B, x))  # b_k, reused for x_{k+1} = P_A b_k
-        return project_one(A, bs[-1])
+            return op.apply(x)
+        bs.append(B._project(x))  # b_k, reused for x_{k+1} = P_A b_k
+        return A._project(bs[-1])
 
     xs, residuals = [x0], []
     for x_next, r in iterates(step, x0, cfg.residual_tol, cfg.max_iter):

@@ -47,9 +47,8 @@ def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000):
 
 def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
     """Last index whose error to the limit is above the rounding floor."""
-    lim = trace.limit
-    errs = [norm(p - lim) for p in trace.x]
-    return max((k for k, e in enumerate(errs) if e > floor), default=0)
+    above = np.flatnonzero(diag.errors(trace.x, trace.limit) > floor)
+    return int(above[-1]) if above.size else 0
 
 
 def _convex_corpus(count: int, dims=(2, 3)):
@@ -232,12 +231,10 @@ def criterion_7() -> CriterionResult:
             rhs = norm(pa - pb) ** 2
             if lhs < rhs - 1e-9 * max(1.0, lhs, rhs):
                 bad_ratio += 1
-            # ||PBa-x|| ||PBa-a|| >= ||a-x|| ||PAPBa-PBa|| for a in A, x in A cap B
-            a = x
-            b = project_one(B, a)
-            a_plus = project_one(A, b)
-            lhs2 = norm(b - x_common) * norm(b - a)
-            rhs2 = norm(a - x_common) * norm(a_plus - b)
+            # ||PBa-x|| ||PBa-a|| >= ||a-x|| ||PAPBa-PBa|| for a in A, x in A cap B,
+            # at a = x: PBa is pb and PAPBa is pa
+            lhs2 = norm(pb - x_common) * norm(pb - x)
+            rhs2 = norm(x - x_common) * norm(pa - pb)
             if lhs2 < rhs2 - 1e-9 * max(1.0, lhs2, rhs2):
                 bad_sides += 1
     ok = bad_ratio == 0 and bad_sides == 0
@@ -260,7 +257,7 @@ def criterion_8() -> CriterionResult:
         x_lim = tr.limit
         probe = [x_lim, sc.base_point]
         if rep.outcome == "never_reaches":
-            ds = as_target(probe, x_lim.size, "probe")._distance_many(np.asarray(tr.x))
+            ds = as_target(probe, x_lim.size, "probe")._distance_many(tr.x)
             idx = [k for k, d in enumerate(ds) if 1e-8 <= d <= 0.02]
             if len(idx) < 4:
                 continue

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixpoint.diagnostics import (
+    RATE_FLOOR,
+    ExtendibilityReport,
     check_convex_dichotomy,
     check_fejer,
     check_linear_extendible,
     check_linear_monotone,
     check_subsequence_monotone,
+    errors,
     estimate_q_rate,
     estimate_r_rate,
     extend_r_certificate,
@@ -306,22 +311,77 @@ def test_r_linear_iff_linearly_monotone_on_convex_pairs():
 
 @pytest.mark.parametrize("name", ["two_lines_pi3", "epigraph", "geometric_n2"])
 def test_precomputed_distances_and_errors_change_no_report(name):
-    # a run's dist_target and one shared error array stand in for the
-    # distances and errors the diagnostics would compute themselves
+    # a run's dist_target stands in for the distances the monotonicity check
+    # would compute itself; the rate estimators' batched errors are the
+    # per-point norms, and a list of the points gives the array's estimates
     sc = build(name)
     tr = run(AlternatingProjections(sc.A, sc.B),
              IterationConfig(seed_point=[0.09, 0.03], max_iter=300, target=sc.intersection))
     assert len(tr.x) >= 2
     mon = check_linear_monotone(tr.x, sc.intersection)
     assert check_linear_monotone(tr.x, sc.intersection, dists=tr.dist_target) == mon
-    errs = [norm(p - tr.limit) for p in tr.x]
+    assert errors(tr.x, tr.limit).tolist() == [norm(p - tr.limit) for p in tr.x]
     for estimate in (estimate_q_rate, estimate_r_rate):
         try:
             own = estimate(tr.x, limit=tr.limit)
         except ValueError as e:
             with pytest.raises(ValueError, match=str(e)):
-                estimate(tr.x, limit=tr.limit, errs=errs)
+                estimate(list(tr.x), limit=tr.limit)
             continue
-        shared = estimate(tr.x, limit=tr.limit, errs=errs)
-        assert (shared.kind, shared.c, shared.gamma) == (own.kind, own.c, own.gamma)
-        assert np.array_equal(shared.limit, own.limit)
+        listed = estimate(list(tr.x), limit=tr.limit)
+        assert (listed.kind, listed.c, listed.gamma) == (own.kind, own.c, own.gamma)
+        assert np.array_equal(listed.limit, own.limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3, 8]))
+def test_batched_errors_and_steps_are_the_scalar_norms(data, dim):
+    # the report's rates, the verify window and the extendibility steps are
+    # computed from these batches; they must round as the per-point norm
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=2, max_size=40))
+    xs = [np.array(r) for r in rows]
+    lim = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+    scale = data.draw(st.sampled_from([1.0, 1e-6, 1e-12]))
+    xs = [lim + scale * (p - lim) for p in xs]
+    X = np.array(xs)
+    assert errors(X, lim).tolist() == [norm(p - lim) for p in xs]
+    assert errors(X[1:], X[:-1]).tolist() == [norm(xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
+    # the diagnostics that read them: the Q-rate is the worst scalar ratio,
+    # and the extendibility check sees the scalar steps
+    errs = [norm(p - lim) for p in xs]
+    ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1) if errs[k] > RATE_FLOOR]
+    if ratios:
+        assert estimate_q_rate(X, limit=lim).c == max(ratios)
+    if len(xs) >= 4:
+        assert check_linear_extendible(X, 2) == reference_linear_extendible(xs, 2)
+
+
+def reference_linear_extendible(z, m, tol=1e-9, floor=1e-12):
+    """check_linear_extendible as a loop over the scalar step norms."""
+    steps = [norm(z[k + 1] - z[k]) for k in range(len(z) - 1)]
+    failing = next((k for k in range(len(steps) - 1) if steps[k + 1] > steps[k] + tol), None)
+    ratios = []
+    k = 0
+    while m * (k + 1) < len(steps):
+        if steps[m * k] >= floor:
+            ratios.append((k, steps[m * (k + 1)] / steps[m * k]))
+        k += 1
+    c = max((r for _, r in ratios), default=0.0)
+    holds = failing is None and c < 1.0
+    if not holds and failing is None and ratios:
+        failing = max(ratios, key=lambda t: t[1])[0]
+    gamma = m * steps[0] / (1.0 - c) if c < 1.0 else None
+    return ExtendibilityReport(m, c, holds, failing, gamma, steps[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(6, 40), rate=st.floats(0.3, 1.2),
+       jitter=st.floats(0.0, 0.2), seed=st.integers(0, 2**16))
+def test_extendibility_matches_the_scalar_loop(m, n, rate, jitter, seed):
+    # decaying spirals with jittered rates: holding, failing and contracting cases
+    rng = np.random.default_rng(seed)
+    steps = rate ** np.arange(n) * (1.0 + jitter * rng.uniform(-1, 1, n))
+    angles = rng.uniform(0, 2 * np.pi, n)
+    z = np.cumsum(np.c_[steps * np.cos(angles), steps * np.sin(angles)], axis=0)
+    assert check_linear_extendible(z, m) == reference_linear_extendible(list(z), m)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -22,12 +23,15 @@ from fixpoint.engine import (
     trace_to_json_text,
 )
 from fixpoint.geometry import (
+    AffineSubspace,
     Ball,
+    DimensionMismatch,
     FinitePointSet,
     Halfspace,
     distance,
     norm,
     project_one,
+    row_norms,
     sample_ball,
 )
 from fixpoint.scenarios import build, line_through_origin, random_convex_pair
@@ -52,6 +56,22 @@ def test_apply_ball_pair():
 def test_apply_dr_same_halfspace():
     hs = Halfspace([0, 1], 0.0)
     assert np.allclose(apply(DouglasRachford(hs, hs), [1.0, 1.0]), [1, 0])
+
+
+@pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
+def test_apply_checks_its_point_once_and_then_is_the_method(operator):
+    # the operator methods take checked vectors; the module-level apply checks
+    sc = random_convex_pair(3, 3, "ball_ball")
+    op = operator(sc.A, sc.B)
+    with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+        apply(op, [1.0, 0.0])
+    for bad in ([1.0, math.nan, 0.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply(op, bad)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        x = rng.uniform(-2, 2, size=3)
+        assert np.array_equal(apply(op, x.tolist()), op.apply(x))
 
 
 def test_dr_matches_reflector_composition():
@@ -119,7 +139,7 @@ def test_joining_sequence_is_derived():
     assert "record_joining" not in {f.name for f in dataclasses.fields(IterationConfig)}
     sc = build("two_lines_pi3")
     tr = run(DouglasRachford(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.0], max_iter=5))
-    assert tr.b == [] and tr.z == [] and "z" not in json.loads(trace_to_json_text(tr))
+    assert tr.b.shape == tr.z.shape == (0, 2) and "z" not in json.loads(trace_to_json_text(tr))
 
 
 @pytest.mark.parametrize("max_iter,stop", [(3, "max_iter"), (100_000, "fixed_point")])
@@ -359,16 +379,70 @@ def test_one_iterate_and_dr_traces_have_the_expected_shape():
     assert "NaN" in trace_to_json_text(TRACES["sequence"]())
 
 
+def _ulps_of_x(got, want, X):
+    """|got - want| per row, in units of the last place of ||x_k||."""
+    return np.abs(np.subtract(got, want)) / np.spacing(row_norms(X))
+
+
+def _lines_in_r8(angle=0.2, seed=8):
+    """Two lines through the origin of R^8 at the given angle, and a seed on A:
+    their batched distances differ from the scalar ones in the last bits."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(8)
+    a /= norm(a)
+    w = rng.standard_normal(8)
+    w -= (w @ a) * a
+    w /= norm(w)
+    b = math.cos(angle) * a + math.sin(angle) * w
+    return AffineSubspace(np.zeros(8), [a]), AffineSubspace(np.zeros(8), [b]), a + 0.3 * w
+
+
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
 def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
+    # x, b, residual and step_norm are the loop's own values; each distance
+    # column is one batched kernel call, which rounds within a few ulps of
+    # the scalar kernel (bit for bit for a probe, and for AP's dist_B, which
+    # is read off b_k)
     sc = build("two_lines_pi3")
-    for max_iter in (5, 100_000):
-        tr = run(operator(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.3], max_iter=max_iter))
+    pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines_in_r8()]
+    for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
+        op = operator(A, B)
+        probe = [np.zeros(A.dim), np.full(A.dim, 0.1)]
+        tr = run(op, IterationConfig(seed_point=seed, max_iter=max_iter, target=probe))
         n = len(tr.x)
+        assert tr.x.shape == (n, A.dim) and tr.x.dtype == float
+        xs, x = [], project_one(A, seed)
+        for _ in range(n):
+            xs.append(x)
+            x = apply(op, x)
+        assert np.array_equal(tr.x, xs)
         assert tr.step_norm[:-1] == tr.residual[:n - 1] and tr.step_norm[-1] == 0.0
         assert tr.step_norm[:-1] == [norm(tr.x[k + 1] - tr.x[k]) for k in range(n - 1)]
-        assert tr.dist_A == [distance(sc.A, p) for p in tr.x]
-        assert tr.dist_B == [distance(sc.B, p) for p in tr.x]
+        assert tr.residual == [norm(apply(op, p) - p) for p in tr.x]
+        assert tr.dist_target == [FinitePointSet(probe)._distance(p) for p in tr.x]
+        assert tr.dist_A == A._distance_many(tr.x).tolist()
+        assert _ulps_of_x(tr.dist_A, [distance(A, p) for p in tr.x], tr.x).max() <= 4
+        if operator is AlternatingProjections:
+            assert np.array_equal(tr.b, [project_one(B, p) for p in tr.x])
+            # B is affine: ||x_k - b_k|| is the scalar kernel's own formula
+            assert tr.dist_B == [math.sqrt(np.add.reduce((b - p) * (b - p)))
+                                 for p, b in zip(tr.x, tr.b)]
+            assert tr.dist_B == [distance(B, p) for p in tr.x]
+        else:
+            assert tr.b.shape == (0, A.dim)
+            assert tr.dist_B == B._distance_many(tr.x).tolist()
+            assert _ulps_of_x(tr.dist_B, [distance(B, p) for p in tr.x], tr.x).max() <= 4
+
+
+def test_ap_dist_B_is_the_distance_at_a_nonconvex_near_tie():
+    # x_0 = 0 lies in B, but B's selected projection of it is the
+    # lexicographically smaller point 1e-10 away: dist_B is the distance
+    A = line_through_origin(0.0)
+    B = FinitePointSet([[0.0, 0.0], [-1e-10, 0.0]])
+    tr = run(AlternatingProjections(A, B), IterationConfig(seed_point=[0.0, 0.0]))
+    assert norm(tr.b[0] - tr.x[0]) == 1e-10
+    assert tr.dist_B == [distance(B, p) for p in tr.x] and tr.dist_B[0] == 0.0
+    assert tr.solved_at == 0
 
 
 def test_iteration_config_validation():
