@@ -573,14 +573,15 @@ class Epigraph(SetSpec):
 
     ``breakpoints`` splits the real line into len(breakpoints)+1 intervals;
     ``pieces[i]`` holds quadratic coefficients (a, b, c) with
-    f(t) = a t^2 + b t + c on the i-th interval.
+    f(t) = a t^2 + b t + c on the i-th interval.  The set is convex exactly
+    when f is: every ``a >= 0``, no jump, and one-sided slopes that do not
+    decrease at any breakpoint.
     """
 
     variant = "epigraph"
 
     breakpoints: Vector
     pieces: np.ndarray  # shape (len(breakpoints)+1, 3)
-    convex: bool = True
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
@@ -594,7 +595,6 @@ class Epigraph(SetSpec):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pc)
-        object.__setattr__(self, "convex", bool(self.convex))
         # boundary: an arc per interval, then vertical segments where f jumps
         arcs: list[CurvePiece] = []
         for i, (a, b, c) in enumerate(pc):
@@ -606,6 +606,10 @@ class Epigraph(SetSpec):
             if abs(v0 - v1) > 1e-15:
                 arcs.append(LinearPiece((t, min(v0, v1)), (t, max(v0, v1))))
         object.__setattr__(self, "_boundary", PiecewiseCurve(tuple(arcs)))
+        # f's slopes at each breakpoint from the left and from the right
+        left, right = (2.0 * pc[s, 0] * bp + pc[s, 1] for s in (slice(-1), slice(1, None)))
+        object.__setattr__(self, "convex", bool(
+            np.all(pc[:, 0] >= 0) and len(arcs) == len(pc) and np.all(left <= right)))
 
     @property
     def dim(self) -> int:
@@ -659,6 +663,11 @@ class SetUnion(SetSpec):
 
 
 Lambda = Union[WholeSpace, AffineSubspace]
+
+
+def as_constraint(lam: Lambda | None) -> Lambda | None:
+    """A constraint as the samplers read it: a whole-space lam is None."""
+    return None if isinstance(lam, WholeSpace) else lam
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +743,13 @@ def sample_on_set(
     checked once; the points are then projected by the variant kernels.
     """
     center = _check_dim(s, center)
-    affine = lam is not None and not isinstance(lam, WholeSpace)
-    if affine:
+    lam = as_constraint(lam)
+    if lam is not None:
         _check_dim(lam, center)  # lam and s share the dimension
     out = []
     for i in range(count):
         p = s._project(ball_point(center, radius, seed, i))
-        if affine:
+        if lam is not None:
             for _ in range(40):
                 q = lam._project(p)
                 p = s._project(q)

@@ -4,6 +4,15 @@ Every estimator reports a supremum over a seeded, certified sample and is a
 lower bound on the true constant (up to the quality of the intersection
 probe); doubling the sample count never decreases a value because samples
 are drawn from per-index streams and polished independently.
+
+The sampled estimators share one skeleton, :func:`_sup_estimate`.  A
+:class:`_Region` (points of a set and of a constraint lam within delta of a
+center) gives both the seeded sample and the pattern ascent's map into the
+region.  The skeleton scores a ratio of each point's distance to a target,
+plain during the ascent and, with ``refine_numerator``, refined on every
+sample and endpoint.  Each estimator is only its ratio and its region.  A
+whole-space lam constrains nothing: it is read as None, and an estimate
+reports it as None.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from .geometry import (
     Lambda,
     SetSpec,
     Target,
-    WholeSpace,
+    Vector,
+    as_constraint,
     as_target,
     as_vector,
     ascend,
@@ -119,85 +129,70 @@ def check_sampling(delta: float, samples: int) -> None:
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
 
 
-def _region(
-    center: Vector,
-    delta: float,
-    samples: int,
-    seed: int,
-    on_set: SetSpec | None = None,
-    lam: Lambda | None = None,
-) -> list[Vector]:
-    """The seeded sample: points of on_set (and lam) within delta of center,
-    ball points projected onto lam that stay within delta, or ball points."""
-    check_sampling(delta, samples)
-    if on_set is not None:
-        return sample_on_set(on_set, center, delta, samples, seed, lam)
-    pts = sample_ball(center, delta, samples, seed)
-    if lam is None or isinstance(lam, WholeSpace):
-        return pts
-    pts = [project_one(lam, p) for p in pts]
-    return [p for p in pts if norm(p - center) <= delta]
+class _Region:
+    """Points of ``on_set`` and of ``lam`` within ``delta`` of ``center``; a
+    set left None, or a whole-space lam, constrains nothing.  The seeded
+    sample and the ascent's map into the region both come from this one
+    description."""
 
+    def __init__(self, center: Vector, delta: float, on_set: SetSpec | None = None,
+                 lam: Lambda | None = None):
+        self.center, self.delta, self.lam = center, delta, as_constraint(lam)
+        # points are projected onto on_set (onto lam without one), and lam
+        # beside on_set is a membership test
+        self.onto, self.within = (self.lam, None) if on_set is None else (on_set, self.lam)
 
-#: a batched ratio: one value per row of an (m, d) array of points
-Ratio = Callable[[np.ndarray], np.ndarray]
-#: a batched map into a region: (mapped rows, which rows it admits)
-Feasible = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    def sample(self, samples: int, seed: int) -> list[Vector]:
+        """The seeded sample: ball points, projected into the region."""
+        check_sampling(self.delta, samples)
+        if self.onto is None:
+            return sample_ball(self.center, self.delta, samples, seed)
+        return sample_on_set(self.onto, self.center, self.delta, samples, seed, self.within)
 
-
-def _feasible(
-    center: Vector,
-    delta: float,
-    project: SetSpec | None = None,
-    member: SetSpec | None = None,
-) -> Feasible:
-    """The polish's map into the region, row by row: project onto
-    ``project``, reject points off ``member``, and keep only points within
-    delta of center.  A whole-space lam may be passed as either; it changes
-    no point."""
-
-    def feasible(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if project is not None:
-            Y = project._project_many(Y)
-        ok = row_norms(Y - center) <= delta
-        if member is not None:
-            ok &= member._distance_many(Y) <= 1e-9
+    def feasible(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ascent's map into the region: (mapped rows, which rows it admits)."""
+        if self.onto is not None:
+            Y = self.onto._project_many(Y)
+        ok = row_norms(Y - self.center) <= self.delta
+        if self.within is not None:
+            ok &= self.within._distance_many(Y) <= 1e-9
         return Y, ok
 
-    return feasible
+
+#: a batched ratio: one value per row of an (m, d) array of points, given the
+#: distance of each row to the estimator's target
+Ratio = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _sup_estimate(
-    kind: str,
-    pts: list[Vector],
-    ratio: Ratio,
-    feasible: Feasible,
-    center: Vector,
-    delta: float,
-    lam: Lambda | None,
-    samples: int,
-    seed: int,
-    final_ratio: Ratio | None = None,
-    polish_starts: int = POLISH_STARTS,
+    kind: str, region: _Region, pts: list[Vector], ratio: Ratio, target: SetSpec,
+    op: engine.OperatorSpec, samples: int, seed: int,
+    refine_numerator: bool = False, polish_starts: int = POLISH_STARTS,
 ) -> RegularityEstimate:
-    """Max of the (final) ratio over samples and polished pattern-ascent
-    endpoints, with its certificate.  The samples among the first
-    ``polish_starts`` with a finite value are polished together in one
-    :func:`ascend`, each depending only on its own start.  The ascent climbs
-    the cheap ``ratio``; a sharper ``final_ratio`` scores every sample and
-    polished endpoint, so expensive refinement runs once per point instead of
-    once per step.  A +inf sample decides the supremum, so then no start is
-    polished.  sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags
-    only an all-fixed-point sample (reported as 0); sigma raises on no
-    usable one."""
-    final = final_ratio if final_ratio is not None else ratio
+    """Max of ``ratio(X, dist(X, target))`` over the points pts of the region
+    and polished pattern-ascent endpoints, with its certificate.  The samples
+    among the first ``polish_starts`` with a finite value are polished
+    together in one :func:`ascend`, each depending only on its own start.
+    The ascent climbs the plain ratio; with ``refine_numerator``, ``op``
+    refines the distance to the target (:func:`_intersection_distance`) of
+    every sample and polished endpoint, once per point instead of once per
+    step.  A +inf sample decides the supremum, so then no start is polished.
+    sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags only an
+    all-fixed-point sample (reported as 0); sigma raises on no usable one."""
+
+    def scored(refine_op):
+        return lambda X: ratio(X, _intersection_distance(X, target, refine_op))
+
+    plain = scored(None)
+    final = scored(op) if refine_numerator else plain
+    center, delta = region.center, region.delta
     P = np.array(pts, dtype=float).reshape(len(pts), center.size)
     vals = final(P)
     best = float(np.max(vals, initial=-math.inf))
     if best < math.inf:
         starts = np.flatnonzero(np.isfinite(vals[:polish_starts]))
         if starts.size:
-            cheap, Q = ascend(P[starts], ratio, feasible, step=delta / 4)
+            cheap, Q = ascend(P[starts], plain, region.feasible, step=delta / 4)
             Q = Q[np.isfinite(cheap)]
             best = max(best, float(np.max(final(Q), initial=-math.inf)))
     if kind == "sigma":
@@ -209,7 +204,15 @@ def _sup_estimate(
     else:
         value, degenerate = max(best, 0.0), best <= 0.0
     certificate = SampleCertificate(seed, samples, _nominal_spacing(delta, samples, center.size))
-    return RegularityEstimate(kind, value, center, delta, lam, certificate, degenerate)
+    return RegularityEstimate(kind, value, center, delta, region.lam, certificate, degenerate)
+
+
+def _common_point(A: SetSpec, B: SetSpec, base_point, intersection: Target | None):
+    """sr's and sr''s base point, checked to lie in both sets, and their target."""
+    x_bar = as_vector(base_point, A.dim)
+    if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
+        raise ValueError("base point must lie in both sets")
+    return x_bar, as_target(intersection, A.dim, "intersection probe")
 
 
 def estimate_sr_prime(
@@ -230,27 +233,15 @@ def estimate_sr_prime(
         dist(x, A cap B) / dist(x, B),
     skipping points where both distances vanish (those contribute 0).
     """
-    x_bar = as_vector(base_point, A.dim)
-    if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
-        raise ValueError("base point must lie in both sets")
-    intersection = as_target(intersection, A.dim, "intersection probe")
-    refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
+    x_bar, intersection = _common_point(A, B, base_point, intersection)
+    region = _Region(x_bar, delta, on_set=A, lam=lam)
 
-    def make_ratio(op):
-        def ratio(X: np.ndarray) -> np.ndarray:
-            return _feasibility_ratio(_intersection_distance(X, intersection, op),
-                                      B._distance_many(X))
-        return ratio
+    def ratio(X: np.ndarray, dn: np.ndarray) -> np.ndarray:
+        return _feasibility_ratio(dn, B._distance_many(X))
 
-    return _sup_estimate(
-        "sr_prime",
-        _region(x_bar, delta, samples, seed, on_set=A, lam=lam),
-        make_ratio(None),
-        _feasible(x_bar, delta, project=A, member=lam),
-        x_bar, delta, lam, samples, seed,
-        final_ratio=make_ratio(refine_op) if refine_numerator else None,
-        polish_starts=polish_starts,
-    )
+    return _sup_estimate("sr_prime", region, region.sample(samples, seed), ratio, intersection,
+                         engine.AlternatingProjections(A, B), samples, seed,
+                         refine_numerator, polish_starts)
 
 
 def estimate_sr(
@@ -267,27 +258,15 @@ def estimate_sr(
 ) -> RegularityEstimate:
     """Two-sided feasibility modulus: ambient samples, max of both distances
     in the denominator."""
-    x_bar = as_vector(base_point, A.dim)
-    if distance(A, x_bar) > 1e-6 or distance(B, x_bar) > 1e-6:
-        raise ValueError("base point must lie in both sets")
-    intersection = as_target(intersection, A.dim, "intersection probe")
-    refine_op = engine.AlternatingProjections(A, B) if refine_numerator else None
+    x_bar, intersection = _common_point(A, B, base_point, intersection)
+    region = _Region(x_bar, delta, lam=lam)
 
-    def make_ratio(op):
-        def ratio(X: np.ndarray) -> np.ndarray:
-            return _feasibility_ratio(_intersection_distance(X, intersection, op),
-                                      np.maximum(A._distance_many(X), B._distance_many(X)))
-        return ratio
+    def ratio(X: np.ndarray, dn: np.ndarray) -> np.ndarray:
+        return _feasibility_ratio(dn, np.maximum(A._distance_many(X), B._distance_many(X)))
 
-    return _sup_estimate(
-        "sr",
-        _region(x_bar, delta, samples, seed, lam=lam),
-        make_ratio(None),
-        _feasible(x_bar, delta, project=lam),
-        x_bar, delta, lam, samples, seed,
-        final_ratio=make_ratio(refine_op) if refine_numerator else None,
-        polish_starts=polish_starts,
-    )
+    return _sup_estimate("sr", region, region.sample(samples, seed), ratio, intersection,
+                         engine.AlternatingProjections(A, B), samples, seed,
+                         refine_numerator, polish_starts)
 
 
 def estimate_sigma(
@@ -300,21 +279,15 @@ def estimate_sigma(
 ) -> RegularityEstimate:
     """Coupling constant between the two set distances and the step length
     of the projection pair, sampled on a ball around a common point."""
-    x_bar = as_vector(base_point, A.dim)
+    region = _Region(as_vector(base_point, A.dim), delta)
     op = engine.AlternatingProjections(A, B)
 
-    def ratio(X: np.ndarray) -> np.ndarray:
+    def ratio(X: np.ndarray, d_A: np.ndarray) -> np.ndarray:  # A is the target
         r = engine.residual_map_many(op, X)
-        return _divide(np.hypot(A._distance_many(X), B._distance_many(X)), r,
-                       r > RES_FLOOR, -math.inf)
+        return _divide(np.hypot(d_A, B._distance_many(X)), r, r > RES_FLOOR, -math.inf)
 
-    return _sup_estimate(
-        "sigma",
-        _region(x_bar, delta, samples, seed),
-        ratio,
-        _feasible(x_bar, delta),
-        x_bar, delta, None, samples, seed,
-    )
+    return _sup_estimate("sigma", region, region.sample(samples, seed), ratio, A, op,
+                         samples, seed)
 
 
 def estimate_kappa(
@@ -339,31 +312,21 @@ def estimate_kappa(
     """
     center = as_vector(center, op.A.dim)
     fix_probe = as_target(fix_probe, op.A.dim, "fixed-point probe")
-    refine_op = op if refine_numerator else None
+    region = _Region(center, delta, on_set=on_set, lam=lam)
 
-    def make_ratio(refine):
-        def ratio(X: np.ndarray) -> np.ndarray:
-            r = engine.residual_map_many(op, X)
-            dn = _intersection_distance(X, fix_probe, refine)
-            stuck = np.where(dn > STUCK_DIST_TOL, math.inf, -math.inf)
-            return _divide(dn, r, r > RES_FLOOR, stuck)
-        return ratio
+    def ratio(X: np.ndarray, dn: np.ndarray) -> np.ndarray:
+        r = engine.residual_map_many(op, X)
+        stuck = np.where(dn > STUCK_DIST_TOL, math.inf, -math.inf)
+        return _divide(dn, r, r > RES_FLOOR, stuck)
 
-    pts = _region(center, delta, samples, seed, on_set=on_set, lam=lam)
+    pts = region.sample(samples, seed)
     # the region center is always evaluated, so a grid shrunk onto a stuck
     # point reports the sentinel rather than a large finite ratio
     anchor = project_one(on_set, center) if on_set is not None else center
     if norm(anchor - center) <= delta:
         pts = [anchor] + pts
-    return _sup_estimate(
-        "kappa_msr",
-        pts,
-        make_ratio(None),
-        _feasible(center, delta, project=on_set, member=lam),
-        center, delta, lam, samples, seed,
-        final_ratio=make_ratio(refine_op) if refine_numerator else None,
-        polish_starts=polish_starts,
-    )
+    return _sup_estimate("kappa_msr", region, pts, ratio, fix_probe, op, samples, seed,
+                         refine_numerator, polish_starts)
 
 
 def estimate_violation(
@@ -428,39 +391,6 @@ def predicted_rate_msr(eps: float, alpha: float, kappa: float) -> float | None:
         raise ValueError("negative radicand: inconsistent (eps, alpha, kappa)")
     c = math.sqrt(max(0.0, radicand))
     return None if c >= 1.0 else c
-
-
-@dataclass(frozen=True)
-class CpRatePrediction:
-    rate: float | None
-    collapsed: bool = False
-
-
-def _eps_tilde(eps: float) -> float:
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("elemental constants must lie in [0, 1)")
-    return 4.0 * eps * (1.0 + eps) / (1.0 - eps) ** 2
-
-
-def predicted_rate_cp(eps_a: float, eps_b: float, kappa: float, sigma: float) -> CpRatePrediction:
-    """Projection-pair rate from elemental constants and kappa*sigma.
-
-    Returns None when the smallness condition on the inflated constants
-    fails; a negative radicand is reported as rate 0 with the collapsed
-    flag (the bound certifies one-step convergence territory).
-    """
-    ks = kappa * sigma
-    if ks <= 0.0:
-        raise ValueError("kappa * sigma must be positive")
-    ea, eb = _eps_tilde(eps_a), _eps_tilde(eps_b)
-    s = ea + eb + ea * eb
-    bound = 1.0 / (2.0 * ks * ks)
-    if s >= bound:
-        return CpRatePrediction(None)
-    radicand = 1.0 + s - bound
-    if radicand < 0.0:
-        return CpRatePrediction(0.0, collapsed=True)
-    return CpRatePrediction(math.sqrt(radicand))
 
 
 def necessity_bound(kind: str, c: float, n: int | None = None, m: int | None = None) -> float:

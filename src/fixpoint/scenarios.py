@@ -191,7 +191,7 @@ def _geometric(n: int) -> Scenario:
 
 def _epigraph() -> Scenario:
     # f(t) = -t-1 on (-inf, -1], 0 on [-1, 0], t^2 on [0, inf)
-    A = Epigraph([-1.0, 0.0], [[0.0, -1.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], convex=True)
+    A = Epigraph([-1.0, 0.0], [[0.0, -1.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     B = Halfspace([0.0, 1.0], 0.0)
     segment = Box([-1.0, 0.0], [0.0, 0.0])  # A cap B, exactly
     return Scenario(

@@ -35,7 +35,7 @@ from fixpoint.geometry import (
     set_from_json,
     set_to_json,
 )
-from fixpoint.scenarios import sawtooth_graph
+from fixpoint.scenarios import build, sawtooth_graph
 
 
 def segment_sweep_distance(curve_union, x, n=10**6):
@@ -206,7 +206,7 @@ def test_epigraph_membership_and_projection():
     cases = [
         (epi, np.where(ts < -1, -ts - 1, np.where(ts < 0, 0.0, ts * ts)), [],
          ([0.8, 0.1], [0.4, -0.5], [-2.0, -1.0], [2.0, 1.0])),
-        (Epigraph([0.0], [[0, 0, 0], [0, 0, -1]], convex=False), np.where(ts < 0, 0.0, -1.0),
+        (Epigraph([0.0], [[0, 0, 0], [0, 0, -1]]), np.where(ts < 0, 0.0, -1.0),
          [jump_segment], ([-0.3, -0.5], [-0.1, -0.95], [-0.5, -0.2], [0.4, -1.3], [-2.0, -3.0])),
     ]
     for s, fs, extra, queries in cases:
@@ -216,9 +216,25 @@ def test_epigraph_membership_and_projection():
             assert abs(distance(s, x) - ref) <= 1e-6
 
 
+def test_epigraph_convexity_is_read_from_its_pieces():
+    # the built-in's pieces join continuously with slopes -1, 0, 0, 0
+    assert build("epigraph").A.convex
+    assert Epigraph([0.5, 1.0], [[0, 1, 0], [1, 0, 0.25], [0, 2, -0.75]]).convex
+    concave = Epigraph([], [[-1, 0, 0]])  # y >= -t^2
+    assert not concave.convex
+    assert len(project_all(concave, [0.0, -5.0])) == 2
+    assert not Epigraph([0.0], [[0, 0, 0], [0, 0, -1]]).convex  # a downward jump
+    assert not Epigraph([0.0], [[0, 1, 0], [0, -1, 0]]).convex  # continuous, slope falls
+    # convexity is derived, so it is no field of the JSON form
+    obj = set_to_json(Epigraph([0.0], [[0, 0, 0], [1, 0, 0]]))
+    assert "convex" not in obj
+    with pytest.raises(ValueError, match="unknown keys for epigraph"):
+        set_from_json(dict(obj, convex=True))
+
+
 def test_epigraph_jump_uses_vertical_segment():
     # f jumps from 0 down to -1 at t=0: boundary includes the segment
-    epi = Epigraph([0.0], [[0, 0, 0], [0, 0, -1]], convex=False)
+    epi = Epigraph([0.0], [[0, 0, 0], [0, 0, -1]])
     p = project_one(epi, [-0.3, -0.5])
     assert np.allclose(p, [0.0, -0.5])
 
@@ -310,7 +326,7 @@ VARIANTS = [
     Sphere([0.2, 0.1], 0.9),
     FinitePointSet([[0, 0], [1, 1], [2, -1], [0.6, 0.6]]),
     PiecewiseCurve((LinearPiece([-1, 0], [0, 1]), ParabolicPiece(0.5, 0, 1, 0, 2))),
-    Epigraph([0.0], [[0, 0, 0], [0, 0, -1]], convex=False),
+    Epigraph([0.0], [[0, 0, 0], [0, 0, -1]]),
     SetUnion((sawtooth_graph(8), Ball([-1, 1], 0.5))),
 ]
 

@@ -23,8 +23,7 @@ from fixpoint.geometry import (
 )
 from fixpoint.regularity import (
     _feasibility_ratio,
-    _feasible,
-    CpRatePrediction,
+    _Region,
     estimate_kappa,
     estimate_sigma,
     estimate_sr,
@@ -32,7 +31,6 @@ from fixpoint.regularity import (
     estimate_violation,
     global_ratio_growth,
     necessity_bound,
-    predicted_rate_cp,
     predicted_rate_msr,
     verify_bracket,
 )
@@ -235,17 +233,6 @@ def test_predicted_rate_msr_no_conclusion_and_errors():
         predicted_rate_msr(0.0, 1.5, 1.0)
 
 
-def test_predicted_rate_cp_values():
-    assert predicted_rate_cp(0.0, 0.0, 1.0, 1.0) == CpRatePrediction(math.sqrt(0.5), False)
-    assert predicted_rate_cp(0.0, 0.0, 0.5, 1.0) == CpRatePrediction(0.0, True)
-    # inflated constants: eps=0.1 -> 4*0.1*1.1/0.81 ~ 0.5432, still collapses
-    assert predicted_rate_cp(0.1, 0.0, 0.5, 1.0).collapsed
-    # smallness condition fails -> no conclusion
-    assert predicted_rate_cp(0.5, 0.0, 1.0, 1.0).rate is None
-    with pytest.raises(ValueError):
-        predicted_rate_cp(1.0, 0.0, 1.0, 1.0)
-
-
 def test_necessity_bounds():
     assert necessity_bound("msr", 0.25) == pytest.approx(4.0 / 3.0)
     assert necessity_bound("monotone_subsequence", 0.0, n=1) == pytest.approx(2.0)
@@ -280,6 +267,17 @@ def test_bracket_mismatched_certificates_rejected():
     sr = estimate_sr(PI3.A, PI3.B, [0, 0], 0.4, intersection=ORIGIN, samples=32, seed=7)
     with pytest.raises(ValueError):
         verify_bracket(sr, srp)
+
+
+def test_bracket_accepts_a_whole_space_lam_beside_none():
+    # a whole-space lam constrains nothing, so it certifies the same region as None
+    kw = dict(intersection=ORIGIN, samples=32, seed=7)
+    sr = estimate_sr(PI3.A, PI3.B, [0, 0], 0.5, lam=WholeSpace(2), **kw)
+    srp = estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, **kw)
+    assert verify_bracket(sr, srp)
+    sr = estimate_sr(PI3.A, PI3.B, [0, 0], 0.5, **kw)
+    srp = estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, lam=WholeSpace(2), **kw)
+    assert verify_bracket(sr, srp)
 
 
 def test_bracket_property_on_random_pairs():
@@ -360,7 +358,7 @@ def test_polish_of_a_start_ignores_the_other_starts(sc):
     # the lockstep ascent must end each start where that start ends alone, so
     # nested samples keep giving nested (monotone) estimates
     delta = 0.3
-    feasible = _feasible(sc.base_point, delta, project=sc.A)
+    feasible = _Region(sc.base_point, delta, on_set=sc.A).feasible
     probe = as_target(sc.intersection, sc.A.dim, "intersection")
 
     def ratio(X):
@@ -371,6 +369,20 @@ def test_polish_of_a_start_ignores_the_other_starts(sc):
     for i in range(len(P)):
         b1, X1 = ascend(P[i : i + 1], ratio, feasible, step=delta / 4)
         assert np.array_equal(b1, best[i : i + 1]) and np.array_equal(X1[0], X[i])
+
+
+def test_region_projects_onto_lam_only_without_on_set():
+    # the sample and the ascent read one region: without on_set a trial point
+    # is projected onto lam, beside on_set lam only admits points
+    from fixpoint.geometry import AffineSubspace
+
+    lam = AffineSubspace([0.0, 0.0], [[0.6, 0.8]])
+    trial = np.array([[0.5, 0.0]])
+    Y, ok = _Region(np.zeros(2), 1.0, lam=lam).feasible(trial)
+    assert ok.all() and np.allclose(Y, [[0.18, 0.24]], atol=1e-15)
+    Y, ok = _Region(np.zeros(2), 1.0, on_set=WholeSpace(2), lam=lam).feasible(trial)
+    assert not ok.any() and np.array_equal(Y, trial)
+    assert all(lam._distance(p) <= 1e-12 for p in _Region(np.zeros(2), 1.0, lam=lam).sample(8, 0))
 
 
 @pytest.mark.parametrize("op_cls", [AlternatingProjections, DouglasRachford])
@@ -438,6 +450,30 @@ def test_estimates_restricted_to_affine_constraint():
     assert abs(kap.value - 4.0 / 3.0) <= 1e-6
 
 
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("i", range(4))
+def test_a_whole_space_lam_is_no_constraint(i, refine):
+    # every estimate with lam=WholeSpace(d) is the lam=None one, bit for bit
+    d = 2 + i % 2
+    sc = random_convex_pair(i, d, ("halfspace_ball", "box_affine", "ball_ball")[i % 3])
+    probe = [sc.base_point]
+    kw = dict(samples=32, seed=20 + i, refine_numerator=refine, polish_starts=6)
+    estimators = {
+        "sr_prime": lambda lam: estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.2, lam=lam,
+                                                  intersection=probe, **kw),
+        "sr": lambda lam: estimate_sr(sc.A, sc.B, sc.base_point, 0.2, lam=lam,
+                                      intersection=probe, **kw),
+        "kappa": lambda lam: estimate_kappa(AlternatingProjections(sc.A, sc.B), probe,
+                                            sc.base_point, 0.3, lam=lam, on_set=sc.A, **kw),
+        "kappa_dr": lambda lam: estimate_kappa(DouglasRachford(sc.A, sc.B), probe,
+                                               sc.base_point, 0.3, lam=lam, **kw),
+    }
+    for name, estimate in estimators.items():
+        free, whole = estimate(None), estimate(WholeSpace(d))
+        assert whole.lam is None and whole.to_json_dict()["lam"] is None, name
+        assert whole.to_json_dict() == free.to_json_dict(), name
+
+
 def test_pointwise_and_global_fail_together_on_epigraph():
     # at the cusp endpoint of the intersection the pointwise modulus blows
     # up, exactly when the global inequality fails on the same region
@@ -469,3 +505,18 @@ def test_extracted_k1_feeds_linear_convergence_bound():
     bound = necessity_bound("linear_convergence", r.c, m=rep.k1)
     srp = estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, intersection=ORIGIN, samples=64, seed=1)
     assert srp.value <= bound + 1e-9
+
+
+def test_public_dataclasses_resolve_their_type_hints():
+    # every annotation names something its module imports
+    import dataclasses
+    import importlib
+    import typing
+
+    modules = [importlib.import_module("fixpoint." + m) for m in
+               ("cli", "diagnostics", "engine", "geometry", "regularity", "scenarios", "verify")]
+    classes = {v for m in modules for k, v in vars(m).items()
+               if not k.startswith("_") and isinstance(v, type) and dataclasses.is_dataclass(v)}
+    assert {"RegularityEstimate", "Scenario", "Epigraph"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        typing.get_type_hints(cls)
