@@ -665,11 +665,6 @@ class SetUnion(SetSpec):
 Lambda = Union[WholeSpace, AffineSubspace]
 
 
-def as_constraint(lam: Lambda | None) -> Lambda | None:
-    """A constraint as the samplers read it: a whole-space lam is None."""
-    return None if isinstance(lam, WholeSpace) else lam
-
-
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -725,41 +720,6 @@ def ball_point(center, radius: float, seed: int, index: int) -> Vector:
 
 def sample_ball(center, radius: float, count: int, seed: int) -> list[Vector]:
     return [ball_point(center, radius, seed, i) for i in range(count)]
-
-
-def sample_on_set(
-    s: SetSpec,
-    center,
-    radius: float,
-    count: int,
-    seed: int,
-    lam: Lambda | None = None,
-) -> list[Vector]:
-    """Points of s (optionally of s ∩ lam) inside the ball B_radius(center).
-
-    Ambient ball samples are projected onto the set; with an affine
-    constraint a few alternating projections land the point in both sets.
-    Samples whose projection escapes the ball are dropped.  The center is
-    checked once; the points are then projected by the variant kernels.
-    """
-    center = _check_dim(s, center)
-    lam = as_constraint(lam)
-    if lam is not None:
-        _check_dim(lam, center)  # lam and s share the dimension
-    out = []
-    for i in range(count):
-        p = s._project(ball_point(center, radius, seed, i))
-        if lam is not None:
-            for _ in range(40):
-                q = lam._project(p)
-                p = s._project(q)
-                if norm(p - q) <= 1e-12:
-                    break
-            if lam._distance(p) > 1e-9:
-                continue
-        if norm(p - center) <= radius + 1e-12:
-            out.append(p)
-    return out
 
 
 _POLISH_DIRS: dict[int, np.ndarray] = {}

@@ -7,12 +7,15 @@ are drawn from per-index streams and polished independently.
 
 The sampled estimators share one skeleton, :func:`_sup_estimate`.  A
 :class:`_Region` (points of a set and of a constraint lam within delta of a
-center) gives both the seeded sample and the pattern ascent's map into the
-region.  The skeleton scores a ratio of each point's distance to a target,
-plain during the ascent and, with ``refine_numerator``, refined on every
-sample and endpoint.  Each estimator is only its ratio and its region.  A
-whole-space lam constrains nothing: it is read as None, and an estimate
-reports it as None.
+center) has one batched map that puts points into it: projections onto the
+set and lam, alternated when both are given.  The seeded sample (the ball
+stream's admitted images), the pattern ascent's trials and kappa's anchor
+(the center's image) all go through that map.  The skeleton scores a ratio
+of each point's distance to a target, plain during the ascent and, with
+``refine_numerator``, refined on every sample and endpoint.  Each estimator
+is only its ratio and its region.  A whole-space lam of the pair's
+dimension constrains nothing: it is read as None, and an estimate reports
+it as None.
 """
 
 from __future__ import annotations
@@ -25,21 +28,20 @@ import numpy as np
 
 from . import engine
 from .geometry import (
+    DimensionMismatch,
     FinitePointSet,
     Lambda,
     SetSpec,
     Target,
     Vector,
-    as_constraint,
+    WholeSpace,
     as_target,
     as_vector,
     ascend,
     distance,
     norm,
-    project_one,
     row_norms,
     sample_ball,
-    sample_on_set,
 )
 
 RES_FLOOR = 1e-12
@@ -131,31 +133,46 @@ def check_sampling(delta: float, samples: int) -> None:
 
 class _Region:
     """Points of ``on_set`` and of ``lam`` within ``delta`` of ``center``; a
-    set left None, or a whole-space lam, constrains nothing.  The seeded
-    sample and the ascent's map into the region both come from this one
-    description."""
+    set left None, or a whole-space lam, constrains nothing.  One map,
+    :meth:`feasible`, puts points into the region: the seeded sample, the
+    ascent's trials and kappa's anchor all go through it."""
 
     def __init__(self, center: Vector, delta: float, on_set: SetSpec | None = None,
                  lam: Lambda | None = None):
-        self.center, self.delta, self.lam = center, delta, as_constraint(lam)
-        # points are projected onto on_set (onto lam without one), and lam
-        # beside on_set is a membership test
-        self.onto, self.within = (self.lam, None) if on_set is None else (on_set, self.lam)
+        for name, s in (("on_set", on_set), ("lam", lam)):
+            if s is not None and s.dim != center.size:
+                raise DimensionMismatch(f"{name} has dimension {s.dim}, expected {center.size}")
+        self.center, self.delta, self.on_set = center, delta, on_set
+        self.lam = None if isinstance(lam, WholeSpace) else lam
 
-    def sample(self, samples: int, seed: int) -> list[Vector]:
-        """The seeded sample: ball points, projected into the region."""
+    def sample(self, samples: int, seed: int) -> np.ndarray:
+        """The seeded sample: the admitted rows of the map of the ball stream."""
         check_sampling(self.delta, samples)
-        if self.onto is None:
-            return sample_ball(self.center, self.delta, samples, seed)
-        return sample_on_set(self.onto, self.center, self.delta, samples, seed, self.within)
+        Y, ok = self.feasible(np.array(sample_ball(self.center, self.delta, samples, seed)))
+        return Y[ok]
 
     def feasible(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ascent's map into the region: (mapped rows, which rows it admits)."""
-        if self.onto is not None:
-            Y = self.onto._project_many(Y)
+        """The map into the region: (mapped rows, which rows it admits).  Each
+        row is projected onto on_set, or onto lam without one; with both, it
+        then alternates projections onto lam and on_set, all rows in
+        lockstep, until its two projections are 1e-12 apart (at most 40
+        rounds).  A row is admitted within delta of the center and within
+        1e-9 of lam."""
+        on_set, lam = self.on_set, self.lam
+        onto = lam if on_set is None else on_set
+        if onto is not None:
+            Y = onto._project_many(Y)
+        if on_set is not None and lam is not None:
+            live = np.arange(len(Y))
+            for _ in range(40):
+                Q = lam._project_many(Y[live])
+                Y[live] = on_set._project_many(Q)
+                live = live[row_norms(Y[live] - Q) > 1e-12]
+                if live.size == 0:
+                    break
         ok = row_norms(Y - self.center) <= self.delta
-        if self.within is not None:
-            ok &= self.within._distance_many(Y) <= 1e-9
+        if lam is not None:
+            ok &= lam._distance_many(Y) <= 1e-9
         return Y, ok
 
 
@@ -165,11 +182,11 @@ Ratio = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _sup_estimate(
-    kind: str, region: _Region, pts: list[Vector], ratio: Ratio, target: SetSpec,
+    kind: str, region: _Region, P: np.ndarray, ratio: Ratio, target: SetSpec,
     op: engine.OperatorSpec, samples: int, seed: int,
     refine_numerator: bool = False, polish_starts: int = POLISH_STARTS,
 ) -> RegularityEstimate:
-    """Max of ``ratio(X, dist(X, target))`` over the points pts of the region
+    """Max of ``ratio(X, dist(X, target))`` over the points P of the region
     and polished pattern-ascent endpoints, with its certificate.  The samples
     among the first ``polish_starts`` with a finite value are polished
     together in one :func:`ascend`, each depending only on its own start.
@@ -186,7 +203,6 @@ def _sup_estimate(
     plain = scored(None)
     final = scored(op) if refine_numerator else plain
     center, delta = region.center, region.delta
-    P = np.array(pts, dtype=float).reshape(len(pts), center.size)
     vals = final(P)
     best = float(np.max(vals, initial=-math.inf))
     if best < math.inf:
@@ -319,13 +335,12 @@ def estimate_kappa(
         stuck = np.where(dn > STUCK_DIST_TOL, math.inf, -math.inf)
         return _divide(dn, r, r > RES_FLOOR, stuck)
 
-    pts = region.sample(samples, seed)
-    # the region center is always evaluated, so a grid shrunk onto a stuck
-    # point reports the sentinel rather than a large finite ratio
-    anchor = project_one(on_set, center) if on_set is not None else center
-    if norm(anchor - center) <= delta:
-        pts = [anchor] + pts
-    return _sup_estimate("kappa_msr", region, pts, ratio, fix_probe, op, samples, seed,
+    # the map of the center is evaluated when the region admits it, so a grid
+    # shrunk onto a stuck point reports the sentinel rather than a large
+    # finite ratio
+    anchor, ok = region.feasible(center[None, :])
+    P = np.concatenate([anchor[ok], region.sample(samples, seed)])
+    return _sup_estimate("kappa_msr", region, P, ratio, fix_probe, op, samples, seed,
                          refine_numerator, polish_starts)
 
 
@@ -347,14 +362,14 @@ def estimate_violation(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    y = as_vector(y)
+    y = as_vector(y, op.A.dim)
     if engine.residual_map(op, y) > 1e-9:
         raise ValueError("y must be a fixed point of the operator")
-    center = as_vector(center)
+    center = as_vector(center, op.A.dim)
     coef = (1.0 - alpha) / alpha
     worst = -math.inf
     used = 0
-    for x in sample_ball(center, delta, samples, seed):
+    for x in _Region(center, delta).sample(samples, seed):
         nx = norm(x - y)
         if nx <= 1e-12:
             continue

@@ -55,10 +55,14 @@ class Scenario:
     expected: dict = field(default_factory=dict)
     intersection: Target | None = None
     sequence: list | None = None  # explicit sequence scenarios bypass the engine
-    convex: bool = False
     #: unit direction along bd A at the base point pointing out of B; seeds
     #: offset this way yield non-terminating, linearly convergent traces
     boundary_ray: Vector | None = None
+
+    @property
+    def convex(self) -> bool:
+        """Whether both sets are convex, read off the sets."""
+        return self.A.convex and self.B.convex
 
 
 SAWTOOTH_DEPTH = 20
@@ -113,7 +117,6 @@ def _two_lines(angle: float, name: str) -> Scenario:
         seed_region=(as_vector([0.0, 0.0]), 1.0),
         expected=expected,
         intersection=[as_vector([0.0, 0.0])],
-        convex=True,
     )
 
 
@@ -134,7 +137,6 @@ def _monotone_not_fejer() -> Scenario:
         },
         intersection=omega,
         sequence=seq,
-        convex=True,
     )
 
 
@@ -155,7 +157,6 @@ def _sawtooth() -> Scenario:
             "intersection": Expected((0.0, 0.0), "literature"),
         },
         intersection=[as_vector([0.0, 0.0])],
-        convex=False,
     )
 
 
@@ -185,7 +186,6 @@ def _geometric(n: int) -> Scenario:
             "extendible_c": Expected(extendible_c, "derived", 1e-9),
         },
         intersection=[as_vector(sol)],
-        convex=False,
     )
 
 
@@ -206,7 +206,6 @@ def _epigraph() -> Scenario:
             "global_ratio_diverges": Expected(True, "literature"),
         },
         intersection=segment,
-        convex=True,
     )
 
 
@@ -290,7 +289,6 @@ def random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
                 seed_region=(as_vector(x_bar), 0.5),
                 expected={},
                 intersection=[as_vector(x_bar)],
-                convex=True,
                 boundary_ray=as_vector(ray),
             )
     raise RuntimeError("could not draw an intersecting pair (exhausted retries)")
@@ -399,9 +397,6 @@ def scenario_from_json(obj: dict) -> Scenario:
 
     inter = obj.get("intersection")
     A = parse("A", set_from_json, obj["A"])
-    convex = obj.get("convex", False)
-    if not isinstance(convex, bool):
-        raise ValueError(f"scenario key 'convex' must be true or false, got {convex!r}")
     sc = Scenario(
         name=obj["name"],
         A=A,
@@ -416,15 +411,21 @@ def scenario_from_json(obj: dict) -> Scenario:
         intersection=parse("intersection", set_from_json if isinstance(inter, dict) else _points,
                            inter),
         sequence=parse("sequence", _points, obj.get("sequence")),
-        convex=convex,
     )
     if sc.lam is not None and not isinstance(sc.lam, (AffineSubspace, WholeSpace)):
         raise ValueError(f"scenario key 'lambda' must be an affine_subspace or whole_space, "
                          f"got {sc.lam.variant}")
+    # the optional key 'convex' states what the sets say
+    convex = obj.get("convex", sc.convex)
+    if not isinstance(convex, bool):
+        raise ValueError(f"scenario key 'convex' must be true or false, got {convex!r}")
     for key, part in (("A", sc.A), ("B", sc.B)):
         if convex and not part.convex:
             raise ValueError(f"scenario key 'convex' is true, but {key} ({part.variant}) "
                              "is not a convex set")
+    if sc.convex and not convex:
+        raise ValueError(f"scenario key 'convex' is false, but A ({sc.A.variant}) and "
+                         f"B ({sc.B.variant}) are convex sets")
     _check_dimensions(sc)
     for key in sc.expected:
         need = _unmet_need(sc, key)
@@ -484,7 +485,7 @@ def _unmet_need(sc: Scenario, key: str) -> str | None:
     if key in ("sr_prime", "sr_prime_local", "sr", "kappa_on_A") and not estimated:
         return "a base_point, an intersection and no sequence"
     if key == "sr" and not sc.convex:
-        return "a convex pair ('convex': true)"
+        return "a convex pair (A and B convex sets)"
     if key in ("monotonicity_c", "linear_c", "stuck_points") and sc.intersection is None:
         return "an intersection"
     if key == "extendible_c" and sc.sequence is not None:

@@ -186,6 +186,9 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'convex' is true, but A (union) is not a convex set"),
         (lambda o: o.update(A={"variant": "epigraph", "breakpoints": [], "pieces": [[-1, 0, 0]]}),
          "scenario key 'convex' is true, but A (epigraph) is not a convex set"),
+        (lambda o: o.update(convex=False),
+         "scenario key 'convex' is false, but A (affine_subspace) and B (affine_subspace) "
+         "are convex sets"),
         (lambda o: _as_builtin(o, "monotone_not_fejer").update(extendible_c={"value": 0.5}),
          "scenario key 'expected.extendible_c' needs an iteration run"),
         (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
@@ -218,8 +221,8 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "global_ratio_diverges_type", "iterations_to_solve_string", "iterations_to_solve_bool",
          "iterations_to_solve_negative", "solution_dimension", "intersection_point_type",
          "stuck_points_type", "stuck_points_dimension", "convex_type", "convex_not_convex",
-         "convex_concave_epigraph", "extendible_c_sequence", "parabolic_a_nan", "parabolic_c_inf",
-         "epigraph_breakpoint_nan",
+         "convex_concave_epigraph", "convex_false_on_convex_sets", "extendible_c_sequence",
+         "parabolic_a_nan", "parabolic_c_inf", "epigraph_breakpoint_nan",
          "epigraph_breakpoint_inf", "epigraph_piece_inf", "box_lo_nan", "whole_space_dim_float"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):

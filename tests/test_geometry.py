@@ -31,10 +31,10 @@ from fixpoint.geometry import (
     project_one,
     row_norms,
     sample_ball,
-    sample_on_set,
     set_from_json,
     set_to_json,
 )
+from fixpoint.regularity import _Region
 from fixpoint.scenarios import build, sawtooth_graph
 
 
@@ -138,7 +138,7 @@ def test_projection_optimality_and_idempotence(s):
     # every returned candidate attains the distance; no sampled set point is
     # closer; projecting twice is projecting once
     rng = np.random.default_rng(7)
-    probe = np.array(sample_on_set(s, np.zeros(2), 4.0, 1000, seed=13))
+    probe = _Region(np.zeros(2), 4.0, on_set=s).sample(1000, seed=13)
     for _ in range(1000):
         x = rng.uniform(-3, 3, size=2)
         d = distance(s, x)

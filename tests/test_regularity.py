@@ -12,14 +12,15 @@ from fixpoint.engine import (
     run,
 )
 from fixpoint.geometry import (
+    AffineSubspace,
     Ball,
     DimensionMismatch,
+    Halfspace,
     Sphere,
     WholeSpace,
     as_target,
     ascend,
     sample_ball,
-    sample_on_set,
 )
 from fixpoint.regularity import (
     _feasibility_ratio,
@@ -206,6 +207,19 @@ def test_violation_sphere_bounded_by_elemental_constant():
     assert est.value <= bound + 1e-3
 
 
+@pytest.mark.parametrize("change, error, message", [
+    (dict(delta=-0.5), ValueError, "delta must be a finite number > 0, got -0.5"),
+    (dict(delta=math.nan), ValueError, "delta must be a finite number > 0, got nan"),
+    (dict(samples=0), ValueError, "samples must be >= 1, got 0"),
+    (dict(center=[0.0, 0.0, 0.0]), DimensionMismatch, "expected dimension 2, got 3"),
+    (dict(y=[0.0, 0.0, 0.0]), DimensionMismatch, "expected dimension 2, got 3"),
+], ids=["delta_negative", "delta_nan", "no_samples", "center_dimension", "y_dimension"])
+def test_violation_checks_its_sampling_inputs(change, error, message):
+    args = dict(y=[0.0, 0.0], alpha=0.5, center=[0.0, 0.0], delta=0.5, samples=16)
+    with pytest.raises(error, match=message):
+        estimate_violation(AlternatingProjections(PI3.A, PI3.B), **{**args, **change})
+
+
 def test_violation_requires_fixed_point():
     op = AlternatingProjections(Ball([0.0, 0.0], 1.0), WholeSpace(2))  # P_ball
     with pytest.raises(ValueError):
@@ -348,6 +362,21 @@ def test_monotone_refinement_never_decreases():
     assert vals[0] <= vals[1]
 
 
+def _assert_each_start_ends_alone(sc, region):
+    probe = as_target(sc.intersection, sc.A.dim, "intersection")
+
+    def ratio(X):
+        return _feasibility_ratio(probe._distance_many(X), sc.B._distance_many(X))
+
+    step = region.delta / 4
+    P = region.sample(12, seed=1)
+    assert len(P)
+    best, X = ascend(P, ratio, region.feasible, step)
+    for i in range(len(P)):
+        b1, X1 = ascend(P[i : i + 1], ratio, region.feasible, step)
+        assert np.array_equal(b1, best[i : i + 1]) and np.array_equal(X1[0], X[i])
+
+
 @pytest.mark.parametrize(
     "sc",
     [build("sawtooth"), build("epigraph"), random_convex_pair(3, 3, "box_affine"),
@@ -357,32 +386,64 @@ def test_monotone_refinement_never_decreases():
 def test_polish_of_a_start_ignores_the_other_starts(sc):
     # the lockstep ascent must end each start where that start ends alone, so
     # nested samples keep giving nested (monotone) estimates
-    delta = 0.3
-    feasible = _Region(sc.base_point, delta, on_set=sc.A).feasible
-    probe = as_target(sc.intersection, sc.A.dim, "intersection")
-
-    def ratio(X):
-        return _feasibility_ratio(probe._distance_many(X), sc.B._distance_many(X))
-
-    P = np.array(sample_on_set(sc.A, sc.base_point, delta, 12, seed=1))
-    best, X = ascend(P, ratio, feasible, step=delta / 4)
-    for i in range(len(P)):
-        b1, X1 = ascend(P[i : i + 1], ratio, feasible, step=delta / 4)
-        assert np.array_equal(b1, best[i : i + 1]) and np.array_equal(X1[0], X[i])
+    _assert_each_start_ends_alone(sc, _Region(sc.base_point, 0.3, on_set=sc.A))
 
 
-def test_region_projects_onto_lam_only_without_on_set():
-    # the sample and the ascent read one region: without on_set a trial point
-    # is projected onto lam, beside on_set lam only admits points
-    from fixpoint.geometry import AffineSubspace
+@pytest.mark.parametrize(
+    "sc",
+    [random_convex_pair(3, 3, "box_affine"), random_convex_pair(5, 2, "ball_ball"),
+     random_convex_pair(1, 3, "halfspace_ball")],
+    ids=lambda sc: sc.name,
+)
+def test_alternating_rounds_of_a_start_ignore_the_other_starts(sc):
+    # the map's alternating rounds onto on_set and lam run in lockstep too
+    u = np.r_[1.0, -0.2, np.zeros(sc.A.dim - 2)]
+    lam = AffineSubspace(sc.base_point, [u / np.linalg.norm(u)])
+    _assert_each_start_ends_alone(sc, _Region(sc.base_point, 0.3, on_set=sc.A, lam=lam))
 
+
+def test_region_maps_points_into_on_set_and_lam():
+    # one map puts points into the region: without on_set a trial point is
+    # projected onto lam; beside on_set it alternates projections onto both,
+    # so it lands in on_set and lam and is admitted
     lam = AffineSubspace([0.0, 0.0], [[0.6, 0.8]])
     trial = np.array([[0.5, 0.0]])
     Y, ok = _Region(np.zeros(2), 1.0, lam=lam).feasible(trial)
     assert ok.all() and np.allclose(Y, [[0.18, 0.24]], atol=1e-15)
-    Y, ok = _Region(np.zeros(2), 1.0, on_set=WholeSpace(2), lam=lam).feasible(trial)
-    assert not ok.any() and np.array_equal(Y, trial)
+    above = Halfspace([0.0, -1.0], -0.2)  # y >= 0.2, which meets lam in t (0.6, 0.8), t >= 1/4
+    region = _Region(np.zeros(2), 0.3, on_set=above, lam=lam)
+    # a row stops on its own: the first lands after one round, 0.46 from the
+    # center, the second after about 30
+    Y, ok = region.feasible(np.array([[0.5, 0.0], [-0.5, 0.0]]))
+    assert ok.tolist() == [False, True]
+    assert np.allclose(Y, [[0.276, 0.368], [0.15, 0.2]], atol=1e-12)
+    assert above._distance(Y[1]) == 0.0 and lam._distance(Y[1]) <= 1e-12
+    # the sample is the admitted rows of the map of the ball stream
+    Y, ok = region.feasible(np.array(sample_ball(np.zeros(2), 0.3, 16, 3)))
+    assert 0 < ok.sum() < 16 and np.array_equal(region.sample(16, 3), Y[ok])
     assert all(lam._distance(p) <= 1e-12 for p in _Region(np.zeros(2), 1.0, lam=lam).sample(8, 0))
+
+
+def test_kappa_evaluates_its_anchor_only_inside_the_region():
+    # the region {x = 0.45} of the sawtooth near (0.5, 0) is the one point
+    # (0.45, -0.05), where the ratio is sqrt(41); the center's projection onto
+    # the sawtooth, (0.5, 0), is a stuck point off lam and must not be scored
+    saw = build("sawtooth")
+    lam = AffineSubspace([0.45, 0.0], [[0.0, 1.0]])
+    est = estimate_kappa(AlternatingProjections(saw.A, saw.B), saw.intersection, [0.5, 0.0],
+                         0.1, lam=lam, on_set=saw.A, samples=16, polish_starts=1)
+    assert est.value == pytest.approx(math.sqrt(41.0), rel=1e-9)
+    # no point of the sawtooth lies within 0.05 of (0.5, 0.08): the region is
+    # empty, and the stuck projection (0.5, 0) of the center is not scored
+    est = estimate_kappa(AlternatingProjections(saw.A, saw.B), saw.intersection, [0.5, 0.08],
+                         0.05, on_set=saw.A, samples=16)
+    assert est.value == 0.0 and est.degenerate
+
+
+def test_a_whole_space_lam_of_the_wrong_dimension_is_named():
+    for lam in (WholeSpace(3), AffineSubspace([0, 0, 0], [[1.0, 0.0, 0.0]])):
+        with pytest.raises(DimensionMismatch, match="lam has dimension 3, expected 2"):
+            estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, lam=lam, intersection=ORIGIN, samples=8)
 
 
 @pytest.mark.parametrize("op_cls", [AlternatingProjections, DouglasRachford])
@@ -434,8 +495,6 @@ def test_estimate_json_certificate():
 def test_estimates_restricted_to_affine_constraint():
     # the pi/3 pair embedded in the z=0 plane of R^3, constrained to it:
     # estimates reproduce the planar values even though ambient space is 3-d
-    from fixpoint.geometry import AffineSubspace
-
     s3, c3 = math.sin(math.pi / 3), math.cos(math.pi / 3)
     A = AffineSubspace([0, 0, 0], [[1.0, 0.0, 0.0]])
     B = AffineSubspace([0, 0, 0], [[c3, s3, 0.0]])
