@@ -81,13 +81,16 @@ def row_norms(U: np.ndarray) -> np.ndarray:
 class SetSpec:
     """Base class for set descriptions.  Subclasses are immutable values.
 
-    A variant, named by ``variant`` in the JSON form, lists its projection
-    candidates in ``_candidates``; the generic ``_distance`` and ``_project``
-    choose among them on a checked vector, and closed forms override them.
-    ``_distance_many`` and ``_project_many`` do the same for each row of a
-    checked (m, dim) array (see :func:`as_points`): a row loop over the
-    scalar kernels, which keeps the nonconvex tie-break exact, unless the
-    variant has a closed form.
+    A variant, named by ``variant`` in the JSON form, enumerates the
+    projection candidates of every row of a checked (m, dim) array (see
+    :func:`as_points`) in one batched call, ``_candidates_many``: an (m, k,
+    dim) array whose slots come in a fixed order, an empty slot filled with
+    +inf.  One selection serves every variant: a row's distance is the least
+    norm of its slots, and its projection the lexicographically least slot
+    within TIE_TOL of that least norm (the first such slot on an exact tie).
+    ``_distance_many`` and ``_project_many`` apply it in blocks of rows;
+    ``_distance`` and ``_project`` on a checked vector are the one-row case,
+    and closed forms override all four.
     """
 
     dim: int
@@ -97,23 +100,50 @@ class SetSpec:
     #: so ``project_all`` is ``[project_one]`` and ``_project_many`` is vectorized
     closed_form = False
 
-    def _candidates(self, x: Vector) -> list[Vector]:
+    def _candidates_many(self, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _distance(self, x: Vector) -> float:
-        return float(np.min(np.linalg.norm(np.asarray(self._candidates(x)) - x, axis=1)))
+        return float(self._distance_many(x[None, :])[0])
 
     def _project(self, x: Vector) -> Vector:
-        cands = self._candidates(x)
-        if len(cands) == 1:
-            return cands[0]
-        return min(_nearest(cands, x), key=np.ndarray.tolist)
+        return self._project_many(x[None, :])[0]
 
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
-        return np.array([self._distance(y) for y in Y], dtype=float)
+        return _by_blocks(Y, lambda B: _slot_norms(self._candidates_many(B), B).min(axis=1))
 
     def _project_many(self, Y: np.ndarray) -> np.ndarray:
-        return np.array([self._project(y) for y in Y], dtype=float).reshape(Y.shape)
+        return _by_blocks(Y, lambda B: _select(self._candidates_many(B), B))
+
+
+#: rows per call of a candidate enumeration: bounds its (rows, slots, dim)
+#: temporaries; rows never interact, so blocking changes no bit
+_BLOCK_ROWS = 64
+
+
+def _by_blocks(Y: np.ndarray, kernel) -> np.ndarray:
+    return np.concatenate([kernel(Y[i:i + _BLOCK_ROWS]) for i in range(0, max(len(Y), 1), _BLOCK_ROWS)])
+
+
+def _slot_norms(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """||slot - row|| for every slot of every row, summed as np.linalg.norm
+    sums; +inf for an empty slot."""
+    R = C - Y[:, None, :]
+    return np.sqrt(np.add.reduce(R * R, axis=-1))
+
+
+def _select(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Each row's projection among its slots: the lexicographically least slot
+    within TIE_TOL of the least norm, compared coordinate by coordinate (so
+    -0.0 ties 0.0), and the first of those on a full tie, as
+    ``min(_nearest(slots, y), key=tolist)`` picks it."""
+    N = _slot_norms(C, Y)
+    near = N <= (N.min(axis=1) + TIE_TOL)[:, None]
+    if np.count_nonzero(near) > len(C):  # some row has a tie to break
+        for j in range(C.shape[2]):
+            v = np.where(near, C[:, :, j], np.inf)
+            near &= v == v.min(axis=1)[:, None]
+    return C[np.arange(len(C)), near.argmax(axis=1)]
 
 
 def _nearest(cands: list[Vector], x: Vector) -> list[Vector]:
@@ -163,8 +193,8 @@ class _ConvexSet(SetSpec):
     convex = True
     closed_form = True
 
-    def _candidates(self, x):
-        return [self._project(x)]
+    def _candidates_many(self, Y):
+        return self._project_many(Y)[:, None, :]
 
 
 def _finite_scalar(value, what: str) -> float:
@@ -370,7 +400,8 @@ class WholeSpace(_ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class Sphere(SetSpec):
-    """{x : ||x - center|| = radius}, radius > 0.  Nonconvex."""
+    """{x : ||x - center|| = radius}, radius > 0.  Nonconvex.  Its one candidate
+    is in closed form, with norms from vecdot, which rounds as a dot product."""
 
     variant = "sphere"
 
@@ -389,24 +420,28 @@ class Sphere(SetSpec):
     def dim(self) -> int:
         return self.center.size
 
-    def _candidates(self, x):
-        u = x - self.center
-        nu = norm(u)
-        if nu < 1e-15 * max(1.0, self.radius):
-            # entire fiber projects; canonical representative along e1
-            e1 = np.zeros(self.dim)
-            e1[0] = self.radius
-            return [self.center + e1]
-        return [self.center + (self.radius / nu) * u]
+    def _project_many(self, Y):
+        U = Y - self.center
+        nu = np.sqrt(np.vecdot(U, U))
+        fiber = nu < 1e-15 * max(1.0, self.radius)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            P = self.center + (self.radius / nu)[:, None] * U
+        # at the center the entire fiber projects; canonical representative along e1
+        P[fiber] = self.center + self.radius * np.eye(1, self.dim)[0]
+        return P
 
-    def _distance(self, x):
-        return abs(norm(x - self.center) - self.radius)
+    _candidates_many = _ConvexSet._candidates_many
+
+    def _distance_many(self, Y):
+        U = Y - self.center
+        return np.abs(np.sqrt(np.vecdot(U, U)) - self.radius)
 
 
 @dataclass(frozen=True, eq=False)
 class FinitePointSet(SetSpec):
     """Finitely many points, and the form of every probe (see :func:`as_target`).
-    Both distance kernels take one dot product per point, so they agree bit for bit."""
+    Its points are its candidates; its distance takes one dot product (vecdot)
+    per point, which rounds as the scalar dot product does."""
 
     variant = "finite_point_set"
 
@@ -421,18 +456,13 @@ class FinitePointSet(SetSpec):
         if not np.all(np.isfinite(pts)):
             raise ValueError("finite point set has non-finite coordinates")
         object.__setattr__(self, "points", pts)
-        # a tuple of row vectors iterates faster than the array's rows
-        object.__setattr__(self, "_rows", tuple(pts))
 
     @property
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _candidates(self, x):
-        return [p.copy() for p in self.points]
-
-    def _distance(self, x):
-        return min(norm(x - p) for p in self._rows)
+    def _candidates_many(self, Y):
+        return np.broadcast_to(self.points, (len(Y),) + self.points.shape)
 
     def _distance_many(self, Y):
         D = Y[:, None, :] - self.points
@@ -476,48 +506,61 @@ class ParabolicPiece:
     def value(self, t: float) -> float:
         return (self.a * t + self.b) * t + self.c
 
-    def candidates(self, q: Vector) -> list[Vector]:
-        ts = _parabola_stationary_points(
-            self.a, self.b, self.c, self.t0, self.t1, q
-        )
-        for t in (self.t0, self.t1):
-            if math.isfinite(t):
-                ts.append(t)
-        return [np.array([t, self.value(t)]) for t in ts]
 
-
-def _parabola_stationary_points(a, b, c, t0, t1, q) -> list[float]:
-    """Interior roots of d/dt |(t, at^2+bt+c) - q|^2 = 0, Newton-polished.
+def _parabola_stationary_points(arcs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Interior roots of d/dt |(t, at^2+bt+c) - y|^2 = 0 for every row y of Y
+    and every arc (a, b, c, t0, t1) of ``arcs``, Newton-polished: an (m,
+    arcs, 3) array, NaN in an empty slot.
 
     The stationarity condition is the cubic
         2a^2 t^3 + 3ab t^2 + (b^2 + 2a(c-y) + 1) t + (b(c-y) - x) = 0.
-    Roots come from the companion matrix; each real root inside (t0, t1)
-    is polished by a few safeguarded Newton steps.
+    Its roots are the eigenvalues of companion matrices built as np.roots
+    builds them, all solved in one call (the same LAPACK routine on each
+    matrix, so np.roots' bits); a cubic with a zero leading or constant
+    coefficient goes through np.roots, which strips those zeros.  Each real
+    root inside (t0, t1) is polished by up to three safeguarded Newton steps
+    and stops at its first failed safeguard.  An arc with a = 0 is a segment
+    of the line y = bt + c; its slot 0 is the foot of the perpendicular.
     """
-    x, y = float(q[0]), float(q[1])
-    if a == 0.0:
-        # degenerate piece: foot of the perpendicular on the line y = bt + c
-        t = (x + b * (y - c)) / (1.0 + b * b)
-        return [t] if t0 < t < t1 else []
-    coeffs = [2 * a * a, 3 * a * b, b * b + 2 * a * (c - y) + 1.0, b * (c - y) - x]
-    roots = np.roots(coeffs)
-    out: list[float] = []
-    for r in roots:
-        if abs(r.imag) > 1e-8 * max(1.0, abs(r.real)):
-            continue
-        t = float(r.real)
-        if not (t0 - 1e-12 < t < t1 + 1e-12):
-            continue
+    x, y = Y[:, 0, None], Y[:, 1, None]
+    a, b, c, t0, t1 = arcs.T
+    out = np.full((len(Y), len(arcs), 3), np.nan)
+    flat = a == 0.0
+    t = (x + b[flat] * (y - c[flat])) / (1.0 + b[flat] * b[flat])
+    out[:, flat, 0] = np.where((t0[flat] < t) & (t < t1[flat]), t, np.nan)
+    if flat.all() or not len(Y):
+        return out
+    a, b, c, t0, t1 = (v[~flat] for v in (a, b, c, t0, t1))
+    cy = c - y
+    p = np.stack(np.broadcast_arrays(2 * a * a, 3 * a * b, b * b + 2 * a * cy + 1.0, b * cy - x),
+                 axis=-1)
+    roots = np.full(p.shape[:2] + (3,), np.nan, dtype=complex)
+    whole = (p[..., 0] != 0.0) & (p[..., 3] != 0.0)
+    M = np.zeros((int(whole.sum()), 3, 3))
+    M[:, 0] = -p[whole][:, 1:] / p[whole][:, :1]
+    M[:, 1, 0] = M[:, 2, 1] = 1.0
+    if len(M):
+        roots[whole] = np.linalg.eigvals(M)
+    for i, j in zip(*np.nonzero(~whole)):
+        r = np.roots(p[i, j])
+        roots[i, j, :r.size] = r
+    T = roots.real
+    a, b, c, t0, t1 = (v[:, None] for v in (a, b, c, t0, t1))
+    x, y = x[..., None], y[..., None]
+    keep = ~(np.isnan(T) | (np.abs(roots.imag) > 1e-8 * np.maximum(1.0, np.abs(T))))
+    keep &= (t0 - 1e-12 < T) & (T < t1 + 1e-12)
+    step = keep.copy()
+    with np.errstate(all="ignore"):
         for _ in range(3):  # polish; derivative of the cubic
-            g = ((t - x) + (a * t * t + b * t + c - y) * (2 * a * t + b))
-            dg = 1.0 + (2 * a * t + b) ** 2 + 2 * a * (a * t * t + b * t + c - y)
-            if dg == 0.0:
-                break
-            t_new = t - g / dg
-            if not (t0 - 1e-9 <= t_new <= t1 + 1e-9):
-                break
-            t = t_new
-        out.append(min(max(t, t0), t1) if math.isfinite(t0) else t)
+            u, v = 2 * a * T + b, a * T * T + b * T + c - y
+            dg = 1.0 + np.float_power(u, 2.0) + 2 * a * v  # ** 2 rounds as pow does
+            t_new = T - ((T - x) + v * u) / dg
+            step &= (dg != 0.0) & (t0 - 1e-9 <= t_new) & (t_new <= t1 + 1e-9)
+            T = np.where(step, t_new, T)
+    # min(max(T, t0), t1) as Python's min and max pick, for a finite t0
+    lo = np.where(t0 > T, t0, T)
+    T = np.where(np.isfinite(t0), np.where(t1 < lo, t1, lo), T)
+    out[:, ~flat] = np.where(keep, T, np.nan)
     return out
 
 
@@ -526,7 +569,10 @@ CurvePiece = Union[LinearPiece, ParabolicPiece]
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseCurve(SetSpec):
-    """A curve in R^2 given as a list of linear or parabolic pieces."""
+    """A curve in R^2 given as a list of linear or parabolic pieces.
+
+    A row's candidates are the feet on the linear pieces, then, arc by arc,
+    the stationary points and the finite ends of the parabolic pieces."""
 
     variant = "piecewise_curve"
 
@@ -537,7 +583,6 @@ class PiecewiseCurve(SetSpec):
         if not ps:
             raise ValueError("piecewise curve needs at least one piece")
         object.__setattr__(self, "pieces", ps)
-        # vectorized segment data for the linear pieces (hot path)
         lin = [p for p in ps if isinstance(p, LinearPiece)]
         starts = np.array([p.start for p in lin]).reshape(-1, 2)
         ends = np.array([p.end for p in lin]).reshape(-1, 2)
@@ -546,25 +591,29 @@ class PiecewiseCurve(SetSpec):
         object.__setattr__(self, "_lin_starts", starts)
         object.__setattr__(self, "_lin_d", d)
         object.__setattr__(self, "_lin_dd", dd)
-        object.__setattr__(
-            self, "_par", [p for p in ps if isinstance(p, ParabolicPiece)]
-        )
+        object.__setattr__(self, "_arcs", np.array(
+            [[p.a, p.b, p.c, p.t0, p.t1] for p in ps if isinstance(p, ParabolicPiece)]))
         object.__setattr__(self, "convex", len(ps) == 1 and len(lin) == 1)
 
     @property
     def dim(self) -> int:
         return 2
 
-    def _linear_feet(self, x) -> np.ndarray:
-        t = np.einsum("ij,ij->i", x - self._lin_starts, self._lin_d) / self._lin_dd
+    def _candidates_many(self, Y):
+        starts, d = self._lin_starts, self._lin_d
+        t = np.einsum("mij,ij->mi", Y[:, None, :] - starts, d) / self._lin_dd
         np.clip(t, 0.0, 1.0, out=t)
-        return self._lin_starts + t[:, None] * self._lin_d
-
-    def _candidates(self, x):
-        out = list(self._linear_feet(x)) if len(self._lin_starts) else []
-        for p in self._par:
-            out.extend(p.candidates(x))
-        return out
+        feet = starts + t[:, :, None] * d
+        if not len(self._arcs):
+            return feet
+        # each arc's stationary points, then its ends; an infinite end leaves its slot empty
+        arcs = self._arcs[:, None, :]
+        ends = np.broadcast_to(self._arcs[:, 3:], (len(Y), len(arcs), 2))
+        T = np.concatenate([_parabola_stationary_points(self._arcs, Y), ends], axis=2)
+        with np.errstate(invalid="ignore"):
+            pts = np.stack([T, (arcs[..., 0] * T + arcs[..., 1]) * T + arcs[..., 2]], axis=-1)
+        pts[~np.isfinite(T)] = np.inf
+        return np.concatenate([feet, pts.reshape(len(Y), -1, 2)], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,7 +624,8 @@ class Epigraph(SetSpec):
     ``pieces[i]`` holds quadratic coefficients (a, b, c) with
     f(t) = a t^2 + b t + c on the i-th interval.  The set is convex exactly
     when f is: every ``a >= 0``, no jump, and one-sided slopes that do not
-    decrease at any breakpoint.
+    decrease at any breakpoint.  A row on or above the graph is its own only
+    candidate; a row below it has its boundary's candidates.
     """
 
     variant = "epigraph"
@@ -615,20 +665,23 @@ class Epigraph(SetSpec):
     def dim(self) -> int:
         return 2
 
-    def value(self, t: float) -> float:
-        i = int(np.searchsorted(self.breakpoints, t, side="right"))
-        a, b, c = self.pieces[i]
-        return (a * t + b) * t + c
-
-    def _candidates(self, x):
-        if float(x[1]) >= self.value(float(x[0])):
-            return [x.copy()]
-        return self._boundary._candidates(x)
+    def _candidates_many(self, Y):
+        t = Y[:, 0]
+        a, b, c = self.pieces[np.searchsorted(self.breakpoints, t, side="right")].T
+        below = Y[:, 1] < (a * t + b) * t + c
+        if not below.any():
+            return Y[:, None, :].copy()
+        Cb = self._boundary._candidates_many(Y[below])
+        C = np.full((len(Y),) + Cb.shape[1:], np.inf)
+        C[below] = Cb
+        C[~below, 0] = Y[~below]
+        return C
 
 
 @dataclass(frozen=True, eq=False)
 class SetUnion(SetSpec):
-    """Union of member sets; multivalued projector on ties."""
+    """Union of member sets; multivalued projector on ties.  A row's candidates
+    are its members', a member farther than TIE_TOL beyond the nearest left empty."""
 
     variant = "union"
 
@@ -647,15 +700,17 @@ class SetUnion(SetSpec):
     def dim(self) -> int:
         return self.members[0].dim
 
-    def _nearest_members(self, x) -> list[SetSpec]:
-        dists = [m._distance(x) for m in self.members]
-        dmin = min(dists)
-        return [m for m, d in zip(self.members, dists) if d <= dmin + TIE_TOL]
+    def _candidates_many(self, Y):
+        Cs = [m._candidates_many(Y) for m in self.members]
+        # a member's distance, read off its candidates when it is their least norm
+        D = np.array([_slot_norms(C, Y).min(axis=1)
+                      if type(m)._distance_many is SetSpec._distance_many else m._distance_many(Y)
+                      for m, C in zip(self.members, Cs)])
+        far = D > D.min(axis=0) + TIE_TOL
+        return np.concatenate([np.where(f[:, None, None], np.inf, C) for C, f in zip(Cs, far)],
+                              axis=1)
 
-    def _candidates(self, x):
-        return [p for m in self._nearest_members(x) for p in m._candidates(x)]
-
-    def _distance(self, x):
+    def _distance(self, x):  # each member's own one-point kernel, closed forms included
         return min(m._distance(x) for m in self.members)
 
     def _distance_many(self, Y):
@@ -686,7 +741,10 @@ def project_all(s: SetSpec, x) -> list[Vector]:
     represented by one canonical point.
     """
     x = _check_dim(s, x)
-    cands = s._candidates(x)
+    if s.closed_form:
+        return [s._project(x)]
+    C = s._candidates_many(x[None, :])[0]
+    cands = list(C[np.isfinite(C[:, 0])])
     if len(cands) > 1:
         cands = sorted_unique(_nearest(cands, x), max(DEDUP_TOL, TIE_TOL * 1e-2))
     return cands

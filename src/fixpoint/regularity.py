@@ -157,11 +157,12 @@ class _Region:
         then alternates projections onto lam and on_set, all rows in
         lockstep, until its two projections are 1e-12 apart (at most 40
         rounds).  A row is admitted within delta of the center and within
-        1e-9 of lam."""
+        1e-9 of lam, and only once its rounds have converged."""
         on_set, lam = self.on_set, self.lam
         onto = lam if on_set is None else on_set
         if onto is not None:
             Y = onto._project_many(Y)
+        live = np.arange(0)
         if on_set is not None and lam is not None:
             live = np.arange(len(Y))
             for _ in range(40):
@@ -171,6 +172,7 @@ class _Region:
                 if live.size == 0:
                     break
         ok = row_norms(Y - self.center) <= self.delta
+        ok[live] = False
         if lam is not None:
             ok &= lam._distance_many(Y) <= 1e-9
         return Y, ok

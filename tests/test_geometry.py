@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixpoint.geometry import (
+    _BLOCK_ROWS,
     TIE_TOL,
     AffineSubspace,
     Ball,
@@ -20,6 +21,8 @@ from fixpoint.geometry import (
     SetUnion,
     Sphere,
     WholeSpace,
+    _nearest,
+    _parabola_stationary_points,
     as_points,
     as_target,
     as_vector,
@@ -35,7 +38,7 @@ from fixpoint.geometry import (
     set_to_json,
 )
 from fixpoint.regularity import _Region
-from fixpoint.scenarios import build, sawtooth_graph
+from fixpoint.scenarios import SAWTOOTH_DEPTH, build, sawtooth_graph
 
 
 def segment_sweep_distance(curve_union, x, n=10**6):
@@ -352,8 +355,9 @@ def test_projector_invariants(s, qx, qy):
 
 
 def _exact_rows(s) -> bool:
-    """Row loops over the scalar kernels (and mins of them) are exact; the
-    closed forms round their dot products differently."""
+    """A nonconvex variant (and a union of them) enumerates and selects its
+    candidates by one batched kernel, whose one-row case is the scalar call,
+    so it is exact; the closed forms round their dot products differently."""
     return not s.closed_form and all(_exact_rows(m) for m in getattr(s, "members", ()))
 
 
@@ -383,6 +387,119 @@ def test_finite_point_set_batched_distance_equals_scalar(dim, data):
     s = FinitePointSet(data.draw(st.lists(point, min_size=1, max_size=5)))
     Y = as_points(data.draw(st.lists(point, min_size=1, max_size=6)), dim)
     assert s._distance_many(Y).tolist() == [distance(s, y) for y in Y]
+
+
+def _assert_batched_equals_one_row(s, Y):
+    """Distances and projections of a batch equal the one-row calls bit for
+    bit, signed zeros included, and each projection is the selection
+    ``min(_nearest(candidates), key=tolist)`` among the row's candidates."""
+    dists, projs = s._distance_many(Y), s._project_many(Y)
+    for y, d, p in zip(Y, dists, projs):
+        one = s._project(y)
+        assert d == s._distance(y) and p.tobytes() == one.tobytes()
+        C = s._candidates_many(y[None, :])[0]
+        ref = min(_nearest(list(C[np.isfinite(C[:, 0])]), y), key=np.ndarray.tolist)
+        assert p.tobytes() == ref.tobytes()
+
+
+def reference_stationary_points(a, b, c, t0, t1, q) -> list[float]:
+    """The scalar root loop that the batched stationary points replaced, one
+    arc and one query at a time with np.roots, kept as their reference."""
+    x, y = float(q[0]), float(q[1])
+    if a == 0.0:
+        t = (x + b * (y - c)) / (1.0 + b * b)
+        return [t] if t0 < t < t1 else []
+    out = []
+    for r in np.roots([2 * a * a, 3 * a * b, b * b + 2 * a * (c - y) + 1.0, b * (c - y) - x]):
+        if abs(r.imag) > 1e-8 * max(1.0, abs(r.real)):
+            continue
+        t = float(r.real)
+        if not (t0 - 1e-12 < t < t1 + 1e-12):
+            continue
+        for _ in range(3):
+            g = ((t - x) + (a * t * t + b * t + c - y) * (2 * a * t + b))
+            dg = 1.0 + (2 * a * t + b) ** 2 + 2 * a * (a * t * t + b * t + c - y)
+            if dg == 0.0:
+                break
+            t_new = t - g / dg
+            if not (t0 - 1e-9 <= t_new <= t1 + 1e-9):
+                break
+            t = t_new
+        out.append(min(max(t, t0), t1) if math.isfinite(t0) else t)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_stationary_points_equal_the_scalar_root_loop(data):
+    # a coefficient below 1e-100 can overflow the companion matrix, and then
+    # the stacked call and np.roots in the scalar loop both raise
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                            st.floats(-3, 3).filter(lambda v: v == 0 or abs(v) > 1e-100))
+    end = st.one_of(st.just(math.inf), st.floats(0, 3))
+    arcs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        t0, t1 = -data.draw(end), data.draw(end)
+        arcs.append([data.draw(coefficient) for _ in range(3)] + [t0, t1])
+    Y = as_points(data.draw(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=5)), 2)
+    with np.errstate(all="ignore"):  # a tiny a overflows np.roots' division alike
+        T = _parabola_stationary_points(np.array(arcs), Y)
+        for y, row in zip(Y, T):
+            for arc, ts in zip(arcs, row):
+                ref = reference_stationary_points(*arc, y)
+                assert ts[~np.isnan(ts)].tobytes() == np.array(ref, dtype=float).tobytes()
+
+
+def test_a_cubic_with_a_zero_constant_term_goes_through_np_roots(monkeypatch):
+    # at x = 0 the stationarity cubic of t^2 has no constant term:
+    # 2 t^3 + (1 - 2y) t = 0, with roots 0 and +-sqrt(y - 1/2)
+    piece = ParabolicPiece(1, 0, 0, -2.0, 2.0)
+    arcs = np.array([[1.0, 0.0, 0.0, -2.0, 2.0]])
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(p.tolist()) or roots(p))
+    ts = _parabola_stationary_points(arcs, np.array([[0.0, 2.0], [0.3, 2.0]]))
+    assert calls == [[2.0, 0.0, -3.0, -0.0]]  # only the row at x = 0
+    assert sorted(ts[0, 0].tolist()) == pytest.approx([-math.sqrt(1.5), 0.0, math.sqrt(1.5)],
+                                                      abs=1e-15)
+    assert np.isfinite(ts[1, 0]).sum() == 3  # the same arc off x = 0: the stacked eigvals
+    curve = PiecewiseCurve((piece,))
+    # (0, 2) ties between the arc points at +-sqrt(1.5): the lexicographically least wins
+    assert project_one(curve, [0.0, 2.0])[0] == pytest.approx(-math.sqrt(1.5), abs=1e-15)
+    Y = as_points([[0.0, 2.0], [0.0, 0.3], [-0.0, 1.0], [0.3, 2.0], [0.0, -1.0]], 2)
+    _assert_batched_equals_one_row(curve, Y)
+    # the epigraph's t^2 arc queried at x = 0 below the graph
+    epi = build("epigraph").A
+    assert project_one(epi, [0.0, -0.5]).tolist() == [0.0, 0.0]
+    _assert_batched_equals_one_row(epi, as_points([[0.0, -0.5], [-0.0, -2.0], [0.5, -0.5]], 2))
+
+
+def test_exact_ties_are_broken_lexicographically_with_signed_zeros():
+    # equidistant points: the least coordinate by coordinate, where -0.0
+    # ties 0.0, and the first candidate on a full tie
+    pts = FinitePointSet([[0.0, 1.0], [-0.0, -1.0], [1.0, 0.0]])
+    assert np.signbit(project_one(pts, [0.0, 0.0])).tolist() == [True, True]
+    for first, second in (([0.0, 1.0], [-0.0, 1.0]), ([-0.0, 1.0], [0.0, 1.0])):
+        p = project_one(FinitePointSet([first, second]), [0.0, 0.0])
+        assert p.tobytes() == np.array(first).tobytes()
+        # the same tie between two union members, in member order
+        u = SetUnion((FinitePointSet([first]), FinitePointSet([second])))
+        assert project_one(u, [0.0, 0.0]).tobytes() == np.array(first).tobytes()
+        _assert_batched_equals_one_row(u, as_points([[0.0, 0.0], [-0.0, 0.0], [0.0, 2.0]], 2))
+    u = SetUnion((FinitePointSet([[1.0, -0.0]]), sawtooth_graph(3), FinitePointSet([[-1.0, 0.0]])))
+    assert project_one(u, [0.0, 0.0]).tolist() == [0.0, 0.0]
+    _assert_batched_equals_one_row(u, as_points([[0.0, 0.0], [0.0, 1.0], [-0.0, -1.0]], 2))
+    _assert_batched_equals_one_row(pts, as_points([[0.0, 0.0], [-0.0, 0.0], [0.5, 0.5]], 2))
+
+
+def test_batches_larger_than_a_block_equal_the_one_row_calls():
+    saw = sawtooth_graph(SAWTOOTH_DEPTH)
+    rng = np.random.default_rng(2)
+    Y = as_points(rng.uniform([-0.1, -0.3], [1.1, 0.3], size=(3 * _BLOCK_ROWS + 5, 2)), 2)
+    _assert_batched_equals_one_row(saw, Y)
+    for s in (saw, build("epigraph").A):
+        P = s._project_many(Y)
+        assert all(any(np.array_equal(p, q) for q in project_all(s, y)) for y, p in zip(Y, P))
 
 
 def test_as_target_reads_a_probe_as_its_finite_point_set():

@@ -35,7 +35,7 @@ from fixpoint.regularity import (
     predicted_rate_msr,
     verify_bracket,
 )
-from fixpoint.scenarios import build, random_convex_pair
+from fixpoint.scenarios import build, line_through_origin, random_convex_pair
 
 PI3 = build("two_lines_pi3")
 ORIGIN = [np.zeros(2)]
@@ -422,6 +422,22 @@ def test_region_maps_points_into_on_set_and_lam():
     Y, ok = region.feasible(np.array(sample_ball(np.zeros(2), 0.3, 16, 3)))
     assert 0 < ok.sum() < 16 and np.array_equal(region.sample(16, 3), Y[ok])
     assert all(lam._distance(p) <= 1e-12 for p in _Region(np.zeros(2), 1.0, lam=lam).sample(8, 0))
+
+
+def test_region_rejects_rows_whose_rounds_have_not_converged():
+    # A (the x-axis) meets the line at 0.7 rad only in the base point; 40
+    # alternating rounds at the rate cos^2(0.7) = 0.585 leave a trial a few
+    # tenths away about 1e-10 from it and within 1e-9 of the line, but its
+    # last round still moved it by more than 1e-12
+    lam = line_through_origin(0.7)
+    region = _Region(PI3.base_point, 0.5, on_set=PI3.A, lam=lam)
+    Y, ok = region.feasible(np.array([[0.1, 0.2], [0.4, -0.1], [-0.3, 0.0], [0.0, 0.3]]))
+    assert ok.tolist() == [False, False, False, True]  # the last lands on the base point
+    assert np.all(np.abs(Y[:3, 0]) > 1e-11) and np.all(lam._distance_many(Y) <= 1e-9)
+    # every admitted sample row has converged: one more round moves it by at most 1e-12
+    S = region.sample(256, 0)
+    Q = lam._project_many(S)
+    assert np.all(np.hypot(*(PI3.A._project_many(Q) - Q).T) <= 1e-12)
 
 
 def test_kappa_evaluates_its_anchor_only_inside_the_region():
