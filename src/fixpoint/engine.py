@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from .floatrepr import repr_rows
 from .geometry import (
     DEDUP_TOL,
     Lambda,
@@ -166,15 +167,8 @@ class IterationConfig:
 COLUMNS = ("dist_A", "dist_B", "dist_target", "step_norm", "residual")
 
 
-#: rows formatted per ``str()`` call when a trace is written
+#: values per block of a column when a trace is written
 WRITE_BLOCK = 2048
-
-
-def _reprs(rows: np.ndarray) -> list[str]:
-    """Each row of a 2-d array as Python's list repr without brackets (the
-    shortest round-trip reprs joined by ", "), formatted in C a block at a time."""
-    return [r for i in range(0, len(rows), WRITE_BLOCK)
-            for r in str(rows[i:i + WRITE_BLOCK].tolist())[2:-2].split("], [")]
 
 
 def _json_list(rows: list[str], depth: int):
@@ -259,13 +253,13 @@ class Trace:
         is recorded).  trace.json is what ``json.dumps(..., sort_keys=True,
         indent=1)`` writes for x, b, the columns, stop_reason and metadata (not
         ``z``, which x and b determine).  Each float is formatted once, to its
-        shortest round-trip repr: one string per row of x and of b and per
-        block of a column.
+        shortest round-trip repr (:func:`floatrepr.repr_rows`): one string
+        per row of x and of b and per block of a column.
         """
         dim = self.x.shape[1]
-        x_rows, b_rows = _reprs(self.x), _reprs(self.b)
         columns = np.array([getattr(self, name) for name in COLUMNS], dtype=float)
-        blocks = [_reprs(columns[:, i:i + WRITE_BLOCK]) for i in range(0, len(x_rows), WRITE_BLOCK)]
+        x_rows, b_rows, *blocks = repr_rows(self.x, self.b, *(
+            columns[:, i:i + WRITE_BLOCK] for i in range(0, len(self.x), WRITE_BLOCK)))
         if csv_file is not None:
             csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
                                      *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")

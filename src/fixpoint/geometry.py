@@ -199,6 +199,8 @@ class _ConvexSet(SetSpec):
 
 def _finite_scalar(value, what: str) -> float:
     try:
+        if isinstance(value, bool):  # a JSON true is not a number
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
@@ -448,13 +450,17 @@ class FinitePointSet(SetSpec):
     points: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError):  # ragged lists, strings
+            pts = np.empty(0)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        if pts.size == 0:
-            raise ValueError("finite point set must be nonempty")
+        if pts.ndim != 2 or pts.size == 0:
+            raise ValueError("finite_point_set points must be one point or a nonempty list "
+                             f"of points of one dimension, got {self.points!r}")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("finite point set has non-finite coordinates")
+            raise ValueError("finite_point_set points have non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -934,6 +940,9 @@ def _from_json(obj, tag: str, registry: dict, what: str):
     missing = [k for k, f in keys.items() if k not in rest and f.default is MISSING]
     if missing:
         raise ValueError(f"missing keys for {name}: {missing}")
+    for k, v in rest.items():  # a JSON number is not a vector
+        if keys[k].type in ("Vector", "np.ndarray", "tuple") and not isinstance(v, list):
+            raise ValueError(f"{name} {k} must be a list, got {v!r}")
     args = {keys[k].name: v for k, v in rest.items()}
     if cls is PiecewiseCurve:
         args["pieces"] = tuple(

@@ -40,7 +40,7 @@ from .geometry import (
 @dataclass(frozen=True)
 class Expected:
     value: object
-    provenance: str  # "literature" | "trivial" | "derived"
+    provenance: str  # one of PROVENANCES
     tol: float = 0.0
 
 
@@ -374,6 +374,8 @@ EXPECTED_KEYS = NUMBER_KEYS + (
 #: expected keys whose value is a JSON boolean, and those whose value is a point
 BOOLEAN_KEYS = ("fejer_holds", "global_ratio_diverges")
 POINT_KEYS = ("fejer_witness", "solution", "intersection")
+#: where an expected value comes from
+PROVENANCES = ("literature", "trivial", "derived")
 
 
 def scenario_from_json(obj: dict) -> Scenario:
@@ -384,6 +386,9 @@ def scenario_from_json(obj: dict) -> Scenario:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     for key in ("name", "A", "B", "seed_region"):
         _at(obj, key)
+    if not isinstance(obj["name"], str):
+        raise ValueError(f"scenario key 'name' must be a string, got {obj['name']!r}")
+    _no_unknown_keys(obj["seed_region"], ("center", "radius"), "seed_region")
     exp = obj.get("expected", {})
     if not isinstance(exp, dict):
         raise ValueError("scenario key 'expected' must be an object")
@@ -465,10 +470,23 @@ def _expected(obj: dict, key: str, dim: int) -> Expected:
         for i, p in enumerate(value):
             _expected_point(p, dim, f"{path}.value[{i}]'")
     entry = obj["expected"][key]
+    _no_unknown_keys(entry, ("value", "provenance", "tol"), f"expected.{key}")
     tol = _finite_scalar(entry.get("tol", 0.0), f"{path}.tol'")
     if tol < 0:
         raise ValueError(f"{path}.tol' must be >= 0, got {tol}")
-    return Expected(value, entry.get("provenance", "derived"), tol)
+    provenance = entry.get("provenance", "derived")
+    if provenance not in PROVENANCES:
+        raise ValueError(f"{path}.provenance' must be one of {', '.join(PROVENANCES)}, "
+                         f"got {provenance!r}")
+    return Expected(value, provenance, tol)
+
+
+def _no_unknown_keys(obj, keys: tuple, path: str) -> None:
+    """An object at the JSON path may hold only the given keys."""
+    unknown = set(obj) - set(keys) if isinstance(obj, dict) else ()
+    if unknown:
+        raise ValueError(f"scenario key {path!r} has unknown keys {sorted(unknown)}; "
+                         f"it takes {', '.join(keys)}")
 
 
 def _expected_point(value, dim: int, what: str) -> None:

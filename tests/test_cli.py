@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'B': box lo has non-finite coordinates"),
         (lambda o: o.update(**{"lambda": {"variant": "whole_space", "dim": 2.7}}),
          "scenario key 'lambda': whole_space dim must be an integer >= 1, got 2.7"),
+        (lambda o: o.update(B={"variant": "finite_point_set", "points": 5}),
+         "scenario key 'B': finite_point_set points must be a list, got 5"),
+        (lambda o: o.update(A={"variant": "halfspace", "normal": 7, "offset": 0}),
+         "scenario key 'A': halfspace normal must be a list, got 7"),
+        (lambda o: o.update(B={"variant": "finite_point_set", "points": [[[1, 2]]]}),
+         "scenario key 'B': finite_point_set points must be one point or a nonempty list "
+         "of points of one dimension, got [[[1, 2]]]"),
+        (lambda o: o.update(B={"variant": "finite_point_set", "points": [[0, 0], [1]]}),
+         "scenario key 'B': finite_point_set points must be one point or a nonempty list "
+         "of points of one dimension, got [[0, 0], [1]]"),
+        (lambda o: o.update(B={"variant": "finite_point_set", "points": [[0, math.inf]]}),
+         "scenario key 'B': finite_point_set points have non-finite coordinates"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -223,7 +236,9 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "stuck_points_type", "stuck_points_dimension", "convex_type", "convex_not_convex",
          "convex_concave_epigraph", "convex_false_on_convex_sets", "extendible_c_sequence",
          "parabolic_a_nan", "parabolic_c_inf", "epigraph_breakpoint_nan",
-         "epigraph_breakpoint_inf", "epigraph_piece_inf", "box_lo_nan", "whole_space_dim_float"],
+         "epigraph_breakpoint_inf", "epigraph_piece_inf", "box_lo_nan", "whole_space_dim_float",
+         "point_set_scalar", "halfspace_normal_scalar", "point_set_nested", "point_set_ragged",
+         "point_set_inf"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))
@@ -234,6 +249,87 @@ def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+#: a value of each JSON type, for a mutation that swaps a value's type
+_JSON_VALUES = {str: "x", float: 7, bool: True, list: [], dict: {}}
+
+
+def _json_type(value):
+    return {int: float, type(None): None}.get(type(value), type(value))
+
+
+def _key_paths(obj, path=()):
+    """The path of every key of every object in a JSON value, depth first."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, path + (i,))
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _required(obj: dict, path: tuple) -> bool:
+    """Whether the key at path must be present: a set's or a curve piece's
+    field, the scenario keys run cannot do without, and an expected value."""
+    parent, key = _get(obj, path[:-1]), path[-1]
+    if "variant" in parent or "kind" in parent:
+        return True
+    if len(path) == 1:
+        return key in ("name", "A", "B", "seed_region")
+    return path[0] == "seed_region" or (path[0] == "expected" and key == "value")
+
+
+def _mutate(obj: dict, rng) -> tuple[str, tuple]:
+    """One seeded corruption of a scenario object, in place: a value of the
+    wrong JSON type, a required key deleted, or an unknown key added.
+    Returns the kind and the path of the key it touched."""
+    paths = list(_key_paths(obj))
+    kind = rng.choice(["type", "delete", "unknown"])
+    if kind == "delete":
+        paths = [p for p in paths if _required(obj, p)]
+    if kind == "unknown":
+        paths = [p for p in paths if isinstance(_get(obj, p), dict)] + [()]
+    path = rng.choice(paths)
+    parent = _get(obj, path[:-1]) if path else None
+    if kind == "type":
+        current = _json_type(parent[path[-1]])
+        parent[path[-1]] = _JSON_VALUES[rng.choice([t for t in _JSON_VALUES if t is not current])]
+    elif kind == "delete":
+        del parent[path[-1]]
+    else:
+        _get(obj, path)["zz_unknown"] = 1
+        path += ("zz_unknown",)
+    return kind, path
+
+
+def test_corrupted_builtins_exit_1_naming_a_key(tmp_path, capsys):
+    # seeded mutations of every built-in's JSON: each must be a usage error
+    # (exit 1) whose message names a key on the corrupted path, never a
+    # traceback and never an expectation mismatch (exit 2)
+    rng = random.Random(20)
+    failures = []
+    for case in range(152):
+        name = builtin_names()[case % len(builtin_names())]
+        obj = scenario_to_json(build(name))
+        kind, path = _mutate(obj, rng)
+        src = tmp_path / f"{case}.json"
+        src.write_text(json.dumps(obj))
+        out = tmp_path / f"o{case}"
+        capsys.readouterr()
+        code = main(["run", str(src), "--out", str(out), "--samples", "16", "--max-iter", "50"])
+        err = capsys.readouterr().err
+        named = any(f"{k}'" in err or f"'{k}" in err for k in path if isinstance(k, str))
+        if code != 1 or "Traceback" in err or not named or out.exists():
+            failures.append((name, kind, path, code, err.strip()[-200:]))
+    assert not failures, failures
 
 
 def test_global_ratio_check_with_probe_points_in_B_is_an_error(tmp_path, capsys):

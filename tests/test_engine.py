@@ -347,6 +347,27 @@ def _sequence_trace():
                         {"operator": "none"})
 
 
+#: floats where the repr layout changes: subnormals, the smallest normal,
+#: signed zeros, both sides of the 1e-4/1e-5 and 1e16 switches to an exponent,
+#: three-digit exponents, integral values and the largest finite float
+LAYOUT_EDGES = [5e-324, -2.225073858507201e-308, 2.2250738585072014e-308, -0.0, 0.0,
+                1e-05, -9.999999999999999e-05, 0.0001, 0.00012345678901234567, 1e16,
+                -9999999999999998.0, 1.2345678901234567e16, 1e-300, -1e300, 123.0, 0.5,
+                1.7976931348623157e308]
+
+
+def _layout_edge_trace():
+    """A trace in R^1 whose x, b and columns hold LAYOUT_EDGES, and whose
+    columns also hold inf, -inf and nan."""
+    n = len(LAYOUT_EDGES)
+    edges = np.array(LAYOUT_EDGES)
+    columns = [np.roll(edges, 3 * i).tolist() for i in range(len(COLUMNS))]
+    columns[0][1], columns[1][2], columns[4][0] = math.inf, -math.inf, math.nan
+    return Trace(edges.reshape(n, 1), -edges[:n - 4].reshape(n - 4, 1),
+                 **dict(zip(COLUMNS, columns)), stop_reason="max_iter",
+                 metadata={"operator": "none"})
+
+
 TRACES = {
     "ap": lambda: run(two_lines_op(), IterationConfig(seed_point=[1.0, 0.3])),
     "dr": lambda: run(DouglasRachford(line_through_origin(0.0), line_through_origin(math.pi / 3)),
@@ -356,6 +377,7 @@ TRACES = {
     "sequence": _sequence_trace,
     "one_iterate": lambda: run(two_lines_op(), IterationConfig(seed_point=[0.0, 0.0])),
     "non_finite": _non_finite_trace,
+    "layout_edges": _layout_edge_trace,
 }
 
 
