@@ -33,7 +33,7 @@ from .engine import (
     run,
 )
 from .geometry import as_target, ball_point, distance, norm
-from .scenarios import NUMBER_KEYS, Scenario, build, builtin_names, load_scenario
+from .scenarios import EXPECTED, Scenario, build, builtin_names, estimable, load_scenario
 
 
 def _load(name_or_path: str) -> Scenario:
@@ -112,7 +112,7 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
 
     for key, exp in sc.expected.items():
         tol = exp.tol
-        if key in NUMBER_KEYS:
+        if EXPECTED[key][0] == "number":
             got = numbers.get(key)
             add(key, exp.value, got, tol, got is not None and abs(got - exp.value) <= tol)
         elif key == "fejer_holds":
@@ -153,6 +153,7 @@ def _plot_svg(ys: list[float], title: str) -> str:
     if hi - lo < 1e-12:
         hi = lo + 1.0
     n = max(len(logs) - 1, 1)
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as XML text
     pts = []
     for k, v in enumerate(logs):
         x = pad + (w - 2 * pad) * k / n
@@ -235,7 +236,7 @@ def execute_run(
 
         measured = _run_diagnostics(sc, tr)
         estimates: dict = {}
-        if sc.base_point is not None and sc.intersection is not None and sc.sequence is None:
+        if estimable(sc):
             kw = {"samples": samples, "seed": seed}
             srp = ESTIMATES["sr_prime"](sc, delta, **kw).value
             estimates["sr_prime"] = estimates["sr_prime_local"] = srp

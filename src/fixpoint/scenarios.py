@@ -3,6 +3,11 @@
 Each scenario bundles a pair of sets, a reference common point, a seed
 region, and expected values tagged with provenance (literature / trivial /
 derived) and a tolerance, so the verification suites can re-derive them.
+
+Scenarios cross the JSON boundary by two tables: ``SCENARIO`` gives each
+scenario key the kind of its value and whether it may be left out or null,
+and ``EXPECTED`` gives each expected key the kind of its value and the needs
+of its check in ``fixpoint run``.  One reader and one writer serve every kind.
 """
 
 from __future__ import annotations
@@ -318,112 +323,90 @@ def _unit_orthogonal(rng, nu: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format (same schema for built-in and user-supplied scenarios)
 
-
-def scenario_to_json(sc: Scenario) -> dict:
-    out = {
-        "name": sc.name,
-        "A": set_to_json(sc.A),
-        "B": set_to_json(sc.B),
-        "lambda": None if sc.lam is None else set_to_json(sc.lam),
-        "base_point": None if sc.base_point is None else [float(t) for t in sc.base_point],
-        "seed_region": {
-            "center": [float(t) for t in sc.seed_region[0]],
-            "radius": float(sc.seed_region[1]),
-        },
-        "expected": {
-            k: {"value": _jsonable(e.value), "provenance": e.provenance, "tol": e.tol}
-            for k, e in sc.expected.items()
-        },
-        "convex": sc.convex,
-    }
-    if sc.intersection is not None:
-        if isinstance(sc.intersection, SetSpec):
-            out["intersection"] = set_to_json(sc.intersection)
-        else:
-            out["intersection"] = [[float(t) for t in p] for p in sc.intersection]
-    if sc.sequence is not None:
-        out["sequence"] = [[float(t) for t in p] for p in sc.sequence]
-    return out
-
-
-def _jsonable(v):
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(t) for t in v]
-    if isinstance(v, np.ndarray):
-        return [float(t) for t in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
-
-
-_SCENARIO_KEYS = {
-    "name", "A", "B", "lambda", "base_point", "seed_region",
-    "expected", "convex", "intersection", "sequence",
-}
-
-#: expected keys whose value is a number that ``fixpoint run`` compares within tol
-NUMBER_KEYS = (
-    "sr_prime", "sr_prime_local", "sr", "kappa_on_A",
-    "q_rate", "monotonicity_c", "linear_c", "extendible_c",
-)
-#: every expected key that ``fixpoint run`` checks
-EXPECTED_KEYS = NUMBER_KEYS + (
-    "fejer_holds", "fejer_witness", "iterations_to_solve", "solution",
-    "stuck_points", "intersection", "global_ratio_diverges",
-)
-#: expected keys whose value is a JSON boolean, and those whose value is a point
-BOOLEAN_KEYS = ("fejer_holds", "global_ratio_diverges")
-POINT_KEYS = ("fejer_witness", "solution", "intersection")
 #: where an expected value comes from
 PROVENANCES = ("literature", "trivial", "derived")
 
+#: a key must be present and not null, may be left out, or may be left out or null
+REQUIRED, OPTIONAL, NULLABLE = "required", "optional", "nullable"
+
+#: scenario key -> (kind of its value, presence), in the order keys are written
+SCENARIO = {
+    "name": ("string", REQUIRED),
+    "A": ("set", REQUIRED),
+    "B": ("set", REQUIRED),
+    "lambda": ("constraint", NULLABLE),
+    "base_point": ("point", NULLABLE),
+    "seed_region": ("region", REQUIRED),
+    "expected": ("expected", OPTIONAL),
+    "convex": ("bool", OPTIONAL),
+    "intersection": ("set-or-points", NULLABLE),
+    "sequence": ("points", NULLABLE),
+}
+#: the keys of seed_region and of an expected entry (whose value has the kind
+#: EXPECTED gives its key)
+_REGION = {"center": ("point", REQUIRED), "radius": ("nonnegative", REQUIRED)}
+_ENTRY = {"value": (None, REQUIRED), "provenance": ("provenance", OPTIONAL),
+          "tol": ("nonnegative", OPTIONAL)}
+
+
+def estimable(sc: Scenario) -> bool:
+    """Whether ``fixpoint run`` estimates sr', sr and kappa on the scenario."""
+    return sc.base_point is not None and sc.intersection is not None and sc.sequence is None
+
+
+#: needs of a check in ``fixpoint run``: what the scenario must supply, as an
+#: error names it, and whether it does
+_ESTIMATE = ("a base_point, an intersection and no sequence", estimable)
+_CONVEX = ("a convex pair (A and B convex sets)", lambda sc: sc.convex)
+_INTERSECTION = ("an intersection", lambda sc: sc.intersection is not None)
+_RUN = ("an iteration run (a shipped sequence has no joining sequence)",
+        lambda sc: sc.sequence is None)
+_FEJER_PROBE = ("a fejer_witness or an intersection probe (a list of points)",
+                lambda sc: "fejer_witness" in sc.expected or isinstance(sc.intersection, list))
+_PLANE_SET = ("an intersection set in the plane",
+              lambda sc: isinstance(sc.intersection, SetSpec) and sc.A.dim == 2)
+
+#: every expected key that ``fixpoint run`` checks -> (kind of its value, needs of its check)
+EXPECTED = {
+    "sr_prime": ("number", (_ESTIMATE,)),
+    "sr_prime_local": ("number", (_ESTIMATE,)),
+    "sr": ("number", (_ESTIMATE, _CONVEX)),
+    "kappa_on_A": ("number", (_ESTIMATE,)),
+    "q_rate": ("number", ()),
+    "monotonicity_c": ("number", (_INTERSECTION,)),
+    "linear_c": ("number", (_INTERSECTION,)),
+    "extendible_c": ("number", (_RUN,)),
+    "fejer_holds": ("bool", (_FEJER_PROBE,)),
+    "fejer_witness": ("point", ()),
+    "iterations_to_solve": ("count", ()),
+    "solution": ("point", ()),
+    "stuck_points": ("points", (_INTERSECTION,)),
+    "intersection": ("point", ()),
+    "global_ratio_diverges": ("bool", (_PLANE_SET,)),
+}
+
+
+def scenario_to_json(sc: Scenario) -> dict:
+    """The JSON object of a scenario, its keys in SCENARIO's order."""
+    out = {key: _write(kind, getattr(sc, "lam" if key == "lambda" else key))
+           for key, (kind, _) in SCENARIO.items()}
+    # lambda and base_point are written as null, a missing probe or sequence is left out
+    return {key: v for key, v in out.items() if v is not None or key in ("lambda", "base_point")}
+
 
 def scenario_from_json(obj: dict) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ValueError("a scenario must be a JSON object")
-    unknown = set(obj) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("name", "A", "B", "seed_region"):
-        _at(obj, key)
-    if not isinstance(obj["name"], str):
-        raise ValueError(f"scenario key 'name' must be a string, got {obj['name']!r}")
-    _no_unknown_keys(obj["seed_region"], ("center", "radius"), "seed_region")
-    exp = obj.get("expected", {})
-    if not isinstance(exp, dict):
-        raise ValueError("scenario key 'expected' must be an object")
-
-    def parse(key: str, make, value):
-        """make(value), None for a JSON null; any error names the key."""
-        try:
-            return None if value is None else make(value)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"scenario key {key!r}: {e}") from None
-
-    inter = obj.get("intersection")
-    A = parse("A", set_from_json, obj["A"])
-    sc = Scenario(
-        name=obj["name"],
-        A=A,
-        B=parse("B", set_from_json, obj["B"]),
-        lam=parse("lambda", set_from_json, obj.get("lambda")),
-        base_point=parse("base_point", as_vector, obj.get("base_point")),
-        seed_region=(
-            parse("seed_region.center", as_vector, _at(obj, "seed_region", "center")),
-            _finite_scalar(_at(obj, "seed_region", "radius"), "scenario key 'seed_region.radius'"),
-        ),
-        expected={k: _expected(obj, k, A.dim) for k in exp},
-        intersection=parse("intersection", set_from_json if isinstance(inter, dict) else _points,
-                           inter),
-        sequence=parse("sequence", _points, obj.get("sequence")),
-    )
-    if sc.lam is not None and not isinstance(sc.lam, (AffineSubspace, WholeSpace)):
-        raise ValueError(f"scenario key 'lambda' must be an affine_subspace or whole_space, "
-                         f"got {sc.lam.variant}")
+    """Read a scenario by the SCENARIO and EXPECTED tables; an error names the
+    JSON path of the value at fault."""
+    _object(obj, "", SCENARIO)
+    A = _read("set", obj["A"], "A", None)
+    got = {key: _read(kind, obj.get(key), key, A.dim)
+           for key, (kind, _) in SCENARIO.items() if key != "A"}
+    sc = Scenario(name=got["name"], A=A, B=got["B"], lam=got["lambda"],
+                  base_point=got["base_point"], seed_region=got["seed_region"],
+                  expected=got["expected"] or {}, intersection=got["intersection"],
+                  sequence=got["sequence"])
     # the optional key 'convex' states what the sets say
-    convex = obj.get("convex", sc.convex)
-    if not isinstance(convex, bool):
-        raise ValueError(f"scenario key 'convex' must be true or false, got {convex!r}")
+    convex = sc.convex if got["convex"] is None else got["convex"]
     for key, part in (("A", sc.A), ("B", sc.B)):
         if convex and not part.convex:
             raise ValueError(f"scenario key 'convex' is true, but {key} ({part.variant}) "
@@ -431,123 +414,108 @@ def scenario_from_json(obj: dict) -> Scenario:
     if sc.convex and not convex:
         raise ValueError(f"scenario key 'convex' is false, but A ({sc.A.variant}) and "
                          f"B ({sc.B.variant}) are convex sets")
-    _check_dimensions(sc)
     for key in sc.expected:
-        need = _unmet_need(sc, key)
-        if need:
-            raise ValueError(f"scenario key 'expected.{key}' needs {need}")
+        for need, met in EXPECTED[key][1]:
+            if not met(sc):
+                raise ValueError(f"scenario key 'expected.{key}' needs {need}")
     return sc
 
 
-def _points(value) -> list[Vector]:
-    if not isinstance(value, list) or not value:
-        raise ValueError("must list at least one point")
-    return [as_vector(p) for p in value]
-
-
-def _expected(obj: dict, key: str, dim: int) -> Expected:
-    """expected.<key>: a key that ``fixpoint run`` checks, a value of the type
-    its check compares (a number, a boolean, an iteration count, a point of
-    the scenario's dimension or a non-empty list of them), and a finite
-    tol >= 0."""
-    path = f"scenario key 'expected.{key}"
-    if key not in EXPECTED_KEYS:
-        raise ValueError(f"{path}' is not one that run checks: {list(EXPECTED_KEYS)}")
-    value = _at(obj, "expected", key, "value")
-    if key in NUMBER_KEYS:
-        value = _finite_scalar(value, f"{path}.value'")
-    elif key in BOOLEAN_KEYS and not isinstance(value, bool):
-        raise ValueError(f"{path}.value' must be true or false, got {value!r}")
-    elif key == "iterations_to_solve" and (
-        isinstance(value, bool) or not isinstance(value, int) or value < 0
-    ):
-        raise ValueError(f"{path}.value' must be an integer >= 0, got {value!r}")
-    elif key in POINT_KEYS:
-        _expected_point(value, dim, f"{path}.value'")
-    elif key == "stuck_points":
-        if not isinstance(value, list) or not value:
-            raise ValueError(f"{path}.value' must be a non-empty list of points, got {value!r}")
-        for i, p in enumerate(value):
-            _expected_point(p, dim, f"{path}.value[{i}]'")
-    entry = obj["expected"][key]
-    _no_unknown_keys(entry, ("value", "provenance", "tol"), f"expected.{key}")
-    tol = _finite_scalar(entry.get("tol", 0.0), f"{path}.tol'")
-    if tol < 0:
-        raise ValueError(f"{path}.tol' must be >= 0, got {tol}")
-    provenance = entry.get("provenance", "derived")
-    if provenance not in PROVENANCES:
-        raise ValueError(f"{path}.provenance' must be one of {', '.join(PROVENANCES)}, "
-                         f"got {provenance!r}")
-    return Expected(value, provenance, tol)
-
-
-def _no_unknown_keys(obj, keys: tuple, path: str) -> None:
-    """An object at the JSON path may hold only the given keys."""
-    unknown = set(obj) - set(keys) if isinstance(obj, dict) else ()
+def _object(obj, path: str, rows: dict) -> None:
+    """The value at the JSON path must be an object of the rows' keys, each
+    present and not null as its presence allows."""
+    where = f"scenario key {path!r}" if path else "a scenario"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = set(obj) - set(rows)
     if unknown:
-        raise ValueError(f"scenario key {path!r} has unknown keys {sorted(unknown)}; "
-                         f"it takes {', '.join(keys)}")
+        raise ValueError(f"{where} has unknown keys {sorted(unknown)}; it takes {', '.join(rows)}")
+    for key, (_, presence) in rows.items():
+        at = f"{path}.{key}" if path else key
+        if key not in obj and presence == REQUIRED:
+            raise ValueError(f"scenario is missing required key {at!r}")
+        if key in obj and obj[key] is None and presence != NULLABLE:
+            raise ValueError(f"scenario key {at!r} must not be null")
 
 
-def _expected_point(value, dim: int, what: str) -> None:
-    try:
-        as_vector(value, dim)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{what} must be a point in R^{dim}: {e}") from None
+def _read(kind: str, value, path: str, dim: int | None):
+    """A JSON value of the kind, parsed (None for null); a set or point must
+    have dimension dim, A's.  An error names the value's JSON path."""
+    where = f"scenario key {path!r}"
+    if value is None:
+        return None
+    if kind == "string" and not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    if kind == "bool" and not isinstance(value, bool):
+        raise ValueError(f"{where} must be true or false, got {value!r}")
+    if kind == "count" and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+        raise ValueError(f"{where} must be an integer >= 0, got {value!r}")
+    if kind == "provenance" and value not in PROVENANCES:
+        raise ValueError(f"{where} must be one of {', '.join(PROVENANCES)}, got {value!r}")
+    if kind in ("number", "nonnegative"):
+        value = _finite_scalar(value, where)
+        if kind == "nonnegative" and value < 0:
+            raise ValueError(f"{where} must be >= 0, got {value}")
+    if kind == "set-or-points":
+        kind = "set" if isinstance(value, dict) else "points"
+    if kind == "points":
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{where} must be a non-empty list of points, got {value!r}")
+        return [_read("point", p, path, dim) for p in value]
+    if kind == "region":
+        _object(value, path, _REGION)
+        return tuple(_read(k, value[key], f"{path}.{key}", dim) for key, (k, _) in _REGION.items())
+    if kind == "expected":
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object")
+        return {key: _entry(key, entry, f"{path}.{key}", dim) for key, entry in value.items()}
+    if kind == "point":
+        try:
+            if not isinstance(value, list):  # a lone number is not a point
+                raise ValueError(f"got {value!r}")
+            value = as_vector(value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{where} must be a point in R^{dim}: {e}") from None
+    if kind in ("set", "constraint"):
+        try:
+            value = set_from_json(value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{where}: {e}") from None
+        if kind == "constraint" and not isinstance(value, (AffineSubspace, WholeSpace)):
+            raise ValueError(f"{where} must be an affine_subspace or whole_space, "
+                             f"got {value.variant}")
+    if kind in ("point", "set", "constraint") and dim is not None:
+        n = value.size if kind == "point" else value.dim
+        if n != dim:
+            raise ValueError(f"{where} has dimension {n}, but A has dimension {dim}")
+    return value
 
 
-def _unmet_need(sc: Scenario, key: str) -> str | None:
-    """What the check of expected.<key> in ``fixpoint run`` needs and the
-    scenario does not supply, if anything."""
-    estimated = sc.base_point is not None and sc.intersection is not None and sc.sequence is None
-    if key in ("sr_prime", "sr_prime_local", "sr", "kappa_on_A") and not estimated:
-        return "a base_point, an intersection and no sequence"
-    if key == "sr" and not sc.convex:
-        return "a convex pair (A and B convex sets)"
-    if key in ("monotonicity_c", "linear_c", "stuck_points") and sc.intersection is None:
-        return "an intersection"
-    if key == "extendible_c" and sc.sequence is not None:
-        return "an iteration run (a shipped sequence has no joining sequence)"
-    if key == "fejer_holds" and not ("fejer_witness" in sc.expected
-                                     or isinstance(sc.intersection, list)):
-        return "a fejer_witness or an intersection probe (a list of points)"
-    if key == "global_ratio_diverges" and not (isinstance(sc.intersection, SetSpec)
-                                               and sc.A.dim == 2):
-        return "an intersection set in the plane"
-    return None
+def _entry(key: str, entry, path: str, dim: int) -> Expected:
+    """The entry expected.<key>, its value held in its JSON form."""
+    if key not in EXPECTED:
+        raise ValueError(f"scenario key {path!r} is not one that run checks: {list(EXPECTED)}")
+    _object(entry, path, _ENTRY)
+    kind = EXPECTED[key][0]
+    got = {field: _read(k or kind, entry.get(field), f"{path}.{field}", dim)
+           for field, (k, _) in _ENTRY.items()}
+    return Expected(_write(kind, got["value"]), got["provenance"] or "derived", got["tol"] or 0.0)
 
 
-def _at(obj, *keys: str):
-    """obj[k1][k2]...; a missing or null key, or a value on the way that is
-    not an object, is an error that names its JSON path."""
-    for i, key in enumerate(keys):
-        if not isinstance(obj, dict):
-            raise ValueError(f"scenario key {'.'.join(keys[:i])!r} must be an object")
-        if key not in obj:
-            raise ValueError(f"scenario is missing required key {'.'.join(keys[:i + 1])!r}")
-        obj = obj[key]
-    if obj is None:
-        raise ValueError(f"scenario key {'.'.join(keys)!r} must not be null")
-    return obj
-
-
-def _check_dimensions(sc: Scenario) -> None:
-    """Every set and point of a scenario must live in the space of A."""
-    probe = sc.intersection if isinstance(sc.intersection, list) else [sc.intersection]
-    parts = [
-        ("B", sc.B), ("lambda", sc.lam), ("base_point", sc.base_point),
-        ("seed_region.center", sc.seed_region[0]),
-    ]
-    parts += [("intersection", p) for p in probe]
-    parts += [("sequence", p) for p in sc.sequence or []]
-    for key, part in parts:
-        if part is None:
-            continue
-        dim = part.dim if isinstance(part, SetSpec) else part.size
-        if dim != sc.A.dim:
-            raise ValueError(
-                f"scenario key {key!r} has dimension {dim}, but A has dimension {sc.A.dim}"
-            )
+def _write(kind: str, value):
+    """The JSON form of a value of the kind: the inverse of :func:`_read`."""
+    if value is None or kind in ("string", "bool", "number", "count"):
+        return value
+    if isinstance(value, SetSpec):
+        return set_to_json(value)
+    if kind == "point":
+        return [float(t) for t in value]
+    if kind == "region":
+        return {"center": _write("point", value[0]), "radius": float(value[1])}
+    if kind == "expected":
+        return {key: {"value": _write(EXPECTED[key][0], e.value), "provenance": e.provenance,
+                      "tol": e.tol} for key, e in value.items()}
+    return [_write("point", p) for p in value]  # points, or a probe for set-or-points
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,14 +1,15 @@
 import json
 import math
 import os
-import random
+import shutil
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from fixpoint.cli import main
+from fixpoint.cli import execute_run, main
 from fixpoint.geometry import distance, norm, set_from_json
-from fixpoint.scenarios import build, builtin_names, scenario_to_json
+from fixpoint.scenarios import build, builtin_names, scenario_from_json, scenario_to_json
 
 
 def test_run_two_lines(tmp_path, capsys):
@@ -55,6 +56,17 @@ def test_run_user_scenario_file(tmp_path):
     report = json.loads((out / "report.json").read_text())
     checks = {c["name"]: c for c in report["expectation_checks"]}
     assert checks["iterations_to_solve"]["measured"] == 2
+
+
+def test_plot_title_escapes_the_scenario_name(tmp_path):
+    obj = scenario_to_json(build("two_lines_pi3"))
+    obj["name"] = "pair <A & B>"
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--samples", "16"]) == 0
+    texts = [t.text for t in ElementTree.parse(out / "plot.svg").getroot()]
+    assert "pair <A & B>: distance to target" in texts
 
 
 def test_run_malformed_json(tmp_path, capsys):
@@ -134,6 +146,8 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario is missing required key 'seed_region.radius'"),
         (lambda o: o["seed_region"].update(radius="wide"),
          "scenario key 'seed_region.radius' must be a number, got 'wide'"),
+        (lambda o: o["seed_region"].update(radius=-1),
+         "scenario key 'seed_region.radius' must be >= 0, got -1.0"),
         (lambda o: o["expected"]["q_rate"].pop("value"),
          "scenario is missing required key 'expected.q_rate.value'"),
         (lambda o: o["expected"].update(q_rte=o["expected"].pop("q_rate")),
@@ -155,9 +169,10 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'expected.global_ratio_diverges' needs an intersection set in the plane"),
         (lambda o: (o.pop("intersection"), o.update(expected={"stuck_points": {"value": [[0, 0]]}})),
          "scenario key 'expected.stuck_points' needs an intersection"),
-        (lambda o: o.update(sequence=[]), "scenario key 'sequence': must list at least one point"),
+        (lambda o: o.update(sequence=[]),
+         "scenario key 'sequence' must be a non-empty list of points, got []"),
         (lambda o: o.update(intersection=[]),
-         "scenario key 'intersection': must list at least one point"),
+         "scenario key 'intersection' must be a non-empty list of points, got []"),
         (lambda o: o.update(**{"lambda": {"variant": "ball", "center": [0, 0], "radius": 1}}),
          "scenario key 'lambda' must be an affine_subspace or whole_space, got ball"),
         (lambda o: o["A"].update(point={"a": 1}), "scenario key 'A': "),
@@ -175,13 +190,13 @@ def _as_builtin(obj: dict, name: str) -> dict:
         (lambda o: _as_builtin(o, "geometric_n2")["iterations_to_solve"].update(value=-1),
          "scenario key 'expected.iterations_to_solve.value' must be an integer >= 0, got -1"),
         (lambda o: _as_builtin(o, "geometric_n2")["solution"].update(value=[1, 0, 0]),
-         "scenario key 'expected.solution.value' must be a point in R^2"),
+         "scenario key 'expected.solution.value' has dimension 3, but A has dimension 2"),
         (lambda o: _as_builtin(o, "sawtooth")["intersection"].update(value="origin"),
          "scenario key 'expected.intersection.value' must be a point in R^2"),
         (lambda o: _as_builtin(o, "sawtooth")["stuck_points"].update(value=5),
          "scenario key 'expected.stuck_points.value' must be a non-empty list of points, got 5"),
         (lambda o: _as_builtin(o, "sawtooth")["stuck_points"].update(value=[[1, 0], [1]]),
-         "scenario key 'expected.stuck_points.value[1]' must be a point in R^2"),
+         "scenario key 'expected.stuck_points.value' has dimension 1, but A has dimension 2"),
         (lambda o: o.update(convex="no"), "scenario key 'convex' must be true or false, got 'no'"),
         (lambda o: (_as_builtin(o, "sawtooth"), o.update(convex=True)),
          "scenario key 'convex' is true, but A (union) is not a convex set"),
@@ -226,6 +241,7 @@ def _as_builtin(obj: dict, name: str) -> dict:
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
+         "seed_region_radius_negative",
          "expected_value", "expected_unknown_key", "expected_tol_type", "expected_tol_nan",
          "expected_tol_negative", "expected_value_type", "sr_not_convex",
          "fejer_holds_set_intersection", "global_ratio_probe", "stuck_points_no_intersection",
@@ -251,12 +267,23 @@ def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     assert not (tmp_path / "o").exists()
 
 
-#: a value of each JSON type, for a mutation that swaps a value's type
-_JSON_VALUES = {str: "x", float: 7, bool: True, list: [], dict: {}}
+#: a value of each JSON type, null included, for a mutation that swaps a value's type
+_JSON_VALUES = {str: "x", float: 7, bool: True, list: [], dict: {}, type(None): None}
+#: scenario keys that may be null or left out.  This set and _may_leave_out
+#: are written out here, not read from the scenario tables, so that a wrong
+#: table row fails the mutation test
+_NULLABLE = {("lambda",), ("base_point",), ("intersection",), ("sequence",)}
+
+
+def _may_leave_out(path: tuple) -> bool:
+    """Whether the key at path may be left out: a key of _NULLABLE, convex,
+    expected, an expected entry, and an entry's tol and provenance."""
+    return (path in _NULLABLE or path in {("convex",), ("expected",)}
+            or path[0] == "expected" and path[2:] in ((), ("tol",), ("provenance",)))
 
 
 def _json_type(value):
-    return {int: float, type(None): None}.get(type(value), type(value))
+    return float if type(value) is int else type(value)
 
 
 def _key_paths(obj, path=()):
@@ -276,60 +303,59 @@ def _get(obj, path):
     return obj
 
 
-def _required(obj: dict, path: tuple) -> bool:
-    """Whether the key at path must be present: a set's or a curve piece's
-    field, the scenario keys run cannot do without, and an expected value."""
-    parent, key = _get(obj, path[:-1]), path[-1]
-    if "variant" in parent or "kind" in parent:
-        return True
-    if len(path) == 1:
-        return key in ("name", "A", "B", "seed_region")
-    return path[0] == "seed_region" or (path[0] == "expected" and key == "value")
-
-
-def _mutate(obj: dict, rng) -> tuple[str, tuple]:
-    """One seeded corruption of a scenario object, in place: a value of the
-    wrong JSON type, a required key deleted, or an unknown key added.
-    Returns the kind and the path of the key it touched."""
+def _mutations(obj: dict):
+    """Every mutation of a scenario object: each key's value swapped for one
+    of every other JSON type or null, each key deleted, and an unknown key
+    added to every object.  Yields (mutated object, path of the key touched,
+    whether the scenario must still load)."""
+    text = json.dumps(obj)
     paths = list(_key_paths(obj))
-    kind = rng.choice(["type", "delete", "unknown"])
-    if kind == "delete":
-        paths = [p for p in paths if _required(obj, p)]
-    if kind == "unknown":
-        paths = [p for p in paths if isinstance(_get(obj, p), dict)] + [()]
-    path = rng.choice(paths)
-    parent = _get(obj, path[:-1]) if path else None
-    if kind == "type":
-        current = _json_type(parent[path[-1]])
-        parent[path[-1]] = _JSON_VALUES[rng.choice([t for t in _JSON_VALUES if t is not current])]
-    elif kind == "delete":
-        del parent[path[-1]]
-    else:
-        _get(obj, path)["zz_unknown"] = 1
-        path += ("zz_unknown",)
-    return kind, path
+    for path in paths:
+        current = _json_type(_get(obj, path))
+        for value in [v for t, v in _JSON_VALUES.items() if t is not current] + [KeyError]:
+            bad = json.loads(text)
+            if value is KeyError:
+                del _get(bad, path[:-1])[path[-1]]
+                yield bad, path, _may_leave_out(path)
+            else:
+                _get(bad, path[:-1])[path[-1]] = value
+                yield bad, path, value is None and path in _NULLABLE
+    for path in [()] + [p for p in paths if isinstance(_get(obj, p), dict)]:
+        bad = json.loads(text)
+        _get(bad, path)["zz_unknown"] = 1
+        yield bad, path + ("zz_unknown",), False
 
 
 def test_corrupted_builtins_exit_1_naming_a_key(tmp_path, capsys):
-    # seeded mutations of every built-in's JSON: each must be a usage error
-    # (exit 1) whose message names a key on the corrupted path, never a
-    # traceback and never an expectation mismatch (exit 2)
-    rng = random.Random(20)
-    failures = []
-    for case in range(152):
-        name = builtin_names()[case % len(builtin_names())]
-        obj = scenario_to_json(build(name))
-        kind, path = _mutate(obj, rng)
-        src = tmp_path / f"{case}.json"
-        src.write_text(json.dumps(obj))
-        out = tmp_path / f"o{case}"
-        capsys.readouterr()
-        code = main(["run", str(src), "--out", str(out), "--samples", "16", "--max-iter", "50"])
-        err = capsys.readouterr().err
-        named = any(f"{k}'" in err or f"'{k}" in err for k in path if isinstance(k, str))
-        if code != 1 or "Traceback" in err or not named or out.exists():
-            failures.append((name, kind, path, code, err.strip()[-200:]))
-    assert not failures, failures
+    # every mutation of every built-in's JSON, and of two_lines_pi3 with an
+    # affine lambda, the one input with lambda's fields.  One that may be
+    # left out or null must load, unless an expected key's check needs what
+    # it took away; any other must be a usage error (exit 1) whose message
+    # names a key on the mutated path, never a traceback, never a bundle and
+    # never an expectation mismatch (exit 2)
+    lam = scenario_to_json(build("two_lines_pi3"))
+    lam["lambda"] = {"variant": "affine_subspace", "point": [0.3, 0.0], "basis": [[0.0, 1.0]]}
+    src, out = tmp_path / "sc.json", tmp_path / "o"
+    failures, cases = [], 0
+    for obj in [scenario_to_json(build(name)) for name in builtin_names()] + [lam]:
+        for bad, path, loads in _mutations(obj):
+            cases += 1
+            if loads:
+                try:
+                    scenario_from_json(bad)
+                except ValueError as e:
+                    if "' needs " not in str(e):
+                        failures.append((obj["name"], path, str(e)))
+                continue
+            src.write_text(json.dumps(bad))
+            capsys.readouterr()
+            code = execute_run(str(src), str(out), samples=16, max_iter=50)  # `fixpoint run`
+            err = capsys.readouterr().err
+            named = any(f"{k}'" in err or f"'{k}" in err for k in path if isinstance(k, str))
+            if code != 1 or "Traceback" in err or not named or out.exists():
+                failures.append((obj["name"], path, code, err.strip()[-200:]))
+                shutil.rmtree(out, ignore_errors=True)
+    assert cases > 2000 and not failures, failures
 
 
 def test_global_ratio_check_with_probe_points_in_B_is_an_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
-"""The README's "Library use" snippet runs and gives the values it documents."""
+"""The README's "Library use" snippet runs and gives the values it documents,
+and its scenario schema is the one the loader reads."""
 
+import json
 import math
 import re
 from pathlib import Path
+
+from fixpoint.scenarios import EXPECTED, SCENARIO
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,16 @@ def test_library_use_snippet_runs():
     exec(compile(code, "README.md", "exec"), env)
     assert abs(env["q"].c - 0.25) <= 1e-6
     assert abs(env["srp"].value - 2 / math.sqrt(3)) <= 1e-3
+
+
+def test_schema_section_lists_the_loaders_keys():
+    section = README.read_text(encoding="utf-8").split("## Scenario JSON schema", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert set(example) == set(SCENARIO)
+    # the README word for each kind of expected value
+    words = {"number": "number", "bool": "`true`/`false`", "count": "integer >= 0",
+             "point": "point", "points": "non-empty list of points"}
+    table = section.split("| key | value | the scenario needs |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.strip().splitlines()[1:]]
+    kinds = {key: value.strip() for keys, value in rows for key in re.findall(r"`(\w+)`", keys)}
+    assert kinds == {key: words[kind] for key, (kind, _) in EXPECTED.items()}

@@ -120,6 +120,9 @@ def test_scenario_json_round_trip():
         x = rng.uniform(-2, 2, size=2)
         assert distance(sc2.A, x) == distance(sc.A, x)
         assert distance(sc2.B, x) == distance(sc.B, x)
+    for name in builtin_names():  # every built-in reads back to the same JSON
+        text = json.dumps(scenario_to_json(build(name)))
+        assert json.dumps(scenario_to_json(scenario_from_json(json.loads(text)))) == text
 
 
 def test_scenario_json_rejects_unknown_keys():
