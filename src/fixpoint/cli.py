@@ -127,7 +127,7 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
             ok = norm(tr.limit - np.asarray(exp.value, float)) <= max(tol, 1e-12)
             add(key, exp.value, got, tol, ok)
         elif key == "stuck_points":
-            near = min(as_target(t, sc.A.dim, what)._distance(tr.limit)
+            near = min(distance(as_target(t, sc.A.dim, what), tr.limit)
                        for t, what in ((exp.value, key), (sc.intersection, "intersection")))
             add(key, "limit is a listed stuck point or the intersection",
                 [float(t) for t in tr.limit], 1e-9, near <= 1e-9)

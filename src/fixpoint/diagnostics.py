@@ -207,8 +207,8 @@ def extract_monotone_subsequence(
     if not verify_r_certificate(pts, x_tilde, c, gamma, tol):
         raise ValueError("R-linear certificate (gamma, c) is invalid for this sequence")
     indices = [0]
-    target = as_target(s_probe, pts.shape[1], "s_probe")
-    d = target._distance(pts[0])
+    dists = as_target(s_probe, pts.shape[1], "s_probe")._distance_many(pts).tolist()
+    d = dists[0]
     k = 1
     while d > floor and k < len(pts):
         while k < len(pts) and gamma * c**k > c * d:
@@ -216,7 +216,7 @@ def extract_monotone_subsequence(
         if k >= len(pts):
             break
         indices.append(k)
-        d = target._distance(pts[k])
+        d = dists[k]
         k += 1
     return SubsequenceReport(indices, indices[1] if len(indices) > 1 else None)
 

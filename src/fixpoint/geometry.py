@@ -65,8 +65,8 @@ def as_points(X, dim: int | None = None) -> np.ndarray:
 # Row-wise kernels sum each row on its own (a reduction over the last axis),
 # never through a matrix product: BLAS rounds a row differently depending on
 # how many rows share the call, and a polished start must not depend on the
-# other starts.  They agree with the scalar kernels (which round their dot
-# products with FMA) to a few ulps, not bit for bit.
+# other starts.  A distance has only its row kernel; the scalar closed-form
+# projections round their dot products with FMA, a few ulps off the rows'.
 
 
 def _row_dots(Y: np.ndarray, v: Vector) -> np.ndarray:
@@ -74,8 +74,13 @@ def _row_dots(Y: np.ndarray, v: Vector) -> np.ndarray:
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (m, d) array."""
-    return np.sqrt(np.add.reduce(U * U, axis=1))
+    """Euclidean norm over the last axis, summed as np.linalg.norm sums."""
+    return np.sqrt(np.add.reduce(U * U, axis=-1))
+
+
+def _near(N: np.ndarray) -> np.ndarray:
+    """The one tie rule: which norms of each row lie within TIE_TOL of the row's least."""
+    return N <= (N.min(axis=1) + TIE_TOL)[:, None]
 
 
 class SetSpec:
@@ -88,9 +93,10 @@ class SetSpec:
     +inf.  One selection serves every variant: a row's distance is the least
     norm of its slots, and its projection the lexicographically least slot
     within TIE_TOL of that least norm (the first such slot on an exact tie).
-    ``_distance_many`` and ``_project_many`` apply it in blocks of rows;
-    ``_distance`` and ``_project`` on a checked vector are the one-row case,
-    and closed forms override all four.
+    ``_distance_many`` and ``_project_many`` apply it in blocks of rows, and
+    closed forms override both; :func:`distance` is the one-row case of the
+    first.  ``_project`` on a checked vector is the one-row case of the
+    second, which a convex variant overrides for the iteration loop.
     """
 
     dim: int
@@ -103,14 +109,11 @@ class SetSpec:
     def _candidates_many(self, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _distance(self, x: Vector) -> float:
-        return float(self._distance_many(x[None, :])[0])
-
     def _project(self, x: Vector) -> Vector:
         return self._project_many(x[None, :])[0]
 
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
-        return _by_blocks(Y, lambda B: _slot_norms(self._candidates_many(B), B).min(axis=1))
+        return _by_blocks(Y, lambda B: row_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
 
     def _project_many(self, Y: np.ndarray) -> np.ndarray:
         return _by_blocks(Y, lambda B: _select(self._candidates_many(B), B))
@@ -125,32 +128,17 @@ def _by_blocks(Y: np.ndarray, kernel) -> np.ndarray:
     return np.concatenate([kernel(Y[i:i + _BLOCK_ROWS]) for i in range(0, max(len(Y), 1), _BLOCK_ROWS)])
 
 
-def _slot_norms(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """||slot - row|| for every slot of every row, summed as np.linalg.norm
-    sums; +inf for an empty slot."""
-    R = C - Y[:, None, :]
-    return np.sqrt(np.add.reduce(R * R, axis=-1))
-
-
 def _select(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Each row's projection among its slots: the lexicographically least slot
     within TIE_TOL of the least norm, compared coordinate by coordinate (so
-    -0.0 ties 0.0), and the first of those on a full tie, as
-    ``min(_nearest(slots, y), key=tolist)`` picks it."""
-    N = _slot_norms(C, Y)
-    near = N <= (N.min(axis=1) + TIE_TOL)[:, None]
+    -0.0 ties 0.0), and the first of those on a full tie, as ``min`` with
+    key ``tolist`` picks it from the near slots in order."""
+    near = _near(row_norms(C - Y[:, None, :]))
     if np.count_nonzero(near) > len(C):  # some row has a tie to break
         for j in range(C.shape[2]):
             v = np.where(near, C[:, :, j], np.inf)
             near &= v == v.min(axis=1)[:, None]
     return C[np.arange(len(C)), near.argmax(axis=1)]
-
-
-def _nearest(cands: list[Vector], x: Vector) -> list[Vector]:
-    """The candidates within TIE_TOL of the least distance to x, in order."""
-    dists = np.linalg.norm(np.asarray(cands) - x, axis=1)
-    dmin = float(np.min(dists))
-    return [p for p, d in zip(cands, dists) if d <= dmin + TIE_TOL]
 
 
 def sorted_unique(points: list[Vector], tol: float) -> list[Vector]:
@@ -196,6 +184,9 @@ class _ConvexSet(SetSpec):
     def _candidates_many(self, Y):
         return self._project_many(Y)[:, None, :]
 
+    def _distance_many(self, Y):
+        return row_norms(Y - self._project_many(Y))
+
 
 def _finite_scalar(value, what: str) -> float:
     try:
@@ -237,9 +228,6 @@ class Halfspace(_ConvexSet):
             return x.copy()
         return x - (excess / float(self.normal @ self.normal)) * self.normal
 
-    def _distance(self, x):
-        return max(0.0, (float(self.normal @ x) - self.offset) / self._norm)
-
     def _project_many(self, Y):
         excess = _row_dots(Y, self.normal) - self.offset
         moved = Y - (excess / float(self.normal @ self.normal))[:, None] * self.normal
@@ -278,20 +266,11 @@ class AffineSubspace(_ConvexSet):
             return self.point.copy()
         return self.point + self.basis.T.dot(self.basis.dot(x - self.point))
 
-    def _distance(self, x):
-        # summed as an axis-1 norm, not with dot, so that distances (and the
-        # traces that record them) keep their last bits
-        q = self._project(x) - x
-        return math.sqrt(np.add.reduce(q * q))
-
     def _project_many(self, Y):
         if self.basis.size == 0:
             return np.broadcast_to(self.point, Y.shape).copy()
         coef = np.add.reduce((Y - self.point)[:, None, :] * self.basis, axis=2)
         return self.point + np.add.reduce(coef[:, :, None] * self.basis, axis=1)
-
-    def _distance_many(self, Y):
-        return row_norms(self._project_many(Y) - Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,9 +298,6 @@ class Ball(_ConvexSet):
         if nu <= self.radius:
             return x.copy()
         return self.center + (self.radius / nu) * u
-
-    def _distance(self, x):
-        return max(0.0, norm(x - self.center) - self.radius)
 
     def _project_many(self, Y):
         U = Y - self.center
@@ -357,14 +333,8 @@ class Box(_ConvexSet):
     def _project(self, x):
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
-    def _distance(self, x):
-        return norm(x - self._project(x))
-
     def _project_many(self, Y):
         return np.minimum(np.maximum(Y, self.lo), self.hi)
-
-    def _distance_many(self, Y):
-        return row_norms(Y - self._project_many(Y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,14 +356,8 @@ class WholeSpace(_ConvexSet):
     def _project(self, x):
         return x.copy()
 
-    def _distance(self, x):
-        return 0.0
-
     def _project_many(self, Y):
         return Y.copy()
-
-    def _distance_many(self, Y):
-        return np.zeros(len(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -708,16 +672,10 @@ class SetUnion(SetSpec):
 
     def _candidates_many(self, Y):
         Cs = [m._candidates_many(Y) for m in self.members]
-        # a member's distance, read off its candidates when it is their least norm
-        D = np.array([_slot_norms(C, Y).min(axis=1)
-                      if type(m)._distance_many is SetSpec._distance_many else m._distance_many(Y)
-                      for m, C in zip(self.members, Cs)])
-        far = D > D.min(axis=0) + TIE_TOL
-        return np.concatenate([np.where(f[:, None, None], np.inf, C) for C, f in zip(Cs, far)],
+        # each member's least candidate norm, the norms the selection compares
+        near = _near(np.stack([row_norms(C - Y[:, None, :]).min(axis=1) for C in Cs], axis=1))
+        return np.concatenate([np.where(n[:, None, None], C, np.inf) for C, n in zip(Cs, near.T)],
                               axis=1)
-
-    def _distance(self, x):  # each member's own one-point kernel, closed forms included
-        return min(m._distance(x) for m in self.members)
 
     def _distance_many(self, Y):
         return np.min([m._distance_many(Y) for m in self.members], axis=0)
@@ -735,8 +693,8 @@ def _check_dim(s: SetSpec, x) -> Vector:
 
 
 def distance(s: SetSpec, x) -> float:
-    """Euclidean distance from x to s (exact; 0 iff x lies in s)."""
-    return s._distance(_check_dim(s, x))
+    """Euclidean distance from x to s (exact; 0 iff x lies in s): its kernel's one row."""
+    return float(s._distance_many(_check_dim(s, x)[None, :])[0])
 
 
 def project_all(s: SetSpec, x) -> list[Vector]:
@@ -749,11 +707,8 @@ def project_all(s: SetSpec, x) -> list[Vector]:
     x = _check_dim(s, x)
     if s.closed_form:
         return [s._project(x)]
-    C = s._candidates_many(x[None, :])[0]
-    cands = list(C[np.isfinite(C[:, 0])])
-    if len(cands) > 1:
-        cands = sorted_unique(_nearest(cands, x), max(DEDUP_TOL, TIE_TOL * 1e-2))
-    return cands
+    C = s._candidates_many(x[None, :])
+    return sorted_unique(list(C[0][_near(row_norms(C - x))[0]]), max(DEDUP_TOL, TIE_TOL * 1e-2))
 
 
 def project_one(s: SetSpec, x) -> Vector:
@@ -925,6 +880,11 @@ def set_to_json(s: SetSpec | CurvePiece) -> dict:
     return out
 
 
+def _holds_bool(v) -> bool:
+    """Whether a JSON value is true or false, or holds one in its lists."""
+    return isinstance(v, bool) or isinstance(v, list) and any(map(_holds_bool, v))
+
+
 def _from_json(obj, tag: str, registry: dict, what: str):
     """Build the class that ``obj[tag]`` names from the other keys of obj,
     which must be its fields (those with a default may be left out)."""
@@ -940,9 +900,11 @@ def _from_json(obj, tag: str, registry: dict, what: str):
     missing = [k for k, f in keys.items() if k not in rest and f.default is MISSING]
     if missing:
         raise ValueError(f"missing keys for {name}: {missing}")
-    for k, v in rest.items():  # a JSON number is not a vector
+    for k, v in rest.items():  # a JSON number is not a vector, nor is true a coordinate
         if keys[k].type in ("Vector", "np.ndarray", "tuple") and not isinstance(v, list):
             raise ValueError(f"{name} {k} must be a list, got {v!r}")
+        if keys[k].type in ("Vector", "np.ndarray") and _holds_bool(v):
+            raise ValueError(f"{name} {k} must hold numbers, not true or false, got {v!r}")
     args = {keys[k].name: v for k, v in rest.items()}
     if cls is PiecewiseCurve:
         args["pieces"] = tuple(

@@ -34,6 +34,7 @@ from .geometry import (
     Vector,
     WholeSpace,
     _finite_scalar,
+    _holds_bool,
     as_vector,
     distance,
     norm,
@@ -359,6 +360,8 @@ def estimable(sc: Scenario) -> bool:
 _ESTIMATE = ("a base_point, an intersection and no sequence", estimable)
 _CONVEX = ("a convex pair (A and B convex sets)", lambda sc: sc.convex)
 _INTERSECTION = ("an intersection", lambda sc: sc.intersection is not None)
+_TWO_POINTS = ("a trace of at least two points (a shipped sequence of one has no ratio)",
+               lambda sc: sc.sequence is None or len(sc.sequence) > 1)
 _RUN = ("an iteration run (a shipped sequence has no joining sequence)",
         lambda sc: sc.sequence is None)
 _FEJER_PROBE = ("a fejer_witness or an intersection probe (a list of points)",
@@ -372,9 +375,9 @@ EXPECTED = {
     "sr_prime_local": ("number", (_ESTIMATE,)),
     "sr": ("number", (_ESTIMATE, _CONVEX)),
     "kappa_on_A": ("number", (_ESTIMATE,)),
-    "q_rate": ("number", ()),
-    "monotonicity_c": ("number", (_INTERSECTION,)),
-    "linear_c": ("number", (_INTERSECTION,)),
+    "q_rate": ("number", (_TWO_POINTS,)),
+    "monotonicity_c": ("number", (_INTERSECTION, _TWO_POINTS)),
+    "linear_c": ("number", (_INTERSECTION, _TWO_POINTS)),
     "extendible_c": ("number", (_RUN,)),
     "fejer_holds": ("bool", (_FEJER_PROBE,)),
     "fejer_witness": ("point", ()),
@@ -471,7 +474,7 @@ def _read(kind: str, value, path: str, dim: int | None):
         return {key: _entry(key, entry, f"{path}.{key}", dim) for key, entry in value.items()}
     if kind == "point":
         try:
-            if not isinstance(value, list):  # a lone number is not a point
+            if not isinstance(value, list) or _holds_bool(value):  # a number or true is no point
                 raise ValueError(f"got {value!r}")
             value = as_vector(value)
         except (TypeError, ValueError) as e:

@@ -238,6 +238,20 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "of points of one dimension, got [[0, 0], [1]]"),
         (lambda o: o.update(B={"variant": "finite_point_set", "points": [[0, math.inf]]}),
          "scenario key 'B': finite_point_set points have non-finite coordinates"),
+        (lambda o: o.update(base_point=[True, 0]),
+         "scenario key 'base_point' must be a point in R^2: got [True, 0]"),
+        (lambda o: o["seed_region"].update(center=[False, 0]),
+         "scenario key 'seed_region.center' must be a point in R^2: got [False, 0]"),
+        (lambda o: o.update(B={"variant": "halfspace", "normal": [True, 0], "offset": 0}),
+         "scenario key 'B': halfspace normal must hold numbers, not true or false, got [True, 0]"),
+        (lambda o: o["A"].update(basis=[[True, False]]),
+         "scenario key 'A': affine_subspace basis must hold numbers, not true or false, "
+         "got [[True, False]]"),
+        (lambda o: (_as_builtin(o, "sawtooth"),
+                    o["A"]["members"][0]["pieces"][0].update(start=[True, 0])),
+         "scenario key 'A': linear start must hold numbers, not true or false, got [True, 0]"),
+        (lambda o: (_as_builtin(o, "monotone_not_fejer"), o.update(sequence=[[1, 1]])),
+         "scenario key 'expected.linear_c' needs a trace of at least two points"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -254,7 +268,8 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "parabolic_a_nan", "parabolic_c_inf", "epigraph_breakpoint_nan",
          "epigraph_breakpoint_inf", "epigraph_piece_inf", "box_lo_nan", "whole_space_dim_float",
          "point_set_scalar", "halfspace_normal_scalar", "point_set_nested", "point_set_ragged",
-         "point_set_inf"],
+         "point_set_inf", "base_point_bool", "seed_region_center_bool", "halfspace_normal_bool",
+         "affine_basis_bool", "piece_start_bool", "sequence_one_point"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))

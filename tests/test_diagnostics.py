@@ -21,7 +21,7 @@ from fixpoint.diagnostics import (
     verify_r_certificate,
 )
 from fixpoint.engine import AlternatingProjections, IterationConfig, run
-from fixpoint.geometry import Ball, Halfspace, as_target, norm
+from fixpoint.geometry import Ball, Halfspace, as_target, distance, norm
 from fixpoint.scenarios import build, random_convex_pair
 
 HALVING = [np.array([0.5**k, 0.5**k]) for k in range(40)]
@@ -221,7 +221,7 @@ def test_extract_monotone_subsequence_contracts():
     probe = [np.zeros(2)]
     rep = extract_monotone_subsequence(seq, probe, c=0.5, gamma=1.5, limit=[0, 0])
     target = as_target(probe, 2, "probe")
-    ds = [target._distance(seq[k]) for k in rep.indices]
+    ds = [distance(target, seq[k]) for k in rep.indices]
     for d0, d1 in zip(ds, ds[1:]):
         assert d1 <= 0.5 * d0 + 1e-9
     assert rep.indices[0] == 0 and rep.k1 == rep.indices[1]

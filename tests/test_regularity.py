@@ -20,6 +20,7 @@ from fixpoint.geometry import (
     WholeSpace,
     as_target,
     ascend,
+    distance,
     sample_ball,
 )
 from fixpoint.regularity import (
@@ -417,11 +418,11 @@ def test_region_maps_points_into_on_set_and_lam():
     Y, ok = region.feasible(np.array([[0.5, 0.0], [-0.5, 0.0]]))
     assert ok.tolist() == [False, True]
     assert np.allclose(Y, [[0.276, 0.368], [0.15, 0.2]], atol=1e-12)
-    assert above._distance(Y[1]) == 0.0 and lam._distance(Y[1]) <= 1e-12
+    assert distance(above, Y[1]) == 0.0 and distance(lam, Y[1]) <= 1e-12
     # the sample is the admitted rows of the map of the ball stream
     Y, ok = region.feasible(np.array(sample_ball(np.zeros(2), 0.3, 16, 3)))
     assert 0 < ok.sum() < 16 and np.array_equal(region.sample(16, 3), Y[ok])
-    assert all(lam._distance(p) <= 1e-12 for p in _Region(np.zeros(2), 1.0, lam=lam).sample(8, 0))
+    assert all(distance(lam, p) <= 1e-12 for p in _Region(np.zeros(2), 1.0, lam=lam).sample(8, 0))
 
 
 def test_region_rejects_rows_whose_rounds_have_not_converged():
