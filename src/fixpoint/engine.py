@@ -31,6 +31,7 @@ from .geometry import (
     project_one,
     row_norms,
     sorted_unique,
+    take,
 )
 
 
@@ -48,8 +49,8 @@ class AlternatingProjections(_SetPair):
     def apply(self, x):
         return self.A._project(self.B._project(x))
 
-    def _image_many(self, X):
-        return self.A._project_many(self.B._project_many(X))
+    def _image_many(self, X, owner=None):
+        return take(self.A, owner)._project_many(take(self.B, owner)._project_many(X))
 
     def candidates(self, x):
         out = []
@@ -74,10 +75,10 @@ class DouglasRachford(_SetPair):
                 out.append(0.5 * (x + 2.0 * pa - rb))
         return sorted_unique(out, DEDUP_TOL)
 
-    def _image_many(self, X):
+    def _image_many(self, X, owner=None):
         # the candidates' formula, which rounds differently from apply's
-        rb = 2.0 * self.B._project_many(X) - X
-        return 0.5 * (X + 2.0 * self.A._project_many(rb) - rb)
+        rb = 2.0 * take(self.B, owner)._project_many(X) - X
+        return 0.5 * (X + 2.0 * take(self.A, owner)._project_many(rb) - rb)
 
 
 OperatorSpec = Union[AlternatingProjections, DouglasRachford]
@@ -100,12 +101,13 @@ def residual_map(op: OperatorSpec, x) -> float:
     return min(norm(y - x) for y in candidates(op, x))
 
 
-def residual_map_many(op: OperatorSpec, X: np.ndarray) -> np.ndarray:
-    """:func:`residual_map` of each row of a checked (m, d) array.  A pair of
-    closed-form sets has one candidate per row, computed for all rows at
-    once; other pairs go row by row."""
+def residual_map_many(op: OperatorSpec, X: np.ndarray,
+                      owner: np.ndarray | None = None) -> np.ndarray:
+    """:func:`residual_map` of each row i of a checked (m, d) array (under
+    pair owner[i] of stacked sets): a closed-form pair's one candidate of
+    every row at once, other pairs row by row."""
     if op.A.closed_form and op.B.closed_form:
-        return row_norms(op._image_many(X) - X)
+        return row_norms(op._image_many(X, owner) - X)
     return np.array([residual_map(op, x) for x in X], dtype=float)
 
 
@@ -122,18 +124,19 @@ def iterates(step, x: Vector, tol: float, max_iter: int):
         x = x_next
 
 
-def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """:func:`iterates` of T from every row of a checked (m, d) array in
-    lockstep: each row's iterate at which its step is first <= tol, or its
-    max_iter-th (the row itself for max_iter = 0).  The rows still moving
-    step together through ``op._image_many``; rows never interact, so a
-    row's limit does not depend on the others."""
+def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int,
+                owner: np.ndarray | None = None) -> np.ndarray:
+    """:func:`iterates` of T from every row i of a checked (m, d) array in
+    lockstep, under pair owner[i] of stacked sets: each row's iterate at
+    which its step is first <= tol, or its max_iter-th (the row itself for
+    max_iter = 0).  The rows still moving step together through
+    ``op._image_many``; rows never interact."""
     X = X.copy()
     rows = np.arange(len(X))
     for _ in range(max_iter):
         if rows.size == 0:
             break
-        Y = op._image_many(X[rows])
+        Y = op._image_many(X[rows], None if owner is None else owner[rows])
         r = row_norms(Y - X[rows])
         X[rows] = Y
         rows = rows[r > tol]

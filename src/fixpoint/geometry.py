@@ -188,14 +188,14 @@ class _ConvexSet(SetSpec):
         return row_norms(Y - self._project_many(Y))
 
 
-def _finite_scalar(value, what: str) -> float:
+def _scalar(value, what: str, finite: bool = True) -> float:
     try:
-        if isinstance(value, bool):  # a JSON true is not a number
+        if isinstance(value, (bool, str)):  # a JSON true or "2" is not a number
             raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(v):
+    if finite and not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {v}")
     return v
 
@@ -215,22 +215,23 @@ class Halfspace(_ConvexSet):
         if nn == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", _finite_scalar(self.offset, "halfspace offset"))
+        object.__setattr__(self, "offset", _scalar(self.offset, "halfspace offset"))
         object.__setattr__(self, "_norm", nn)
+        object.__setattr__(self, "_sq_norm", float(n @ n))
 
     @property
     def dim(self) -> int:
-        return self.normal.size
+        return self.normal.shape[-1]
 
     def _project(self, x):
         excess = float(self.normal @ x) - self.offset
         if excess <= 0.0:
             return x.copy()
-        return x - (excess / float(self.normal @ self.normal)) * self.normal
+        return x - (excess / self._sq_norm) * self.normal
 
     def _project_many(self, Y):
         excess = _row_dots(Y, self.normal) - self.offset
-        moved = Y - (excess / float(self.normal @ self.normal))[:, None] * self.normal
+        moved = Y - (excess / self._sq_norm)[:, None] * self.normal
         return np.where(excess[:, None] > 0.0, moved, Y)
 
     def _distance_many(self, Y):
@@ -259,7 +260,7 @@ class AffineSubspace(_ConvexSet):
 
     @property
     def dim(self) -> int:
-        return self.point.size
+        return self.point.shape[-1]
 
     def _project(self, x):
         if self.basis.size == 0:
@@ -282,7 +283,7 @@ class Ball(_ConvexSet):
 
     def __post_init__(self):
         c = as_vector(self.center, name="ball center")
-        r = _finite_scalar(self.radius, "ball radius")
+        r = _scalar(self.radius, "ball radius")
         if r < 0:
             raise ValueError("ball radius must be >= 0")
         object.__setattr__(self, "center", c)
@@ -290,7 +291,7 @@ class Ball(_ConvexSet):
 
     @property
     def dim(self) -> int:
-        return self.center.size
+        return self.center.shape[-1]
 
     def _project(self, x):
         u = x - self.center
@@ -328,7 +329,7 @@ class Box(_ConvexSet):
 
     @property
     def dim(self) -> int:
-        return self.lo.size
+        return self.lo.shape[-1]
 
     def _project(self, x):
         return np.minimum(np.maximum(x, self.lo), self.hi)
@@ -376,7 +377,7 @@ class Sphere(SetSpec):
 
     def __post_init__(self):
         c = as_vector(self.center, name="sphere center")
-        r = _finite_scalar(self.radius, "sphere radius")
+        r = _scalar(self.radius, "sphere radius")
         if r <= 0:
             raise ValueError("sphere radius must be > 0")
         object.__setattr__(self, "center", c)
@@ -429,10 +430,10 @@ class FinitePointSet(SetSpec):
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
     def _candidates_many(self, Y):
-        return np.broadcast_to(self.points, (len(Y),) + self.points.shape)
+        return np.broadcast_to(self.points, (len(Y),) + self.points.shape[-2:])
 
     def _distance_many(self, Y):
         D = Y[:, None, :] - self.points
@@ -466,10 +467,9 @@ class ParabolicPiece:
     t1: float
 
     def __post_init__(self):
-        for f in ("a", "b", "c"):
-            object.__setattr__(self, f, _finite_scalar(getattr(self, f), f"parabolic piece {f}"))
-        for f in ("t0", "t1"):  # may be -inf/inf: an arc over a half-line or the line
-            object.__setattr__(self, f, float(getattr(self, f)))
+        for f in ("a", "b", "c", "t0", "t1"):  # t0, t1 may be -inf/inf: a half-line or the line
+            v = _scalar(getattr(self, f), f"parabolic piece {f}", finite=f in ("a", "b", "c"))
+            object.__setattr__(self, f, v)
         if not self.t0 <= self.t1:
             raise ValueError("parabolic piece needs t0 <= t1")
 
@@ -684,6 +684,31 @@ class SetUnion(SetSpec):
 Lambda = Union[WholeSpace, AffineSubspace]
 
 
+def stack(sets: Sequence[SetSpec]) -> SetSpec:
+    """K sets of one variant and shape as one set whose every field has a
+    leading K axis; gathered by :func:`take`, its ``_project_many`` and
+    ``_distance_many`` broadcast over per-row parameters.  One set is itself."""
+    if len(sets) == 1:
+        return sets[0]
+    kinds = {type(s) for s in sets}
+    if len(kinds) > 1 or not kinds <= {Halfspace, AffineSubspace, Ball, Box, FinitePointSet}:
+        raise ValueError("a stack takes sets of one variant among halfspace, affine_subspace, "
+                         f"ball, box and finite_point_set, got {[s.variant for s in sets]}")
+    s = object.__new__(type(sets[0]))
+    vars(s).update({k: np.stack([vars(t)[k] for t in sets]) for k in vars(sets[0])},
+                   _members=np.arange(len(sets)))
+    return s
+
+
+def take(s: SetSpec, owner: np.ndarray | None) -> SetSpec:
+    """The stack of members owner[i], one per row i; another set, or no owner, is itself."""
+    if owner is None or "_members" not in vars(s):
+        return s
+    t = object.__new__(type(s))
+    vars(t).update({k: v[owner] for k, v in vars(s).items()})
+    return t
+
+
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -768,13 +793,14 @@ def ascend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic pattern ascent of score from every row of X0 in lockstep.
 
-    ``feasible(Y)`` maps each row of an (m, d) array of trial points into the
-    admissible region and returns ``(Y', ok)``, with ``ok`` marking the rows
-    it admits; ``score(Y)`` scores each row.  Rows never interact: each
-    keeps its own best point and step, polls the directions in a fixed order
-    from its current point (moving on the first trial that beats its best by
-    1e-15, then polling the remaining directions from there), halves its
-    step after a round without a move and stops below ``floor`` or after
+    ``feasible(Y, at)`` maps each row i of an (m, d) array of trials, row i
+    a trial of start ``at[i]`` (a row of X0), into that start's region and
+    returns ``(Y', ok)``, with ``ok`` marking the rows it admits;
+    ``score(Y, at)`` scores each row.  Rows never interact: each keeps its
+    own best point and step, polls the directions in a fixed order from its
+    current point (moving on the first trial that beats its best by 1e-15,
+    then polling the remaining directions from there), halves its step
+    after a round without a move and stops below ``floor`` or after
     ``max_rounds``.  A start therefore ends where it would alone, so
     per-sample polishing keeps nested-sample estimates monotone under
     refinement.
@@ -793,11 +819,11 @@ def ascend(
     """
     X0 = as_points(X0)
     m = len(X0)
-    X, ok = feasible(X0)
+    X, ok = feasible(X0, np.arange(m))
     X = np.where(ok[:, None], X, X0)
     best = np.full(m, -math.inf)
     if ok.any():
-        best[ok] = score(X[ok])
+        best[ok] = score(X[ok], np.flatnonzero(ok))
     steps = np.full(m, float(step))
     active = ok.copy()
     dirs = _polish_directions(X0.shape[1])
@@ -812,10 +838,10 @@ def ascend(
             # trials row by row, each row's untried directions in order
             r, j = np.nonzero(np.arange(n_dirs) >= first[pending, None])
             at = pending[r]
-            Y, ok = feasible(X[at] + steps[at, None] * dirs[j])
+            Y, ok = feasible(X[at] + steps[at, None] * dirs[j], at)
             s = np.full(at.size, -math.inf)
             if ok.any():
-                s[ok] = score(Y[ok])
+                s[ok] = score(Y[ok], at[ok])
             hits = np.flatnonzero(s > best[at] + 1e-15)
             if hits.size == 0:
                 break
@@ -845,12 +871,12 @@ def pattern_polish(
     and the point attaining it.
     """
 
-    def feasible_rows(Y):
+    def feasible_rows(Y, at):
         ys = [feasible(y) for y in Y]
         ok = np.array([y is not None for y in ys], dtype=bool)
         return np.array([t if y is None else y for y, t in zip(ys, Y)]).reshape(Y.shape), ok
 
-    def score_rows(Y):
+    def score_rows(Y, at):
         return np.array([score(y) for y in Y], dtype=float)
 
     best, X = ascend(np.asarray(x0, dtype=float)[None, :],

@@ -5,17 +5,21 @@ lower bound on the true constant (up to the quality of the intersection
 probe); doubling the sample count never decreases a value because samples
 are drawn from per-index streams and polished independently.
 
-The sampled estimators share one skeleton, :func:`_sup_estimate`.  A
-:class:`_Region` (points of a set and of a constraint lam within delta of a
-center) has one batched map that puts points into it: projections onto the
-set and lam, alternated when both are given.  The seeded sample (the ball
-stream's admitted images), the pattern ascent's trials and kappa's anchor
-(the center's image) all go through that map.  The skeleton scores a ratio
-of each point's distance to a target, plain during the ascent and, with
-``refine_numerator``, refined on every sample and endpoint.  Each estimator
-is only its ratio and its region.  A whole-space lam of the pair's
-dimension constrains nothing: it is read as None, and an estimate reports
-it as None.
+The sampled estimators share one skeleton, :func:`_sup_estimate`: it scores
+a ratio of each point's distance to a target, plain during the pattern
+ascent and, with ``refine_numerator``, refined on every sample and endpoint.
+A :class:`_Region` (points of a set and of a constraint lam within delta of
+a center) has one batched map that puts points into it, projections onto
+the set and lam, alternated when both are given; the seeded sample, the
+ascent's trials and kappa's anchor (the center's image) all go through it.
+Each estimator is only its ratio and its region.  A whole-space lam of the
+pair's dimension constrains nothing: it is read, and reported, as None.
+
+The skeleton runs K regions in one lockstep, each row of points owned by
+one: :func:`estimate_sr_prime_stack` estimates sr' of K pairs whose A's,
+B's and probes each form a :func:`geometry.stack`.  Rows never interact,
+so each estimate is its pair's own, bit for bit, and
+:func:`estimate_sr_prime` is the one-pair case.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .geometry import (
     norm,
     row_norms,
     sample_ball,
+    stack,
+    take,
 )
 
 RES_FLOOR = 1e-12
@@ -84,20 +90,17 @@ def _nominal_spacing(delta: float, count: int, dim: int) -> float:
     return 2.0 * delta / max(1.0, count ** (1.0 / max(1, dim)))
 
 
-def _intersection_distance(
-    X: np.ndarray,
-    target: SetSpec,
-    refine_op: engine.OperatorSpec | None = None,
-) -> np.ndarray:
-    """Distance of each row of X to a target made by ``as_target``.  With
-    refine_op, a probe (never an exact set) is sharpened by running the
-    iteration from every row to high precision, all rows in lockstep: a
-    row's limit lies in the set the probe samples, so its distance is a valid
-    upper bound."""
-    d = target._distance_many(X)
+def _intersection_distance(X: np.ndarray, target: SetSpec, owner: np.ndarray,
+                           refine_op: engine.OperatorSpec | None = None) -> np.ndarray:
+    """Distance of each row i of X to a target made by ``as_target`` (to
+    owner[i]'s of a stack).  With refine_op, a probe (never an exact set) is
+    sharpened by running the iteration from every row to high precision, all
+    rows in lockstep: a row's limit lies in the set the probe samples, so
+    its distance is a valid upper bound."""
+    d = take(target, owner)._distance_many(X)
     if refine_op is not None and isinstance(target, FinitePointSet):
-        Y = engine.settle_many(refine_op, X, 1e-13, 400)
-        at = engine.residual_map_many(refine_op, Y) <= 1e-10
+        Y = engine.settle_many(refine_op, X, 1e-13, 400, owner)
+        at = engine.residual_map_many(refine_op, Y, owner) <= 1e-10
         d[at] = np.minimum(d[at], row_norms(X[at] - Y[at]))
     return d
 
@@ -132,97 +135,101 @@ def check_sampling(delta: float, samples: int) -> None:
 
 
 class _Region:
-    """Points of ``on_set`` and of ``lam`` within ``delta`` of ``center``; a
-    set left None, or a whole-space lam, constrains nothing.  One map,
-    :meth:`feasible`, puts points into the region: the seeded sample, the
-    ascent's trials and kappa's anchor all go through it."""
+    """Points of ``on_set`` and of ``lam`` within ``delta`` of a center, one
+    region per row of ``centers`` (either set may be a :func:`geometry.stack`
+    of as many); a set left None, or a whole-space lam, constrains nothing.
+    One map, :meth:`feasible`, puts points into the regions: the seeded
+    sample, the ascent's trials and kappa's anchor."""
 
-    def __init__(self, center: Vector, delta: float, on_set: SetSpec | None = None,
+    def __init__(self, centers, delta: float, on_set: SetSpec | None = None,
                  lam: Lambda | None = None):
+        centers = np.atleast_2d(centers)
         for name, s in (("on_set", on_set), ("lam", lam)):
-            if s is not None and s.dim != center.size:
-                raise DimensionMismatch(f"{name} has dimension {s.dim}, expected {center.size}")
-        self.center, self.delta, self.on_set = center, delta, on_set
+            if s is not None and s.dim != centers.shape[1]:
+                raise DimensionMismatch(f"{name} has dimension {s.dim}, expected {centers.shape[1]}")
+        self.centers, self.delta, self.on_set = centers, delta, on_set
         self.lam = None if isinstance(lam, WholeSpace) else lam
 
-    def sample(self, samples: int, seed: int) -> np.ndarray:
-        """The seeded sample: the admitted rows of the map of the ball stream."""
+    def sample(self, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """The admitted map of each center's ball stream (seed seeds[k]), and the rows' owners."""
         check_sampling(self.delta, samples)
-        Y, ok = self.feasible(np.array(sample_ball(self.center, self.delta, samples, seed)))
-        return Y[ok]
+        owner = np.repeat(np.arange(len(self.centers)), samples)
+        Y, ok = self.feasible(np.array([y for c, seed in zip(self.centers, seeds, strict=True)
+                                        for y in sample_ball(c, self.delta, samples, seed)]), owner)
+        return Y[ok], owner[ok]
 
-    def feasible(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The map into the region: (mapped rows, which rows it admits).  Each
-        row is projected onto on_set, or onto lam without one; with both, it
-        then alternates projections onto lam and on_set, all rows in
-        lockstep, until its two projections are 1e-12 apart (at most 40
-        rounds).  A row is admitted within delta of the center and within
+    def feasible(self, Y: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The map of row i into region owner[i]: (mapped rows, which rows it
+        admits).  Each row is projected onto on_set, or onto lam without one;
+        with both, it then alternates projections onto lam and on_set, all
+        rows in lockstep, until its two projections are 1e-12 apart (at most
+        40 rounds).  A row is admitted within delta of its center and within
         1e-9 of lam, and only once its rounds have converged."""
         on_set, lam = self.on_set, self.lam
         onto = lam if on_set is None else on_set
         if onto is not None:
-            Y = onto._project_many(Y)
+            Y = take(onto, owner)._project_many(Y)
         live = np.arange(0)
         if on_set is not None and lam is not None:
             live = np.arange(len(Y))
             for _ in range(40):
-                Q = lam._project_many(Y[live])
-                Y[live] = on_set._project_many(Q)
+                Q = take(lam, owner[live])._project_many(Y[live])
+                Y[live] = take(on_set, owner[live])._project_many(Q)
                 live = live[row_norms(Y[live] - Q) > 1e-12]
                 if live.size == 0:
                     break
-        ok = row_norms(Y - self.center) <= self.delta
+        ok = row_norms(Y - self.centers[owner]) <= self.delta
         ok[live] = False
         if lam is not None:
-            ok &= lam._distance_many(Y) <= 1e-9
+            ok &= take(lam, owner)._distance_many(Y) <= 1e-9
         return Y, ok
 
 
-#: a batched ratio: one value per row of an (m, d) array of points, given the
-#: distance of each row to the estimator's target
-Ratio = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def _sup_estimate(
-    kind: str, region: _Region, P: np.ndarray, ratio: Ratio, target: SetSpec,
-    op: engine.OperatorSpec, samples: int, seed: int,
+    kind: str, region: _Region, sample: tuple[np.ndarray, np.ndarray], ratio: Callable,
+    target: SetSpec, op: engine.OperatorSpec, samples: int, seeds,
     refine_numerator: bool = False, polish_starts: int = POLISH_STARTS,
-) -> RegularityEstimate:
-    """Max of ``ratio(X, dist(X, target))`` over the points P of the region
-    and polished pattern-ascent endpoints, with its certificate.  The samples
-    among the first ``polish_starts`` with a finite value are polished
-    together in one :func:`ascend`, each depending only on its own start.
-    The ascent climbs the plain ratio; with ``refine_numerator``, ``op``
-    refines the distance to the target (:func:`_intersection_distance`) of
-    every sample and polished endpoint, once per point instead of once per
-    step.  A +inf sample decides the supremum, so then no start is polished.
-    sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags only an
+) -> list[RegularityEstimate]:
+    """Per region, the max of ``ratio(X, dist(X, target), owner)`` over its
+    points of the sample (P, owner: row i in region owner[i], regions in
+    turn) and over polished pattern-ascent endpoints, with its certificate.
+    A region's samples among its first ``polish_starts`` with a finite value
+    are polished, all in one :func:`ascend`, each depending only on its own
+    start.  The ascent climbs the plain ratio; with ``refine_numerator``,
+    ``op`` refines the distance to the target of every sample and polished
+    endpoint, once per point instead of once per step.  A +inf sample
+    decides its region's supremum and none of its starts is polished.  sr
+    and sr' clamp at 0 and flag a supremum <= 0; kappa flags only an
     all-fixed-point sample (reported as 0); sigma raises on no usable one."""
 
     def scored(refine_op):
-        return lambda X: ratio(X, _intersection_distance(X, target, refine_op))
+        return lambda X, owner: ratio(X, _intersection_distance(X, target, owner, refine_op), owner)
 
     plain = scored(None)
     final = scored(op) if refine_numerator else plain
-    center, delta = region.center, region.delta
-    vals = final(P)
-    best = float(np.max(vals, initial=-math.inf))
-    if best < math.inf:
-        starts = np.flatnonzero(np.isfinite(vals[:polish_starts]))
-        if starts.size:
-            cheap, Q = ascend(P[starts], plain, region.feasible, step=delta / 4)
-            Q = Q[np.isfinite(cheap)]
-            best = max(best, float(np.max(final(Q), initial=-math.inf)))
-    if kind == "sigma":
-        if not math.isfinite(best) or best < 0:
-            raise ValueError("no usable samples (all residuals below the floor)")
-        value, degenerate = best, False
-    elif kind == "kappa_msr":
-        value, degenerate = (0.0, True) if best == -math.inf else (best, False)
-    else:
-        value, degenerate = max(best, 0.0), best <= 0.0
-    certificate = SampleCertificate(seed, samples, _nominal_spacing(delta, samples, center.size))
-    return RegularityEstimate(kind, value, center, delta, region.lam, certificate, degenerate)
+    P, owner = sample
+    centers, delta = region.centers, region.delta
+    vals = final(P, owner)
+    best = np.full(len(centers), -math.inf)
+    np.maximum.at(best, owner, vals)
+    rank = np.arange(len(P)) - np.searchsorted(owner, owner)  # within its region
+    starts = np.flatnonzero((rank < polish_starts) & np.isfinite(vals) & (best[owner] < math.inf))
+    if starts.size:
+        of = owner[starts]
+        cheap, Q = ascend(P[starts], lambda Y, at: plain(Y, of[at]),
+                          lambda Y, at: region.feasible(Y, of[at]), step=delta / 4)
+        done = np.isfinite(cheap)
+        np.maximum.at(best, of[done], final(Q[done], of[done]))
+    if kind == "sigma" and not all(0.0 <= b < math.inf for b in best.tolist()):
+        raise ValueError("no usable samples (all residuals below the floor)")
+    spacing = _nominal_spacing(delta, samples, centers.shape[1])
+    out = []
+    for center, seed, b in zip(centers, seeds, best.tolist()):
+        # a degenerate supremum is reported as 0: sr's and sr''s <= 0, kappa's over no point
+        degenerate = kind != "sigma" and (b == -math.inf if kind == "kappa_msr" else b <= 0.0)
+        out.append(RegularityEstimate(kind, 0.0 if degenerate else b, center, delta, region.lam,
+                                      SampleCertificate(seed, samples, spacing), degenerate))
+    return out
 
 
 def _common_point(A: SetSpec, B: SetSpec, base_point, intersection: Target | None):
@@ -251,14 +258,27 @@ def estimate_sr_prime(
         dist(x, A cap B) / dist(x, B),
     skipping points where both distances vanish (those contribute 0).
     """
-    x_bar, intersection = _common_point(A, B, base_point, intersection)
-    region = _Region(x_bar, delta, on_set=A, lam=lam)
+    return estimate_sr_prime_stack([A], [B], [base_point], [intersection], [seed], delta, lam,
+                                   samples, refine_numerator, polish_starts)[0]
 
-    def ratio(X: np.ndarray, dn: np.ndarray) -> np.ndarray:
-        return _feasibility_ratio(dn, B._distance_many(X))
 
-    return _sup_estimate("sr_prime", region, region.sample(samples, seed), ratio, intersection,
-                         engine.AlternatingProjections(A, B), samples, seed,
+def estimate_sr_prime_stack(
+    As, Bs, base_points, intersections, seeds, delta: float, lam: Lambda | None = None,
+    samples: int = 256, refine_numerator: bool = False, polish_starts: int = POLISH_STARTS,
+) -> list[RegularityEstimate]:
+    """:func:`estimate_sr_prime` of pairs As[k], Bs[k] at base_points[k] with
+    probes intersections[k] and seeds[k], all in one lockstep: A's, B's and
+    probes each :func:`geometry.stack`.  Each estimate is its pair's own."""
+    xs, targets = zip(*[_common_point(*pair) for pair in
+                        zip(As, Bs, base_points, intersections, strict=True)])
+    A, B = stack(As), stack(Bs)
+    region = _Region(np.array(xs), delta, on_set=A, lam=lam)
+
+    def ratio(X: np.ndarray, dn: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _feasibility_ratio(dn, take(B, owner)._distance_many(X))
+
+    return _sup_estimate("sr_prime", region, region.sample(samples, seeds), ratio, stack(targets),
+                         engine.AlternatingProjections(A, B), samples, seeds,
                          refine_numerator, polish_starts)
 
 
@@ -279,12 +299,12 @@ def estimate_sr(
     x_bar, intersection = _common_point(A, B, base_point, intersection)
     region = _Region(x_bar, delta, lam=lam)
 
-    def ratio(X: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    def ratio(X: np.ndarray, dn: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _feasibility_ratio(dn, np.maximum(A._distance_many(X), B._distance_many(X)))
 
-    return _sup_estimate("sr", region, region.sample(samples, seed), ratio, intersection,
-                         engine.AlternatingProjections(A, B), samples, seed,
-                         refine_numerator, polish_starts)
+    return _sup_estimate("sr", region, region.sample(samples, [seed]), ratio, intersection,
+                         engine.AlternatingProjections(A, B), samples, [seed],
+                         refine_numerator, polish_starts)[0]
 
 
 def estimate_sigma(
@@ -300,12 +320,12 @@ def estimate_sigma(
     region = _Region(as_vector(base_point, A.dim), delta)
     op = engine.AlternatingProjections(A, B)
 
-    def ratio(X: np.ndarray, d_A: np.ndarray) -> np.ndarray:  # A is the target
+    def ratio(X: np.ndarray, d_A: np.ndarray, owner: np.ndarray) -> np.ndarray:  # A is the target
         r = engine.residual_map_many(op, X)
         return _divide(np.hypot(d_A, B._distance_many(X)), r, r > RES_FLOOR, -math.inf)
 
-    return _sup_estimate("sigma", region, region.sample(samples, seed), ratio, A, op,
-                         samples, seed)
+    return _sup_estimate("sigma", region, region.sample(samples, [seed]), ratio, A, op,
+                         samples, [seed])[0]
 
 
 def estimate_kappa(
@@ -332,7 +352,7 @@ def estimate_kappa(
     fix_probe = as_target(fix_probe, op.A.dim, "fixed-point probe")
     region = _Region(center, delta, on_set=on_set, lam=lam)
 
-    def ratio(X: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    def ratio(X: np.ndarray, dn: np.ndarray, owner: np.ndarray) -> np.ndarray:
         r = engine.residual_map_many(op, X)
         stuck = np.where(dn > STUCK_DIST_TOL, math.inf, -math.inf)
         return _divide(dn, r, r > RES_FLOOR, stuck)
@@ -340,10 +360,10 @@ def estimate_kappa(
     # the map of the center is evaluated when the region admits it, so a grid
     # shrunk onto a stuck point reports the sentinel rather than a large
     # finite ratio
-    anchor, ok = region.feasible(center[None, :])
-    P = np.concatenate([anchor[ok], region.sample(samples, seed)])
-    return _sup_estimate("kappa_msr", region, P, ratio, fix_probe, op, samples, seed,
-                         refine_numerator, polish_starts)
+    anchor, ok = region.feasible(center[None, :], np.zeros(1, int))
+    P = np.concatenate([anchor[ok], region.sample(samples, [seed])[0]])
+    return _sup_estimate("kappa_msr", region, (P, np.zeros(len(P), int)), ratio, fix_probe, op,
+                         samples, [seed], refine_numerator, polish_starts)[0]
 
 
 def estimate_violation(
@@ -371,7 +391,7 @@ def estimate_violation(
     coef = (1.0 - alpha) / alpha
     worst = -math.inf
     used = 0
-    for x in _Region(center, delta).sample(samples, seed):
+    for x in _Region(center, delta).sample(samples, [seed])[0]:
         nx = norm(x - y)
         if nx <= 1e-12:
             continue

@@ -33,7 +33,7 @@ from .geometry import (
     Target,
     Vector,
     WholeSpace,
-    _finite_scalar,
+    _scalar,
     _holds_bool,
     as_vector,
     distance,
@@ -456,7 +456,7 @@ def _read(kind: str, value, path: str, dim: int | None):
     if kind == "provenance" and value not in PROVENANCES:
         raise ValueError(f"{where} must be one of {', '.join(PROVENANCES)}, got {value!r}")
     if kind in ("number", "nonnegative"):
-        value = _finite_scalar(value, where)
+        value = _scalar(value, where)
         if kind == "nonnegative" and value < 0:
             raise ValueError(f"{where} must be >= 0, got {value}")
     if kind == "set-or-points":

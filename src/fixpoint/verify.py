@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
-from .geometry import as_target, norm, project_one, sample_ball
+from .geometry import as_target, row_norms, sample_ball
 from .scenarios import FAMILIES, Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
@@ -221,22 +221,18 @@ def criterion_7() -> CriterionResult:
     for i in range(n_pairs):
         sc = random_convex_pair(i, 2 + i % 3, FAMILIES[i % 3])
         A, B, x_common = sc.A, sc.B, sc.base_point
-        for _ in range(per_pair):
-            x = project_one(A, sc.base_point + rng.uniform(-1, 1, A.dim))
-            # nondecreasing step ratios: ||PBPAPBx-PAPBx|| ||PBx-x|| >= ||PAPBx-PBx||^2
-            pb = project_one(B, x)
-            pa = project_one(A, pb)
-            pb2 = project_one(B, pa)
-            lhs = norm(pb2 - pa) * norm(pb - x)
-            rhs = norm(pa - pb) ** 2
-            if lhs < rhs - 1e-9 * max(1.0, lhs, rhs):
-                bad_ratio += 1
-            # ||PBa-x|| ||PBa-a|| >= ||a-x|| ||PAPBa-PBa|| for a in A, x in A cap B,
-            # at a = x: PBa is pb and PAPBa is pa
-            lhs2 = norm(pb - x_common) * norm(pb - x)
-            rhs2 = norm(x - x_common) * norm(pa - pb)
-            if lhs2 < rhs2 - 1e-9 * max(1.0, lhs2, rhs2):
-                bad_sides += 1
+        # the pair's queries in one draw, the stream of per_pair draws of A.dim
+        X = A._project_many(x_common + rng.uniform(-1, 1, (per_pair, A.dim)))
+        PB = B._project_many(X)
+        PA = A._project_many(PB)
+        step_b, step_a = row_norms(PB - X), row_norms(PA - PB)
+        # nondecreasing step ratios: ||PBPAPBx-PAPBx|| ||PBx-x|| >= ||PAPBx-PBx||^2
+        lhs, rhs = row_norms(B._project_many(PA) - PA) * step_b, step_a ** 2
+        bad_ratio += np.count_nonzero(lhs < rhs - 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs))
+        # ||PBa-x|| ||PBa-a|| >= ||a-x|| ||PAPBa-PBa|| for a in A, x in A cap B,
+        # at a = x: PBa is PB and PAPBa is PA
+        lhs, rhs = row_norms(PB - x_common) * step_b, row_norms(X - x_common) * step_a
+        bad_sides += np.count_nonzero(lhs < rhs - 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs))
     ok = bad_ratio == 0 and bad_sides == 0
     return CriterionResult(
         7,
@@ -248,9 +244,9 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Convex necessity and sufficiency loop over 100 random pairs."""
-    fails = 0
-    n_linear = 0
+    fails = n_linear = 0
     worst_i = worst_ii = math.inf
+    cases = {}  # corpus index -> (sr' arguments, (c_mon, c_r))
     for i, sc in _convex_corpus(100, dims=(2, 3)):
         _, tr = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)
         rep = diag.check_convex_dichotomy(tr)
@@ -267,15 +263,20 @@ def criterion_8() -> CriterionResult:
             c_r = diag.estimate_r_rate(tail, limit=x_lim, floor=1e-8).c
         else:
             c_mon = c_r = 0.0  # finite termination: envelope rate 0
-        srp = reg.estimate_sr_prime(
-            sc.A, sc.B, x_lim, 0.02, intersection=probe,
-            samples=96, seed=100 + i, refine_numerator=True, polish_starts=12,
-        )
-        rhs_i = 1.0 - srp.value**-2 + 1e-2 if srp.value > 0 else math.inf
+        cases[i] = (sc.A, sc.B, x_lim, probe, 100 + i), (c_mon, c_r)
+    srp = {}
+    for g in sorted({i % 6 for i in cases}):  # a stack per FAMILIES[i % 3] and dims[i % 2]
+        group = [i for i in cases if i % 6 == g]
+        srp.update(zip(group, reg.estimate_sr_prime_stack(
+            *zip(*(cases[i][0] for i in group)), 0.02,
+            samples=96, refine_numerator=True, polish_starts=12)))
+    for i, (_, (c_mon, c_r)) in cases.items():  # corpus order
+        value = srp[i].value
+        rhs_i = 1.0 - value**-2 + 1e-2 if value > 0 else math.inf
         rhs_ii = (1.0 / (1.0 - c_r) if c_r < 1 else math.inf) + 1e-2
         worst_i = min(worst_i, rhs_i - c_mon)
-        worst_ii = min(worst_ii, rhs_ii - srp.value)
-        if not (c_mon <= rhs_i and srp.value <= rhs_ii):
+        worst_ii = min(worst_ii, rhs_ii - value)
+        if not (c_mon <= rhs_i and value <= rhs_ii):
             fails += 1
     ok = fails == 0
     return CriterionResult(

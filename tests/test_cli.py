@@ -252,6 +252,12 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'A': linear start must hold numbers, not true or false, got [True, 0]"),
         (lambda o: (_as_builtin(o, "monotone_not_fejer"), o.update(sequence=[[1, 1]])),
          "scenario key 'expected.linear_c' needs a trace of at least two points"),
+        (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
+            {"kind": "parabolic", "a": 1, "b": 0, "c": 0, "t0": True, "t1": 2}]}),
+         "scenario key 'B': parabolic piece t0 must be a number, got True"),
+        (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
+            {"kind": "parabolic", "a": 1, "b": 0, "c": 0, "t0": -1, "t1": "2"}]}),
+         "scenario key 'B': parabolic piece t1 must be a number, got '2'"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -269,7 +275,8 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "epigraph_breakpoint_inf", "epigraph_piece_inf", "box_lo_nan", "whole_space_dim_float",
          "point_set_scalar", "halfspace_normal_scalar", "point_set_nested", "point_set_ragged",
          "point_set_inf", "base_point_bool", "seed_region_center_bool", "halfspace_normal_bool",
-         "affine_basis_bool", "piece_start_bool", "sequence_one_point"],
+         "affine_basis_bool", "piece_start_bool", "sequence_one_point", "piece_t0_bool",
+         "piece_t1_string"],
 )
 def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     obj = scenario_to_json(build("two_lines_pi3"))

@@ -167,9 +167,9 @@ class CountingOperator:
     def __init__(self, op):
         self.op, self.sizes = op, []
 
-    def _image_many(self, X):
+    def _image_many(self, X, owner=None):
         self.sizes.append(len(X))
-        return self.op._image_many(X)
+        return self.op._image_many(X, owner)
 
 
 def settle_cases():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from fixpoint.geometry import (
     sample_ball,
     set_from_json,
     set_to_json,
+    stack,
+    take,
 )
 from fixpoint.regularity import _Region
 from fixpoint.scenarios import SAWTOOTH_DEPTH, build, sawtooth_graph
@@ -148,7 +151,7 @@ def test_projection_optimality_and_idempotence(s):
     # every returned candidate attains the distance; no sampled set point is
     # closer; projecting twice is projecting once
     rng = np.random.default_rng(7)
-    probe = _Region(np.zeros(2), 4.0, on_set=s).sample(1000, seed=13)
+    probe = _Region(np.zeros(2), 4.0, on_set=s).sample(1000, [13])[0]
     for _ in range(1000):
         x = rng.uniform(-3, 3, size=2)
         d = distance(s, x)
@@ -510,6 +513,54 @@ def test_batches_larger_than_a_block_equal_the_one_row_calls():
         assert all(any(np.array_equal(p, q) for q in project_all(s, y)) for y, p in zip(Y, P))
 
 
+def _stackable_members() -> dict:
+    """Three sets of one shape in R^3 for every variant a stack takes."""
+    rng = np.random.default_rng(11)
+
+    def basis(k):  # k orthonormal rows
+        return np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :k].T
+
+    return {
+        "halfspace": [Halfspace(rng.standard_normal(3), rng.uniform(-1, 1)) for _ in range(3)],
+        "ball": [Ball(rng.standard_normal(3), rng.uniform(0.2, 1.5)) for _ in range(3)],
+        "box": [Box(-rng.uniform(0.1, 1, 3), rng.uniform(0.1, 1, 3)) for _ in range(3)],
+        **{f"affine_k{k}": [AffineSubspace(rng.standard_normal(3), basis(k)) for _ in range(3)]
+           for k in (0, 1, 2)},
+        "probe": [FinitePointSet(rng.standard_normal((2, 3))) for _ in range(3)],
+    }
+
+
+STACKABLE = _stackable_members()
+
+
+@pytest.mark.parametrize("name", list(STACKABLE))
+def test_stacked_kernels_equal_each_members_kernels(name):
+    # a stack gathered by owner computes each row as the row's member does
+    # alone, bit for bit, whatever the other rows' members
+    members = STACKABLE[name]
+    rng = np.random.default_rng(5)
+    Y = as_points(rng.uniform(-2, 2, (40, 3)), 3)
+    Y[:6] = [m._project_many(Y[:2])[0] for m in members for _ in range(2)]  # rows on a member
+    owner = np.r_[np.repeat(np.arange(3), 2), rng.integers(0, 3, 34)]
+    s = stack(members)
+    assert s.dim == 3 and take(s, None) is s
+    gathered = take(s, owner)
+    for kernel in ("_project_many", "_distance_many"):
+        got = getattr(gathered, kernel)(Y)
+        for k, m in enumerate(members):
+            assert np.array_equal(got[owner == k], getattr(m, kernel)(Y[owner == k])), (kernel, k)
+
+
+def test_a_stack_takes_one_variant_and_one_set_is_itself():
+    ball = Ball([0.0, 0.0], 1.0)
+    assert stack([ball]) is ball and take(ball, np.zeros(3, int)) is ball
+    saw = sawtooth_graph(2)
+    assert stack([saw]) is saw
+    for sets in ([ball, Box([0, 0], [1, 1])], [saw, saw]):
+        with pytest.raises(ValueError, match="a stack takes sets of one variant among"):
+            stack(sets)
+
+
 def test_as_target_reads_a_probe_as_its_finite_point_set():
     box = Box([0, 0], [1, 1])
     assert as_target(box, 2, "target") is box
@@ -578,20 +629,20 @@ def batched_polish_maps(s, center, delta, probe):
     """Row-wise feasible and score maps for :func:`ascend`, and the same maps
     on one point (each a one-row call) for the scalar reference."""
 
-    def feasible_many(Y):
+    def feasible_many(Y, at):  # the same region for every start
         P = s._project_many(Y)
         return P, row_norms(P - center) <= delta
 
-    def score_many(Y):  # bounded, with kinks, -inf near the probe
+    def score_many(Y, at):  # bounded, with kinks, -inf near the probe
         d = row_norms(Y - probe)
         return np.where(d < 0.05, -math.inf, np.sin(3.0 * Y[:, 0]) * Y[:, 1] / d + Y[:, 2] ** 2)
 
     def feasible(y):
-        P, ok = feasible_many(y[None, :])
+        P, ok = feasible_many(y[None, :], np.zeros(1, int))
         return P[0] if ok[0] else None
 
     def score(y):
-        return float(score_many(y[None, :])[0])
+        return float(score_many(y[None, :], np.zeros(1, int))[0])
 
     return feasible_many, score_many, feasible, score
 
@@ -630,9 +681,9 @@ def test_ascend_makes_one_call_per_pass():
     for rounds in range(13):
         count = [0]
 
-        def counted(Y):
+        def counted(Y, at):
             count[0] += 1
-            return score_many(Y)
+            return score_many(Y, at)
 
         ascend(starts, counted, feasible_many, step=delta / 4, max_rounds=rounds)
         calls.append(count[0])
@@ -709,6 +760,16 @@ def test_set_scalars_must_be_finite(make, message, value):
 def test_non_finite_set_vectors_name_their_field(obj, field):
     with pytest.raises(ValueError, match=f"^{field} has non-finite coordinates"):
         set_from_json(obj)
+
+
+def test_parabolic_piece_ends_are_numbers_or_infinite():
+    piece = {"kind": "parabolic", "a": 1, "b": 0, "c": 0, "t0": -math.inf, "t1": math.inf}
+    curve = set_from_json({"variant": "piecewise_curve", "pieces": [piece]})
+    assert (curve.pieces[0].t0, curve.pieces[0].t1) == (-math.inf, math.inf)
+    for key, value in (("t0", True), ("t1", "2"), ("t1", "inf"), ("t0", None), ("t1", [1])):
+        with pytest.raises(ValueError, match=re.escape(f"parabolic piece {key} must be a number, "
+                                                       f"got {value!r}")):
+            set_from_json({"variant": "piecewise_curve", "pieces": [{**piece, key: value}]})
 
 
 @pytest.mark.parametrize("dim", [2.7, 2.0, -2, 0, "2", True, None])

@@ -19,6 +19,11 @@ def test_library_use_snippet_runs():
     exec(compile(code, "README.md", "exec"), env)
     assert abs(env["q"].c - 0.25) <= 1e-6
     assert abs(env["srp"].value - 2 / math.sqrt(3)) <= 1e-3
+    regularity = env["regularity"]
+    for p, seed, est in zip(env["pairs"], [0, 1, 2], env["stacked"], strict=True):
+        alone = regularity.estimate_sr_prime(p.A, p.B, p.base_point, 0.1,
+                                             intersection=p.intersection, seed=seed)
+        assert est.value == alone.value > 0
 
 
 def test_schema_section_lists_the_loaders_keys():

@@ -22,6 +22,8 @@ from fixpoint.geometry import (
     ascend,
     distance,
     sample_ball,
+    stack,
+    take,
 )
 from fixpoint.regularity import (
     _feasibility_ratio,
@@ -30,6 +32,7 @@ from fixpoint.regularity import (
     estimate_sigma,
     estimate_sr,
     estimate_sr_prime,
+    estimate_sr_prime_stack,
     estimate_violation,
     global_ratio_growth,
     necessity_bound,
@@ -37,6 +40,7 @@ from fixpoint.regularity import (
     verify_bracket,
 )
 from fixpoint.scenarios import build, line_through_origin, random_convex_pair
+from fixpoint.verify import _ap_trace, _convex_corpus
 
 PI3 = build("two_lines_pi3")
 ORIGIN = [np.zeros(2)]
@@ -363,44 +367,108 @@ def test_monotone_refinement_never_decreases():
     assert vals[0] <= vals[1]
 
 
-def _assert_each_start_ends_alone(sc, region):
-    probe = as_target(sc.intersection, sc.A.dim, "intersection")
+def _polish_maps(pairs, seeds, lam=None):
+    """The sr' polish of the pairs' regions (radius 0.3 on A, each with its
+    own seed and, if given, its own lam): their sample and owners, and the
+    ratio and feasibility maps of ascend over starts drawn from that sample."""
+    region = _Region(np.array([sc.base_point for sc in pairs]), 0.3,
+                     on_set=stack([sc.A for sc in pairs]),
+                     lam=None if lam is None else stack([lam(sc) for sc in pairs]))
+    probe = stack([as_target(sc.intersection, sc.A.dim, "intersection") for sc in pairs])
+    B = stack([sc.B for sc in pairs])
+    P, owner = region.sample(12, seeds)
 
-    def ratio(X):
-        return _feasibility_ratio(probe._distance_many(X), sc.B._distance_many(X))
+    def ratio(X, at):
+        return _feasibility_ratio(take(probe, owner[at])._distance_many(X),
+                                  take(B, owner[at])._distance_many(X))
 
-    step = region.delta / 4
-    P = region.sample(12, seed=1)
-    assert len(P)
-    best, X = ascend(P, ratio, region.feasible, step)
-    for i in range(len(P)):
-        b1, X1 = ascend(P[i : i + 1], ratio, region.feasible, step)
-        assert np.array_equal(b1, best[i : i + 1]) and np.array_equal(X1[0], X[i])
+    return P, owner, ratio, lambda Y, at: region.feasible(Y, owner[at])
+
+
+def _assert_each_start_ends_alone(pairs, lam=None):
+    # starts of every pair, polished in one ascend, end where each ends alone
+    # in its own pair's region, from its own pair's sample
+    seeds = [1 + k for k in range(len(pairs))]
+    P, owner, ratio, feasible = _polish_maps(pairs, seeds, lam)
+    assert set(owner.tolist()) == set(range(len(pairs)))
+    best, X = ascend(P, ratio, feasible, 0.3 / 4)
+    for k, sc in enumerate(pairs):
+        P1, _, ratio1, feasible1 = _polish_maps([sc], seeds[k : k + 1], lam)
+        assert np.array_equal(P1, P[owner == k])
+        for i in np.flatnonzero(owner == k):
+            b1, X1 = ascend(P[i : i + 1], ratio1, feasible1, 0.3 / 4)
+            assert np.array_equal(b1, best[i : i + 1]) and np.array_equal(X1[0], X[i])
 
 
 @pytest.mark.parametrize(
-    "sc",
-    [build("sawtooth"), build("epigraph"), random_convex_pair(3, 3, "box_affine"),
-     random_convex_pair(5, 2, "ball_ball"), random_convex_pair(1, 3, "halfspace_ball")],
-    ids=lambda sc: sc.name,
+    "pairs",
+    [[build("sawtooth")], [build("epigraph")],
+     [random_convex_pair(i, 3, "box_affine") for i in (3, 4, 6)],
+     [random_convex_pair(i, 2, "ball_ball") for i in (5, 6, 8)],
+     [random_convex_pair(i, 3, "halfspace_ball") for i in (1, 2)]],
+    ids=lambda pairs: pairs[0].name,
 )
-def test_polish_of_a_start_ignores_the_other_starts(sc):
+def test_polish_of_a_start_ignores_the_other_starts(pairs):
     # the lockstep ascent must end each start where that start ends alone, so
-    # nested samples keep giving nested (monotone) estimates
-    _assert_each_start_ends_alone(sc, _Region(sc.base_point, 0.3, on_set=sc.A))
+    # nested samples keep giving nested (monotone) estimates; the starts of
+    # a stack of convex pairs share one ascent
+    _assert_each_start_ends_alone(pairs)
+
+
+def test_stacked_sr_prime_estimates_equal_the_per_pair_estimates():
+    # criterion 8's estimates on a slice of its corpus that spans its six
+    # stacks (a family and a dimension each): one stacked estimate per
+    # stack reports every pair's own estimate, bit for bit
+    cases = []
+    for i, sc in _convex_corpus(18):
+        x_lim = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)[1].limit
+        cases.append((i, sc, x_lim, [x_lim, sc.base_point]))
+    options = dict(samples=96, refine_numerator=True, polish_starts=12)
+    for g in range(6):
+        group = [c for c in cases if c[0] % 6 == g]
+        stacked = estimate_sr_prime_stack(
+            [sc.A for _, sc, _, _ in group], [sc.B for _, sc, _, _ in group],
+            [x for _, _, x, _ in group], [probe for _, _, _, probe in group],
+            [100 + i for i, _, _, _ in group], 0.02, **options)
+        assert len(stacked) == len(group) == 3
+        for (i, sc, x_lim, probe), est in zip(group, stacked):
+            alone = estimate_sr_prime(sc.A, sc.B, x_lim, 0.02, intersection=probe,
+                                      seed=100 + i, **options)
+            assert repr(est.to_json_dict()) == repr(alone.to_json_dict()), sc.name
+            assert est.value > 0 and est.certificate.seed == 100 + i
+
+
+def test_a_stacked_estimate_checks_its_pairs():
+    pairs = [random_convex_pair(i, 2, "ball_ball") for i in (0, 1)]
+    args = ([sc.A for sc in pairs], [sc.B for sc in pairs], [sc.base_point for sc in pairs],
+            [sc.intersection for sc in pairs])
+    with pytest.raises(ValueError, match="zip"):  # one seed for two pairs
+        estimate_sr_prime_stack(*args, [0], 0.1, samples=8)
+    with pytest.raises(ValueError, match="base point must lie in both sets"):
+        estimate_sr_prime_stack(*args[:2], [sc.base_point + 1.0 for sc in pairs], *args[3:],
+                                [0, 1], 0.1, samples=8)
+    mixed = [random_convex_pair(0, 2, "ball_ball"), random_convex_pair(0, 2, "halfspace_ball")]
+    with pytest.raises(ValueError, match="a stack takes sets of one variant among"):
+        estimate_sr_prime_stack([sc.A for sc in mixed], [sc.B for sc in mixed],
+                                [sc.base_point for sc in mixed], [sc.intersection for sc in mixed],
+                                [0, 1], 0.1, samples=8)
+
+
+def _line_through_base_point(sc):
+    u = np.r_[1.0, -0.2, np.zeros(sc.A.dim - 2)]
+    return AffineSubspace(sc.base_point, [u / np.linalg.norm(u)])
 
 
 @pytest.mark.parametrize(
-    "sc",
-    [random_convex_pair(3, 3, "box_affine"), random_convex_pair(5, 2, "ball_ball"),
-     random_convex_pair(1, 3, "halfspace_ball")],
-    ids=lambda sc: sc.name,
+    "pairs",
+    [[random_convex_pair(i, 3, "box_affine") for i in (3, 4)],
+     [random_convex_pair(i, 2, "ball_ball") for i in (5, 6)],
+     [random_convex_pair(i, 3, "halfspace_ball") for i in (1, 2)]],
+    ids=lambda pairs: pairs[0].name,
 )
-def test_alternating_rounds_of_a_start_ignore_the_other_starts(sc):
+def test_alternating_rounds_of_a_start_ignore_the_other_starts(pairs):
     # the map's alternating rounds onto on_set and lam run in lockstep too
-    u = np.r_[1.0, -0.2, np.zeros(sc.A.dim - 2)]
-    lam = AffineSubspace(sc.base_point, [u / np.linalg.norm(u)])
-    _assert_each_start_ends_alone(sc, _Region(sc.base_point, 0.3, on_set=sc.A, lam=lam))
+    _assert_each_start_ends_alone(pairs, _line_through_base_point)
 
 
 def test_region_maps_points_into_on_set_and_lam():
@@ -409,20 +477,21 @@ def test_region_maps_points_into_on_set_and_lam():
     # so it lands in on_set and lam and is admitted
     lam = AffineSubspace([0.0, 0.0], [[0.6, 0.8]])
     trial = np.array([[0.5, 0.0]])
-    Y, ok = _Region(np.zeros(2), 1.0, lam=lam).feasible(trial)
+    Y, ok = _Region(np.zeros(2), 1.0, lam=lam).feasible(trial, np.zeros(1, int))
     assert ok.all() and np.allclose(Y, [[0.18, 0.24]], atol=1e-15)
     above = Halfspace([0.0, -1.0], -0.2)  # y >= 0.2, which meets lam in t (0.6, 0.8), t >= 1/4
     region = _Region(np.zeros(2), 0.3, on_set=above, lam=lam)
     # a row stops on its own: the first lands after one round, 0.46 from the
     # center, the second after about 30
-    Y, ok = region.feasible(np.array([[0.5, 0.0], [-0.5, 0.0]]))
+    Y, ok = region.feasible(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.zeros(2, int))
     assert ok.tolist() == [False, True]
     assert np.allclose(Y, [[0.276, 0.368], [0.15, 0.2]], atol=1e-12)
     assert distance(above, Y[1]) == 0.0 and distance(lam, Y[1]) <= 1e-12
     # the sample is the admitted rows of the map of the ball stream
-    Y, ok = region.feasible(np.array(sample_ball(np.zeros(2), 0.3, 16, 3)))
-    assert 0 < ok.sum() < 16 and np.array_equal(region.sample(16, 3), Y[ok])
-    assert all(distance(lam, p) <= 1e-12 for p in _Region(np.zeros(2), 1.0, lam=lam).sample(8, 0))
+    Y, ok = region.feasible(np.array(sample_ball(np.zeros(2), 0.3, 16, 3)), np.zeros(16, int))
+    assert 0 < ok.sum() < 16 and np.array_equal(region.sample(16, [3])[0], Y[ok])
+    P, owner = _Region(np.zeros(2), 1.0, lam=lam).sample(8, [0])
+    assert all(distance(lam, p) <= 1e-12 for p in P) and not owner.any()
 
 
 def test_region_rejects_rows_whose_rounds_have_not_converged():
@@ -432,11 +501,12 @@ def test_region_rejects_rows_whose_rounds_have_not_converged():
     # last round still moved it by more than 1e-12
     lam = line_through_origin(0.7)
     region = _Region(PI3.base_point, 0.5, on_set=PI3.A, lam=lam)
-    Y, ok = region.feasible(np.array([[0.1, 0.2], [0.4, -0.1], [-0.3, 0.0], [0.0, 0.3]]))
+    Y, ok = region.feasible(np.array([[0.1, 0.2], [0.4, -0.1], [-0.3, 0.0], [0.0, 0.3]]),
+                            np.zeros(4, int))
     assert ok.tolist() == [False, False, False, True]  # the last lands on the base point
     assert np.all(np.abs(Y[:3, 0]) > 1e-11) and np.all(lam._distance_many(Y) <= 1e-9)
     # every admitted sample row has converged: one more round moves it by at most 1e-12
-    S = region.sample(256, 0)
+    S = region.sample(256, [0])[0]
     Q = lam._project_many(S)
     assert np.all(np.hypot(*(PI3.A._project_many(Q) - Q).T) <= 1e-12)
 
