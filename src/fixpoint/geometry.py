@@ -15,6 +15,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .seeding import pcg64_states
+
 Vector = np.ndarray
 
 #: absolute tolerance for projection ties
@@ -701,11 +703,11 @@ def stack(sets: Sequence[SetSpec]) -> SetSpec:
 
 
 def take(s: SetSpec, owner: np.ndarray | None) -> SetSpec:
-    """The stack of members owner[i], one per row i; another set, or no owner, is itself."""
+    """Member owner[i]'s fields in row i, for one kernel call (no stack); another set is itself."""
     if owner is None or "_members" not in vars(s):
         return s
     t = object.__new__(type(s))
-    vars(t).update({k: v[owner] for k, v in vars(s).items()})
+    vars(t).update({k: v[owner] for k, v in vars(s).items() if k != "_members"})
     return t
 
 
@@ -745,25 +747,35 @@ def project_one(s: SetSpec, x) -> Vector:
 # seeded sampling and deterministic polish
 
 
-def ball_point(center, radius: float, seed: int, index: int) -> Vector:
-    """The index-th point of the seeded uniform stream on a closed ball.
+def ball_points(centers, radii, seeds, indices) -> np.ndarray:
+    """Row i is point indices[i] of seed seeds[i]'s uniform stream on the ball of radius radii[i]
+    about centers[i], the first draws of ``default_rng([seed, index])``: n points of a seed are a
+    prefix of 2n.  Each row's state is loaded into one generator, so every draw keeps its bits."""
+    C = as_points(centers)
+    U, scale = np.empty(C.shape), np.empty(len(C))
+    gen = np.random.Generator(np.random.PCG64(0))  # numpy loads numpy.random on first use
+    for k, radius, (st, inc) in zip(range(len(C)), np.asarray(radii, float).tolist(),
+                                    pcg64_states(seeds, indices), strict=True):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": st, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        u = gen.standard_normal(C.shape[1])
+        nu = norm(u)
+        if nu == 0.0:
+            u[0] = nu = 1.0
+        U[k] = u
+        scale[k] = radius * gen.random() ** (1.0 / C.shape[1]) / nu
+    return C + scale[:, None] * U
 
-    Each index owns its own generator, so the first n points of a stream are
-    a prefix of the first 2n: supremum estimates can only grow on refinement.
-    """
-    center = as_vector(center)
-    rng = np.random.default_rng([int(seed), int(index)])
-    u = rng.standard_normal(center.size)
-    nu = norm(u)
-    if nu == 0.0:
-        u[0] = 1.0
-        nu = 1.0
-    r = radius * rng.random() ** (1.0 / center.size)
-    return center + (r / nu) * u
+
+def ball_point(center, radius: float, seed: int, index: int) -> Vector:
+    """The index-th point of a seed's stream on a ball: the one-row case of :func:`ball_points`."""
+    return ball_points(as_vector(center)[None, :], [radius], [seed], [index])[0]
 
 
 def sample_ball(center, radius: float, count: int, seed: int) -> list[Vector]:
-    return [ball_point(center, radius, seed, i) for i in range(count)]
+    """The first ``count`` points of one seed's stream: the one-seed case of :func:`ball_points`."""
+    return list(ball_points(np.tile(as_vector(center), (count, 1)), [radius] * count,
+                            [seed] * count, range(count)))
 
 
 _POLISH_DIRS: dict[int, np.ndarray] = {}

@@ -42,10 +42,10 @@ from .geometry import (
     as_target,
     as_vector,
     ascend,
+    ball_points,
     distance,
     norm,
     row_norms,
-    sample_ball,
     stack,
     take,
 )
@@ -153,9 +153,11 @@ class _Region:
     def sample(self, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
         """The admitted map of each center's ball stream (seed seeds[k]), and the rows' owners."""
         check_sampling(self.delta, samples)
-        owner = np.repeat(np.arange(len(self.centers)), samples)
-        Y, ok = self.feasible(np.array([y for c, seed in zip(self.centers, seeds, strict=True)
-                                        for y in sample_ball(c, self.delta, samples, seed)]), owner)
+        seeds = [seed for _, seed in zip(self.centers, seeds, strict=True)]  # one per center
+        owner = np.repeat(np.arange(len(seeds)), samples)
+        X = ball_points(self.centers[owner], np.full(len(owner), self.delta),
+                        np.repeat(seeds, samples), np.tile(np.arange(samples), len(seeds)))
+        Y, ok = self.feasible(X, owner)
         return Y[ok], owner[ok]
 
     def feasible(self, Y: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

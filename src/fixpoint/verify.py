@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
-from .geometry import as_target, row_norms, sample_ball
+from .geometry import as_target, ball_points, row_norms
 from .scenarios import FAMILIES, Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
@@ -194,12 +194,14 @@ def criterion_6() -> CriterionResult:
     """Convex dichotomy holds on every trace of a 200-pair random corpus."""
     bad = 0
     outcomes = {"already_solved": 0, "solved_in_one": 0, "never_reaches": 0}
-    for i, sc in _convex_corpus(200):
-        seeds = [
-            sc.base_point + 0.08 * sc.boundary_ray,
-            sample_ball(sc.seed_region[0], sc.seed_region[1], 1, seed=900 + i)[0],
-        ]
-        for s in seeds:
+    corpus = list(_convex_corpus(200))
+    drawn = {}  # pair i's seed point: point 0 of seed 900 + i on its seed region
+    for d in {sc.A.dim for _, sc in corpus}:
+        ids, group = zip(*[(i, sc) for i, sc in corpus if sc.A.dim == d])
+        centers, radii = zip(*[sc.seed_region for sc in group])
+        drawn.update(zip(ids, ball_points(centers, radii, [900 + i for i in ids], [0] * len(ids))))
+    for i, sc in corpus:
+        for s in (sc.base_point + 0.08 * sc.boundary_ray, drawn[i]):
             rep = diag.check_convex_dichotomy(_ap_trace(sc, s)[1])
             outcomes[rep.outcome] += 1
             if rep.outcome == "never_reaches" and not rep.bound_holds:

@@ -1,11 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixpoint
 from fixpoint.geometry import (
     _BLOCK_ROWS,
     TIE_TOL,
@@ -27,6 +32,8 @@ from fixpoint.geometry import (
     as_target,
     as_vector,
     ascend,
+    ball_point,
+    ball_points,
     distance,
     norm,
     pattern_polish,
@@ -284,6 +291,46 @@ def test_sampling_is_nested_prefix():
     a = sample_ball([0.0, 0.0], 1.0, 16, seed=5)
     b = sample_ball([0.0, 0.0], 1.0, 32, seed=5)
     assert all(np.array_equal(p, q) for p, q in zip(a, b))
+
+
+def reference_ball_point(center, radius, seed, index):
+    """The stream's definition, one generator per point: point ``index`` of
+    ``seed`` is made of the first draws of ``default_rng([seed, index])``."""
+    rng = np.random.default_rng([seed, index])
+    u = rng.standard_normal(center.size)
+    nu = norm(u)
+    if nu == 0.0:
+        u[0] = 1.0
+        nu = 1.0
+    r = radius * rng.random() ** (1.0 / center.size)
+    return center + (r / nu) * u
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_ball_points_are_the_per_index_generators_draws(d):
+    # seeds of one to four uint32 words, and one longer than SeedSequence's pool
+    seeds = [0, 5, 900, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 1]
+    rows = [(s, i) for s in seeds for i in [*range(256), 2**31]]
+    rng = np.random.default_rng(d)
+    C, R = rng.uniform(-2, 2, (len(rows), d)), rng.uniform(0.1, 2, len(rows))
+    got = ball_points(C, R, [s for s, _ in rows], [i for _, i in rows])
+    want = np.array([reference_ball_point(c, r, s, i) for c, r, (s, i) in zip(C, R, rows)])
+    assert got.tobytes() == want.tobytes()
+    assert ball_point(C[3], R[3], *rows[3]).tobytes() == want[3].tobytes()
+
+
+def test_ball_points_reject_a_negative_seed_or_index():
+    for seeds, indices in (([3, -1], [0, 0]), ([3, 3], [0, -2]), ([-(2**70)], [0])):
+        with pytest.raises(ValueError, match="non-negative"):
+            ball_points(np.zeros((len(seeds), 2)), [1.0] * len(seeds), seeds, indices)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; the ball stream builds its generator on first use
+    code = "import sys, fixpoint.cli; sys.exit('numpy.random' in sys.modules)"
+    src = str(Path(fixpoint.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +592,7 @@ def test_stacked_kernels_equal_each_members_kernels(name):
     s = stack(members)
     assert s.dim == 3 and take(s, None) is s
     gathered = take(s, owner)
+    assert take(gathered, owner) is gathered  # a gathered copy is no stack
     for kernel in ("_project_many", "_distance_many"):
         got = getattr(gathered, kernel)(Y)
         for k, m in enumerate(members):
