@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Target, Vector, as_target, norm
+from .geometry import Target, Vector, as_target, dot_norms, norm
 
 #: distances below this are treated as numerical noise in rate windows
 RATE_FLOOR = 1e-11
@@ -26,8 +26,7 @@ def errors(points, limit) -> np.ndarray:
     """||x_k - limit|| for each point x_k, in one batch: each is rounded as
     :func:`norm` rounds it (one dot product), so the two agree bit for bit.
     ``errors(z[1:], z[:-1])`` are the step lengths of a sequence z."""
-    D = np.asarray(points, dtype=float) - np.asarray(limit, dtype=float)
-    return np.sqrt(np.vecdot(D, D))
+    return dot_norms(np.asarray(points, dtype=float) - np.asarray(limit, dtype=float))
 
 
 @dataclass

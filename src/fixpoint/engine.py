@@ -1,10 +1,11 @@
 """Fixed-point operators of a pair of sets A, B, and trace recording.
 
-Operators are evaluated two ways: :func:`apply` uses the deterministic
-projection selection at every stage (what the iteration follows), while
-:func:`candidates` enumerates the full multivalued image so that
-:func:`residual_map` can take the infimum over it.  Each operator class
-implements both as methods on a checked float vector.
+Each operator states its two stage formulas once, evaluated three ways:
+:func:`apply` with the deterministic projection selection at each stage
+(what the iteration follows), ``_image_many`` with the batched selections
+(what :func:`settle_many` steps), and ``_candidates_many`` over every
+candidate of both stages: the multivalued image, over which
+:func:`residual_map_many` takes its infimum in blocks of rows.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .geometry import (
     Vector,
     as_target,
     as_vector,
+    by_blocks,
+    dot_norms,
+    nearest_candidates,
     norm,
-    project_all,
     project_one,
     row_norms,
     sorted_unique,
@@ -37,48 +40,44 @@ from .geometry import (
 
 @dataclass(frozen=True, eq=False)
 class _SetPair:
-    """An operator built from two sets; iterates start on A."""
+    """An operator built from two sets; iterates start on A.  Its stages: the
+    y that A's stage projects is ``_enter(x, P_B x)``, and T x is ``_leave(x, y, P_A y)``."""
 
     A: SetSpec
     B: SetSpec
+
+    def apply(self, x):
+        y = self._enter(x, self.B._project(x))
+        return self._leave(x, y, self.A._project(y))
+
+    def _image_many(self, X, owner=None):
+        Y = self._enter(X, take(self.B, owner)._project_many(X))
+        return self._leave(X, Y, take(self.A, owner)._project_many(Y))
+
+    def _candidates_many(self, X, owner=None):
+        """(m, kB, kA, d): row i's image via B's j-th and A's l-th nearest candidates, or +inf."""
+        PB = nearest_candidates(take(self.B, owner), X)
+        i, j = np.nonzero(np.isfinite(PB[..., 0]))
+        Y = self._enter(X[i], PB[i, j])
+        PA = nearest_candidates(take(self.A, None if owner is None else owner[i]), Y)
+        k, l = np.nonzero(np.isfinite(PA[..., 0]))
+        C = np.full(PB.shape[:2] + PA.shape[1:], np.inf)
+        C[i[k], j[k], l] = self._leave(X[i[k]], Y[k], PA[k, l])
+        return C
 
 
 class AlternatingProjections(_SetPair):
     """T = P_A o P_B."""
 
-    def apply(self, x):
-        return self.A._project(self.B._project(x))
-
-    def _image_many(self, X, owner=None):
-        return take(self.A, owner)._project_many(take(self.B, owner)._project_many(X))
-
-    def candidates(self, x):
-        out = []
-        for b in project_all(self.B, x):
-            out.extend(project_all(self.A, b))
-        return sorted_unique(out, DEDUP_TOL)
+    _enter = staticmethod(lambda x, pb: pb)
+    _leave = staticmethod(lambda x, y, pa: pa)
 
 
 class DouglasRachford(_SetPair):
-    """T = (Id + R_A R_B) / 2 with reflectors R_C = 2 P_C - Id."""
+    """T = (Id + R_A R_B) / 2 with reflectors R_C = 2 P_C - Id: A's stage projects R_B x."""
 
-    def apply(self, x):
-        rb = 2.0 * self.B._project(x) - x
-        ra = 2.0 * self.A._project(rb) - rb
-        return 0.5 * (x + ra)
-
-    def candidates(self, x):
-        out = []
-        for pb in project_all(self.B, x):
-            rb = 2.0 * pb - x
-            for pa in project_all(self.A, rb):
-                out.append(0.5 * (x + 2.0 * pa - rb))
-        return sorted_unique(out, DEDUP_TOL)
-
-    def _image_many(self, X, owner=None):
-        # the candidates' formula, which rounds differently from apply's
-        rb = 2.0 * take(self.B, owner)._project_many(X) - X
-        return 0.5 * (X + 2.0 * take(self.A, owner)._project_many(rb) - rb)
+    _enter = staticmethod(lambda x, pb: 2.0 * pb - x)
+    _leave = staticmethod(lambda x, y, pa: 0.5 * (x + (2.0 * pa - y)))
 
 
 OperatorSpec = Union[AlternatingProjections, DouglasRachford]
@@ -91,24 +90,25 @@ def apply(op: OperatorSpec, x) -> Vector:
 
 
 def candidates(op: OperatorSpec, x) -> list[Vector]:
-    """Full multivalued image Tx as a finite candidate list."""
-    return op.candidates(np.asarray(x, dtype=float))
+    """The image Tx, deduplicated, in lexicographic order: ``op._candidates_many``'s one row."""
+    C = op._candidates_many(as_vector(x, op.A.dim)[None, :]).reshape(-1, op.A.dim)
+    return sorted_unique(list(C[np.isfinite(C[:, 0])]), DEDUP_TOL)
 
 
 def residual_map(op: OperatorSpec, x) -> float:
-    """dist(0, Tx - x): the infimum of ||x+ - x|| over the candidate image."""
-    x = np.asarray(x, dtype=float)
-    return min(norm(y - x) for y in candidates(op, x))
+    """dist(0, Tx - x), the least ||x+ - x|| over Tx: :func:`residual_map_many`'s one row."""
+    return float(residual_map_many(op, as_vector(x, op.A.dim)[None, :])[0])
 
 
 def residual_map_many(op: OperatorSpec, X: np.ndarray,
                       owner: np.ndarray | None = None) -> np.ndarray:
     """:func:`residual_map` of each row i of a checked (m, d) array (under
-    pair owner[i] of stacked sets): a closed-form pair's one candidate of
-    every row at once, other pairs row by row."""
+    pair owner[i] of stacked sets): a closed-form pair's one image of every
+    row at once, another pair's least dot_norms over its image, by blocks."""
     if op.A.closed_form and op.B.closed_form:
         return row_norms(op._image_many(X, owner) - X)
-    return np.array([residual_map(op, x) for x in X], dtype=float)
+    return by_blocks(np.arange(len(X)), lambda i: dot_norms(op._candidates_many(
+        X[i], None if owner is None else owner[i]) - X[i, None, None, :]).min(axis=(1, 2)))
 
 
 def iterates(step, x: Vector, tol: float, max_iter: int):
@@ -217,8 +217,7 @@ class Trace:
         Bk = np.array(b, dtype=float).reshape(-1, X.shape[1])
         target = as_target(target if target is not None else X[-1:], X.shape[1], "target")
         if steps is None:
-            D = np.diff(X, axis=0)
-            steps = np.sqrt(np.vecdot(D, D)).tolist()  # rounded as norm() rounds each
+            steps = dot_norms(np.diff(X, axis=0)).tolist()
         # a nonconvex B's selected b_k may lie up to TIE_TOL beyond its nearest point
         from_b = len(Bk) > 0 and B.convex
         return cls(

@@ -80,6 +80,11 @@ def row_norms(U: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(U * U, axis=-1))
 
 
+def dot_norms(U: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, each rounded as :func:`norm` rounds it (vecdot)."""
+    return np.sqrt(np.vecdot(U, U))
+
+
 def _near(N: np.ndarray) -> np.ndarray:
     """The one tie rule: which norms of each row lie within TIE_TOL of the row's least."""
     return N <= (N.min(axis=1) + TIE_TOL)[:, None]
@@ -115,10 +120,10 @@ class SetSpec:
         return self._project_many(x[None, :])[0]
 
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
-        return _by_blocks(Y, lambda B: row_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
+        return by_blocks(Y, lambda B: row_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
 
     def _project_many(self, Y: np.ndarray) -> np.ndarray:
-        return _by_blocks(Y, lambda B: _select(self._candidates_many(B), B))
+        return by_blocks(Y, lambda B: _select(self._candidates_many(B), B))
 
 
 #: rows per call of a candidate enumeration: bounds its (rows, slots, dim)
@@ -126,7 +131,7 @@ class SetSpec:
 _BLOCK_ROWS = 64
 
 
-def _by_blocks(Y: np.ndarray, kernel) -> np.ndarray:
+def by_blocks(Y: np.ndarray, kernel) -> np.ndarray:
     return np.concatenate([kernel(Y[i:i + _BLOCK_ROWS]) for i in range(0, max(len(Y), 1), _BLOCK_ROWS)])
 
 
@@ -391,7 +396,7 @@ class Sphere(SetSpec):
 
     def _project_many(self, Y):
         U = Y - self.center
-        nu = np.sqrt(np.vecdot(U, U))
+        nu = dot_norms(U)
         fiber = nu < 1e-15 * max(1.0, self.radius)
         with np.errstate(divide="ignore", invalid="ignore"):
             P = self.center + (self.radius / nu)[:, None] * U
@@ -403,7 +408,7 @@ class Sphere(SetSpec):
 
     def _distance_many(self, Y):
         U = Y - self.center
-        return np.abs(np.sqrt(np.vecdot(U, U)) - self.radius)
+        return np.abs(dot_norms(U) - self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,8 +443,7 @@ class FinitePointSet(SetSpec):
         return np.broadcast_to(self.points, (len(Y),) + self.points.shape[-2:])
 
     def _distance_many(self, Y):
-        D = Y[:, None, :] - self.points
-        return np.sqrt(np.vecdot(D, D)).min(axis=1)
+        return dot_norms(Y[:, None, :] - self.points).min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -715,13 +719,9 @@ def take(s: SetSpec, owner: np.ndarray | None) -> SetSpec:
 # core operations
 
 
-def _check_dim(s: SetSpec, x) -> Vector:
-    return as_vector(x, s.dim)
-
-
 def distance(s: SetSpec, x) -> float:
     """Euclidean distance from x to s (exact; 0 iff x lies in s): its kernel's one row."""
-    return float(s._distance_many(_check_dim(s, x)[None, :])[0])
+    return float(s._distance_many(as_vector(x, s.dim)[None, :])[0])
 
 
 def project_all(s: SetSpec, x) -> list[Vector]:
@@ -731,16 +731,23 @@ def project_all(s: SetSpec, x) -> list[Vector]:
     fiber that is not finite (the sphere queried at its center) is
     represented by one canonical point.
     """
-    x = _check_dim(s, x)
+    x = as_vector(x, s.dim)
     if s.closed_form:
         return [s._project(x)]
-    C = s._candidates_many(x[None, :])
-    return sorted_unique(list(C[0][_near(row_norms(C - x))[0]]), max(DEDUP_TOL, TIE_TOL * 1e-2))
+    C = nearest_candidates(s, x[None, :])[0]
+    return sorted_unique(list(C[np.isfinite(C[:, 0])]), max(DEDUP_TOL, TIE_TOL * 1e-2))
+
+
+def nearest_candidates(s: SetSpec, Y: np.ndarray) -> np.ndarray:
+    """The candidates of each row of a checked (m, dim) array within TIE_TOL
+    of its nearest, its other slots +inf: the points :func:`project_all` lists."""
+    C = s._candidates_many(Y)
+    return np.where(_near(row_norms(C - Y[:, None, :]))[:, :, None], C, np.inf)
 
 
 def project_one(s: SetSpec, x) -> Vector:
     """Deterministic selection: the lexicographically smallest projection."""
-    return s._project(_check_dim(s, x))
+    return s._project(as_vector(x, s.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,11 @@ from .geometry import (
     as_vector,
     ascend,
     ball_points,
+    by_blocks,
     distance,
-    norm,
+    dot_norms,
     row_norms,
+    set_to_json,
     stack,
     take,
 )
@@ -391,18 +393,18 @@ def estimate_violation(
         raise ValueError("y must be a fixed point of the operator")
     center = as_vector(center, op.A.dim)
     coef = (1.0 - alpha) / alpha
-    worst = -math.inf
-    used = 0
-    for x in _Region(center, delta).sample(samples, [seed])[0]:
-        nx = norm(x - y)
-        if nx <= 1e-12:
-            continue
-        used += 1
-        for x_plus in engine.candidates(op, x):
-            val = (norm(x_plus - y) ** 2 + coef * norm(x - x_plus) ** 2) / nx**2 - 1.0
-            worst = max(worst, val)
-    if used == 0:
+    X = _Region(center, delta).sample(samples, [seed])[0]
+    X = X[dot_norms(X - y) > 1e-12]
+    if len(X) == 0:
         raise ValueError("no samples away from the fixed point")
+
+    def deficits(Xb: np.ndarray) -> np.ndarray:  # each row's largest over its candidates
+        C = op._candidates_many(Xb)
+        val = ((dot_norms(C - y) ** 2 + coef * dot_norms(Xb[:, None, None, :] - C) ** 2)
+               / dot_norms(Xb - y)[:, None, None] ** 2 - 1.0)
+        return np.where(np.isfinite(C[..., 0]), val, -math.inf).max(axis=(1, 2))
+
+    worst = float(by_blocks(X, deficits).max())
     return RegularityEstimate(
         "violation_eps",
         max(0.0, worst),
@@ -466,10 +468,11 @@ def verify_bracket(
     """sr' <= sr <= 1 + 2 sr' within the sampling slack."""
     if sr_est.kind != "sr" or sr_prime_est.kind != "sr_prime":
         raise ValueError("arguments must be an sr and an sr_prime estimate")
+    lams = [None if e.lam is None else set_to_json(e.lam) for e in (sr_est, sr_prime_est)]
     same = (
         np.allclose(sr_est.base_point, sr_prime_est.base_point, atol=1e-12)
         and sr_est.delta == sr_prime_est.delta
-        and type(sr_est.lam) is type(sr_prime_est.lam)
+        and lams[0] == lams[1]
     )
     if not same:
         raise ValueError("estimates carry mismatched certificates")

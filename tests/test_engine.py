@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from fixpoint.engine import (
     candidates,
     iterates,
     residual_map,
+    residual_map_many,
     run,
     settle_many,
     trace_to_json_text,
 )
 from fixpoint.geometry import (
+    DEDUP_TOL,
     AffineSubspace,
     Ball,
     DimensionMismatch,
@@ -30,11 +33,13 @@ from fixpoint.geometry import (
     Halfspace,
     distance,
     norm,
+    project_all,
     project_one,
     row_norms,
     sample_ball,
+    sorted_unique,
 )
-from fixpoint.scenarios import build, line_through_origin, random_convex_pair
+from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
 
 
 def two_lines_op(angle=math.pi / 3):
@@ -58,20 +63,30 @@ def test_apply_dr_same_halfspace():
     assert np.allclose(apply(DouglasRachford(hs, hs), [1.0, 1.0]), [1, 0])
 
 
+#: each entry point that checks its point, and what it is on a checked vector
+ENTRY_POINTS = {
+    "apply": (apply, lambda op, x: op.apply(x)),
+    "candidates": (candidates, lambda op, x: list(op._candidates_many(x[None, :])[0, 0])),
+    "residual_map": (residual_map, lambda op, x: residual_map_many(op, x[None, :])[0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
-def test_apply_checks_its_point_once_and_then_is_the_method(operator):
-    # the operator methods take checked vectors; the module-level apply checks
+def test_apply_checks_its_point_once_and_then_is_the_method(operator, entry):
+    # the operator methods take checked vectors; the module-level entry points check
+    checked, method = ENTRY_POINTS[entry]
     sc = random_convex_pair(3, 3, "ball_ball")
     op = operator(sc.A, sc.B)
     with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
-        apply(op, [1.0, 0.0])
+        checked(op, [1.0, 0.0])
     for bad in ([1.0, math.nan, 0.0], [math.inf, 0.0, 0.0]):
         with pytest.raises(ValueError, match="non-finite"):
-            apply(op, bad)
+            checked(op, bad)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=3)
-        assert np.array_equal(apply(op, x.tolist()), op.apply(x))
+        assert np.array_equal(checked(op, x.tolist()), method(op, x))
 
 
 def test_dr_matches_reflector_composition():
@@ -255,6 +270,83 @@ def test_residual_map_minimizes_over_candidates():
     assert np.allclose(apply(op, x), [0.0, -1.0])  # lexicographically smallest
     assert norm(apply(op, x) - x) == 2.0
     assert residual_map(op, x) == 0.0  # the other branch returns to x
+
+
+def reference_candidates(op, x):
+    """The scalar loops over project_all that enumerated Tx before the
+    batched candidate image, kept as the reference it must match to rounding."""
+    out = []
+    if isinstance(op, AlternatingProjections):
+        for b in project_all(op.B, x):
+            out.extend(project_all(op.A, b))
+    else:
+        for pb in project_all(op.B, x):
+            rb = 2.0 * pb - x
+            for pa in project_all(op.A, rb):
+                out.append(0.5 * (x + 2.0 * pa - rb))
+    return sorted_unique(out, DEDUP_TOL)
+
+
+def reference_points(sc, count):
+    """Seeded points about a built-in's base point and seed region, with the
+    base point itself and the seed region's center (ties and fixed points)."""
+    center, radius = sc.seed_region
+    base = center if sc.base_point is None else sc.base_point
+    return np.array([base, center, *sample_ball(base, 0.5, count, seed=11),
+                     *sample_ball(center, radius, count, seed=12)])
+
+
+def switch_points(op, X):
+    """Consecutive rows of X bisected, all in lockstep, toward a jump of the
+    selected image between them.  A stage's selection jumps where a candidate
+    leaves its TIE_TOL band, so of each pair that ends at a jump the side
+    still inside the band has several candidates."""
+    P, Q = X[:-1].copy(), X[1:].copy()
+    TP, TQ = op._image_many(P), op._image_many(Q)
+    for _ in range(52):
+        M = 0.5 * (P + Q)
+        TM = op._image_many(M)
+        left = row_norms(TM - TP) >= row_norms(TM - TQ)  # the larger change is in [P, M]
+        Q[left], TQ[left] = M[left], TM[left]
+        P[~left], TP[~left] = M[~left], TM[~left]
+    jump = row_norms(TP - TQ) > 1e-6
+    return np.concatenate([P[jump], Q[jump]])
+
+
+@pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
+@pytest.mark.parametrize("name", builtin_names())
+def test_candidate_image_matches_the_scalar_reference(name, operator):
+    # the batched stages round the closed-form projections a few ulps off the
+    # scalar ones (and DR's formula as apply rounds it), never more than 16 eps
+    sc = build(name)
+    op = operator(sc.A, sc.B)
+    X = reference_points(sc, 150)
+    S = switch_points(op, X)
+    X = np.concatenate([X, S])
+    ties = 0
+    for x, r_x in zip(X, residual_map_many(op, X)):
+        tol = 16 * np.finfo(float).eps * (1.0 + norm(x))
+        want, got = reference_candidates(op, x), candidates(op, x)
+        assert len(got) == len(want)
+        for c in got:
+            assert min(norm(c - w) for w in want) <= tol
+        assert abs(r_x - min(norm(w - x) for w in want)) <= tol
+        ties += len(got) > 1
+    assert 2 * ties >= len(S)  # sawtooth and the geometric pairs reach hundreds of ties
+
+
+@pytest.mark.parametrize("name", ["sawtooth", "epigraph"])
+def test_residual_map_many_works_in_blocks_of_rows(name):
+    # the candidate image of 20,000 rows at once would take tens of MB
+    sc = build(name)
+    X = np.array(sample_ball(sc.seed_region[0], 0.5, 20_000, seed=1))
+    tracemalloc.start()
+    try:
+        residual_map_many(AlternatingProjections(sc.A, sc.B), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_run_determinism_bit_identical():

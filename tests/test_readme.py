@@ -1,5 +1,6 @@
 """The README's "Library use" snippet runs and gives the values it documents,
-and its scenario schema is the one the loader reads."""
+its scenario schema is the one the loader reads, and its layout names every
+module."""
 
 import json
 import math
@@ -37,3 +38,11 @@ def test_schema_section_lists_the_loaders_keys():
     rows = [line.split("|")[1:3] for line in table.strip().splitlines()[1:]]
     kinds = {key: value.strip() for keys, value in rows for key in re.findall(r"`(\w+)`", keys)}
     assert kinds == {key: words[kind] for key, (kind, _) in EXPECTED.items()}
+
+
+def test_layout_names_every_module():
+    section = README.read_text(encoding="utf-8").split("## Layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    named = set(re.findall(r"^  (\w+\.py) ", block, re.M))
+    modules = {p.name for p in (README.parent / "src" / "fixpoint").glob("*.py")}
+    assert named == modules - {"__init__.py"}

@@ -39,7 +39,7 @@ from fixpoint.regularity import (
     predicted_rate_msr,
     verify_bracket,
 )
-from fixpoint.scenarios import build, line_through_origin, random_convex_pair
+from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
 from fixpoint.verify import _ap_trace, _convex_corpus
 
 PI3 = build("two_lines_pi3")
@@ -282,9 +282,16 @@ def test_bracket_identical_sets():
 
 
 def test_bracket_mismatched_certificates_rejected():
-    srp = estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, intersection=ORIGIN, samples=32, seed=7)
-    sr = estimate_sr(PI3.A, PI3.B, [0, 0], 0.4, intersection=ORIGIN, samples=32, seed=7)
+    kw = dict(intersection=ORIGIN, samples=32, seed=7)
+    srp = estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, **kw)
+    sr = estimate_sr(PI3.A, PI3.B, [0, 0], 0.4, **kw)
     with pytest.raises(ValueError):
+        verify_bracket(sr, srp)
+    # two lams of one variant on different lines certify different regions
+    sr = estimate_sr(PI3.A, PI3.B, [0, 0], 0.5, lam=AffineSubspace([0, 0], [[0.0, 1.0]]), **kw)
+    srp = estimate_sr_prime(PI3.A, PI3.B, [0, 0], 0.5, lam=AffineSubspace([0, 0], [[0.6, 0.8]]),
+                            **kw)
+    with pytest.raises(ValueError, match="mismatched certificates"):
         verify_bracket(sr, srp)
 
 
@@ -534,17 +541,15 @@ def test_a_whole_space_lam_of_the_wrong_dimension_is_named():
 
 
 @pytest.mark.parametrize("op_cls", [AlternatingProjections, DouglasRachford])
-@pytest.mark.parametrize("name", ["two_lines_pi3", "sawtooth", "epigraph"])
+@pytest.mark.parametrize("name", builtin_names())
 def test_batched_residual_map_equals_scalar(op_cls, name):
+    # residual_map is the batch's one-row case, closed-form pairs included
     sc = build(name)
     op = op_cls(sc.A, sc.B)
-    X = np.array(sample_ball(sc.base_point, 0.5, 24, seed=2))
+    center = sc.seed_region[0] if sc.base_point is None else sc.base_point
+    X = np.array(sample_ball(center, 0.5, 24, seed=2))
     ref = np.array([residual_map(op, x) for x in X])
-    got = residual_map_many(op, X)
-    if sc.A.closed_form and sc.B.closed_form:
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-15)
-    else:
-        assert np.array_equal(got, ref)
+    assert np.array_equal(residual_map_many(op, X), ref)
 
 
 def test_kappa_tightness_and_sufficiency_two_lines():
