@@ -1,9 +1,9 @@
 """Sampled estimation of regularity constants and closed-form rate bounds.
 
-Every estimator reports a supremum over a seeded, certified sample and is a
-lower bound on the true constant (up to the quality of the intersection
-probe); doubling the sample count never decreases a value because samples
-are drawn from per-index streams and polished independently.
+Every estimator reports a supremum over a seeded, certified sample; the
+polish can push it above the true constant, so it is no lower bound.
+Doubling the sample count never decreases a value because samples are
+drawn from per-index streams and polished independently.
 
 The sampled estimators share one skeleton, :func:`_sup_estimate`: it scores
 a ratio of each point's distance to a target, plain during the pattern

@@ -240,7 +240,34 @@ def build(name: str) -> Scenario:
     return factory()
 
 
-FAMILIES = ("halfspace_ball", "box_affine", "ball_ball")
+def _halfspace_ball(rng, x_bar, nu, w, theta):
+    r = rng.uniform(0.7, 1.5)
+    n = math.cos(theta) * nu + math.sin(theta) * w
+    # the ray is the tangent of bd A at x_bar exiting the ball
+    return Halfspace(n, float(n @ x_bar)), Ball(x_bar - r * nu, r), _unit(nu - math.cos(theta) * n)
+
+
+def _box_affine(rng, x_bar, nu, w, theta):
+    half = rng.uniform(0.5, 1.2, size=x_bar.size)
+    center = x_bar.copy()
+    center[0] -= half[0]  # x_bar sits at the middle of the +e0 face
+    e0 = np.eye(x_bar.size)[0]
+    w_face = _unit_orthogonal(rng, e0)  # tangent to the face
+    u = _unit(-math.sin(theta) * w_face - math.cos(theta) * e0)
+    # the ray runs along the face, away from the line's shadow
+    return Box(center - half, center + half), AffineSubspace(x_bar, [u]), w_face
+
+
+def _ball_ball(rng, x_bar, nu, w, theta):
+    r1 = rng.uniform(0.7, 1.5)
+    r2 = rng.uniform(0.7, 1.5)
+    nu2 = math.cos(theta) * nu + math.sin(theta) * w
+    return Ball(x_bar - r1 * nu, r1), Ball(x_bar - r2 * nu2, r2), _unit(nu2 - math.cos(theta) * nu)
+
+
+#: random pair family -> its builder (rng, x_bar, nu, w, theta) -> (A, B, boundary ray);
+#: each row gets the generator's first draws, read or not, and puts x_bar on both sets
+FAMILIES = {"halfspace_ball": _halfspace_ball, "box_affine": _box_affine, "ball_ball": _ball_ball}
 
 
 def random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
@@ -252,52 +279,26 @@ def random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
     """
     if not 2 <= dim <= 8:
         raise ValueError("dim must lie in {2,...,8}")
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
+    if (builder := FAMILIES.get(family)) is None:
+        raise ValueError(f"family must be one of {tuple(FAMILIES)}")
     rng = np.random.default_rng([1234, int(seed)])
-    for _ in range(16):
-        x_bar = rng.uniform(-1.0, 1.0, size=dim)
-        nu = _unit(rng.standard_normal(dim))
-        w = _unit_orthogonal(rng, nu)
-        theta = rng.uniform(math.radians(25.0), math.radians(65.0))
-        if family == "halfspace_ball":
-            r = rng.uniform(0.7, 1.5)
-            ball = Ball(x_bar - r * nu, r)
-            n = math.cos(theta) * nu + math.sin(theta) * w
-            A = Halfspace(n, float(n @ x_bar))
-            B = ball
-            # tangent of bd A at x_bar exiting the ball
-            ray = _unit(nu - math.cos(theta) * n)
-        elif family == "ball_ball":
-            r1 = rng.uniform(0.7, 1.5)
-            r2 = rng.uniform(0.7, 1.5)
-            nu2 = math.cos(theta) * nu + math.sin(theta) * w
-            A = Ball(x_bar - r1 * nu, r1)
-            B = Ball(x_bar - r2 * nu2, r2)
-            ray = _unit(nu2 - math.cos(theta) * nu)
-        else:  # box_affine
-            half = rng.uniform(0.5, 1.2, size=dim)
-            center = x_bar.copy()
-            center[0] -= half[0]  # x_bar sits at the middle of the +e0 face
-            A = Box(center - half, center + half)
-            e0 = np.eye(dim)[0]
-            w_face = _unit_orthogonal(rng, e0)  # tangent to the face
-            u = _unit(-math.sin(theta) * w_face - math.cos(theta) * e0)
-            B = AffineSubspace(x_bar, [u])
-            ray = w_face  # along the face, away from the line's shadow
-        if distance(A, x_bar) <= 1e-9 and distance(B, x_bar) <= 1e-9:
-            return Scenario(
-                name=f"random_{family}_{seed}_d{dim}",
-                A=A,
-                B=B,
-                lam=None,
-                base_point=as_vector(x_bar),
-                seed_region=(as_vector(x_bar), 0.5),
-                expected={},
-                intersection=[as_vector(x_bar)],
-                boundary_ray=as_vector(ray),
-            )
-    raise RuntimeError("could not draw an intersecting pair (exhausted retries)")
+    x_bar = rng.uniform(-1.0, 1.0, size=dim)
+    nu = _unit(rng.standard_normal(dim))
+    w = _unit_orthogonal(rng, nu)
+    theta = rng.uniform(math.radians(25.0), math.radians(65.0))
+    A, B, ray = builder(rng, x_bar, nu, w, theta)
+    if distance(A, x_bar) > 1e-9 or distance(B, x_bar) > 1e-9:
+        raise RuntimeError(f"the {family} builder put the common point off its sets")
+    return Scenario(
+        name=f"random_{family}_{seed}_d{dim}",
+        A=A,
+        B=B,
+        lam=None,
+        base_point=as_vector(x_bar),
+        seed_region=(as_vector(x_bar), 0.5),
+        intersection=[as_vector(x_bar)],
+        boundary_ray=as_vector(ray),
+    )
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

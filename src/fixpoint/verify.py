@@ -22,7 +22,7 @@ from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
 from .geometry import as_target, ball_points, row_norms
-from .scenarios import FAMILIES, Scenario, build, random_convex_pair
+from .scenarios import Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
 WINDOW_FLOOR = 1e-5
@@ -51,9 +51,19 @@ def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def _convex_corpus(count: int, dims=(2, 3)):
+def _convex_corpus(count: int, dims=(2, 3), families=("halfspace_ball", "box_affine", "ball_ball")):
+    """Pair i of a corpus: seed i, dimension and family cycling through their tuples."""
     for i in range(count):
-        yield i, random_convex_pair(i, dims[i % len(dims)], FAMILIES[i % 3])
+        yield i, random_convex_pair(i, dims[i % len(dims)], families[i % len(families)])
+
+
+def _stacks(cases: dict) -> list:
+    """Keys of ``cases`` (key -> (A, B, ...)) grouped by A's variant, B's variant
+    and the dimension: each group's A's, and its B's, form one geometry.stack."""
+    groups = {}
+    for key, (A, B, *_) in cases.items():
+        groups.setdefault((A.variant, B.variant, A.dim), []).append(key)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +229,8 @@ def criterion_7() -> CriterionResult:
     """Projection inequalities for convex pairs on 1e4 random queries each."""
     rng = np.random.default_rng(1905)
     bad_ratio = bad_sides = 0
-    n_pairs, per_pair = 100, 100
-    for i in range(n_pairs):
-        sc = random_convex_pair(i, 2 + i % 3, FAMILIES[i % 3])
+    per_pair = 100
+    for _, sc in _convex_corpus(100, dims=(2, 3, 4)):
         A, B, x_common = sc.A, sc.B, sc.base_point
         # the pair's queries in one draw, the stream of per_pair draws of A.dim
         X = A._project_many(x_common + rng.uniform(-1, 1, (per_pair, A.dim)))
@@ -248,8 +257,8 @@ def criterion_8() -> CriterionResult:
     """Convex necessity and sufficiency loop over 100 random pairs."""
     fails = n_linear = 0
     worst_i = worst_ii = math.inf
-    cases = {}  # corpus index -> (sr' arguments, (c_mon, c_r))
-    for i, sc in _convex_corpus(100, dims=(2, 3)):
+    cases, rates = {}, {}  # corpus index -> sr' arguments, and -> (c_mon, c_r)
+    for i, sc in _convex_corpus(100):
         _, tr = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)
         rep = diag.check_convex_dichotomy(tr)
         x_lim = tr.limit
@@ -265,14 +274,13 @@ def criterion_8() -> CriterionResult:
             c_r = diag.estimate_r_rate(tail, limit=x_lim, floor=1e-8).c
         else:
             c_mon = c_r = 0.0  # finite termination: envelope rate 0
-        cases[i] = (sc.A, sc.B, x_lim, probe, 100 + i), (c_mon, c_r)
+        cases[i], rates[i] = (sc.A, sc.B, x_lim, probe, 100 + i), (c_mon, c_r)
     srp = {}
-    for g in sorted({i % 6 for i in cases}):  # a stack per FAMILIES[i % 3] and dims[i % 2]
-        group = [i for i in cases if i % 6 == g]
+    for group in _stacks(cases):
         srp.update(zip(group, reg.estimate_sr_prime_stack(
-            *zip(*(cases[i][0] for i in group)), 0.02,
+            *zip(*(cases[i] for i in group)), 0.02,
             samples=96, refine_numerator=True, polish_starts=12)))
-    for i, (_, (c_mon, c_r)) in cases.items():  # corpus order
+    for i, (c_mon, c_r) in rates.items():  # corpus order
         value = srp[i].value
         rhs_i = 1.0 - value**-2 + 1e-2 if value > 0 else math.inf
         rhs_ii = (1.0 / (1.0 - c_r) if c_r < 1 else math.inf) + 1e-2
@@ -293,8 +301,7 @@ def _windowed_traces():
     """(trace, K, frequency-2 extendibility of the joining sequence up to
     x_K) for each AP trace of the convex corpus whose window ends at K >= 3."""
     corpus = [(build("two_lines_pi3"), [1.0, 0.0])]
-    for i in range(20):
-        sc = random_convex_pair(i, 2, "box_affine")
+    for _, sc in _convex_corpus(20, dims=(2,), families=("box_affine",)):
         corpus.append((sc, sc.base_point + 0.1 * sc.boundary_ray))
     for sc, seed_point in corpus:
         tr = _ap_trace(sc, seed_point)[1]
@@ -450,7 +457,7 @@ SUITES = {
     "paper_examples": (1, 2, 3, 4, 5, 11),
     "convex_properties": (6, 7, 9, 10),
     "necessity_bounds": (8, 12),
-    "all": tuple(range(1, 14)),
+    "all": tuple(range(1, len(ALL_CRITERIA) + 1)),
 }
 
 

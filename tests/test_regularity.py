@@ -40,7 +40,7 @@ from fixpoint.regularity import (
     verify_bracket,
 )
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
-from fixpoint.verify import _ap_trace, _convex_corpus
+from fixpoint.verify import _ap_trace, _convex_corpus, _stacks
 
 PI3 = build("two_lines_pi3")
 ORIGIN = [np.zeros(2)]
@@ -307,8 +307,7 @@ def test_bracket_accepts_a_whole_space_lam_beside_none():
 
 
 def test_bracket_property_on_random_pairs():
-    for i in range(100):
-        sc = random_convex_pair(i, 2, ("halfspace_ball", "box_affine", "ball_ball")[i % 3])
+    for i, sc in _convex_corpus(100, dims=(2,)):
         kw = dict(intersection=[sc.base_point], samples=48, seed=50 + i,
                   refine_numerator=True, polish_starts=6)
         srp = estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.1, **kw)
@@ -426,22 +425,20 @@ def test_stacked_sr_prime_estimates_equal_the_per_pair_estimates():
     # criterion 8's estimates on a slice of its corpus that spans its six
     # stacks (a family and a dimension each): one stacked estimate per
     # stack reports every pair's own estimate, bit for bit
-    cases = []
+    cases = {}
     for i, sc in _convex_corpus(18):
         x_lim = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)[1].limit
-        cases.append((i, sc, x_lim, [x_lim, sc.base_point]))
+        cases[i] = sc.A, sc.B, x_lim, [x_lim, sc.base_point], 100 + i
     options = dict(samples=96, refine_numerator=True, polish_starts=12)
-    for g in range(6):
-        group = [c for c in cases if c[0] % 6 == g]
-        stacked = estimate_sr_prime_stack(
-            [sc.A for _, sc, _, _ in group], [sc.B for _, sc, _, _ in group],
-            [x for _, _, x, _ in group], [probe for _, _, _, probe in group],
-            [100 + i for i, _, _, _ in group], 0.02, **options)
-        assert len(stacked) == len(group) == 3
-        for (i, sc, x_lim, probe), est in zip(group, stacked):
-            alone = estimate_sr_prime(sc.A, sc.B, x_lim, 0.02, intersection=probe,
-                                      seed=100 + i, **options)
-            assert repr(est.to_json_dict()) == repr(alone.to_json_dict()), sc.name
+    groups = _stacks(cases)
+    assert groups == [[g, g + 6, g + 12] for g in range(6)]  # a family and a dimension each
+    for group in groups:
+        stacked = estimate_sr_prime_stack(*zip(*(cases[i] for i in group)), 0.02, **options)
+        assert len(stacked) == len(group)
+        for i, est in zip(group, stacked):
+            A, B, x_lim, probe, seed = cases[i]
+            alone = estimate_sr_prime(A, B, x_lim, 0.02, intersection=probe, seed=seed, **options)
+            assert repr(est.to_json_dict()) == repr(alone.to_json_dict()), i
             assert est.value > 0 and est.certificate.seed == 100 + i
 
 
@@ -605,8 +602,8 @@ def test_estimates_restricted_to_affine_constraint():
 @pytest.mark.parametrize("i", range(4))
 def test_a_whole_space_lam_is_no_constraint(i, refine):
     # every estimate with lam=WholeSpace(d) is the lam=None one, bit for bit
-    d = 2 + i % 2
-    sc = random_convex_pair(i, d, ("halfspace_ball", "box_affine", "ball_ball")[i % 3])
+    sc = dict(_convex_corpus(4))[i]
+    d = sc.A.dim
     probe = [sc.base_point]
     kw = dict(samples=32, seed=20 + i, refine_numerator=refine, polish_starts=6)
     estimators = {
