@@ -145,20 +145,23 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
 
 
 def _plot_svg(ys: list[float], title: str) -> str:
-    """Static SVG polyline of log10 values against the index."""
-    w, h, pad = 640, 400, 50
-    floor = 1e-16
-    logs = [math.log10(max(float(y), floor)) if math.isfinite(y) else math.log10(floor) for y in ys]
+    """Static SVG polyline of log10 values against the index.  Of the points
+    in one pixel column it draws the lowest and the highest (and the first
+    and last of all): log10 is monotone, so they are chosen on the values."""
+    w, h, pad, floor = 640, 400, 50, 1e-16
+    vals = np.nan_to_num(np.maximum(ys, floor), nan=floor, posinf=floor)
+    n = max(len(vals) - 1, 1)
+    column = (w - 2 * pad) * np.arange(len(vals)) // n
+    order = np.lexsort((vals, column))  # a column's lowest value starts it, its highest ends it
+    starts = np.flatnonzero(np.diff(column, prepend=-1))  # the last column holds k = n alone
+    ks = sorted({0, len(vals) - 1, *order[starts].tolist(), *order[starts[1:] - 1].tolist()})
+    logs = [math.log10(v) for v in vals[ks].tolist()]
     lo, hi = min(logs), max(logs)
     if hi - lo < 1e-12:
         hi = lo + 1.0
-    n = max(len(logs) - 1, 1)
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as XML text
-    pts = []
-    for k, v in enumerate(logs):
-        x = pad + (w - 2 * pad) * k / n
-        y = h - pad - (h - 2 * pad) * (v - lo) / (hi - lo)
-        pts.append(f"{x:.2f},{y:.2f}")
+    pts = [f"{pad + (w - 2 * pad) * k / n:.2f},{h - pad - (h - 2 * pad) * (v - lo) / (hi - lo):.2f}"
+           for k, v in zip(ks, logs)]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',

@@ -120,9 +120,10 @@ def estimate_r_rate(points, limit=None, floor: float = RATE_FLOOR) -> RateEstima
     if c <= 0.0:
         c = 1e-300
     log_c = math.log(c)
-    log_gamma = max(
-        math.log(e) - k * log_c for k, e in enumerate(errs.tolist()) if e > 0.0
-    )
+    k = np.flatnonzero(errs > 0.0)  # the largest math.log term is among those np.log puts near it
+    near = np.log(errs[k]) - k * log_c
+    k = k[near >= near.max() - 1e-9].tolist()
+    log_gamma = max(math.log(e) - i * log_c for i, e in zip(k, errs[k].tolist()))
     return RateEstimate("R", c, float(math.exp(log_gamma)), x_tilde)
 
 

@@ -1,8 +1,8 @@
 """Fixed-point operators of a pair of sets A, B, and trace recording.
 
 Each operator states its two stage formulas once, evaluated three ways:
-:func:`apply` with the deterministic projection selection at each stage
-(what the iteration follows), ``_image_many`` with the batched selections
+with the deterministic projection selection at each stage (:func:`apply`,
+and :func:`run`'s loop step by step), ``_image_many`` with the batched selections
 (what :func:`settle_many` steps), and ``_candidates_many`` over every
 candidate of both stages: the multivalued image, over which
 :func:`residual_map_many` takes its infimum in blocks of rows.
@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .floatrepr import repr_rows
+from .floatrepr import CHUNK, JSON, layout, templates
 from .geometry import (
     DEDUP_TOL,
     Lambda,
@@ -30,7 +30,6 @@ from .geometry import (
     by_blocks,
     dot_norms,
     nearest_candidates,
-    norm,
     project_one,
     row_norms,
     sorted_unique,
@@ -111,23 +110,10 @@ def residual_map_many(op: OperatorSpec, X: np.ndarray,
         X[i], None if owner is None else owner[i]) - X[i, None, None, :]).min(axis=(1, 2)))
 
 
-def iterates(step, x: Vector, tol: float, max_iter: int):
-    """The one loop that applies an operator repeatedly: yields
-    (x_{k+1}, ||x_{k+1} - x_k||) for x_{k+1} = step(x_k), at most max_iter
-    times, and stops after the first step of length <= tol."""
-    for _ in range(max_iter):
-        x_next = step(x)
-        r = norm(x_next - x)
-        yield x_next, r
-        if r <= tol:
-            return
-        x = x_next
-
-
 def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int,
                 owner: np.ndarray | None = None) -> np.ndarray:
-    """:func:`iterates` of T from every row i of a checked (m, d) array in
-    lockstep, under pair owner[i] of stacked sets: each row's iterate at
+    """:func:`run`'s iteration of T from every row i of a checked (m, d) array
+    in lockstep, under pair owner[i] of stacked sets: each row's iterate at
     which its step is first <= tol, or its max_iter-th (the row itself for
     max_iter = 0).  The rows still moving step together through
     ``op._image_many``; rows never interact."""
@@ -170,25 +156,9 @@ class IterationConfig:
 COLUMNS = ("dist_A", "dist_B", "dist_target", "step_norm", "residual")
 
 
-#: values per block of a column when a trace is written
-WRITE_BLOCK = 2048
-
-
-def _json_list(rows: list[str], depth: int):
-    """Chunks of a top-level list as ``json.dumps(indent=1)`` lays it out:
-    of points (depth 2, a row string each) or numbers (depth 1, row strings
-    of consecutive values), non-finite floats as the json module writes them."""
-    if not rows:
-        yield "[]"
-        return
-    head, sep, tail = (("\n  [\n   ", "\n  ],\n  [\n   ", "\n  ]") if depth == 2
-                       else ("\n  ", ", ", ""))
-    pad = ",\n" + " " * (depth + 1)
-    yield "["
-    for i in range(0, len(rows), WRITE_BLOCK):
-        text = (head + sep.join(rows[i:i + WRITE_BLOCK]) + tail).replace(", ", pad)
-        yield ("," if i else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
-    yield "\n ]"
+#: floats per block when a trace is written: a block is one call of the float
+#: kernel, so that its work arrays stay bounded, and is laid out for each file
+WRITE_BLOCK = CHUNK
 
 
 @dataclass
@@ -255,31 +225,42 @@ class Trace:
         is recorded).  trace.json is what ``json.dumps(..., sort_keys=True,
         indent=1)`` writes for x, b, the columns, stop_reason and metadata (not
         ``z``, which x and b determine).  Each float is formatted once, to its
-        shortest round-trip repr (:func:`floatrepr.repr_rows`): one string
-        per row of x and of b and per block of a column.
+        shortest round-trip repr (:func:`floatrepr.templates`), a block of
+        rows at a time, and laid out for each file with its separators and
+        spelling of nan and inf (:func:`floatrepr.layout`).
         """
-        dim = self.x.shape[1]
-        columns = np.array([getattr(self, name) for name in COLUMNS], dtype=float)
-        x_rows, b_rows, *blocks = repr_rows(self.x, self.b, *(
-            columns[:, i:i + WRITE_BLOCK] for i in range(0, len(self.x), WRITE_BLOCK)))
+        (n, dim), nb = self.x.shape, len(self.b)
+        items: dict = {name: [] for name in ("x", "b", *COLUMNS)}  # the blocks of each list
+        point = {"sep": ",\n   ", "end": "\n  ]", "prefix": ",\n  [\n   ", "spelling": JSON}
+        value = {"sep": ",\n  ", "prefix": ",\n  ", "spelling": JSON, "each_row": True}
         if csv_file is not None:
             csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
                                      *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")
-            bs = b_rows + [", " * (dim - 1)] * (len(x_rows) - len(b_rows))
-            for i, block in zip(range(0, len(x_rows), WRITE_BLOCK), blocks):
-                rows = zip(map(str, range(i, len(x_rows))), x_rows[i:i + WRITE_BLOCK],
-                           bs[i:i + WRITE_BLOCK], *(t.split(", ") for t in block))
-                csv_file.write("\n".join(map(", ".join, rows)).replace(", ", ",") + "\n")
+        rows = max(1, WRITE_BLOCK // (2 * dim + len(COLUMNS)))
+        for i in range(0, n, rows):
+            grid = np.zeros((min(n - i, rows), 2 * dim + len(COLUMNS)))  # x_k, b_k, columns
+            grid[:, :dim] = self.x[i:i + rows]
+            grid[:max(nb - i, 0), dim:2 * dim] = self.b[i:i + rows]
+            grid[:, 2 * dim:] = np.transpose([getattr(self, name)[i:i + rows] for name in COLUMNS])
+            F = templates(grid)
+            if json_file is not None:
+                items["x"].append(layout(F[:, :dim], **point))
+                if nb > i:
+                    items["b"].append(layout(F[:nb - i, dim:2 * dim], **point))
+                for name, text in zip(COLUMNS, layout(F[:, 2 * dim:].transpose(1, 0, 2), **value)):
+                    items[name].append(text)
+            if csv_file is not None:
+                F[max(nb - i, 0):, dim:2 * dim] = 0  # blank b_k where none is recorded
+                csv_file.write(layout(F, sep=",", end="\n", prefix=",", index=i))
+            del grid, F  # before the next block's are made
         if json_file is not None:
-            items = {
-                "x": _json_list(x_rows, 2),
-                "b": _json_list(b_rows, 2),
-                **{name: _json_list([block[c] for block in blocks], 1)
-                   for c, name in enumerate(COLUMNS)},
-                "stop_reason": [json.dumps(self.stop_reason)],
-                "metadata": [json.dumps(self.metadata, sort_keys=True, indent=1)
-                             .replace("\n", "\n ")],
-            }
+            # each block's items are led by a comma, which the list's first drops
+            items = {name: ["[", blocks[0][1:], *blocks[1:], "\n ]"] if blocks else ["[]"]
+                     for name, blocks in items.items()}
+            # the metadata laid out as the value of a top-level key
+            metadata = json.dumps({"metadata": self.metadata}, sort_keys=True, indent=1)
+            items.update(stop_reason=[json.dumps(self.stop_reason)],
+                         metadata=[metadata[len('{\n "metadata": '):-len("\n}")]])
             for n, key in enumerate(sorted(items)):
                 json_file.write(f'{"," if n else "{"}\n "{key}": ')
                 json_file.writelines(items[key])
@@ -303,37 +284,35 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
     """
     A, B = op.A, op.B
     x0 = cfg.seed_point
-    raw_seed = x0.copy()
     if cfg.lam is not None:
         x0 = project_one(cfg.lam, x0)
     x0 = project_one(A, x0)
 
+    # the one loop: x0 is checked above, and every iterate is a kernel's
+    # output; after max_iter steps one more is taken, for the last residual
     record_b = isinstance(op, AlternatingProjections)
-    bs: list[Vector] = []
-
-    def step(x: Vector) -> Vector:
-        # x0 is checked above, and every iterate is a kernel's output
-        if not record_b:
-            return op.apply(x)
-        bs.append(B._project(x))  # b_k, reused for x_{k+1} = P_A b_k
-        return A._project(bs[-1])
-
-    xs, residuals = [x0], []
-    for x_next, r in iterates(step, x0, cfg.residual_tol, cfg.max_iter):
-        xs.append(x_next)
+    PA, PB, enter, leave = A._project, B._project, op._enter, op._leave
+    tol, last = cfg.residual_tol, cfg.max_iter
+    xs, bs, residuals, x = [], [], [], x0
+    for k in range(last + 1):
+        pb = PB(x)
+        if record_b:
+            bs.append(pb)  # b_k, reused for x_{k+1} = P_A b_k
+            x_next = PA(pb)
+        else:
+            y = enter(x, pb)
+            x_next = leave(x, y, PA(y))
+        d = x_next - x
+        r = math.sqrt(d.dot(d))  # norm(d), without its frame
+        xs.append(x)
         residuals.append(r)
-    if residuals[-1] <= cfg.residual_tol:
-        stop_reason = "fixed_point"
-        xs.pop()  # x_k is the limit: its step is below tolerance
-    else:
-        stop_reason = "max_iter"
-        residuals.append(norm(step(xs[-1]) - xs[-1]))
+        if r <= tol or k == last:
+            break
+        x = x_next
+    stop_reason = "max_iter" if k == last else "fixed_point"
 
-    metadata = {
-        "raw_seed": [float(t) for t in raw_seed],
-        "seed_point": [float(t) for t in x0],
-        "operator": type(op).__name__,
-    }
+    metadata = {"raw_seed": cfg.seed_point.tolist(), "seed_point": x0.tolist(),
+                "operator": type(op).__name__}
     return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs,
                         steps=residuals[:len(xs) - 1])
 

@@ -1,18 +1,19 @@
 """Python's float repr for whole float64 arrays, computed with numpy.
 
-:func:`repr_rows` formats each row of 2-d float64 arrays exactly as
-``", ".join(map(repr, row))`` does.  The digits are the shortest ones that
-read back to the same double, the closest to it among those; they come from
-Ryu's ``d2d`` (U. Adams, "Ryū: fast float-to-string conversion", PLDI 2018),
-whose fixed-width integer arithmetic runs over a whole array at a time.  The
-layout is CPython's ``'r'`` format: an exponent iff the decimal point
-position is <= -4 or > 16, at least two exponent digits, ``.0`` on integral
-values, and ``nan``, ``inf``, ``-inf`` and ``-0.0``.
+:func:`templates` and :func:`layout` with ``sep=", "`` format each row of a
+2-d float64 array as ``", ".join(map(repr, row))`` does.  The digits are
+the shortest ones that read back to the same double, the closest to it
+among those; they come from Ryu's ``d2d`` (U. Adams, "Ryū: fast
+float-to-string conversion", PLDI 2018), whose fixed-width integer
+arithmetic runs over a whole array at a time.  The layout is CPython's
+``'r'`` format: an exponent iff the decimal point position is <= -4 or
+> 16, at least two exponent digits, ``.0`` on integral values, and ``nan``,
+``inf``, ``-inf`` and ``-0.0``.
 
-The text is one fixed-column byte template per float (sign, ``0.`` and up to
-three zeros, 17 digit slots each followed by a point slot, the ``0`` of
-``.0``, the exponent, the separator) with every unused column NUL; dropping
-the NULs and decoding gives the text of a whole chunk at once.
+Each float gets one fixed-column byte field (:func:`templates`), every
+unused column NUL; :func:`layout` lays a grid of fields out with a file's
+separators and spelling of nan and inf, and dropping the NULs and decoding
+gives its text: the fields are computed once and laid out for each file.
 """
 
 from __future__ import annotations
@@ -22,20 +23,25 @@ import functools
 import numpy as np
 
 #: floats formatted per chunk, so that one chunk's template stays in cache
-CHUNK = 16384
+CHUNK = 8192
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _ONES = 2**64 - 1
 #: 10^0, ..., 10^17
 _POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
 
-#: digit slot numbers of a template
-_SLOTS = np.arange(1, 18, dtype=np.int8)
+#: bytes of a float's field: sign, ``0.`` and up to three zeros, 18 slots
+#: for 17 digits and the point among them, the ``0`` of ``.0``, the exponent
+FIELD = 30
+#: the numbers of a field's 18 slots
+_SLOTS = np.arange(18)[:, None]
 
+#: the place values of a row number's digits, and the least number that shows each
+_TENS = 10 ** np.arange(18, -1, -1)
+_SHOWN = np.where(_TENS > 1, _TENS, 0)
 
-def _byte(c: str, high: int = 0) -> np.uint16:
-    """The character c in the low (or high) byte of a template's byte pair."""
-    return np.uint16(ord(c) << 8 * high)
+#: how nan and inf are spelled: by repr (and trace.csv), and by the json module
+REPR, JSON = ("nan", "inf"), ("NaN", "Infinity")
 
 
 @functools.cache
@@ -153,16 +159,22 @@ def _drop_digits(vr, vp, vm, vr_exact, vm_exact, even):
     removed = np.zeros(len(vr), dtype=np.int64)
     last = np.zeros(len(vr), dtype=np.uint64)  # the last digit dropped from vr
     for phase in ("vp above vm", "zeros of an exact vm"):
+        # a flag that no float has stays False: its updates are skipped
+        track_vm, track_vr = vm_exact.any(), vr_exact.any()
+        if phase != "vp above vm" and not track_vm:
+            break  # every go of this phase would be False
         for k in (16, 8, 4, 2, 1):
             p, p1 = 10**k, 10 ** (k - 1)
             qp, qm = vp // p, vm // p
-            vm_zeros = vm - qm * p == 0
+            vm_zeros = vm - qm * p == 0 if track_vm else None
             go = qp > qm if phase == "vp above vm" else vm_exact & vm_zeros
             if not go.any():
                 continue
             qr = vr // p1
-            vm_exact &= ~go | vm_zeros
-            vr_exact &= ~go | ((last == 0) & (vr - qr * p1 == 0))
+            if track_vm:
+                vm_exact &= ~go | vm_zeros
+            if track_vr:
+                vr_exact &= ~go | ((last == 0) & (vr - qr * p1 == 0))
             last = np.where(go, qr % 10, last)
             vr, vp, vm = np.where(go, qr // 10, vr), np.where(go, qp, vp), np.where(go, qm, vm)
             removed += go * k
@@ -170,13 +182,10 @@ def _drop_digits(vr, vp, vm, vr_exact, vm_exact, even):
     return vr + (((vr == vm) & ~(even & vm_exact)) | (last >= 5)), removed
 
 
-def _text(v: np.ndarray, end: np.ndarray) -> str:
-    """The text of a 1-d float64 array: each float's repr followed by ", "
-    or, where end marks the last float of a row, "\n".
-
-    Each float's template is a column of a (24, len(v)) array of byte pairs,
-    so each pair of slots is written once for all floats; one transposing
-    copy lays the templates end to end, and dropping the NULs leaves the text."""
+def _fields(v: np.ndarray, F: np.ndarray) -> None:
+    """Write the field of each float of a 1-d float64 array into the rows of
+    F (len(v), FIELD): built as the columns of a (FIELD, len(v)) array, each
+    slot written once for all floats, then transposed."""
     bits = v.view(np.uint64)
     E = ((bits >> 52) & 0x7FF).astype(np.intp)
     mant = bits & np.uint64((1 << 52) - 1)
@@ -191,70 +200,78 @@ def _text(v: np.ndarray, end: np.ndarray) -> str:
     fixed = (decpt > -4) & (decpt <= 16)
     sci, lead = ~fixed, fixed & (decpt <= 0)
 
-    P = np.empty((24, len(v)), dtype="<u2")  # low byte first
-    P[0] = neg * _byte("-") | lead * _byte("0", 1)
-    P[1] = lead * _byte(".") | (lead & (decpt < 0)) * _byte("0", 1)
-    P[2] = (lead & (decpt < -1)) * _byte("0") | (lead & (decpt < -2)) * _byte("0", 1)
+    P = np.empty((FIELD, len(v)), dtype=np.uint8)
+    P[0] = neg * ord("-")
+    P[1], P[2] = lead * ord("0"), lead * ord(".")
+    P[3:6] = (lead & (decpt < np.array([[0], [-1], [-2]]))) * ord("0")  # a zero for each place
     L = digits * _POW10.take(17 - n)  # the digits left-aligned in 17 places
     hi = L // 10**8
-    H = np.stack([hi, (L - hi * 10**8) * 10]).astype(np.uint32)  # slots 1-9, 10-17 and a 0
+    H = np.stack([hi, (L - hi * 10**8) * 10]).astype(np.uint32)  # digits 1-9, 10-17 and a 0
+    D = P[6:24]  # the 18 slots, first with the digits in order
     for k in range(8, -1, -1):
         q = H // 10
-        P[3 + k], P[12 + k] = H - q * 10  # P[20] gets the 0, overwritten below
+        D[k], D[9 + k] = H - q * 10
         H = q
-    # the digit slots used (with an integral value's trailing zeros), and the one the point follows
-    used = np.where(fixed, np.maximum(n, decpt), n).astype(np.int8)
-    point = np.where(fixed, decpt, n > 1).astype(np.int8)
-    P[3:20] += _byte("0")
-    P[3:20] *= _SLOTS[:, None] <= used
-    P[3:20] |= (_SLOTS[:, None] == point) * _byte(".", 1)
-    P[20] = (fixed & (decpt >= n)) * _byte("0") | sci * _byte("e", 1)
-    x = np.abs(decpt - 1).astype(np.uint16)
-    P[21] = (sci * np.where(decpt < 1, _byte("-"), _byte("+"))
-             | (sci & (x >= 100)) * ((x // 100 + _byte("0")) << 8))
-    P[22] = sci * ((x // 10 % 10 + _byte("0")) | (x % 10 + _byte("0")) << 8)
-    P[23] = np.where(end, _byte("\n"), _byte(",") | _byte(" ", 1))
+    # the digits used (with an integral value's trailing zeros), and the slot of the point
+    D += ord("0")
+    D *= _SLOTS < np.where(fixed, np.maximum(n, decpt), n)
+    point = np.where(fixed, np.where(decpt > 0, decpt, 18), np.where(n > 1, 1, 18))
+    np.copyto(P[7:24], D[:-1], where=_SLOTS[1:] > point)  # the digits after the point, shifted
+    np.copyto(P[6:24], ord("."), where=_SLOTS == point)
+    P[24] = (fixed & (decpt >= n)) * ord("0")
+    x = np.abs(decpt - 1)
+    P[25], P[26] = sci * ord("e"), sci * np.where(decpt < 1, ord("-"), ord("+"))
+    P[27] = (sci & (x >= 100)) * (x // 100 + ord("0"))
+    P[28], P[29] = sci * (x // 10 % 10 + ord("0")), sci * (x % 10 + ord("0"))
 
     cols = np.flatnonzero(nonfinite)
     if cols.size:
         nan = mant[cols] != 0
-        P[:23, cols] = 0
-        P[0, cols] = (neg[cols] & ~nan) * _byte("-")
-        for pair, (a, b) in enumerate(("ni", "an", "nf")):
-            P[3 + pair, cols] = np.where(nan, _byte(a), _byte(b))
-    return P.T.tobytes().translate(None, b"\0").decode("ascii")
+        P[:, cols] = 0
+        P[0, cols] = (neg[cols] & ~nan) * ord("-")
+        P[6:9, cols] = np.where(nan, np.frombuffer(b"nan", np.uint8)[:, None],
+                                np.frombuffer(b"inf", np.uint8)[:, None])
+    F[:] = P.T
 
 
-def _chunk_rows(pieces: list[np.ndarray]) -> list[str]:
-    """The row strings of 2-d float64 arrays, formatted as one chunk."""
-    v = np.concatenate([p.ravel() for p in pieces])
-    end = np.concatenate([np.arange(p.size) % p.shape[1] == p.shape[1] - 1 for p in pieces])
-    return _text(v, end)[:-1].split("\n")
+def templates(a: np.ndarray) -> np.ndarray:
+    """The (m, d, FIELD) fields of a 2-d float64 array, CHUNK floats at a
+    time so that the kernel's work arrays stay bounded."""
+    v = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+    F = np.empty((v.size, FIELD), dtype=np.uint8)
+    for i in range(0, v.size, CHUNK):
+        _fields(v[i:i + CHUNK], F[i:i + CHUNK])
+    return F.reshape(*np.shape(a), FIELD)
 
 
-def repr_rows(*arrays: np.ndarray) -> list[list[str]]:
-    """For each 2-d array, its rows as ``", ".join(map(repr, row))``: that is
-    ``str(a.tolist())`` without the outer brackets, split at "], [".  The
-    arrays are formatted together, whole rows of about CHUNK floats at a
-    time, so the kernel's fixed cost is paid once per chunk, not per array."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    rows: list[str] = []
-    batch: list[np.ndarray] = []
-    for a in arrays:
-        m, d = a.shape
-        if d == 0:  # rows of no floats have no text to make
-            continue
-        step = max(1, CHUNK // d)
-        for i in range(0, m, step):
-            if batch and sum(p.size for p in batch) + a[i:i + step].size > CHUNK:
-                rows += _chunk_rows(batch)
-                batch = []
-            batch.append(a[i:i + step])
-    if batch:
-        rows += _chunk_rows(batch)
-    out, start = [], 0
-    for a in arrays:
-        m, d = a.shape
-        out.append(rows[start:start + m] if d else [""] * m)
-        start += m if d else 0
-    return out
+def layout(F: np.ndarray, sep: str = "", end: str = "", prefix: str = "",
+           spelling: tuple[str, str] = REPR, index: int | None = None,
+           each_row: bool = False) -> str | list[str]:
+    """The text of fields F (m, d, FIELD), or each row's if each_row: a row
+    is its number (counted from ``index``, if given), prefix, fields joined
+    by sep, and end, laid out as one byte template with NULs dropped;
+    nan and inf are spelled as ``spelling`` says."""
+    m, d, _ = F.shape
+    if not m:
+        return [] if each_row else ""
+    s, e = sep.encode(), end.encode().ljust(len(sep) if d else 0, b"\0")
+    width = 0 if index is None else len(str(index + m - 1))
+    head = b"\0" * width + prefix.encode()
+    row = head + s.join([b"\0" * FIELD] * d) + e
+    text = bytearray(row) * m
+    fields = np.ndarray((m, d, FIELD), np.uint8, text, len(head), (len(row), FIELD + len(s), 1))
+    fields[:] = F
+    if spelling != REPR and b"n" in text:  # no finite field has an n, nan and inf do
+        bad = np.nonzero(F[..., 6] > ord("9"))  # a letter where a finite float has its first digit
+        if bad[0].size:
+            nan = F[..., 7][bad] == ord("a")
+            names = [np.frombuffer(t.encode().ljust(8, b"\0"), dtype=np.uint8) for t in spelling]
+            fields[bad + (slice(6, 14),)] = np.where(nan[:, None], *names)
+    out = np.frombuffer(text, dtype=np.uint8).reshape(m, len(row))
+    if width:
+        k = np.arange(index, index + m)[:, None]
+        out[:, :width] = (k // _TENS[-width:] % 10 + ord("0")) * (k >= _SHOWN[-width:])
+    ends = np.count_nonzero(out, axis=1).cumsum().tolist() if each_row else []
+    text = text.translate(None, b"\0").decode("ascii")
+    return [text[a:b] for a, b in zip([0, *ends], ends)] if each_row else text
+

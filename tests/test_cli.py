@@ -7,9 +7,16 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from fixpoint.cli import execute_run, main
+from fixpoint.cli import _plot_svg, execute_run, main
+from fixpoint.engine import AlternatingProjections, IterationConfig, run
 from fixpoint.geometry import distance, norm, set_from_json
-from fixpoint.scenarios import build, builtin_names, scenario_from_json, scenario_to_json
+from fixpoint.scenarios import (
+    build,
+    builtin_names,
+    line_through_origin,
+    scenario_from_json,
+    scenario_to_json,
+)
 
 
 def test_run_two_lines(tmp_path, capsys):
@@ -67,6 +74,55 @@ def test_plot_title_escapes_the_scenario_name(tmp_path):
     assert main(["run", str(path), "--out", str(out), "--samples", "16"]) == 0
     texts = [t.text for t in ElementTree.parse(out / "plot.svg").getroot()]
     assert "pair <A & B>: distance to target" in texts
+
+
+def reference_plot_points(ys):
+    """plot.svg's polyline as drawn from every value: log10 (floored at 1e-16)
+    against the index, scaled to the 540 x 300 px plot area."""
+    w, h, pad, floor = 640, 400, 50, 1e-16
+    logs = [math.log10(max(float(y), floor)) if math.isfinite(y) else math.log10(floor) for y in ys]
+    lo, hi = min(logs), max(logs)
+    if hi - lo < 1e-12:
+        hi = lo + 1.0
+    n = max(len(logs) - 1, 1)
+    return [f"{pad + (w - 2 * pad) * k / n:.2f},{h - pad - (h - 2 * pad) * (v - lo) / (hi - lo):.2f}"
+            for k, v in enumerate(logs)]
+
+
+def polyline(svg: str) -> list[str]:
+    line = next(e for e in ElementTree.fromstring(svg) if e.tag.endswith("polyline"))
+    return line.get("points").split()
+
+
+def test_plot_of_every_builtin_draws_every_value(tmp_path):
+    # built-in traces are shorter than the plot is wide: no point is dropped
+    main(["run", "all", "--out", str(tmp_path), "--samples", "16"])
+    for name in builtin_names():
+        ys = json.loads((tmp_path / name / "trace.json").read_text())["dist_target"]
+        assert len(ys) <= 540
+        assert polyline((tmp_path / name / "plot.svg").read_text()) == reference_plot_points(ys)
+
+
+def test_a_long_plot_draws_each_pixel_columns_lowest_and_highest_value():
+    A, B = line_through_origin(0.0), line_through_origin(0.05)
+    ys = run(AlternatingProjections(A, B), IterationConfig(seed_point=[1.0, 0.2], residual_tol=1e-6,
+                                                           target=[[0.0, 0.0]])).dist_target
+    ys[100:103] = [math.nan, math.inf, 0.0]  # drawn at the floor, so the lowest of their column
+    n = len(ys) - 1
+    assert n > 2048
+    svg = _plot_svg(ys, "t")
+    assert svg == _plot_svg(ys, "t")
+    # each drawn point is the full plot's point of one iterate, in order
+    where = {p: k for k, p in enumerate(reference_plot_points(ys))}
+    ks = [where[p] for p in polyline(svg)]
+    assert ks == sorted(set(ks)) and ks[0] == 0 and ks[-1] == n
+    values = np.nan_to_num(np.maximum(ys, 1e-16), nan=1e-16, posinf=1e-16)
+    column = 540 * np.arange(n + 1) // n
+    for c in range(541):
+        assert len([k for k in ks[1:-1] if column[k] == c]) <= 2
+        extremes = {values[column == c].min(), values[column == c].max()}
+        assert extremes <= {values[k] for k in ks if column[k] == c}
+    assert len(ks) <= 2 * 541 + 2
 
 
 def test_run_malformed_json(tmp_path, capsys):

@@ -135,6 +135,22 @@ def test_r_rate_two_lines():
     assert abs(estimate_r_rate(tr.x, limit=[0, 0]).c - 0.25) <= 1e-3
 
 
+def test_r_rate_gamma_is_the_largest_math_log_term():
+    # gamma is picked among the terms np.log puts near the top, then taken
+    # from math.log: the largest log(e_k) - k log(c) over every e_k > 0
+    rng = np.random.default_rng(9)
+    for t in range(300):
+        n, d = int(rng.integers(4, 400)), int(rng.integers(1, 4))
+        scale = rng.uniform(0.5, 2.0, (n, 1)) * 10.0 ** rng.uniform(-2, 5)
+        rate = rng.uniform(0.01, 0.999)
+        pts = (rate ** np.arange(n))[:, None] * rng.standard_normal((n, d)) * scale
+        pts[rng.integers(3, n, 3 * (t % 2))] = 0.0  # some iterates at the limit
+        est = estimate_r_rate(pts, limit=np.zeros(d))
+        errs, log_c = [norm(p) for p in pts], math.log(est.c)
+        terms = [math.log(e) - k * log_c for k, e in enumerate(errs) if e > 0.0]
+        assert est.gamma == math.exp(max(terms))
+
+
 def test_r_rate_needs_three_points():
     with pytest.raises(ValueError):
         estimate_r_rate([np.zeros(2), np.ones(2)], limit=[0, 0])

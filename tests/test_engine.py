@@ -11,13 +11,13 @@ import pytest
 
 from fixpoint.engine import (
     COLUMNS,
+    WRITE_BLOCK,
     AlternatingProjections,
     DouglasRachford,
     IterationConfig,
     Trace,
     apply,
     candidates,
-    iterates,
     residual_map,
     residual_map_many,
     run,
@@ -167,6 +167,19 @@ def test_run_residual_is_the_step_from_each_iterate(max_iter, stop):
     for xk, rk in zip(tr.x, tr.residual):
         assert rk == norm(apply(op, xk) - xk)
     assert (tr.residual[-1] <= 1e-12) == (stop == "fixed_point")
+
+
+def iterates(step, x, tol: float, max_iter: int):
+    """The reference loop that applies an operator repeatedly: yields
+    (x_{k+1}, ||x_{k+1} - x_k||) for x_{k+1} = step(x_k), at most max_iter
+    times, and stops after the first step of length <= tol."""
+    for _ in range(max_iter):
+        x_next = step(x)
+        r = norm(x_next - x)
+        yield x_next, r
+        if r <= tol:
+            return
+        x = x_next
 
 
 def test_iterates_stops_after_the_first_short_step():
@@ -460,6 +473,30 @@ def _layout_edge_trace():
                  metadata={"operator": "none"})
 
 
+def block_rows(dim):
+    """Rows per block of a trace in R^dim as Trace.write formats it."""
+    return WRITE_BLOCK // (2 * dim + len(COLUMNS))
+
+
+def _dr_r8_trace():
+    """A DR trace in R^8 (no b rows) of several blocks."""
+    A, B, seed = _lines_in_r8(angle=0.15)
+    return run(DouglasRachford(A, B), IterationConfig(seed_point=seed))
+
+
+def _non_finite_at_block_joint():
+    """ap_long with nan, inf and -inf in x, b and the columns on both sides of
+    its first block joint, where separators and spellings meet."""
+    tr = TRACES["ap_long"]()
+    k = block_rows(2)
+    tr.dist_A[k - 1:k + 1] = [math.nan, math.inf]
+    tr.dist_B[k - 1:k + 1] = [-math.inf, math.nan]
+    tr.dist_target[k - 1:k + 1] = [math.inf, -math.inf]
+    tr.step_norm[k - 1], tr.residual[k] = math.nan, -math.inf
+    tr.x[k - 1], tr.b[k] = [math.inf, math.nan], [-math.inf, 1.0]
+    return tr
+
+
 TRACES = {
     "ap": lambda: run(two_lines_op(), IterationConfig(seed_point=[1.0, 0.3])),
     "dr": lambda: run(DouglasRachford(line_through_origin(0.0), line_through_origin(math.pi / 3)),
@@ -470,6 +507,8 @@ TRACES = {
     "one_iterate": lambda: run(two_lines_op(), IterationConfig(seed_point=[0.0, 0.0])),
     "non_finite": _non_finite_trace,
     "layout_edges": _layout_edge_trace,
+    "dr_r8_blocks": _dr_r8_trace,
+    "non_finite_at_block_joint": _non_finite_at_block_joint,
 }
 
 
@@ -490,6 +529,8 @@ def test_one_iterate_and_dr_traces_have_the_expected_shape():
     dr = json.loads(trace_to_json_text(TRACES["dr"]()))
     assert dr["b"] == [] and "z" not in dr
     assert len(TRACES["ap_long"]().x) > 2048  # more than one block of rows
+    dr_r8 = TRACES["dr_r8_blocks"]()
+    assert len(dr_r8.x) > 3 * block_rows(8) and dr_r8.b.shape == (0, 8)
     assert "NaN" in trace_to_json_text(TRACES["sequence"]())
 
 

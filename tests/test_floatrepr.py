@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fixpoint.floatrepr import CHUNK, repr_rows
+from fixpoint.floatrepr import CHUNK, layout, templates
+
+
+def repr_rows(*arrays: np.ndarray) -> list[list[str]]:
+    """For each 2-d array, its rows as the kernel lays them out with ", " between floats."""
+    return [layout(templates(a), sep=", ", each_row=True) for a in arrays]
 
 
 def reference_rows(a: np.ndarray) -> list[str]:
@@ -68,7 +73,7 @@ SHAPES = [(0, 3), (3, 0), (1, 1), (5, 8), (CHUNK // 3 + 7, 3), (2, CHUNK + 5), (
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_rows_are_str_of_tolist_without_brackets(shape):
-    # rows never straddle a chunk, and a row longer than a chunk is one chunk
+    # the kernel's chunks split the floats anywhere, rows longer than a chunk included
     a = np.random.default_rng(3).standard_normal(shape) * 10.0 ** (np.arange(shape[1]) % 40 - 20)
     assert repr_rows(a) == [reference_rows(a)]
     if a.size:
@@ -76,8 +81,33 @@ def test_rows_are_str_of_tolist_without_brackets(shape):
 
 
 def test_arrays_formatted_together_equal_each_alone():
-    # chunks pack rows of several arrays and widths; the empty ones keep their place
+    # arrays of several widths, one after another; the empty ones keep their place
     rng = np.random.default_rng(4)
     arrays = [rng.standard_normal(shape) for shape in SHAPES + SHAPES[::-1]]
     assert repr_rows(*arrays) == [reference_rows(a) for a in arrays]
     assert repr_rows() == []
+
+
+@pytest.mark.parametrize("extra", [None, 4503599627370498.0, 3.1e22])
+def test_exact_vm_phase_is_skipped_only_where_no_float_takes_it(extra, monkeypatch):
+    # digit removal drops an exact vm's trailing zeros in a phase of its own,
+    # which it skips when no float of the chunk has an exact vm: 2^52 + 2 has
+    # one until the first phase, 3.1e22 one through both
+    from fixpoint import floatrepr
+
+    drop, exact = floatrepr._drop_digits, []
+
+    def spy(vr, vp, vm, vr_exact, vm_exact, even):
+        exact.append(bool(vm_exact.any()))
+        out = drop(vr, vp, vm, vr_exact, vm_exact, even)
+        exact.append(bool(vm_exact.any()))  # what the second phase starts with
+        return out
+
+    monkeypatch.setattr(floatrepr, "_drop_digits", spy)
+    scales = 10.0 ** np.arange(-20, 10).repeat(34)[:1000]
+    v = np.random.default_rng(5).standard_normal(1000) * scales
+    if extra is not None:
+        v = np.append(v, extra)
+    assert_matches_repr(v)
+    assert exact == {None: [False, False], 4503599627370498.0: [True, False],
+                     3.1e22: [True, True]}[extra]
