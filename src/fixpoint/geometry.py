@@ -10,7 +10,7 @@ candidates; convex variants always return exactly one.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -93,8 +93,8 @@ def _near(N: np.ndarray) -> np.ndarray:
 class SetSpec:
     """Base class for set descriptions.  Subclasses are immutable values.
 
-    A variant, named by ``variant`` in the JSON form, enumerates the
-    projection candidates of every row of a checked (m, dim) array (see
+    A variant, named by its ``variant``, enumerates the projection
+    candidates of every row of a checked (m, dim) array (see
     :func:`as_points`) in one batched call, ``_candidates_many``: an (m, k,
     dim) array whose slots come in a fixed order, an empty slot filled with
     +inf.  One selection serves every variant: a row's distance is the least
@@ -197,11 +197,13 @@ class _ConvexSet(SetSpec):
 
 def _scalar(value, what: str, finite: bool = True) -> float:
     try:
-        if isinstance(value, (bool, str)):  # a JSON true or "2" is not a number
+        if isinstance(value, (bool, str)):  # True or "2" is not a number
             raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} holds an integer too large for a float") from None
     if finite and not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {v}")
     return v
@@ -422,10 +424,7 @@ class FinitePointSet(SetSpec):
     points: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
-        try:
-            pts = np.asarray(self.points, dtype=float)
-        except (TypeError, ValueError):  # ragged lists, strings
-            pts = np.empty(0)
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or pts.size == 0:
@@ -540,9 +539,6 @@ def _parabola_stationary_points(arcs: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-CurvePiece = Union[LinearPiece, ParabolicPiece]
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseCurve(SetSpec):
     """A curve in R^2 given as a list of linear or parabolic pieces.
@@ -622,7 +618,7 @@ class Epigraph(SetSpec):
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pc)
         # boundary: an arc per interval, then vertical segments where f jumps
-        arcs: list[CurvePiece] = []
+        arcs: list = []
         for i, (a, b, c) in enumerate(pc):
             lo = -math.inf if i == 0 else float(bp[i - 1])
             hi = math.inf if i == bp.size else float(bp[i])
@@ -901,74 +897,3 @@ def pattern_polish(
     best, X = ascend(np.asarray(x0, dtype=float)[None, :],
                      score_rows, feasible_rows, step, max_rounds, floor)
     return float(best[0]), X[0]
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-#: JSON keys that differ from the dataclass field name
-_JSON_KEYS = {"space_dim": "dim"}
-
-
-def set_to_json(s: SetSpec | CurvePiece) -> dict:
-    """Serialize a set description (or a curve piece) to its JSON object form:
-    its variant (or kind), then its fields in declaration order."""
-    out = {"variant": s.variant} if isinstance(s, SetSpec) else {"kind": s.kind}
-    for f in fields(s):
-        v = getattr(s, f.name)
-        if isinstance(v, tuple):  # union members or curve pieces
-            v = [set_to_json(t) for t in v]
-        elif isinstance(v, np.ndarray):
-            v = v.tolist()
-        out[_JSON_KEYS.get(f.name, f.name)] = v
-    return out
-
-
-def _holds_bool(v) -> bool:
-    """Whether a JSON value is true or false, or holds one in its lists."""
-    return isinstance(v, bool) or isinstance(v, list) and any(map(_holds_bool, v))
-
-
-def _from_json(obj, tag: str, registry: dict, what: str):
-    """Build the class that ``obj[tag]`` names from the other keys of obj,
-    which must be its fields (those with a default may be left out)."""
-    name = obj.get(tag) if isinstance(obj, dict) else None
-    if not isinstance(name, str) or name not in registry:
-        raise ValueError(f"unknown {what}: {name}")
-    cls = registry[name]
-    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
-    rest = {k: v for k, v in obj.items() if k != tag}
-    unknown = set(rest) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown keys for {name}: {sorted(unknown)}")
-    missing = [k for k, f in keys.items() if k not in rest and f.default is MISSING]
-    if missing:
-        raise ValueError(f"missing keys for {name}: {missing}")
-    for k, v in rest.items():  # a JSON number is not a vector, nor is true a coordinate
-        if keys[k].type in ("Vector", "np.ndarray", "tuple") and not isinstance(v, list):
-            raise ValueError(f"{name} {k} must be a list, got {v!r}")
-        if keys[k].type in ("Vector", "np.ndarray") and _holds_bool(v):
-            raise ValueError(f"{name} {k} must hold numbers, not true or false, got {v!r}")
-    args = {keys[k].name: v for k, v in rest.items()}
-    if cls is PiecewiseCurve:
-        args["pieces"] = tuple(
-            _from_json(p, "kind", _PIECES, "curve piece kind") for p in args["pieces"]
-        )
-    elif cls is SetUnion:
-        args["members"] = tuple(set_from_json(m) for m in args["members"])
-    return cls(**args)
-
-
-_VARIANTS = {c.variant: c for c in (
-    Halfspace, AffineSubspace, Ball, Box, Sphere, FinitePointSet,
-    PiecewiseCurve, Epigraph, SetUnion, WholeSpace,
-)}
-_PIECES = {c.kind: c for c in (LinearPiece, ParabolicPiece)}
-
-
-def set_from_json(obj: dict) -> SetSpec:
-    """Inverse of :func:`set_to_json`; rejects unknown variants and keys."""
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("set description must be an object with a 'variant' key")
-    return _from_json(obj, "variant", _VARIANTS, "set variant")

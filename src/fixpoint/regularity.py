@@ -47,10 +47,10 @@ from .geometry import (
     distance,
     dot_norms,
     row_norms,
-    set_to_json,
     stack,
     take,
 )
+from .scenarios import set_to_json
 
 RES_FLOOR = 1e-12
 SKIP_FLOOR = 1e-12

@@ -4,17 +4,19 @@ Each scenario bundles a pair of sets, a reference common point, a seed
 region, and expected values tagged with provenance (literature / trivial /
 derived) and a tolerance, so the verification suites can re-derive them.
 
-Scenarios cross the JSON boundary by two tables: ``SCENARIO`` gives each
+Scenarios cross the JSON boundary by four tables: ``SCENARIO`` gives each
 scenario key the kind of its value and whether it may be left out or null,
-and ``EXPECTED`` gives each expected key the kind of its value and the needs
-of its check in ``fixpoint run``.  One reader and one writer serve every kind.
+``SETS`` and ``PIECES`` give each set variant and curve-piece kind its class
+and the kind of each key, and ``EXPECTED`` gives each expected key the kind
+of its value and the needs of its check in ``fixpoint run``.  One reader and
+one writer serve every kind, sets included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,19 +29,18 @@ from .geometry import (
     Halfspace,
     Lambda,
     LinearPiece,
+    ParabolicPiece,
     PiecewiseCurve,
     SetSpec,
     SetUnion,
+    Sphere,
     Target,
     Vector,
     WholeSpace,
     _scalar,
-    _holds_bool,
     as_vector,
     distance,
     norm,
-    set_from_json,
-    set_to_json,
 )
 
 
@@ -350,6 +351,27 @@ _REGION = {"center": ("point", REQUIRED), "radius": ("nonnegative", REQUIRED)}
 _ENTRY = {"value": (None, REQUIRED), "provenance": ("provenance", OPTIONAL),
           "tol": ("nonnegative", OPTIONAL)}
 
+#: set variant -> (its class, {key: kind of its value}), every key required after "variant";
+#: the keys follow the class's fields in order, so a set is its class called on their values
+SETS = {
+    "halfspace": (Halfspace, {"normal": "vector", "offset": "number"}),
+    "affine_subspace": (AffineSubspace, {"point": "vector", "basis": "numbers"}),
+    "ball": (Ball, {"center": "vector", "radius": "nonnegative"}),
+    "box": (Box, {"lo": "vector", "hi": "vector"}),
+    "sphere": (Sphere, {"center": "vector", "radius": "number"}),
+    "finite_point_set": (FinitePointSet, {"points": "numbers"}),
+    "piecewise_curve": (PiecewiseCurve, {"pieces": "pieces"}),
+    "epigraph": (Epigraph, {"breakpoints": "numbers", "pieces": "numbers"}),
+    "union": (SetUnion, {"members": "sets"}),
+    "whole_space": (WholeSpace, {"dim": "dimension"}),
+}
+#: curve-piece kind -> (its class, {key: kind of its value}), as in SETS, after "kind"
+PIECES = {
+    "linear": (LinearPiece, {"start": "vector", "end": "vector"}),
+    "parabolic": (ParabolicPiece, {"a": "number", "b": "number", "c": "number",
+                                   "t0": "float", "t1": "float"}),
+}
+
 
 def estimable(sc: Scenario) -> bool:
     """Whether ``fixpoint run`` estimates sr', sr and kappa on the scenario."""
@@ -431,20 +453,49 @@ def _object(obj, path: str, rows: dict) -> None:
     where = f"scenario key {path!r}" if path else "a scenario"
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object")
-    unknown = set(obj) - set(rows)
-    if unknown:
-        raise ValueError(f"{where} has unknown keys {sorted(unknown)}; it takes {', '.join(rows)}")
     for key, (_, presence) in rows.items():
+        if obj.get(key) is not None or presence == NULLABLE or key not in obj and presence == OPTIONAL:
+            continue
         at = f"{path}.{key}" if path else key
-        if key not in obj and presence == REQUIRED:
-            raise ValueError(f"scenario is missing required key {at!r}")
-        if key in obj and obj[key] is None and presence != NULLABLE:
-            raise ValueError(f"scenario key {at!r} must not be null")
+        raise ValueError(f"scenario key {at!r} must not be null" if key in obj
+                         else f"scenario is missing required key {at!r}")
+    for key in sorted(obj.keys() - rows.keys()):
+        at = f"{path}.{key}" if path else key
+        raise ValueError(f"scenario key {at!r} is unknown; {where} takes {', '.join(rows)}")
+
+
+#: what a value of a kind must be, as an error says it; a "number" is finite, a "float" any
+#: JSON number (Infinity too) and a "point" a vector in R^dim.  Every number must fit a float
+_WHAT = {"count": "an integer >= 0", "dimension": "an integer >= 1",
+         "vector": "a non-empty list of numbers",
+         "numbers": "a list of numbers or of non-empty lists of numbers of one length",
+         "points": "a non-empty list of points", "sets": "a list of set objects",
+         "pieces": "a list of curve-piece objects"}
+
+
+def _numbers(value, where: str, kind: str, dim: int | None) -> None:
+    """Check a JSON list of finite numbers, or for "numbers" also a list of
+    non-empty lists of numbers of one length."""
+    items = value if isinstance(value, list) else None
+    if kind == "numbers" and items and all(isinstance(r, list) and len(r) == len(items[0]) > 0
+                                           for r in items):
+        items = [t for r in items for t in r]  # rows of one length
+    types = set(map(type, items or ()))  # a JSON true or "2" is no number
+    numbers = types <= {int, float} or all(t is not bool and issubclass(t, (int, float)) for t in types)
+    if items is None or not numbers or not items and kind != "numbers":
+        raise ValueError(f"{where} must be {_WHAT.get(kind, f'a point in R^{dim}')}, got {value!r}")
+    try:
+        finite = all(map(math.isfinite, items))
+    except OverflowError:
+        raise ValueError(f"{where} holds an integer too large for a float") from None
+    if not finite:
+        raise ValueError(f"{where} must hold finite numbers, got {value!r}")
 
 
 def _read(kind: str, value, path: str, dim: int | None):
-    """A JSON value of the kind, parsed (None for null); a set or point must
-    have dimension dim, A's.  An error names the value's JSON path."""
+    """A JSON value of the kind, parsed (None for null); a point, or a set
+    not inside another, must have dimension dim, A's.  An error names the
+    value's JSON path, and a set's own checks are prefixed with its path."""
     where = f"scenario key {path!r}"
     if value is None:
         return None
@@ -452,20 +503,26 @@ def _read(kind: str, value, path: str, dim: int | None):
         raise ValueError(f"{where} must be a string, got {value!r}")
     if kind == "bool" and not isinstance(value, bool):
         raise ValueError(f"{where} must be true or false, got {value!r}")
-    if kind == "count" and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
-        raise ValueError(f"{where} must be an integer >= 0, got {value!r}")
     if kind == "provenance" and value not in PROVENANCES:
         raise ValueError(f"{where} must be one of {', '.join(PROVENANCES)}, got {value!r}")
-    if kind in ("number", "nonnegative"):
-        value = _scalar(value, where)
-        if kind == "nonnegative" and value < 0:
-            raise ValueError(f"{where} must be >= 0, got {value}")
+    if kind in ("count", "dimension") and (isinstance(value, bool) or not isinstance(value, int)
+                                           or value < (1 if kind == "dimension" else 0)):
+        raise ValueError(f"{where} must be {_WHAT[kind]}, got {value!r}")
+    if kind in ("count", "dimension", "number", "nonnegative", "float"):
+        x = _scalar(value, where, finite=kind != "float")
+        if kind == "nonnegative" and x < 0:
+            raise ValueError(f"{where} must be >= 0, got {x}")
+        return value if kind in ("count", "dimension") else x
+    if kind in ("vector", "numbers", "point"):
+        _numbers(value, where, kind, dim)
+        value = as_vector(value) if kind == "point" else value
     if kind == "set-or-points":
         kind = "set" if isinstance(value, dict) else "points"
-    if kind == "points":
-        if not isinstance(value, list) or not value:
-            raise ValueError(f"{where} must be a non-empty list of points, got {value!r}")
-        return [_read("point", p, path, dim) for p in value]
+    if kind in ("points", "sets", "pieces"):
+        if not isinstance(value, list) or kind == "points" and not value:
+            raise ValueError(f"{where} must be {_WHAT[kind]}, got {value!r}")
+        got = [_read(kind[:-1], v, f"{path}[{i}]", dim) for i, v in enumerate(value)]
+        return got if kind == "points" else tuple(got)
     if kind == "region":
         _object(value, path, _REGION)
         return tuple(_read(k, value[key], f"{path}.{key}", dim) for key, (k, _) in _REGION.items())
@@ -473,21 +530,21 @@ def _read(kind: str, value, path: str, dim: int | None):
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be an object")
         return {key: _entry(key, entry, f"{path}.{key}", dim) for key, entry in value.items()}
-    if kind == "point":
+    if kind in ("set", "constraint", "piece"):
+        tag, table = ("kind", PIECES) if kind == "piece" else ("variant", SETS)
+        name = value.get(tag) if isinstance(value, dict) else None
+        if name is not None and not (isinstance(name, str) and name in table):
+            raise ValueError(f"scenario key '{path}.{tag}' must be one of {', '.join(table)}, "
+                             f"got {name!r}")
+        cls, keys = table.get(name, (None, {}))
+        _object(value, path, dict.fromkeys([tag, *keys], (None, REQUIRED)))
+        args = [_read(k, value[key], f"{path}.{key}", None) for key, k in keys.items()]
         try:
-            if not isinstance(value, list) or _holds_bool(value):  # a number or true is no point
-                raise ValueError(f"got {value!r}")
-            value = as_vector(value)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{where} must be a point in R^{dim}: {e}") from None
-    if kind in ("set", "constraint"):
-        try:
-            value = set_from_json(value)
-        except (TypeError, ValueError) as e:
+            value = cls(*args)
+        except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
         if kind == "constraint" and not isinstance(value, (AffineSubspace, WholeSpace)):
-            raise ValueError(f"{where} must be an affine_subspace or whole_space, "
-                             f"got {value.variant}")
+            raise ValueError(f"{where} must be an affine_subspace or whole_space, got {name}")
     if kind in ("point", "set", "constraint") and dim is not None:
         n = value.size if kind == "point" else value.dim
         if n != dim:
@@ -508,18 +565,35 @@ def _entry(key: str, entry, path: str, dim: int) -> Expected:
 
 def _write(kind: str, value):
     """The JSON form of a value of the kind: the inverse of :func:`_read`."""
-    if value is None or kind in ("string", "bool", "number", "count"):
+    if value is None or kind in ("string", "bool", "count", "dimension", "number", "nonnegative",
+                                 "float"):
         return value
-    if isinstance(value, SetSpec):
-        return set_to_json(value)
-    if kind == "point":
-        return [float(t) for t in value]
+    if isinstance(value, SetSpec) or kind == "piece":
+        tag, table = ("kind", PIECES) if kind == "piece" else ("variant", SETS)
+        name = getattr(value, tag)
+        return {tag: name, **{key: _write(k, getattr(value, f.name)) for (key, k), f
+                              in zip(table[name][1].items(), fields(value), strict=True)}}
+    if kind in ("vector", "numbers", "point"):
+        return np.asarray(value, dtype=float).tolist()
+    if kind in ("sets", "pieces"):
+        return [_write(kind[:-1], v) for v in value]
     if kind == "region":
         return {"center": _write("point", value[0]), "radius": float(value[1])}
     if kind == "expected":
         return {key: {"value": _write(EXPECTED[key][0], e.value), "provenance": e.provenance,
                       "tol": e.tol} for key, e in value.items()}
     return [_write("point", p) for p in value]  # points, or a probe for set-or-points
+
+
+def set_to_json(s: SetSpec) -> dict:
+    """The JSON object of a set: its variant, then its keys in the order of SETS."""
+    return _write("set", s)
+
+
+def set_from_json(obj) -> SetSpec:
+    """The set a JSON object describes, read as a scenario's sets are; an
+    error names the path of the value at fault below 'set'."""
+    return _read("set", obj, "set", None)
 
 
 def load_scenario(path: str) -> Scenario:

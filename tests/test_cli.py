@@ -9,13 +9,14 @@ import pytest
 
 from fixpoint.cli import _plot_svg, execute_run, main
 from fixpoint.engine import AlternatingProjections, IterationConfig, run
-from fixpoint.geometry import distance, norm, set_from_json
+from fixpoint.geometry import distance, norm
 from fixpoint.scenarios import (
     build,
     builtin_names,
     line_through_origin,
     scenario_from_json,
     scenario_to_json,
+    set_from_json,
 )
 
 
@@ -189,11 +190,11 @@ def _as_builtin(obj: dict, name: str) -> dict:
     "corrupt,message",
     [
         (lambda o: o.update(A={"variant": "halfspace", "normal": [0, 1], "offset": math.nan}),
-         "halfspace offset must be finite, got nan"),
+         "scenario key 'A.offset' must be finite, got nan"),
         (lambda o: o.update(B={"variant": "ball", "center": [0, 0], "radius": math.nan}),
-         "ball radius must be finite, got nan"),
+         "scenario key 'B.radius' must be finite, got nan"),
         (lambda o: o.update(B={"variant": "sphere", "center": [0, 0], "radius": math.inf}),
-         "sphere radius must be finite, got inf"),
+         "scenario key 'B.radius' must be finite, got inf"),
         (lambda o: o.update(seed_region=[0.0, 0.0]),
          "scenario key 'seed_region' must be an object"),
         (lambda o: o["seed_region"].pop("center"),
@@ -231,9 +232,13 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'intersection' must be a non-empty list of points, got []"),
         (lambda o: o.update(**{"lambda": {"variant": "ball", "center": [0, 0], "radius": 1}}),
          "scenario key 'lambda' must be an affine_subspace or whole_space, got ball"),
-        (lambda o: o["A"].update(point={"a": 1}), "scenario key 'A': "),
-        (lambda o: o["B"].update(variant=[1]), "scenario key 'B': unknown set variant: [1]"),
-        (lambda o: o.update(B={"variant": "union", "members": 5}), "scenario key 'B': "),
+        (lambda o: o["A"].update(point={"a": 1}),
+         "scenario key 'A.point' must be a non-empty list of numbers, got {'a': 1}"),
+        (lambda o: o["B"].update(variant=[1]),
+         "scenario key 'B.variant' must be one of halfspace, affine_subspace, ball, box, sphere, "
+         "finite_point_set, piecewise_curve, epigraph, union, whole_space, got [1]"),
+        (lambda o: o.update(B={"variant": "union", "members": 5}),
+         "scenario key 'B.members' must be a list of set objects, got 5"),
         (lambda o: o.update(A=None), "scenario key 'A' must not be null"),
         (lambda o: _as_builtin(o, "monotone_not_fejer")["fejer_holds"].update(value="yes"),
          "scenario key 'expected.fejer_holds.value' must be true or false, got 'yes'"),
@@ -252,7 +257,7 @@ def _as_builtin(obj: dict, name: str) -> dict:
         (lambda o: _as_builtin(o, "sawtooth")["stuck_points"].update(value=5),
          "scenario key 'expected.stuck_points.value' must be a non-empty list of points, got 5"),
         (lambda o: _as_builtin(o, "sawtooth")["stuck_points"].update(value=[[1, 0], [1]]),
-         "scenario key 'expected.stuck_points.value' has dimension 1, but A has dimension 2"),
+         "scenario key 'expected.stuck_points.value[1]' has dimension 1, but A has dimension 2"),
         (lambda o: o.update(convex="no"), "scenario key 'convex' must be true or false, got 'no'"),
         (lambda o: (_as_builtin(o, "sawtooth"), o.update(convex=True)),
          "scenario key 'convex' is true, but A (union) is not a convex set"),
@@ -265,55 +270,57 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "scenario key 'expected.extendible_c' needs an iteration run"),
         (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
             {"kind": "parabolic", "a": math.nan, "b": 0, "c": 0, "t0": -1, "t1": 1}]}),
-         "scenario key 'B': parabolic piece a must be finite, got nan"),
+         "scenario key 'B.pieces[0].a' must be finite, got nan"),
         (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
             {"kind": "parabolic", "a": 1, "b": 0, "c": math.inf, "t0": -1, "t1": 1}]}),
-         "scenario key 'B': parabolic piece c must be finite, got inf"),
+         "scenario key 'B.pieces[0].c' must be finite, got inf"),
         (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [math.nan],
                                "pieces": [[0, 0, 0], [1, 0, 0]]}),
-         "scenario key 'B': epigraph breakpoints must be finite, got [nan]"),
+         "scenario key 'B.breakpoints' must hold finite numbers, got [nan]"),
         (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [math.inf],
                                "pieces": [[0, 0, 0], [1, 0, 0]]}),
-         "scenario key 'B': epigraph breakpoints must be finite, got [inf]"),
+         "scenario key 'B.breakpoints' must hold finite numbers, got [inf]"),
         (lambda o: o.update(B={"variant": "epigraph", "breakpoints": [0.0],
                                "pieces": [[0, 0, 0], [1, -math.inf, 0]]}),
-         "scenario key 'B': epigraph pieces must be finite, got [[0.0, 0.0, 0.0], [1.0, -inf, 0.0]]"),
+         "scenario key 'B.pieces' must hold finite numbers, got [[0, 0, 0], [1, -inf, 0]]"),
         (lambda o: o.update(B={"variant": "box", "lo": [math.nan, 0], "hi": [1, 1]}),
-         "scenario key 'B': box lo has non-finite coordinates"),
+         "scenario key 'B.lo' must hold finite numbers, got [nan, 0]"),
         (lambda o: o.update(**{"lambda": {"variant": "whole_space", "dim": 2.7}}),
-         "scenario key 'lambda': whole_space dim must be an integer >= 1, got 2.7"),
+         "scenario key 'lambda.dim' must be an integer >= 1, got 2.7"),
         (lambda o: o.update(B={"variant": "finite_point_set", "points": 5}),
-         "scenario key 'B': finite_point_set points must be a list, got 5"),
+         "scenario key 'B.points' must be a list of numbers or of non-empty lists of numbers of one "
+         "length, got 5"),
         (lambda o: o.update(A={"variant": "halfspace", "normal": 7, "offset": 0}),
-         "scenario key 'A': halfspace normal must be a list, got 7"),
+         "scenario key 'A.normal' must be a non-empty list of numbers, got 7"),
         (lambda o: o.update(B={"variant": "finite_point_set", "points": [[[1, 2]]]}),
-         "scenario key 'B': finite_point_set points must be one point or a nonempty list "
-         "of points of one dimension, got [[[1, 2]]]"),
+         "scenario key 'B.points' must be a list of numbers or of non-empty lists of numbers of one "
+         "length, got [[[1, 2]]]"),
         (lambda o: o.update(B={"variant": "finite_point_set", "points": [[0, 0], [1]]}),
-         "scenario key 'B': finite_point_set points must be one point or a nonempty list "
-         "of points of one dimension, got [[0, 0], [1]]"),
+         "scenario key 'B.points' must be a list of numbers or of non-empty lists of numbers of one "
+         "length, got [[0, 0], [1]]"),
         (lambda o: o.update(B={"variant": "finite_point_set", "points": [[0, math.inf]]}),
-         "scenario key 'B': finite_point_set points have non-finite coordinates"),
+         "scenario key 'B.points' must hold finite numbers, got [[0, inf]]"),
         (lambda o: o.update(base_point=[True, 0]),
-         "scenario key 'base_point' must be a point in R^2: got [True, 0]"),
+         "scenario key 'base_point' must be a point in R^2, got [True, 0]"),
         (lambda o: o["seed_region"].update(center=[False, 0]),
-         "scenario key 'seed_region.center' must be a point in R^2: got [False, 0]"),
+         "scenario key 'seed_region.center' must be a point in R^2, got [False, 0]"),
         (lambda o: o.update(B={"variant": "halfspace", "normal": [True, 0], "offset": 0}),
-         "scenario key 'B': halfspace normal must hold numbers, not true or false, got [True, 0]"),
+         "scenario key 'B.normal' must be a non-empty list of numbers, got [True, 0]"),
         (lambda o: o["A"].update(basis=[[True, False]]),
-         "scenario key 'A': affine_subspace basis must hold numbers, not true or false, "
-         "got [[True, False]]"),
+         "scenario key 'A.basis' must be a list of numbers or of non-empty lists of numbers of one "
+         "length, got [[True, False]]"),
         (lambda o: (_as_builtin(o, "sawtooth"),
                     o["A"]["members"][0]["pieces"][0].update(start=[True, 0])),
-         "scenario key 'A': linear start must hold numbers, not true or false, got [True, 0]"),
+         "scenario key 'A.members[0].pieces[0].start' must be a non-empty list of numbers, "
+         "got [True, 0]"),
         (lambda o: (_as_builtin(o, "monotone_not_fejer"), o.update(sequence=[[1, 1]])),
          "scenario key 'expected.linear_c' needs a trace of at least two points"),
         (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
             {"kind": "parabolic", "a": 1, "b": 0, "c": 0, "t0": True, "t1": 2}]}),
-         "scenario key 'B': parabolic piece t0 must be a number, got True"),
+         "scenario key 'B.pieces[0].t0' must be a number, got True"),
         (lambda o: o.update(B={"variant": "piecewise_curve", "pieces": [
             {"kind": "parabolic", "a": 1, "b": 0, "c": 0, "t0": -1, "t1": "2"}]}),
-         "scenario key 'B': parabolic piece t1 must be a number, got '2'"),
+         "scenario key 'B.pieces[0].t1' must be a number, got '2'"),
     ],
     ids=["halfspace_offset", "ball_radius", "sphere_radius", "seed_region_not_object",
          "seed_region_center", "seed_region_radius", "seed_region_radius_type",
@@ -345,6 +352,39 @@ def test_run_rejects_non_finite_set_scalar(tmp_path, capsys, corrupt, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["A.radius", "seed_region.center", "expected.q_rate.tol"])
+def test_an_integer_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, key):
+    # float() and np.asarray(..., float) raise OverflowError on a 400-digit integer
+    obj = scenario_to_json(build("two_lines_pi3"))
+    obj["A"] = {"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    obj["expected"] = {"q_rate": {"value": 0.25, "tol": 1e-6}}
+    huge = 10**400
+    if key == "A.radius":
+        obj["A"]["radius"] = huge
+    elif key == "seed_region.center":
+        obj["seed_region"]["center"][0] = huge
+    else:
+        obj["expected"]["q_rate"]["tol"] = huge
+    path, out = tmp_path / "big.json", tmp_path / "o"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"scenario key '{key}' holds an integer too large for a float" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_pair_of_zero_dimensional_sets_is_a_usage_error(tmp_path, capsys):
+    # a point in R^0 crashed the ball stream at its first coordinate
+    box = {"variant": "box", "lo": [], "hi": []}
+    obj = {"name": "empty", "A": box, "B": box, "seed_region": {"center": [], "radius": 1.0}}
+    path, out = tmp_path / "r0.json", tmp_path / "o"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario key 'A.lo' must be a non-empty list of numbers, got []" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 #: a value of each JSON type, null included, for a mutation that swaps a value's type
 _JSON_VALUES = {str: "x", float: 7, bool: True, list: [], dict: {}, type(None): None}
 #: scenario keys that may be null or left out.  This set and _may_leave_out
@@ -364,15 +404,13 @@ def _json_type(value):
     return float if type(value) is int else type(value)
 
 
-def _key_paths(obj, path=()):
-    """The path of every key of every object in a JSON value, depth first."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield path + (key,)
-            yield from _key_paths(value, path + (key,))
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _key_paths(value, path + (i,))
+def _value_paths(obj, path=()):
+    """The path of every value below a JSON value, depth first: object keys
+    and list indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
 
 
 def _get(obj, path):
@@ -381,27 +419,67 @@ def _get(obj, path):
     return obj
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+
+
+#: an integer beyond the float range, put in place of every number
+_HUGE = 10**400
+
+
 def _mutations(obj: dict):
     """Every mutation of a scenario object: each key's value swapped for one
-    of every other JSON type or null, each key deleted, and an unknown key
-    added to every object.  Yields (mutated object, path of the key touched,
-    whether the scenario must still load)."""
+    of every other JSON type or null, each key deleted, an unknown key added
+    to every object, _HUGE in place of every number (a lone one, or the first
+    coordinate of a vector) and [] in place of every vector (a non-empty list
+    of numbers).  Yields (mutated object, path of the value touched, whether
+    the scenario must still load); the error must name that path."""
     text = json.dumps(obj)
-    paths = list(_key_paths(obj))
-    for path in paths:
+
+    def put(path, value):
+        bad = json.loads(text)
+        _get(bad, path[:-1])[path[-1]] = value
+        return bad
+
+    paths = list(_value_paths(obj))
+    for path in [p for p in paths if isinstance(p[-1], str)]:
         current = _json_type(_get(obj, path))
-        for value in [v for t, v in _JSON_VALUES.items() if t is not current] + [KeyError]:
-            bad = json.loads(text)
-            if value is KeyError:
-                del _get(bad, path[:-1])[path[-1]]
-                yield bad, path, _may_leave_out(path)
-            else:
-                _get(bad, path[:-1])[path[-1]] = value
-                yield bad, path, value is None and path in _NULLABLE
+        for value in [v for t, v in _JSON_VALUES.items() if t is not current]:
+            yield put(path, value), path, value is None and path in _NULLABLE
+        bad = json.loads(text)
+        del _get(bad, path[:-1])[path[-1]]
+        yield bad, path, _may_leave_out(path)
     for path in [()] + [p for p in paths if isinstance(_get(obj, p), dict)]:
         bad = json.loads(text)
         _get(bad, path)["zz_unknown"] = 1
         yield bad, path + ("zz_unknown",), False
+    for path in paths:
+        value = _get(obj, path)
+        if _is_number(value):
+            yield put(path, _HUGE), path, False
+        elif _is_vector(value):
+            yield put(path + (0,), _HUGE), path + (0,), False
+            # an epigraph takes one more coefficient triple than it has
+            # breakpoints: [] is well formed there on its own, and the set's
+            # own check of that relation names the set
+            yield put(path, []), path[:-1] if path[-1] == "breakpoints" else path, False
+
+
+def _json_path(path: tuple) -> str:
+    """A path as errors name it: 'A.members[0].pieces[3].start'."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _names(err: str, path: tuple) -> bool:
+    """Whether an error names the full JSON path of the key touched, or a path
+    within its value.  The key touched is the last key on the path: a vector's
+    coordinate, or a point in a list of points, is part of its key's value."""
+    key = _json_path(path[:max(i for i, k in enumerate(path) if isinstance(k, str)) + 1])
+    return any(f"'{key}{end}" in err for end in "'[.")
 
 
 def test_corrupted_builtins_exit_1_naming_a_key(tmp_path, capsys):
@@ -409,8 +487,8 @@ def test_corrupted_builtins_exit_1_naming_a_key(tmp_path, capsys):
     # affine lambda, the one input with lambda's fields.  One that may be
     # left out or null must load, unless an expected key's check needs what
     # it took away; any other must be a usage error (exit 1) whose message
-    # names a key on the mutated path, never a traceback, never a bundle and
-    # never an expectation mismatch (exit 2)
+    # names the full JSON path of the key touched, never a traceback, never a
+    # bundle and never an expectation mismatch (exit 2)
     lam = scenario_to_json(build("two_lines_pi3"))
     lam["lambda"] = {"variant": "affine_subspace", "point": [0.3, 0.0], "basis": [[0.0, 1.0]]}
     src, out = tmp_path / "sc.json", tmp_path / "o"
@@ -429,11 +507,10 @@ def test_corrupted_builtins_exit_1_naming_a_key(tmp_path, capsys):
             capsys.readouterr()
             code = execute_run(str(src), str(out), samples=16, max_iter=50)  # `fixpoint run`
             err = capsys.readouterr().err
-            named = any(f"{k}'" in err or f"'{k}" in err for k in path if isinstance(k, str))
-            if code != 1 or "Traceback" in err or not named or out.exists():
+            if code != 1 or "Traceback" in err or not _names(err, path) or out.exists():
                 failures.append((obj["name"], path, code, err.strip()[-200:]))
                 shutil.rmtree(out, ignore_errors=True)
-    assert cases > 2000 and not failures, failures
+    assert cases > 3000 and not failures, failures
 
 
 def test_global_ratio_check_with_probe_points_in_B_is_an_error(tmp_path, capsys):

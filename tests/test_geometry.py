@@ -41,13 +41,11 @@ from fixpoint.geometry import (
     project_one,
     row_norms,
     sample_ball,
-    set_from_json,
-    set_to_json,
     stack,
     take,
 )
 from fixpoint.regularity import _Region
-from fixpoint.scenarios import SAWTOOTH_DEPTH, build, sawtooth_graph
+from fixpoint.scenarios import SAWTOOTH_DEPTH, build, sawtooth_graph, set_from_json, set_to_json
 
 
 def _nearest(cands: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
@@ -248,7 +246,7 @@ def test_epigraph_convexity_is_read_from_its_pieces():
     # convexity is derived, so it is no field of the JSON form
     obj = set_to_json(Epigraph([0.0], [[0, 0, 0], [1, 0, 0]]))
     assert "convex" not in obj
-    with pytest.raises(ValueError, match="unknown keys for epigraph"):
+    with pytest.raises(ValueError, match=re.escape("scenario key 'set.convex' is unknown")):
         set_from_json(dict(obj, convex=True))
 
 
@@ -788,25 +786,23 @@ def test_set_scalars_must_be_finite(make, message, value):
 @pytest.mark.parametrize(
     "obj,field",
     [
-        ({"variant": "box", "lo": [math.nan, 0], "hi": [1, 1]}, "box lo"),
-        ({"variant": "box", "lo": [0, 0], "hi": [math.inf, 1]}, "box hi"),
-        ({"variant": "halfspace", "normal": [math.inf, 0], "offset": 0}, "halfspace normal"),
-        ({"variant": "ball", "center": [0, math.nan], "radius": 1}, "ball center"),
-        ({"variant": "sphere", "center": [-math.inf, 0], "radius": 1}, "sphere center"),
-        ({"variant": "affine_subspace", "point": [math.nan, 0], "basis": [[1, 0]]},
-         "affine_subspace point"),
-        ({"variant": "affine_subspace", "point": [0, 0], "basis": [[math.nan, 1]]},
-         "affine_subspace basis"),
+        ({"variant": "box", "lo": [math.nan, 0], "hi": [1, 1]}, "set.lo"),
+        ({"variant": "box", "lo": [0, 0], "hi": [math.inf, 1]}, "set.hi"),
+        ({"variant": "halfspace", "normal": [math.inf, 0], "offset": 0}, "set.normal"),
+        ({"variant": "ball", "center": [0, math.nan], "radius": 1}, "set.center"),
+        ({"variant": "sphere", "center": [-math.inf, 0], "radius": 1}, "set.center"),
+        ({"variant": "affine_subspace", "point": [math.nan, 0], "basis": [[1, 0]]}, "set.point"),
+        ({"variant": "affine_subspace", "point": [0, 0], "basis": [[math.nan, 1]]}, "set.basis"),
         ({"variant": "piecewise_curve", "pieces": [
-            {"kind": "linear", "start": [math.nan, 0], "end": [1, 1]}]}, "linear piece start"),
+            {"kind": "linear", "start": [math.nan, 0], "end": [1, 1]}]}, "set.pieces[0].start"),
         ({"variant": "piecewise_curve", "pieces": [
-            {"kind": "linear", "start": [0, 0], "end": [1, math.inf]}]}, "linear piece end"),
+            {"kind": "linear", "start": [0, 0], "end": [1, math.inf]}]}, "set.pieces[0].end"),
     ],
     ids=["box_lo", "box_hi", "halfspace_normal", "ball_center", "sphere_center",
          "affine_point", "affine_basis", "linear_start", "linear_end"],
 )
 def test_non_finite_set_vectors_name_their_field(obj, field):
-    with pytest.raises(ValueError, match=f"^{field} has non-finite coordinates"):
+    with pytest.raises(ValueError, match=re.escape(f"scenario key '{field}' must hold finite numbers")):
         set_from_json(obj)
 
 
@@ -815,13 +811,14 @@ def test_parabolic_piece_ends_are_numbers_or_infinite():
     curve = set_from_json({"variant": "piecewise_curve", "pieces": [piece]})
     assert (curve.pieces[0].t0, curve.pieces[0].t1) == (-math.inf, math.inf)
     for key, value in (("t0", True), ("t1", "2"), ("t1", "inf"), ("t0", None), ("t1", [1])):
-        with pytest.raises(ValueError, match=re.escape(f"parabolic piece {key} must be a number, "
-                                                       f"got {value!r}")):
+        error = "must not be null" if value is None else f"must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"scenario key 'set.pieces[0].{key}' {error}")):
             set_from_json({"variant": "piecewise_curve", "pieces": [{**piece, key: value}]})
 
 
 @pytest.mark.parametrize("dim", [2.7, 2.0, -2, 0, "2", True, None])
 def test_whole_space_dim_is_an_integer_of_at_least_one(dim):
-    with pytest.raises(ValueError, match=f"whole_space dim must be an integer >= 1, got {dim!r}"):
+    error = "must not be null" if dim is None else f"must be an integer >= 1, got {dim!r}"
+    with pytest.raises(ValueError, match=re.escape(f"scenario key 'set.dim' {error}")):
         set_from_json({"variant": "whole_space", "dim": dim})
     assert set_from_json({"variant": "whole_space", "dim": 3}).dim == 3

@@ -7,7 +7,8 @@ import math
 import re
 from pathlib import Path
 
-from fixpoint.scenarios import EXPECTED, SCENARIO
+from fixpoint.cli import main
+from fixpoint.scenarios import EXPECTED, PIECES, SCENARIO, SETS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +39,36 @@ def test_schema_section_lists_the_loaders_keys():
     rows = [line.split("|")[1:3] for line in table.strip().splitlines()[1:]]
     kinds = {key: value.strip() for keys, value in rows for key in re.findall(r"`(\w+)`", keys)}
     assert kinds == {key: words[kind] for key, (kind, _) in EXPECTED.items()}
+
+
+def _schema_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Scenario JSON schema", 1)[1]
+    return re.search(r"```json\n(.*?)```", section, re.S).group(1)
+
+
+def test_schema_example_runs_and_meets_its_expectation(tmp_path):
+    path, out = tmp_path / "my_pair.json", tmp_path / "o"
+    path.write_text(_schema_example(), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(out), "--samples", "16"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert math.isfinite(report["estimates"]["sr_prime"])
+
+
+def _table(section: str, header: str) -> list[tuple[str, list[str]]]:
+    """Each row of the table under the header: its first cell's name and the
+    names its second cell lists, in order."""
+    table = section.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.strip().splitlines()[1:]]
+    return [(re.fullmatch(r" `(\w+)` ", name).group(1), re.findall(r"`(\w+)`", keys))
+            for name, keys in rows]
+
+
+def test_set_tables_list_the_readers_variants_and_keys_in_order():
+    section = README.read_text(encoding="utf-8").split("## Scenario JSON schema", 1)[1]
+    assert _table(section, "| variant | keys, in order |") == [
+        (variant, list(keys)) for variant, (_, keys) in SETS.items()]
+    assert _table(section, "| kind | keys, in order |") == [
+        (kind, list(keys)) for kind, (_, keys) in PIECES.items()]
 
 
 def test_layout_names_every_module():

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import struct
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -10,14 +13,24 @@ from fixpoint.geometry import (
     AffineSubspace,
     Ball,
     Box,
+    Epigraph,
     FinitePointSet,
     Halfspace,
+    LinearPiece,
+    ParabolicPiece,
+    PiecewiseCurve,
+    SetSpec,
+    SetUnion,
+    Sphere,
+    WholeSpace,
     as_vector,
     distance,
     norm,
 )
 from fixpoint.scenarios import (
     FAMILIES,
+    PIECES,
+    SETS,
     Scenario,
     _unit,
     _unit_orthogonal,
@@ -27,6 +40,8 @@ from fixpoint.scenarios import (
     sawtooth_graph,
     scenario_from_json,
     scenario_to_json,
+    set_from_json,
+    set_to_json,
 )
 
 
@@ -236,11 +251,135 @@ def _three_d(obj: dict, key: str) -> dict:
 )
 def test_scenario_json_rejects_dimension_mismatch(key, tmp_path, capsys):
     obj = _three_d(scenario_to_json(build("two_lines_pi3")), key)
-    message = f"scenario key '{key}' has dimension 3, but A has dimension 2"
-    with pytest.raises(ValueError, match=message):
+    at = f"{key}[1]" if key in ("intersection", "sequence") else key  # the point at fault
+    message = f"scenario key '{at}' has dimension 3, but A has dimension 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
         scenario_from_json(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# sets cross the JSON boundary by the SETS and PIECES rows, bit for bit as the
+# dataclass-field reader and writer they replaced
+
+_REFERENCE_KEYS = {"space_dim": "dim"}
+
+
+def reference_set_to_json(s) -> dict:
+    """The field-walking writer that sets were written by before the SETS
+    table: its variant (or kind), then its fields in declaration order."""
+    out = {"variant": s.variant} if isinstance(s, SetSpec) else {"kind": s.kind}
+    for f in fields(s):
+        v = getattr(s, f.name)
+        if isinstance(v, tuple):  # union members or curve pieces
+            v = [reference_set_to_json(t) for t in v]
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        out[_REFERENCE_KEYS.get(f.name, f.name)] = v
+    return out
+
+
+def _reference_holds_bool(v) -> bool:
+    return isinstance(v, bool) or isinstance(v, list) and any(map(_reference_holds_bool, v))
+
+
+def _reference_from_json(obj, tag: str, registry: dict, what: str):
+    name = obj.get(tag) if isinstance(obj, dict) else None
+    if not isinstance(name, str) or name not in registry:
+        raise ValueError(f"unknown {what}: {name}")
+    cls = registry[name]
+    keys = {_REFERENCE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    rest = {k: v for k, v in obj.items() if k != tag}
+    unknown = set(rest) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys for {name}: {sorted(unknown)}")
+    missing = [k for k, f in keys.items() if k not in rest and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing keys for {name}: {missing}")
+    for k, v in rest.items():
+        if keys[k].type in ("Vector", "np.ndarray", "tuple") and not isinstance(v, list):
+            raise ValueError(f"{name} {k} must be a list, got {v!r}")
+        if keys[k].type in ("Vector", "np.ndarray") and _reference_holds_bool(v):
+            raise ValueError(f"{name} {k} must hold numbers, not true or false, got {v!r}")
+    args = {keys[k].name: v for k, v in rest.items()}
+    if cls is PiecewiseCurve:
+        args["pieces"] = tuple(_reference_from_json(p, "kind", _REFERENCE_PIECES,
+                                                    "curve piece kind") for p in args["pieces"])
+    elif cls is SetUnion:
+        args["members"] = tuple(reference_set_from_json(m) for m in args["members"])
+    return cls(**args)
+
+
+_REFERENCE_VARIANTS = {c.variant: c for c in (
+    Halfspace, AffineSubspace, Ball, Box, Sphere, FinitePointSet,
+    PiecewiseCurve, Epigraph, SetUnion, WholeSpace,
+)}
+_REFERENCE_PIECES = {c.kind: c for c in (LinearPiece, ParabolicPiece)}
+
+
+def reference_set_from_json(obj: dict):
+    """The reader that read sets by their dataclass annotations before the SETS table."""
+    if not isinstance(obj, dict) or "variant" not in obj:
+        raise ValueError("set description must be an object with a 'variant' key")
+    return _reference_from_json(obj, "variant", _REFERENCE_VARIANTS, "set variant")
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two values hold the same bits: arrays by dtype, shape and bytes,
+    floats by their IEEE bytes, sets and pieces by every attribute."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if hasattr(a, "__dict__"):
+        return vars(a).keys() == vars(b).keys() and all(
+            _same_bits(v, vars(b)[k]) for k, v in vars(a).items())
+    return a == b
+
+
+SETS_OF_EVERY_VARIANT = [
+    Halfspace([0.3, -1.0], 0.25),
+    AffineSubspace([0.1, 0.2, 0.3], [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+    AffineSubspace([1.5, -2.0], []),
+    Ball([1.0 / 3.0, -2.0], 0.7),
+    Box([-1.0, 0.0, 2.0], [1.0, 0.5, 2.0]),
+    Sphere([0.0, 1e-3], 2.5),
+    FinitePointSet([[1.0, 0.0], [0.1, 0.2], [-3.0, 1e300]]),
+    PiecewiseCurve((LinearPiece([0, 0], [1, 1]), ParabolicPiece(1.0, -0.5, 0.25, -1.0, 2.0))),
+    PiecewiseCurve((ParabolicPiece(-0.5, 0.0, 1.0, -math.inf, math.inf),
+                    ParabolicPiece(2.0, 1.0, 0.0, 0.0, math.inf))),
+    Epigraph([0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),  # a jump at 0
+    Epigraph([-1.0, 0.0], [[0.0, -1.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    Epigraph([], [[-1.0, 0.0, 0.0]]),
+    SetUnion((PiecewiseCurve((LinearPiece([0.5, 0.0], [0.75, -0.125]),)),
+              FinitePointSet([[0.0, 0.0]]))),
+    SetUnion((Ball([0.0, 0.0], 1.0), SetUnion((Box([2.0, 2.0], [3.0, 3.0]), Sphere([0, 0], 4))))),
+    WholeSpace(3),
+]
+
+
+@pytest.mark.parametrize("s", SETS_OF_EVERY_VARIANT, ids=lambda s: s.variant)
+def test_sets_cross_json_as_the_reference_writes_and_reads_them(s):
+    obj = set_to_json(s)
+    assert json.dumps(obj) == json.dumps(reference_set_to_json(s))
+    # read back from JSON text, and from a form with integers where floats were
+    for o in (json.loads(json.dumps(obj)),
+              json.loads(re.sub(r"(-?\d+)\.0\b", r"\1", json.dumps(obj)))):
+        got, want = set_from_json(o), reference_set_from_json(o)
+        assert _same_bits(got, want), o
+        assert json.dumps(set_to_json(got)) == json.dumps(obj)
+
+
+def test_every_variant_and_piece_kind_is_covered():
+    variants = {s.variant for s in SETS_OF_EVERY_VARIANT}
+    kinds = {p.kind for s in SETS_OF_EVERY_VARIANT if isinstance(s, PiecewiseCurve)
+             for p in s.pieces}
+    assert variants == set(SETS) and kinds == set(PIECES)
