@@ -56,9 +56,9 @@ class Scenario:
     name: str
     A: SetSpec
     B: SetSpec
-    lam: Lambda | None
     base_point: Vector | None
     seed_region: tuple  # (center, radius)
+    lam: Lambda | None = None
     expected: dict = field(default_factory=dict)
     intersection: Target | None = None
     sequence: list | None = None  # explicit sequence scenarios bypass the engine
@@ -119,7 +119,6 @@ def _two_lines(angle: float, name: str) -> Scenario:
         name=name,
         A=A,
         B=B,
-        lam=None,
         base_point=as_vector([0.0, 0.0]),
         seed_region=(as_vector([0.0, 0.0]), 1.0),
         expected=expected,
@@ -134,7 +133,6 @@ def _monotone_not_fejer() -> Scenario:
         name="monotone_not_fejer",
         A=omega,
         B=omega,
-        lam=None,
         base_point=None,
         seed_region=(as_vector([1.0, 1.0]), 1.0),
         expected={
@@ -155,7 +153,6 @@ def _sawtooth() -> Scenario:
         name="sawtooth",
         A=A,
         B=B,
-        lam=None,
         base_point=as_vector([0.0, 0.0]),
         seed_region=(as_vector([0.1, 0.05]), 0.1),
         expected={
@@ -184,7 +181,6 @@ def _geometric(n: int) -> Scenario:
         name=f"geometric_n{n}",
         A=A,
         B=B,
-        lam=None,
         base_point=as_vector(sol),
         seed_region=(as_vector(z0), 0.1),
         expected={
@@ -205,7 +201,6 @@ def _epigraph() -> Scenario:
         name="epigraph",
         A=A,
         B=B,
-        lam=None,
         base_point=as_vector([-1.0, 0.0]),
         seed_region=(as_vector([-1.0, 0.5]), 0.5),
         expected={
@@ -294,7 +289,6 @@ def random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
         name=f"random_{family}_{seed}_d{dim}",
         A=A,
         B=B,
-        lam=None,
         base_point=as_vector(x_bar),
         seed_region=(as_vector(x_bar), 0.5),
         intersection=[as_vector(x_bar)],
@@ -425,7 +419,7 @@ def scenario_from_json(obj: dict) -> Scenario:
     JSON path of the value at fault."""
     _object(obj, "", SCENARIO)
     A = _read("set", obj["A"], "A", None)
-    got = {key: _read(kind, obj.get(key), key, A.dim)
+    got = {key: None if obj.get(key) is None else _read(kind, obj[key], key, A.dim)
            for key, (kind, _) in SCENARIO.items() if key != "A"}
     sc = Scenario(name=got["name"], A=A, B=got["B"], lam=got["lambda"],
                   base_point=got["base_point"], seed_region=got["seed_region"],
@@ -450,6 +444,8 @@ def scenario_from_json(obj: dict) -> Scenario:
 def _object(obj, path: str, rows: dict) -> None:
     """The value at the JSON path must be an object of the rows' keys, each
     present and not null as its presence allows."""
+    if isinstance(obj, dict) and obj.keys() == rows.keys() and None not in obj.values():
+        return  # every key present and not null
     where = f"scenario key {path!r}" if path else "a scenario"
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object")
@@ -473,32 +469,39 @@ _WHAT = {"count": "an integer >= 0", "dimension": "an integer >= 1",
          "pieces": "a list of curve-piece objects"}
 
 
-def _numbers(value, where: str, kind: str, dim: int | None) -> None:
-    """Check a JSON list of finite numbers, or for "numbers" also a list of
+def _numbers(value, path: str, kind: str, dim: int | None) -> None:
+    """Check the JSON list at the path: finite numbers, or for "numbers" also
     non-empty lists of numbers of one length."""
     items = value if isinstance(value, list) else None
     if kind == "numbers" and items and all(isinstance(r, list) and len(r) == len(items[0]) > 0
                                            for r in items):
         items = [t for r in items for t in r]  # rows of one length
-    types = set(map(type, items or ()))  # a JSON true or "2" is no number
-    numbers = types <= {int, float} or all(t is not bool and issubclass(t, (int, float)) for t in types)
+    # a JSON true or "2" is no number
+    numbers = {int, float}.issuperset(map(type, items or ())) or all(
+        type(t) is not bool and isinstance(t, (int, float)) for t in items)
     if items is None or not numbers or not items and kind != "numbers":
-        raise ValueError(f"{where} must be {_WHAT.get(kind, f'a point in R^{dim}')}, got {value!r}")
+        what = _WHAT.get(kind, f"a point in R^{dim}")
+        raise ValueError(f"scenario key {path!r} must be {what}, got {value!r}")
     try:
         finite = all(map(math.isfinite, items))
     except OverflowError:
-        raise ValueError(f"{where} holds an integer too large for a float") from None
+        raise ValueError(f"scenario key {path!r} holds an integer too large for a float") from None
     if not finite:
-        raise ValueError(f"{where} must hold finite numbers, got {value!r}")
+        raise ValueError(f"scenario key {path!r} must hold finite numbers, got {value!r}")
 
 
 def _read(kind: str, value, path: str, dim: int | None):
-    """A JSON value of the kind, parsed (None for null); a point, or a set
-    not inside another, must have dimension dim, A's.  An error names the
-    value's JSON path, and a set's own checks are prefixed with its path."""
+    """A JSON value of the kind, parsed; a point, or a set not inside
+    another, must have dimension dim, A's.  An error names the value's JSON
+    path, and a set's own checks are prefixed with its path."""
+    if value is None:  # where null is allowed, the caller does not read the key
+        raise ValueError(f"scenario key {path!r} must not be null")
+    if kind in ("vector", "numbers", "point"):
+        _numbers(value, path, kind, dim)
+        if kind != "point":
+            return value  # a set's class converts its lists
+        value = as_vector(value)
     where = f"scenario key {path!r}"
-    if value is None:
-        return None
     if kind == "string" and not isinstance(value, str):
         raise ValueError(f"{where} must be a string, got {value!r}")
     if kind == "bool" and not isinstance(value, bool):
@@ -513,9 +516,6 @@ def _read(kind: str, value, path: str, dim: int | None):
         if kind == "nonnegative" and x < 0:
             raise ValueError(f"{where} must be >= 0, got {x}")
         return value if kind in ("count", "dimension") else x
-    if kind in ("vector", "numbers", "point"):
-        _numbers(value, where, kind, dim)
-        value = as_vector(value) if kind == "point" else value
     if kind == "set-or-points":
         kind = "set" if isinstance(value, dict) else "points"
     if kind in ("points", "sets", "pieces"):
@@ -558,9 +558,9 @@ def _entry(key: str, entry, path: str, dim: int) -> Expected:
         raise ValueError(f"scenario key {path!r} is not one that run checks: {list(EXPECTED)}")
     _object(entry, path, _ENTRY)
     kind = EXPECTED[key][0]
-    got = {field: _read(k or kind, entry.get(field), f"{path}.{field}", dim)
-           for field, (k, _) in _ENTRY.items()}
-    return Expected(_write(kind, got["value"]), got["provenance"] or "derived", got["tol"] or 0.0)
+    got = {field: _read(k or kind, entry[field], f"{path}.{field}", dim)
+           for field, (k, _) in _ENTRY.items() if field in entry}
+    return Expected(_write(kind, got["value"]), got.get("provenance", "derived"), got.get("tol", 0.0))
 
 
 def _write(kind: str, value):

@@ -373,6 +373,27 @@ def test_an_integer_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, key
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "B, key",
+    [({"variant": "union", "members": [None]}, "B.members[0]"),
+     ({"variant": "piecewise_curve", "pieces": [None]}, "B.pieces[0]"),
+     ({"variant": "piecewise_curve",
+       "pieces": [None, {"kind": "linear", "start": [0, 0], "end": [1, 0]}]}, "B.pieces[0]"),
+     ({"variant": "finite_point_set", "points": [[0, 0], None]}, "B.points")],
+    ids=["union-member", "curve-piece", "curve-piece-beside-a-piece", "point"],
+)
+def test_a_null_set_member_or_curve_piece_is_a_usage_error(tmp_path, capsys, B, key):
+    # null in a list of sets or pieces reached the set's class as None
+    obj = scenario_to_json(build("two_lines_pi3"))
+    obj["B"], obj["expected"] = B, {}
+    path, out = tmp_path / "null.json", tmp_path / "o"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"scenario key '{key}' must " in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_a_pair_of_zero_dimensional_sets_is_a_usage_error(tmp_path, capsys):
     # a point in R^0 crashed the ball stream at its first coordinate
     box = {"variant": "box", "lo": [], "hi": []}
@@ -435,8 +456,8 @@ def _mutations(obj: dict):
     """Every mutation of a scenario object: each key's value swapped for one
     of every other JSON type or null, each key deleted, an unknown key added
     to every object, _HUGE in place of every number (a lone one, or the first
-    coordinate of a vector) and [] in place of every vector (a non-empty list
-    of numbers).  Yields (mutated object, path of the value touched, whether
+    coordinate of a vector), [] in place of every vector (a non-empty list
+    of numbers) and null in place of every list element.  Yields (mutated object, path of the value touched, whether
     the scenario must still load); the error must name that path."""
     text = json.dumps(obj)
 
@@ -467,6 +488,8 @@ def _mutations(obj: dict):
             # breakpoints: [] is well formed there on its own, and the set's
             # own check of that relation names the set
             yield put(path, []), path[:-1] if path[-1] == "breakpoints" else path, False
+    for path in [p for p in paths if isinstance(p[-1], int)]:
+        yield put(path, None), path, False
 
 
 def _json_path(path: tuple) -> str:

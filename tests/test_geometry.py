@@ -369,6 +369,13 @@ def test_set_json_rejects_unknown():
     for piece in (dict(line, extra=1), dict(line, kind="spline"), {"start": [0, 0]}):
         with pytest.raises(ValueError):
             set_from_json({"variant": "piecewise_curve", "pieces": [piece]})
+    with pytest.raises(ValueError, match=r"^scenario key 'set' must not be null$"):
+        set_from_json(None)
+    ball = {"variant": "ball", "center": [0, 0], "radius": 1}
+    for obj, at in (({"variant": "union", "members": [ball, None]}, "members[1]"),
+                    ({"variant": "piecewise_curve", "pieces": [None, line]}, "pieces[0]")):
+        with pytest.raises(ValueError, match=re.escape(f"scenario key 'set.{at}' must not be null")):
+            set_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
