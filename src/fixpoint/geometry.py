@@ -259,7 +259,9 @@ class AffineSubspace(_ConvexSet):
 
     def __post_init__(self):
         p = as_vector(self.point, name="affine_subspace point")
-        b = np.asarray(self.basis, dtype=float).reshape(-1, p.size)
+        if (b := np.asarray(self.basis, dtype=float)).size and b.shape[-1:] != p.shape or b.ndim > 2:
+            raise ValueError(f"affine_subspace basis needs rows of length {p.size}, got {b.tolist()}")
+        b = b.reshape(-1, p.size)
         if not np.isfinite(b).all():
             raise ValueError(f"affine_subspace basis has non-finite coordinates: {b.tolist()}")
         if b.size and not np.allclose(b @ b.T, np.eye(b.shape[0]), atol=1e-9):
@@ -475,19 +477,18 @@ class ParabolicPiece:
         for f in ("a", "b", "c", "t0", "t1"):  # t0, t1 may be -inf/inf: a half-line or the line
             v = _scalar(getattr(self, f), f"parabolic piece {f}", finite=f in ("a", "b", "c"))
             object.__setattr__(self, f, v)
-        if not self.t0 <= self.t1:
-            raise ValueError("parabolic piece needs t0 <= t1")
+        if not (self.t0 <= self.t1 and self.t0 < math.inf and self.t1 > -math.inf):
+            raise ValueError(f"parabolic piece needs t0 <= t1, t0 < inf and t1 > -inf: {self.t0}, {self.t1}")
 
     def value(self, t: float) -> float:
         return (self.a * t + self.b) * t + self.c
 
 
-def _parabola_stationary_points(arcs: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Interior roots of d/dt |(t, at^2+bt+c) - y|^2 = 0 for every row y of Y
-    and every arc (a, b, c, t0, t1) of ``arcs``, Newton-polished: an (m,
-    arcs, 3) array, NaN in an empty slot.
+class _ArcTable:
+    """A curve's parabolic arcs (a, b, c, t0, t1) and what their stationary
+    points need of the arcs alone, computed once as the per-row formulas do.
 
-    The stationarity condition is the cubic
+    For a row (x, y), d/dt |(t, at^2+bt+c) - (x, y)|^2 = 0 is the cubic
         2a^2 t^3 + 3ab t^2 + (b^2 + 2a(c-y) + 1) t + (b(c-y) - x) = 0.
     Its roots are the eigenvalues of companion matrices built as np.roots
     builds them, all solved in one call (the same LAPACK routine on each
@@ -497,46 +498,58 @@ def _parabola_stationary_points(arcs: np.ndarray, Y: np.ndarray) -> np.ndarray:
     and stops at its first failed safeguard.  An arc with a = 0 is a segment
     of the line y = bt + c; its slot 0 is the foot of the perpendicular.
     """
-    x, y = Y[:, 0, None], Y[:, 1, None]
-    a, b, c, t0, t1 = arcs.T
-    out = np.full((len(Y), len(arcs), 3), np.nan)
-    flat = a == 0.0
-    t = (x + b[flat] * (y - c[flat])) / (1.0 + b[flat] * b[flat])
-    out[:, flat, 0] = np.where((t0[flat] < t) & (t < t1[flat]), t, np.nan)
-    if flat.all() or not len(Y):
+
+    def __init__(self, arcs: np.ndarray):
+        self.arcs, self.flat = arcs, arcs[:, 0] == 0.0
+        b, c, t0, t1 = arcs[self.flat, 1:].T
+        self.line = b, c, t0, t1, 1.0 + b * b
+        self.curved = np.flatnonzero(~self.flat)
+        self.a, self.b, self.c, self.t0, self.t1 = arcs[self.curved].T
+        a, b = self.a, self.b
+        self.a2, self.bb, self.p0, self.p1 = 2 * a, b * b, 2 * a * a, 3 * a * b
+        self.lead, self.finite = self.p0 != 0.0, np.isfinite(self.t0)
+        self.m00 = -self.p1 / np.where(self.lead, self.p0, 1.0)
+
+    def stationary_points(self, Y: np.ndarray) -> np.ndarray:
+        """Each row's polished stationary points on each arc: (m, arcs, 3), NaN if empty."""
+        x, y = Y[:, 0, None], Y[:, 1, None]
+        out = np.full((len(Y), len(self.arcs), 3), np.nan)
+        b, c, t0, t1, bb1 = self.line
+        t = (x + b * (y - c)) / bb1
+        out[:, self.flat, 0] = np.where((t0 < t) & (t < t1), t, np.nan)
+        if not len(self.curved) or not len(Y):
+            return out
+        cy = self.c - y
+        p2, p3 = self.bb + self.a2 * cy + 1.0, self.b * cy - x
+        whole = self.lead & (p3 != 0.0)
+        i, j = np.nonzero(whole)
+        M = np.zeros((len(i), 3, 3))
+        M[:, 0, 0], M[:, 0, 1], M[:, 0, 2] = self.m00[j], -p2[i, j] / self.p0[j], -p3[i, j] / self.p0[j]
+        M[:, 1, 0] = M[:, 2, 1] = 1.0
+        roots = np.full(whole.shape + (3,), np.nan, dtype=complex)
+        if len(M):
+            roots[i, j] = np.linalg.eigvals(M)
+        for i, j in zip(*np.nonzero(~whole)):
+            r = np.roots(np.array([self.p0[j], self.p1[j], p2[i, j], p3[i, j]]))
+            roots[i, j, :r.size] = r
+        T = roots.real
+        keep = ~(np.isnan(T) | (np.abs(roots.imag) > 1e-8 * np.maximum(1.0, np.abs(T))))
+        keep &= (self.t0[:, None] - 1e-12 < T) & (T < self.t1[:, None] + 1e-12)
+        i, j, k = np.nonzero(keep)  # the admitted roots, polished on one axis
+        T, x, y = T[i, j, k], Y[i, 0], Y[i, 1]
+        a, a2, b, c, t0, t1 = (v[j] for v in (self.a, self.a2, self.b, self.c, self.t0, self.t1))
+        step = np.ones(len(T), dtype=bool)
+        with np.errstate(all="ignore"):
+            for _ in range(3):  # Newton on the derivative of the cubic
+                u, v = a2 * T + b, a * T * T + b * T + c - y
+                dg = 1.0 + np.float_power(u, 2.0) + a2 * v  # ** 2 rounds as pow does
+                t_new = T - ((T - x) + v * u) / dg
+                step &= (dg != 0.0) & (t0 - 1e-9 <= t_new) & (t_new <= t1 + 1e-9)
+                T = np.where(step, t_new, T)
+        # min(max(T, t0), t1) as Python's min and max pick, for a finite t0
+        lo = np.where(t0 > T, t0, T)
+        out[i, self.curved[j], k] = np.where(self.finite[j], np.where(t1 < lo, t1, lo), T)
         return out
-    a, b, c, t0, t1 = (v[~flat] for v in (a, b, c, t0, t1))
-    cy = c - y
-    p = np.stack(np.broadcast_arrays(2 * a * a, 3 * a * b, b * b + 2 * a * cy + 1.0, b * cy - x),
-                 axis=-1)
-    roots = np.full(p.shape[:2] + (3,), np.nan, dtype=complex)
-    whole = (p[..., 0] != 0.0) & (p[..., 3] != 0.0)
-    M = np.zeros((int(whole.sum()), 3, 3))
-    M[:, 0] = -p[whole][:, 1:] / p[whole][:, :1]
-    M[:, 1, 0] = M[:, 2, 1] = 1.0
-    if len(M):
-        roots[whole] = np.linalg.eigvals(M)
-    for i, j in zip(*np.nonzero(~whole)):
-        r = np.roots(p[i, j])
-        roots[i, j, :r.size] = r
-    T = roots.real
-    a, b, c, t0, t1 = (v[:, None] for v in (a, b, c, t0, t1))
-    x, y = x[..., None], y[..., None]
-    keep = ~(np.isnan(T) | (np.abs(roots.imag) > 1e-8 * np.maximum(1.0, np.abs(T))))
-    keep &= (t0 - 1e-12 < T) & (T < t1 + 1e-12)
-    step = keep.copy()
-    with np.errstate(all="ignore"):
-        for _ in range(3):  # polish; derivative of the cubic
-            u, v = 2 * a * T + b, a * T * T + b * T + c - y
-            dg = 1.0 + np.float_power(u, 2.0) + 2 * a * v  # ** 2 rounds as pow does
-            t_new = T - ((T - x) + v * u) / dg
-            step &= (dg != 0.0) & (t0 - 1e-9 <= t_new) & (t_new <= t1 + 1e-9)
-            T = np.where(step, t_new, T)
-    # min(max(T, t0), t1) as Python's min and max pick, for a finite t0
-    lo = np.where(t0 > T, t0, T)
-    T = np.where(np.isfinite(t0), np.where(t1 < lo, t1, lo), T)
-    out[:, ~flat] = np.where(keep, T, np.nan)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,8 +576,8 @@ class PiecewiseCurve(SetSpec):
         object.__setattr__(self, "_lin_starts", starts)
         object.__setattr__(self, "_lin_d", d)
         object.__setattr__(self, "_lin_dd", dd)
-        object.__setattr__(self, "_arcs", np.array(
-            [[p.a, p.b, p.c, p.t0, p.t1] for p in ps if isinstance(p, ParabolicPiece)]))
+        object.__setattr__(self, "_arcs", _ArcTable(np.array(
+            [[p.a, p.b, p.c, p.t0, p.t1] for p in ps if isinstance(p, ParabolicPiece)]).reshape(-1, 5)))
         object.__setattr__(self, "convex", len(ps) == 1 and len(lin) == 1)
 
     @property
@@ -572,20 +585,19 @@ class PiecewiseCurve(SetSpec):
         return 2
 
     def _candidates_many(self, Y):
-        starts, d = self._lin_starts, self._lin_d
-        t = np.einsum("mij,ij->mi", Y[:, None, :] - starts, d) / self._lin_dd
-        np.clip(t, 0.0, 1.0, out=t)
-        feet = starts + t[:, :, None] * d
-        if not len(self._arcs):
-            return feet
-        # each arc's stationary points, then its ends; an infinite end leaves its slot empty
-        arcs = self._arcs[:, None, :]
-        ends = np.broadcast_to(self._arcs[:, 3:], (len(Y), len(arcs), 2))
-        T = np.concatenate([_parabola_stationary_points(self._arcs, Y), ends], axis=2)
-        with np.errstate(invalid="ignore"):
-            pts = np.stack([T, (arcs[..., 0] * T + arcs[..., 1]) * T + arcs[..., 2]], axis=-1)
-        pts[~np.isfinite(T)] = np.inf
-        return np.concatenate([feet, pts.reshape(len(Y), -1, 2)], axis=1)
+        C = []
+        if len(starts := self._lin_starts):  # the feet on the segments
+            t = np.einsum("mij,ij->mi", Y[:, None, :] - starts, self._lin_d) / self._lin_dd
+            C.append(starts + np.clip(t, 0.0, 1.0)[:, :, None] * self._lin_d)
+        if len(arcs := self._arcs.arcs[:, None, :]):
+            # each arc's stationary points, then its ends; an infinite end leaves its slot empty
+            ends = np.broadcast_to(arcs[:, 0, 3:], (len(Y), len(arcs), 2))
+            T = np.concatenate([self._arcs.stationary_points(Y), ends], axis=2)
+            with np.errstate(invalid="ignore"):
+                pts = np.stack([T, (arcs[..., 0] * T + arcs[..., 1]) * T + arcs[..., 2]], axis=-1)
+            pts[~np.isfinite(T)] = np.inf
+            C.append(pts.reshape(len(Y), -1, 2))
+        return C[0] if len(C) == 1 else np.concatenate(C, axis=1)
 
 
 @dataclass(frozen=True, eq=False)

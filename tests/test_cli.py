@@ -394,6 +394,35 @@ def test_a_null_set_member_or_curve_piece_is_a_usage_error(tmp_path, capsys, B, 
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("basis", [[[1, 0, 0, 1]], [[1, 0, 0]]], ids=["two-rows-in-one", "too-long"])
+def test_an_affine_basis_row_of_the_wrong_length_is_a_usage_error(tmp_path, capsys, basis):
+    # a row of four numbers in R^2 was re-cut into two rows (the whole plane),
+    # and a row of three ended in numpy's reshape message
+    obj = scenario_to_json(build("two_lines_pi3"))
+    obj["A"], obj["expected"] = {"variant": "affine_subspace", "point": [0, 0], "basis": basis}, {}
+    path, out = tmp_path / "basis.json", tmp_path / "o"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario key 'A': affine_subspace basis needs rows of length 2" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("ends", [(math.inf, math.inf), (-math.inf, -math.inf)], ids=["inf", "-inf"])
+def test_a_parabolic_piece_with_no_point_is_a_usage_error(tmp_path, capsys, ends):
+    # t0 = t1 = Infinity passed t0 <= t1, and the empty arc projected to
+    # [inf, inf] until a numpy error without a key ended the run
+    piece = {"kind": "parabolic", "a": 1.0, "b": 0.0, "c": 0.0, "t0": ends[0], "t1": ends[1]}
+    obj = scenario_to_json(build("two_lines_pi3"))
+    obj["A"], obj["convex"], obj["expected"] = {"variant": "piecewise_curve", "pieces": [piece]}, False, {}
+    path, out = tmp_path / "arc.json", tmp_path / "o"
+    path.write_text(json.dumps(obj))  # Infinity is valid to json.load
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario key 'A.pieces[0]': parabolic piece needs t0 <= t1, t0 < inf and t1 > -inf" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_a_pair_of_zero_dimensional_sets_is_a_usage_error(tmp_path, capsys):
     # a point in R^0 crashed the ball stream at its first coordinate
     box = {"variant": "box", "lo": [], "hi": []}

@@ -27,7 +27,7 @@ from fixpoint.geometry import (
     SetUnion,
     Sphere,
     WholeSpace,
-    _parabola_stationary_points,
+    _ArcTable,
     as_points,
     as_target,
     as_vector,
@@ -506,7 +506,7 @@ def test_batched_stationary_points_equal_the_scalar_root_loop(data):
         arcs.append([data.draw(coefficient) for _ in range(3)] + [t0, t1])
     Y = as_points(data.draw(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=5)), 2)
     with np.errstate(all="ignore"):  # a tiny a overflows np.roots' division alike
-        T = _parabola_stationary_points(np.array(arcs), Y)
+        T = _ArcTable(np.array(arcs)).stationary_points(Y)
         for y, row in zip(Y, T):
             for arc, ts in zip(arcs, row):
                 ref = reference_stationary_points(*arc, y)
@@ -521,7 +521,7 @@ def test_a_cubic_with_a_zero_constant_term_goes_through_np_roots(monkeypatch):
     calls = []
     roots = np.roots
     monkeypatch.setattr(np, "roots", lambda p: calls.append(p.tolist()) or roots(p))
-    ts = _parabola_stationary_points(arcs, np.array([[0.0, 2.0], [0.3, 2.0]]))
+    ts = _ArcTable(arcs).stationary_points(np.array([[0.0, 2.0], [0.3, 2.0]]))
     assert calls == [[2.0, 0.0, -3.0, -0.0]]  # only the row at x = 0
     assert sorted(ts[0, 0].tolist()) == pytest.approx([-math.sqrt(1.5), 0.0, math.sqrt(1.5)],
                                                       abs=1e-15)
@@ -535,6 +535,98 @@ def test_a_cubic_with_a_zero_constant_term_goes_through_np_roots(monkeypatch):
     epi = build("epigraph").A
     assert project_one(epi, [0.0, -0.5]).tolist() == [0.0, 0.0]
     _assert_batched_equals_one_row(epi, as_points([[0.0, -0.5], [-0.0, -2.0], [0.5, -0.5]], 2))
+
+
+def reference_curve_candidates(curve, Y):
+    """A curve's candidate enumeration as it was before its arc table was
+    built once per curve: the segment feet, the arc table, the flat mask and
+    the cubic coefficients rebuilt on every call, kept as its reference."""
+    lin = [p for p in curve.pieces if isinstance(p, LinearPiece)]
+    starts = np.array([p.start for p in lin]).reshape(-1, 2)
+    d = np.array([p.end for p in lin]).reshape(-1, 2) - starts
+    t = np.einsum("mij,ij->mi", Y[:, None, :] - starts, d) / np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
+    np.clip(t, 0.0, 1.0, out=t)
+    feet = starts + t[:, :, None] * d
+    arcs = np.array([[p.a, p.b, p.c, p.t0, p.t1] for p in curve.pieces if isinstance(p, ParabolicPiece)])
+    if not len(arcs):
+        return feet
+    ends = np.broadcast_to(arcs[:, 3:], (len(Y), len(arcs), 2))
+    T = np.concatenate([_reference_stationary_points_many(arcs, Y), ends], axis=2)
+    with np.errstate(invalid="ignore"):
+        pts = np.stack([T, (arcs[:, None, 0] * T + arcs[:, None, 1]) * T + arcs[:, None, 2]], axis=-1)
+    pts[~np.isfinite(T)] = np.inf
+    return np.concatenate([feet, pts.reshape(len(Y), -1, 2)], axis=1)
+
+
+def _reference_stationary_points_many(arcs, Y):
+    x, y = Y[:, 0, None], Y[:, 1, None]
+    a, b, c, t0, t1 = arcs.T
+    out = np.full((len(Y), len(arcs), 3), np.nan)
+    flat = a == 0.0
+    t = (x + b[flat] * (y - c[flat])) / (1.0 + b[flat] * b[flat])
+    out[:, flat, 0] = np.where((t0[flat] < t) & (t < t1[flat]), t, np.nan)
+    if flat.all() or not len(Y):
+        return out
+    a, b, c, t0, t1 = (v[~flat] for v in (a, b, c, t0, t1))
+    cy = c - y
+    p = np.stack(np.broadcast_arrays(2 * a * a, 3 * a * b, b * b + 2 * a * cy + 1.0, b * cy - x),
+                 axis=-1)
+    roots = np.full(p.shape[:2] + (3,), np.nan, dtype=complex)
+    whole = (p[..., 0] != 0.0) & (p[..., 3] != 0.0)
+    M = np.zeros((int(whole.sum()), 3, 3))
+    M[:, 0] = -p[whole][:, 1:] / p[whole][:, :1]
+    M[:, 1, 0] = M[:, 2, 1] = 1.0
+    if len(M):
+        roots[whole] = np.linalg.eigvals(M)
+    for i, j in zip(*np.nonzero(~whole)):
+        r = np.roots(p[i, j])
+        roots[i, j, :r.size] = r
+    T = roots.real
+    a, b, c, t0, t1 = (v[:, None] for v in (a, b, c, t0, t1))
+    x, y = x[..., None], y[..., None]
+    keep = ~(np.isnan(T) | (np.abs(roots.imag) > 1e-8 * np.maximum(1.0, np.abs(T))))
+    keep &= (t0 - 1e-12 < T) & (T < t1 + 1e-12)
+    step = keep.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            u, v = 2 * a * T + b, a * T * T + b * T + c - y
+            dg = 1.0 + np.float_power(u, 2.0) + 2 * a * v
+            t_new = T - ((T - x) + v * u) / dg
+            step &= (dg != 0.0) & (t0 - 1e-9 <= t_new) & (t_new <= t1 + 1e-9)
+            T = np.where(step, t_new, T)
+    lo = np.where(t0 > T, t0, T)
+    T = np.where(np.isfinite(t0), np.where(t1 < lo, t1, lo), T)
+    out[:, ~flat] = np.where(keep, T, np.nan)
+    return out
+
+
+_CURVES = {
+    "arcs": PiecewiseCurve((ParabolicPiece(0.7, -0.3, 0.45, -1.0, 2.0), ParabolicPiece(0.0, 0.5, -1.0, 2.0, math.inf),
+                            ParabolicPiece(-0.37, 0.1, 1.3, -math.inf, -1.0), ParabolicPiece(1.0, 0.0, 0.0, -2.0, 2.0))),
+    "segments": sawtooth_graph(3).members[0],
+    "both": PiecewiseCurve((LinearPiece([0, 0], [1, 1]), ParabolicPiece(0.55, -0.2, 1.1, 0, 2),
+                            LinearPiece([-1, 0], [0, -0.0]), ParabolicPiece(0.0, -1.0, 0.0, -math.inf, 0.0))),
+    "epigraph-with-a-jump": Epigraph([-1.0, 0.5], [[0.0, -1.0, 0.0], [1.3, 0.2, -0.1], [-0.6, 1.1, 2.0]])._boundary,
+}
+
+
+@pytest.mark.parametrize("kind", list(_CURVES))
+def test_curve_candidates_equal_the_per_call_reference(kind):
+    # the arc table built once per curve keeps the candidates of the
+    # enumeration that rebuilt it on every call, bit for bit, for rows
+    # above, below and at x = 0
+    curve = _CURVES[kind]
+    if kind == "epigraph-with-a-jump":
+        assert any(isinstance(p, LinearPiece) for p in curve.pieces)
+    rng = np.random.default_rng(11)
+    Y = rng.uniform(-3.0, 3.0, (200, 2))
+    Y[::4, 0] = 0.0
+    Y[1::8, 0] = -0.0
+    Y = np.concatenate([Y, [[0.0, 2.0], [0.0, -2.0], [-0.0, 0.0], [0.5, 5.0], [0.5, -5.0]]])
+    for rows in (Y, Y[:1], Y[-3:-2]):
+        want = reference_curve_candidates(curve, rows)
+        got = curve._candidates_many(rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_exact_ties_are_broken_lexicographically_with_signed_zeros():
