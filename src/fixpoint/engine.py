@@ -31,7 +31,6 @@ from .geometry import (
     dot_norms,
     nearest_candidates,
     project_one,
-    row_norms,
     sorted_unique,
     take,
 )
@@ -105,7 +104,7 @@ def residual_map_many(op: OperatorSpec, X: np.ndarray,
     pair owner[i] of stacked sets): a closed-form pair's one image of every
     row at once, another pair's least dot_norms over its image, by blocks."""
     if op.A.closed_form and op.B.closed_form:
-        return row_norms(op._image_many(X, owner) - X)
+        return dot_norms(op._image_many(X, owner) - X)
     return by_blocks(np.arange(len(X)), lambda i: dot_norms(op._candidates_many(
         X[i], None if owner is None else owner[i]) - X[i, None, None, :]).min(axis=(1, 2)))
 
@@ -123,7 +122,7 @@ def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int,
         if rows.size == 0:
             break
         Y = op._image_many(X[rows], None if owner is None else owner[rows])
-        r = row_norms(Y - X[rows])
+        r = dot_norms(Y - X[rows])
         X[rows] = Y
         rows = rows[r > tol]
     return X
@@ -177,27 +176,25 @@ class Trace:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=(), steps=None) -> "Trace":
+    def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=()) -> "Trace":
         """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
         any) and their distances to A, B and the target (the last iterate if
         None), one batched kernel call per column; with b and a convex B,
-        dist_B is ||x_k - b_k||.  steps[k] = ||x_{k+1} - x_k|| is computed
-        unless given."""
+        dist_B is ||x_k - b_k||.  step_norm[k] = ||x_{k+1} - x_k||, which
+        rounds as the loop's residual[k]."""
         X = np.array(xs, dtype=float)
         Bk = np.array(b, dtype=float).reshape(-1, X.shape[1])
         target = as_target(target if target is not None else X[-1:], X.shape[1], "target")
-        if steps is None:
-            steps = dot_norms(np.diff(X, axis=0)).tolist()
         # a nonconvex B's selected b_k may lie up to TIE_TOL beyond its nearest point
         from_b = len(Bk) > 0 and B.convex
         return cls(
             x=X,
             b=Bk,
             dist_A=A._distance_many(X).tolist(),
-            dist_B=(row_norms(Bk - X) if from_b else B._distance_many(X)).tolist(),
+            dist_B=(dot_norms(Bk - X) if from_b else B._distance_many(X)).tolist(),
             dist_target=target._distance_many(X).tolist(),
             residual=residual,
-            step_norm=[*steps, 0.0],
+            step_norm=[*dot_norms(np.diff(X, axis=0)).tolist(), 0.0],
             stop_reason=stop_reason,
             metadata=metadata,
         )
@@ -313,8 +310,7 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
 
     metadata = {"raw_seed": cfg.seed_point.tolist(), "seed_point": x0.tolist(),
                 "operator": type(op).__name__}
-    return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs,
-                        steps=residuals[:len(xs) - 1])
+    return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs)
 
 
 def trace_to_json_text(trace: Trace) -> str:

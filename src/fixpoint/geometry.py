@@ -4,7 +4,9 @@ Every set variant enumerates a finite list of projection candidates, so
 distances are exact up to floating point and projectors return *all*
 minimizers (ties resolved deterministically).  Nonconvex variants (sphere,
 finite point sets, general piecewise curves, unions) may return several
-candidates; convex variants always return exactly one.
+candidates; convex variants always return exactly one.  Every dot product
+is rounded one way, as ``ndarray.dot`` rounds it (see :func:`dot_norms`), so
+a batched kernel's row is bit for bit its one-point closed form.
 """
 
 from __future__ import annotations
@@ -64,24 +66,16 @@ def as_points(X, dim: int | None = None) -> np.ndarray:
     return P
 
 
-# Row-wise kernels sum each row on its own (a reduction over the last axis),
-# never through a matrix product: BLAS rounds a row differently depending on
-# how many rows share the call, and a polished start must not depend on the
-# other starts.  A distance has only its row kernel; the scalar closed-form
-# projections round their dot products with FMA, a few ulps off the rows'.
-
-
-def _row_dots(Y: np.ndarray, v: Vector) -> np.ndarray:
-    return np.add.reduce(Y * v, axis=1)
-
-
-def row_norms(U: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, summed as np.linalg.norm sums."""
-    return np.sqrt(np.add.reduce(U * U, axis=-1))
+# The one rounding rule: a row's dot products are rounded as the one-point
+# ``ndarray.dot`` rounds them, through np.vecdot (which rounds each row as
+# the scalar dot does) or np.matmul on a C-contiguous matrix (as its .dot),
+# never through a product of many rows (BLAS rounds a row by how many share
+# the call).  So a row does not depend on the other rows of its batch.
 
 
 def dot_norms(U: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, each rounded as :func:`norm` rounds it (vecdot)."""
+    """Euclidean norm over the last axis, each rounded as :func:`norm` rounds it (vecdot):
+    the norm of every batched kernel, so a row's norm is its one-point norm."""
     return np.sqrt(np.vecdot(U, U))
 
 
@@ -103,14 +97,15 @@ class SetSpec:
     ``_distance_many`` and ``_project_many`` apply it in blocks of rows, and
     closed forms override both; :func:`distance` is the one-row case of the
     first.  ``_project`` on a checked vector is the one-row case of the
-    second, which a convex variant overrides for the iteration loop.
+    second; a convex variant overrides it, for the iteration loop's speed,
+    with the same closed form, whose bits are those of the batched row.
     """
 
     dim: int
     #: True when the projector is single-valued everywhere
     convex = False
-    #: True when the candidate list is always the one closed-form projection,
-    #: so ``project_all`` is ``[project_one]`` and ``_project_many`` is vectorized
+    #: True when a row's one candidate is its closed-form projection, so a
+    #: pair of such sets has one image per row (see engine.residual_map_many)
     closed_form = False
 
     def _candidates_many(self, Y: np.ndarray) -> np.ndarray:
@@ -120,7 +115,7 @@ class SetSpec:
         return self._project_many(x[None, :])[0]
 
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
-        return by_blocks(Y, lambda B: row_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
+        return by_blocks(Y, lambda B: dot_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
 
     def _project_many(self, Y: np.ndarray) -> np.ndarray:
         return by_blocks(Y, lambda B: _select(self._candidates_many(B), B))
@@ -140,7 +135,7 @@ def _select(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
     within TIE_TOL of the least norm, compared coordinate by coordinate (so
     -0.0 ties 0.0), and the first of those on a full tie, as ``min`` with
     key ``tolist`` picks it from the near slots in order."""
-    near = _near(row_norms(C - Y[:, None, :]))
+    near = _near(dot_norms(C - Y[:, None, :]))
     if np.count_nonzero(near) > len(C):  # some row has a tie to break
         for j in range(C.shape[2]):
             v = np.where(near, C[:, :, j], np.inf)
@@ -192,7 +187,7 @@ class _ConvexSet(SetSpec):
         return self._project_many(Y)[:, None, :]
 
     def _distance_many(self, Y):
-        return row_norms(Y - self._project_many(Y))
+        return dot_norms(Y - self._project_many(Y))
 
 
 def _scalar(value, what: str, finite: bool = True) -> float:
@@ -239,12 +234,12 @@ class Halfspace(_ConvexSet):
         return x - (excess / self._sq_norm) * self.normal
 
     def _project_many(self, Y):
-        excess = _row_dots(Y, self.normal) - self.offset
+        excess = np.vecdot(Y, self.normal) - self.offset
         moved = Y - (excess / self._sq_norm)[:, None] * self.normal
         return np.where(excess[:, None] > 0.0, moved, Y)
 
     def _distance_many(self, Y):
-        d = (_row_dots(Y, self.normal) - self.offset) / self._norm
+        d = (np.vecdot(Y, self.normal) - self.offset) / self._norm
         return np.where(d > 0.0, d, 0.0)
 
 
@@ -261,7 +256,7 @@ class AffineSubspace(_ConvexSet):
         p = as_vector(self.point, name="affine_subspace point")
         if (b := np.asarray(self.basis, dtype=float)).size and b.shape[-1:] != p.shape or b.ndim > 2:
             raise ValueError(f"affine_subspace basis needs rows of length {p.size}, got {b.tolist()}")
-        b = b.reshape(-1, p.size)
+        b = np.ascontiguousarray(b.reshape(-1, p.size))  # its products round as .dot's
         if not np.isfinite(b).all():
             raise ValueError(f"affine_subspace basis has non-finite coordinates: {b.tolist()}")
         if b.size and not np.allclose(b @ b.T, np.eye(b.shape[0]), atol=1e-9):
@@ -281,8 +276,8 @@ class AffineSubspace(_ConvexSet):
     def _project_many(self, Y):
         if self.basis.size == 0:
             return np.broadcast_to(self.point, Y.shape).copy()
-        coef = np.add.reduce((Y - self.point)[:, None, :] * self.basis, axis=2)
-        return self.point + np.add.reduce(coef[:, :, None] * self.basis, axis=1)
+        coef = np.matmul(self.basis, (Y - self.point)[:, :, None])
+        return self.point + np.matmul(self.basis.mT, coef)[:, :, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,13 +308,13 @@ class Ball(_ConvexSet):
 
     def _project_many(self, Y):
         U = Y - self.center
-        nu = row_norms(U)
+        nu = dot_norms(U)
         outside = nu > self.radius
         scale = np.divide(self.radius, nu, out=np.ones_like(nu), where=outside)
         return np.where(outside[:, None], self.center + scale[:, None] * U, Y)
 
     def _distance_many(self, Y):
-        d = row_norms(Y - self.center) - self.radius
+        d = dot_norms(Y - self.center) - self.radius
         return np.where(d > 0.0, d, 0.0)
 
 
@@ -596,7 +591,7 @@ class PiecewiseCurve(SetSpec):
             with np.errstate(invalid="ignore"):
                 pts = np.stack([T, (arcs[..., 0] * T + arcs[..., 1]) * T + arcs[..., 2]], axis=-1)
             pts[~np.isfinite(T)] = np.inf
-            C.append(pts.reshape(len(Y), -1, 2))
+            C.append(pts.reshape(len(Y), 5 * len(arcs), 2))
         return C[0] if len(C) == 1 else np.concatenate(C, axis=1)
 
 
@@ -687,7 +682,7 @@ class SetUnion(SetSpec):
     def _candidates_many(self, Y):
         Cs = [m._candidates_many(Y) for m in self.members]
         # each member's least candidate norm, the norms the selection compares
-        near = _near(np.stack([row_norms(C - Y[:, None, :]).min(axis=1) for C in Cs], axis=1))
+        near = _near(np.stack([dot_norms(C - Y[:, None, :]).min(axis=1) for C in Cs], axis=1))
         return np.concatenate([np.where(n[:, None, None], C, np.inf) for C, n in zip(Cs, near.T)],
                               axis=1)
 
@@ -739,10 +734,7 @@ def project_all(s: SetSpec, x) -> list[Vector]:
     fiber that is not finite (the sphere queried at its center) is
     represented by one canonical point.
     """
-    x = as_vector(x, s.dim)
-    if s.closed_form:
-        return [s._project(x)]
-    C = nearest_candidates(s, x[None, :])[0]
+    C = nearest_candidates(s, as_vector(x, s.dim)[None, :])[0]
     return sorted_unique(list(C[np.isfinite(C[:, 0])]), max(DEDUP_TOL, TIE_TOL * 1e-2))
 
 
@@ -750,7 +742,7 @@ def nearest_candidates(s: SetSpec, Y: np.ndarray) -> np.ndarray:
     """The candidates of each row of a checked (m, dim) array within TIE_TOL
     of its nearest, its other slots +inf: the points :func:`project_all` lists."""
     C = s._candidates_many(Y)
-    return np.where(_near(row_norms(C - Y[:, None, :]))[:, :, None], C, np.inf)
+    return np.where(_near(dot_norms(C - Y[:, None, :]))[:, :, None], C, np.inf)
 
 
 def project_one(s: SetSpec, x) -> Vector:

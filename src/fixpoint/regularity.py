@@ -46,7 +46,6 @@ from .geometry import (
     by_blocks,
     distance,
     dot_norms,
-    row_norms,
     stack,
     take,
 )
@@ -103,7 +102,7 @@ def _intersection_distance(X: np.ndarray, target: SetSpec, owner: np.ndarray,
     if refine_op is not None and isinstance(target, FinitePointSet):
         Y = engine.settle_many(refine_op, X, 1e-13, 400, owner)
         at = engine.residual_map_many(refine_op, Y, owner) <= 1e-10
-        d[at] = np.minimum(d[at], row_norms(X[at] - Y[at]))
+        d[at] = np.minimum(d[at], dot_norms(X[at] - Y[at]))
     return d
 
 
@@ -179,10 +178,10 @@ class _Region:
             for _ in range(40):
                 Q = take(lam, owner[live])._project_many(Y[live])
                 Y[live] = take(on_set, owner[live])._project_many(Q)
-                live = live[row_norms(Y[live] - Q) > 1e-12]
+                live = live[dot_norms(Y[live] - Q) > 1e-12]
                 if live.size == 0:
                     break
-        ok = row_norms(Y - self.centers[owner]) <= self.delta
+        ok = dot_norms(Y - self.centers[owner]) <= self.delta
         ok[live] = False
         if lam is not None:
             ok &= take(lam, owner)._distance_many(Y) <= 1e-9

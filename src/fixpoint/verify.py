@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import regularity as reg
 from .engine import AlternatingProjections, IterationConfig, run
-from .geometry import as_target, ball_points, row_norms
+from .geometry import as_target, ball_points, dot_norms
 from .scenarios import Scenario, build, random_convex_pair
 
 #: distances below this are too close to the limit for trustworthy ratios
@@ -236,13 +236,13 @@ def criterion_7() -> CriterionResult:
         X = A._project_many(x_common + rng.uniform(-1, 1, (per_pair, A.dim)))
         PB = B._project_many(X)
         PA = A._project_many(PB)
-        step_b, step_a = row_norms(PB - X), row_norms(PA - PB)
+        step_b, step_a = dot_norms(PB - X), dot_norms(PA - PB)
         # nondecreasing step ratios: ||PBPAPBx-PAPBx|| ||PBx-x|| >= ||PAPBx-PBx||^2
-        lhs, rhs = row_norms(B._project_many(PA) - PA) * step_b, step_a ** 2
+        lhs, rhs = dot_norms(B._project_many(PA) - PA) * step_b, step_a ** 2
         bad_ratio += np.count_nonzero(lhs < rhs - 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs))
         # ||PBa-x|| ||PBa-a|| >= ||a-x|| ||PAPBa-PBa|| for a in A, x in A cap B,
         # at a = x: PBa is PB and PAPBa is PA
-        lhs, rhs = row_norms(PB - x_common) * step_b, row_norms(X - x_common) * step_a
+        lhs, rhs = dot_norms(PB - x_common) * step_b, dot_norms(X - x_common) * step_a
         bad_sides += np.count_nonzero(lhs < rhs - 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs))
     ok = bad_ratio == 0 and bad_sides == 0
     return CriterionResult(

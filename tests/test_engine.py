@@ -32,12 +32,13 @@ from fixpoint.geometry import (
     FinitePointSet,
     Halfspace,
     distance,
+    dot_norms,
     norm,
     project_all,
     project_one,
-    row_norms,
     sample_ball,
     sorted_unique,
+    stack,
 )
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
 
@@ -319,18 +320,18 @@ def switch_points(op, X):
     for _ in range(52):
         M = 0.5 * (P + Q)
         TM = op._image_many(M)
-        left = row_norms(TM - TP) >= row_norms(TM - TQ)  # the larger change is in [P, M]
+        left = dot_norms(TM - TP) >= dot_norms(TM - TQ)  # the larger change is in [P, M]
         Q[left], TQ[left] = M[left], TM[left]
         P[~left], TP[~left] = M[~left], TM[~left]
-    jump = row_norms(TP - TQ) > 1e-6
+    jump = dot_norms(TP - TQ) > 1e-6
     return np.concatenate([P[jump], Q[jump]])
 
 
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
 @pytest.mark.parametrize("name", builtin_names())
 def test_candidate_image_matches_the_scalar_reference(name, operator):
-    # the batched stages round the closed-form projections a few ulps off the
-    # scalar ones (and DR's formula as apply rounds it), never more than 16 eps
+    # every stage rounds as project_all does, so AP's image is exact; the
+    # reference spells DR's formula with another association, 16 eps off
     sc = build(name)
     op = operator(sc.A, sc.B)
     X = reference_points(sc, 150)
@@ -338,7 +339,7 @@ def test_candidate_image_matches_the_scalar_reference(name, operator):
     X = np.concatenate([X, S])
     ties = 0
     for x, r_x in zip(X, residual_map_many(op, X)):
-        tol = 16 * np.finfo(float).eps * (1.0 + norm(x))
+        tol = 0.0 if operator is AlternatingProjections else 16 * np.finfo(float).eps * (1.0 + norm(x))
         want, got = reference_candidates(op, x), candidates(op, x)
         assert len(got) == len(want)
         for c in got:
@@ -346,6 +347,25 @@ def test_candidate_image_matches_the_scalar_reference(name, operator):
         assert abs(r_x - min(norm(w - x) for w in want)) <= tol
         ties += len(got) > 1
     assert 2 * ties >= len(S)  # sawtooth and the geometric pairs reach hundreds of ties
+
+
+@pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
+def test_the_closed_form_image_is_the_candidate_image(operator):
+    # a pair of closed-form sets takes residual_map_many's shortcut through
+    # _image_many; its residuals are those of the candidate image, bit for bit,
+    # alone and as pairs of stacks gathered by owner
+    rng = np.random.default_rng(9)
+    for dim, family in itertools.product((2, 3, 8), ("halfspace_ball", "box_affine", "ball_ball")):
+        pairs = [random_convex_pair(seed, dim, family) for seed in range(4)]
+        owner = rng.integers(len(pairs), size=300)
+        X = np.array([sc.base_point for sc in pairs])[owner] + rng.uniform(-1, 1, (300, dim))
+        ops = [(operator(sc.A, sc.B), None) for sc in pairs]
+        ops.append((operator(stack([sc.A for sc in pairs]), stack([sc.B for sc in pairs])), owner))
+        for op, at in ops:
+            assert op.A.closed_form and op.B.closed_form
+            C = op._candidates_many(X, at)
+            want = dot_norms(C - X[:, None, None, :]).min(axis=(1, 2))
+            assert residual_map_many(op, X, at).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "epigraph"])
@@ -534,14 +554,9 @@ def test_one_iterate_and_dr_traces_have_the_expected_shape():
     assert "NaN" in trace_to_json_text(TRACES["sequence"]())
 
 
-def _ulps_of_x(got, want, X):
-    """|got - want| per row, in units of the last place of ||x_k||."""
-    return np.abs(np.subtract(got, want)) / np.spacing(row_norms(X))
-
-
 def _lines_in_r8(angle=0.2, seed=8):
     """Two lines through the origin of R^8 at the given angle, and a seed on A:
-    their batched distances differ from the scalar ones in the last bits."""
+    each dot product sums eight terms, so a row rounded another way would show."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(8)
     a /= norm(a)
@@ -554,10 +569,11 @@ def _lines_in_r8(angle=0.2, seed=8):
 
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
 def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
-    # x, b, residual and step_norm are the loop's own values; each distance
-    # column is one batched kernel call, of which distance() is the one-row
-    # case, so the columns equal distance() bit for bit, except AP's dist_B:
-    # it is read off b_k, the scalar projection, within a few ulps
+    # x, b and residual are the loop's own values, and the post-pass step_norm
+    # rounds as the residual; each distance column is one batched kernel
+    # call, of which distance() is the one-row case, so the columns equal
+    # distance() bit for bit; AP's dist_B is read off b_k, the scalar
+    # projection, which is the batched kernel's row
     sc = build("two_lines_pi3")
     pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines_in_r8()]
     for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
@@ -579,10 +595,9 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
         assert tr.dist_A == [distance(A, p) for p in tr.x]
         if operator is AlternatingProjections:
             assert np.array_equal(tr.b, [project_one(B, p) for p in tr.x])
-            # B is affine: dist_B is ||x_k - b_k||, summed as a row norm
-            assert tr.dist_B == [math.sqrt(np.add.reduce((b - p) * (b - p)))
-                                 for p, b in zip(tr.x, tr.b)]
-            assert _ulps_of_x(tr.dist_B, [distance(B, p) for p in tr.x], tr.x).max() <= 4
+            # B is affine: dist_B is ||x_k - b_k||, which is B's distance
+            assert tr.dist_B == [norm(b - p) for p, b in zip(tr.x, tr.b)]
+            assert tr.dist_B == [distance(B, p) for p in tr.x]
         else:
             assert tr.b.shape == (0, A.dim)
             assert tr.dist_B == B._distance_many(tr.x).tolist()

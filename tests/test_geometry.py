@@ -35,11 +35,11 @@ from fixpoint.geometry import (
     ball_point,
     ball_points,
     distance,
+    dot_norms,
     norm,
     pattern_polish,
     project_all,
     project_one,
-    row_norms,
     sample_ball,
     stack,
     take,
@@ -416,14 +416,6 @@ def test_projector_invariants(s, qx, qy):
     assert any(np.array_equal(p, q) for q in project_all(s, x))
 
 
-def _exact_rows(s) -> bool:
-    """A nonconvex variant (and a union of them) enumerates and selects its
-    candidates by one batched kernel, whose one-row case is the scalar
-    projection, so it is exact; the closed-form projections round their dot
-    products differently."""
-    return not s.closed_form and all(_exact_rows(m) for m in getattr(s, "members", ()))
-
-
 @pytest.mark.parametrize("s", VARIANTS, ids=lambda s: type(s).__name__)
 @settings(max_examples=30, deadline=None)
 @given(rows=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6))
@@ -433,11 +425,7 @@ def test_batched_kernels_equal_scalar_row_by_row(s, rows):
     assert dists.shape == (len(Y),) and projs.shape == Y.shape
     for y, d, p in zip(Y, dists, projs):
         assert d == distance(s, y)  # a distance has the one kernel
-        if _exact_rows(s):
-            assert np.array_equal(p, project_one(s, y))
-        else:  # a few ulps of the input's scale
-            ulps = 16 * np.finfo(float).eps * (1.0 + norm(y))
-            assert np.max(np.abs(p - project_one(s, y))) <= ulps
+        assert p.tobytes() == project_one(s, y).tobytes()
 
 
 @pytest.mark.parametrize("dim", [3, 8])
@@ -657,21 +645,25 @@ def test_batches_larger_than_a_block_equal_the_one_row_calls():
         assert all(any(np.array_equal(p, q) for q in project_all(s, y)) for y, p in zip(Y, P))
 
 
+def random_convex_sets(rng, d: int, count: int, ranks) -> dict:
+    """count seeded sets in R^d of each stackable convex variant, a variant's
+    of one shape, and of an affine subspace for each basis rank in ranks:
+    columns of an orthogonal matrix, transposed, so not C-contiguous."""
+    return {
+        "halfspace": [Halfspace(rng.standard_normal(d), rng.uniform(-1, 1)) for _ in range(count)],
+        "ball": [Ball(rng.standard_normal(d), rng.uniform(0.1, 2.0)) for _ in range(count)],
+        "box": [Box(lo, lo + rng.uniform(0.0, 2.0, d)) for lo in rng.standard_normal((count, d))],
+        **{f"affine_k{k}": [AffineSubspace(rng.standard_normal(d),
+                                           np.linalg.qr(rng.standard_normal((d, d)))[0][:, :k].T)
+                            for _ in range(count)] for k in ranks},
+    }
+
+
 def _stackable_members() -> dict:
     """Three sets of one shape in R^3 for every variant a stack takes."""
     rng = np.random.default_rng(11)
-
-    def basis(k):  # k orthonormal rows
-        return np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :k].T
-
-    return {
-        "halfspace": [Halfspace(rng.standard_normal(3), rng.uniform(-1, 1)) for _ in range(3)],
-        "ball": [Ball(rng.standard_normal(3), rng.uniform(0.2, 1.5)) for _ in range(3)],
-        "box": [Box(-rng.uniform(0.1, 1, 3), rng.uniform(0.1, 1, 3)) for _ in range(3)],
-        **{f"affine_k{k}": [AffineSubspace(rng.standard_normal(3), basis(k)) for _ in range(3)]
-           for k in (0, 1, 2)},
-        "probe": [FinitePointSet(rng.standard_normal((2, 3))) for _ in range(3)],
-    }
+    return {**random_convex_sets(rng, 3, 3, (0, 1, 2)),
+            "probe": [FinitePointSet(rng.standard_normal((2, 3))) for _ in range(3)]}
 
 
 STACKABLE = _stackable_members()
@@ -704,6 +696,62 @@ def test_a_stack_takes_one_variant_and_one_set_is_itself():
     for sets in ([ball, Box([0, 0], [1, 1])], [saw, saw]):
         with pytest.raises(ValueError, match="a stack takes sets of one variant among"):
             stack(sets)
+
+
+def assert_rows_are_the_closed_forms(sets, Y, owner) -> None:
+    """Row i of ``take(stack(sets), owner)``'s kernels, and of set owner[i]'s
+    one-row calls, is set owner[i]'s closed form at Y[i], byte for byte."""
+    want = np.array([sets[k]._project(y) for k, y in zip(owner, Y)]).reshape(Y.shape)
+    s = take(stack(sets), owner)
+    assert s._project_many(Y).tobytes() == want.tobytes()
+    assert s._distance_many(Y).tolist() == [distance(sets[k], y) for k, y in zip(owner, Y)]
+    for k, y, w in zip(owner, Y, want):
+        assert sets[k]._project_many(y[None, :]).tobytes() == w.tobytes()
+
+
+CONVEX = {**random_convex_sets(np.random.default_rng(25), 5, 7, range(6)), "whole_space": [WholeSpace(5)]}
+
+
+@pytest.mark.parametrize("name", list(CONVEX))
+def test_convex_rows_are_the_same_at_every_batch_size(name):
+    # a row's dot products are rounded on their own, so neither the batch
+    # size (one row, around a block of 64, 1000) nor the other rows' sets
+    # of a stack change its bits
+    sets = CONVEX[name]
+    rng = np.random.default_rng(26)
+    Y = 3.0 * rng.standard_normal((1000, 5))
+    owner = rng.integers(len(sets), size=len(Y))
+    for n in (1, 63, 64, 65, 1000):
+        assert_rows_are_the_closed_forms(sets, Y[:n], owner[:n])
+        assert_rows_are_the_closed_forms(sets[:1], Y[:n], np.zeros(n, int))
+
+
+def test_a_non_contiguous_basis_rounds_as_its_contiguous_copy():
+    # a transposed slice of an orthogonal matrix is stored C-contiguous, so
+    # its products round as those of its copy, scalar and batched
+    rng = np.random.default_rng(3)
+    for d in (3, 5, 8):
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        Y = 2.0 * rng.standard_normal((500, d))
+        for k in range(1, d):
+            point = rng.standard_normal(d)
+            sliced, copied = AffineSubspace(point, Q[:, :k].T), AffineSubspace(point, Q[:, :k].T.copy())
+            assert not Q[:, :k].T.flags.c_contiguous and sliced.basis.flags.c_contiguous
+            assert sliced._project_many(Y).tobytes() == copied._project_many(Y).tobytes()
+            assert all(sliced._project(y).tobytes() == copied._project(y).tobytes() for y in Y)
+            assert_rows_are_the_closed_forms([sliced], Y, np.zeros(len(Y), int))
+
+
+@pytest.mark.parametrize("s", [
+    PiecewiseCurve((ParabolicPiece(1.0, 0.0, 0.0, -1.0, 1.0),)),
+    PiecewiseCurve((LinearPiece([-1, 0], [0, 1]), ParabolicPiece(0.5, 0, 1, 0, 2))),
+    Epigraph([0.0], [[1, 0, 0], [0, 0, -1]]),
+    SetUnion((PiecewiseCurve((ParabolicPiece(1.0, 0.0, 0.0, -1.0, 1.0),)), Ball([0, 0], 1.0))),
+    SetUnion((Epigraph([0.0], [[1, 0, 0], [0, 0, -1]]), sawtooth_graph(3))),
+], ids=["arc", "segment-and-arc", "epigraph", "union-with-arc", "union-with-epigraph"])
+def test_an_empty_batch_has_empty_rows(s):
+    Y = np.zeros((0, 2))
+    assert s._distance_many(Y).shape == (0,) and s._project_many(Y).shape == (0, 2)
 
 
 def test_as_target_reads_a_probe_as_its_finite_point_set():
@@ -776,10 +824,10 @@ def batched_polish_maps(s, center, delta, probe):
 
     def feasible_many(Y, at):  # the same region for every start
         P = s._project_many(Y)
-        return P, row_norms(P - center) <= delta
+        return P, dot_norms(P - center) <= delta
 
     def score_many(Y, at):  # bounded, with kinks, -inf near the probe
-        d = row_norms(Y - probe)
+        d = dot_norms(Y - probe)
         return np.where(d < 0.05, -math.inf, np.sin(3.0 * Y[:, 0]) * Y[:, 1] / d + Y[:, 2] ** 2)
 
     def feasible(y):
