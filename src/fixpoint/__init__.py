@@ -10,7 +10,6 @@ from . import diagnostics, engine, geometry, regularity, scenarios
 from .engine import (
     AlternatingProjections,
     DouglasRachford,
-    IterationConfig,
     Trace,
     apply,
     candidates,

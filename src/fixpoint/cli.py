@@ -27,7 +27,6 @@ from . import regularity as reg
 from .engine import (
     AlternatingProjections,
     DouglasRachford,
-    IterationConfig,
     Trace,
     check_stop_rule,
     run,
@@ -62,7 +61,7 @@ def _resolve_seed(seed: int) -> int:
 def _sequence_trace(sc: Scenario) -> Trace:
     """Wrap an explicitly shipped sequence as a trace record."""
     xs = np.asarray(sc.sequence, dtype=float)
-    return Trace.record(xs, sc.A, sc.B, sc.intersection, [math.nan] * len(xs), "sequence",
+    return Trace.record(xs, sc.A, sc.B, sc.intersection, np.full(len(xs), math.nan), "sequence",
                         {"operator": "none", "seed_point": [float(t) for t in xs[0]]})
 
 
@@ -85,7 +84,7 @@ def _run_diagnostics(sc: Scenario, tr: Trace) -> dict:
         out["r_gamma"] = r.gamma
     except ValueError:
         out["r_rate"] = None
-    if len(tr.z) >= 4:
+    if len(tr.b) >= 2:  # z, of 2 len(b) rows, has at least 4
         ext = diag.check_linear_extendible(tr.z, 2)
         out["extendible_m2"] = {"holds": ext.holds, "c": ext.c, "gamma": ext.gamma}
     if sc.convex and len(tr.b):
@@ -144,7 +143,7 @@ def _check_expectations(sc: Scenario, tr: Trace, measured: dict, estimates: dict
     return checks
 
 
-def _plot_svg(ys: list[float], title: str) -> str:
+def _plot_svg(ys: np.ndarray, title: str) -> str:
     """Static SVG polyline of log10 values against the index.  Of the points
     in one pixel column it draws the lowest and the highest (and the first
     and last of all): log10 is monotone, so they are chosen on the values."""
@@ -228,14 +227,8 @@ def execute_run(
         else:
             op_cls = AlternatingProjections if operator == "ap" else DouglasRachford
             op = op_cls(sc.A, sc.B)
-            cfg = IterationConfig(
-                seed_point=ball_point(*sc.seed_region, seed, 0),
-                max_iter=max_iter,
-                residual_tol=residual_tol,
-                lam=sc.lam,
-                target=sc.intersection,
-            )
-            tr = run(op, cfg)
+            tr = run(op, ball_point(*sc.seed_region, seed, 0), max_iter, residual_tol,
+                     lam=sc.lam, target=sc.intersection)
 
         measured = _run_diagnostics(sc, tr)
         estimates: dict = {}

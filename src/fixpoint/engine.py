@@ -136,21 +136,6 @@ def check_stop_rule(max_iter: int, residual_tol: float) -> None:
         raise ValueError(f"residual_tol must be a finite number > 0, got {residual_tol}")
 
 
-@dataclass
-class IterationConfig:
-    seed_point: Vector
-    max_iter: int = 100_000
-    residual_tol: float = 1e-12
-    lam: Lambda | None = None
-    target: Target | None = None  # None: the limit
-
-    def __post_init__(self):
-        self.seed_point = as_vector(self.seed_point)
-        check_stop_rule(self.max_iter, self.residual_tol)
-        if self.target is not None:
-            self.target = as_target(self.target, self.seed_point.size, "target")
-
-
 #: per-iterate scalar columns, in CSV order
 COLUMNS = ("dist_A", "dist_B", "dist_target", "step_norm", "residual")
 
@@ -163,15 +148,16 @@ WRITE_BLOCK = CHUNK
 @dataclass
 class Trace:
     """Full iteration record of a fixed-point run: x and b as (n, d) arrays
-    (b has no rows where none is recorded), one list of floats per column."""
+    (b has no rows where none is recorded), and each column a float64 array
+    with one entry per iterate."""
 
     x: np.ndarray
     b: np.ndarray
-    dist_A: list
-    dist_B: list
-    dist_target: list
-    residual: list
-    step_norm: list
+    dist_A: np.ndarray
+    dist_B: np.ndarray
+    dist_target: np.ndarray
+    residual: np.ndarray
+    step_norm: np.ndarray
     stop_reason: str
     metadata: dict = field(default_factory=dict)
 
@@ -190,11 +176,11 @@ class Trace:
         return cls(
             x=X,
             b=Bk,
-            dist_A=A._distance_many(X).tolist(),
-            dist_B=(dot_norms(Bk - X) if from_b else B._distance_many(X)).tolist(),
-            dist_target=target._distance_many(X).tolist(),
-            residual=residual,
-            step_norm=[*dot_norms(np.diff(X, axis=0)).tolist(), 0.0],
+            dist_A=A._distance_many(X),
+            dist_B=dot_norms(Bk - X) if from_b else B._distance_many(X),
+            dist_target=target._distance_many(X),
+            residual=np.asarray(residual, dtype=float),
+            step_norm=np.append(dot_norms(np.diff(X, axis=0)), 0.0),
             stop_reason=stop_reason,
             metadata=metadata,
         )
@@ -206,8 +192,8 @@ class Trace:
     @property
     def solved_at(self) -> int | None:
         """The first k at which x_k lies in A and in B (to 1e-12), if any."""
-        return next((k for k, (da, db) in enumerate(zip(self.dist_A, self.dist_B))
-                     if da <= 1e-12 and db <= 1e-12), None)
+        solved = np.flatnonzero((self.dist_A <= 1e-12) & (self.dist_B <= 1e-12))
+        return int(solved[0]) if solved.size else None
 
     @property
     def z(self) -> np.ndarray:
@@ -270,28 +256,32 @@ class Trace:
         return buf.getvalue()
 
 
-def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
-    """Iterate x_{k+1} = T x_k until the residual drops below tolerance.
+def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: float = 1e-12,
+        lam: Lambda | None = None, target: Target | None = None) -> Trace:
+    """Iterate x_{k+1} = T x_k from seed_point until a step is at most
+    residual_tol, or for max_iter steps; distances are taken to target (the
+    limit if None).
 
-    The raw seed is projected onto the constraint set (if any) and then onto
-    A, so recorded iterates start on A; the raw seed is kept in the
+    The raw seed is projected onto the constraint set lam (if any) and then
+    onto A, so recorded iterates start on A; the raw seed is kept in the
     metadata.  For alternating projections the intermediate B-projections
     b_k are recorded as well, and with them the joining sequence
-    ``Trace.z``.  residual[k] is the step length from x_k.
+    ``Trace.z``.  residual[k] is the step length from x_k.  The seed, the
+    stop rule and the target are checked before the first step.
     """
     A, B = op.A, op.B
-    x0 = cfg.seed_point
-    if cfg.lam is not None:
-        x0 = project_one(cfg.lam, x0)
-    x0 = project_one(A, x0)
+    seed_point = as_vector(seed_point)
+    check_stop_rule(max_iter, residual_tol)
+    if target is not None:
+        target = as_target(target, seed_point.size, "target")
+    x0 = project_one(A, seed_point if lam is None else project_one(lam, seed_point))
 
     # the one loop: x0 is checked above, and every iterate is a kernel's
     # output; after max_iter steps one more is taken, for the last residual
     record_b = isinstance(op, AlternatingProjections)
     PA, PB, enter, leave = A._project, B._project, op._enter, op._leave
-    tol, last = cfg.residual_tol, cfg.max_iter
     xs, bs, residuals, x = [], [], [], x0
-    for k in range(last + 1):
+    for k in range(max_iter + 1):
         pb = PB(x)
         if record_b:
             bs.append(pb)  # b_k, reused for x_{k+1} = P_A b_k
@@ -303,14 +293,14 @@ def run(op: OperatorSpec, cfg: IterationConfig) -> Trace:
         r = math.sqrt(d.dot(d))  # norm(d), without its frame
         xs.append(x)
         residuals.append(r)
-        if r <= tol or k == last:
+        if r <= residual_tol or k == max_iter:
             break
         x = x_next
-    stop_reason = "max_iter" if k == last else "fixed_point"
+    stop_reason = "max_iter" if k == max_iter else "fixed_point"
 
-    metadata = {"raw_seed": cfg.seed_point.tolist(), "seed_point": x0.tolist(),
+    metadata = {"raw_seed": seed_point.tolist(), "seed_point": x0.tolist(),
                 "operator": type(op).__name__}
-    return Trace.record(xs, A, B, cfg.target, residuals, stop_reason, metadata, bs)
+    return Trace.record(xs, A, B, target, residuals, stop_reason, metadata, bs)
 
 
 def trace_to_json_text(trace: Trace) -> str:

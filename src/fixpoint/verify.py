@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import regularity as reg
-from .engine import AlternatingProjections, IterationConfig, run
+from .engine import AlternatingProjections, run
 from .geometry import as_target, ball_points, dot_norms
 from .scenarios import Scenario, build, random_convex_pair
 
@@ -42,7 +42,7 @@ class CriterionResult:
 
 def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000):
     op = AlternatingProjections(sc.A, sc.B)
-    return op, run(op, IterationConfig(seed_point, max_iter, target=sc.intersection))
+    return op, run(op, seed_point, max_iter, target=sc.intersection)
 
 
 def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fixpoint.cli import _plot_svg, execute_run, main
-from fixpoint.engine import AlternatingProjections, IterationConfig, run
+from fixpoint.engine import AlternatingProjections, run
 from fixpoint.geometry import distance, norm
 from fixpoint.scenarios import (
     build,
@@ -106,8 +106,7 @@ def test_plot_of_every_builtin_draws_every_value(tmp_path):
 
 def test_a_long_plot_draws_each_pixel_columns_lowest_and_highest_value():
     A, B = line_through_origin(0.0), line_through_origin(0.05)
-    ys = run(AlternatingProjections(A, B), IterationConfig(seed_point=[1.0, 0.2], residual_tol=1e-6,
-                                                           target=[[0.0, 0.0]])).dist_target
+    ys = run(AlternatingProjections(A, B), [1.0, 0.2], residual_tol=1e-6, target=[[0.0, 0.0]]).dist_target
     ys[100:103] = [math.nan, math.inf, 0.0]  # drawn at the floor, so the lowest of their column
     n = len(ys) - 1
     assert n > 2048

@@ -20,7 +20,7 @@ from fixpoint.diagnostics import (
     extract_monotone_subsequence,
     verify_r_certificate,
 )
-from fixpoint.engine import AlternatingProjections, IterationConfig, run
+from fixpoint.engine import AlternatingProjections, run
 from fixpoint.geometry import Ball, Halfspace, as_target, distance, norm
 from fixpoint.scenarios import build, random_convex_pair
 
@@ -36,7 +36,7 @@ def oscillating_envelope(n=40):
 def two_lines_trace(target=None):
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
-    return run(op, IterationConfig(seed_point=[1.0, 0.0], target=target))
+    return run(op, [1.0, 0.0], target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_q_rate_two_lines():
 def test_q_rate_one_step():
     sc = build("two_lines_pi2")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 1.0]))  # x0 = (1, 0) on A
+    tr = run(op, [1.0, 1.0])  # x0 = (1, 0) on A
     assert len(tr.x) == 2
     assert estimate_q_rate(tr.x, limit=[0, 0]).c == 0.0
 
@@ -195,7 +195,7 @@ def test_extendible_constant_sequence_degenerate():
 def test_extendible_geometric_finite_sets():
     sc = build("geometric_n2")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0]))
+    tr = run(op, [1.0, 0.0])
     # oracle: recompute every step norm by exhaustive nearest-point search
     steps = [norm(tr.z[k + 1] - tr.z[k]) for k in range(len(tr.z) - 1)]
     for k in range(len(tr.z) - 1):
@@ -269,7 +269,7 @@ def test_subsequence_monotone_search():
 def test_dichotomy_orthogonal_lines_solved_in_one():
     sc = build("two_lines_pi2")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 1.0]))  # x0 = (1, 0) on A
+    tr = run(op, [1.0, 1.0])  # x0 = (1, 0) on A
     assert check_convex_dichotomy(tr).outcome == "solved_in_one"
 
 
@@ -286,7 +286,7 @@ def test_dichotomy_two_lines_never_reaches():
 def test_dichotomy_trivial_start():
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[0.0, 0.0]))
+    tr = run(op, [0.0, 0.0])
     assert check_convex_dichotomy(tr).outcome == "already_solved"
 
 
@@ -294,7 +294,7 @@ def test_dichotomy_ball_halfspace_long_run():
     # cross-check the never-reach certificate with a long extra run
     A, B = Ball([0.0, 0.0], 1.0), Halfspace([0.0, 1.0], 0.0)
     op = AlternatingProjections(A, B)
-    tr = run(op, IterationConfig(seed_point=[0.5, 0.8], max_iter=10_000))
+    tr = run(op, [0.5, 0.8], max_iter=10_000)
     rep = check_convex_dichotomy(tr)
     if rep.outcome == "never_reaches":
         assert rep.bound_holds
@@ -311,7 +311,7 @@ def test_r_linear_iff_linearly_monotone_on_convex_pairs():
     for i in range(8):
         sc = random_convex_pair(i, 2, "box_affine")
         op = AlternatingProjections(sc.A, sc.B)
-        tr = run(op, IterationConfig(seed_point=sc.base_point + 0.1 * sc.boundary_ray))
+        tr = run(op, sc.base_point + 0.1 * sc.boundary_ray)
         probe = [tr.limit, sc.base_point]
         lim = tr.limit
         K = max(k for k, p in enumerate(tr.x) if norm(p - lim) > 1e-5)
@@ -331,8 +331,7 @@ def test_precomputed_distances_and_errors_change_no_report(name):
     # would compute itself; the rate estimators' batched errors are the
     # per-point norms, and a list of the points gives the array's estimates
     sc = build(name)
-    tr = run(AlternatingProjections(sc.A, sc.B),
-             IterationConfig(seed_point=[0.09, 0.03], max_iter=300, target=sc.intersection))
+    tr = run(AlternatingProjections(sc.A, sc.B), [0.09, 0.03], max_iter=300, target=sc.intersection)
     assert len(tr.x) >= 2
     mon = check_linear_monotone(tr.x, sc.intersection)
     assert check_linear_monotone(tr.x, sc.intersection, dists=tr.dist_target) == mon

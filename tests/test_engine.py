@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -14,7 +15,6 @@ from fixpoint.engine import (
     WRITE_BLOCK,
     AlternatingProjections,
     DouglasRachford,
-    IterationConfig,
     Trace,
     apply,
     candidates,
@@ -41,6 +41,11 @@ from fixpoint.geometry import (
     stack,
 )
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
+
+
+def bits(values) -> bytes:
+    """values' bytes as a float64 array: equal only bit for bit, so -0.0 is not 0.0."""
+    return np.array(values, dtype=float).tobytes()
 
 
 def two_lines_op(angle=math.pi / 3):
@@ -103,7 +108,7 @@ def test_dr_matches_reflector_composition():
 
 def test_run_orthogonal_lines_one_step():
     op = two_lines_op(math.pi / 2)
-    tr = run(op, IterationConfig(seed_point=[0.0, 1.0]))
+    tr = run(op, [0.0, 1.0])
     assert np.allclose(tr.limit, [0, 0])
     assert len(tr.x) <= 2
 
@@ -111,7 +116,7 @@ def test_run_orthogonal_lines_one_step():
 def test_run_two_lines_distance_decay():
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0], target=[np.zeros(2)]))
+    tr = run(op, [1.0, 0.0], target=[np.zeros(2)])
     for k, d in enumerate(tr.dist_target):
         assert abs(d - 0.25**k) <= 1e-9
 
@@ -119,7 +124,7 @@ def test_run_two_lines_distance_decay():
 def test_run_seed_preprojected_onto_first_set():
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[0.7, 0.9]))
+    tr = run(op, [0.7, 0.9])
     assert tr.dist_A[0] <= 1e-12
     assert tr.metadata["raw_seed"] == [0.7, 0.9]
 
@@ -127,7 +132,7 @@ def test_run_seed_preprojected_onto_first_set():
 def test_run_geometric_finite_sets_exact_steps():
     sc = build("geometric_n2")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0]))
+    tr = run(op, [1.0, 0.0])
     # solved at exactly iteration 2, with each stage the true nearest point
     assert len(tr.x) == 3
     assert np.allclose(tr.limit, [1.0 / 81.0, 0.0])
@@ -143,7 +148,7 @@ def test_run_geometric_finite_sets_exact_steps():
 def test_joining_sequence_interleaves():
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0]))
+    tr = run(op, [1.0, 0.0])
     assert len(tr.z) == 2 * len(tr.x)
     for k in range(len(tr.x)):
         assert np.array_equal(tr.z[2 * k], tr.x[k])
@@ -152,9 +157,9 @@ def test_joining_sequence_interleaves():
 
 def test_joining_sequence_is_derived():
     assert "z" not in {f.name for f in dataclasses.fields(Trace)}
-    assert "record_joining" not in {f.name for f in dataclasses.fields(IterationConfig)}
+    assert "record_joining" not in inspect.signature(run).parameters
     sc = build("two_lines_pi3")
-    tr = run(DouglasRachford(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.0], max_iter=5))
+    tr = run(DouglasRachford(sc.A, sc.B), [1.0, 0.0], max_iter=5)
     assert tr.b.shape == tr.z.shape == (0, 2) and "z" not in json.loads(trace_to_json_text(tr))
 
 
@@ -162,7 +167,7 @@ def test_joining_sequence_is_derived():
 def test_run_residual_is_the_step_from_each_iterate(max_iter, stop):
     # on max_iter one more step is taken, so every recorded x_k has its residual
     op = two_lines_op()
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0], max_iter=max_iter))
+    tr = run(op, [1.0, 0.0], max_iter=max_iter)
     assert tr.stop_reason == stop
     assert len(tr.residual) == len(tr.x) == len(tr.b)
     for xk, rk in zip(tr.x, tr.residual):
@@ -385,8 +390,7 @@ def test_residual_map_many_works_in_blocks_of_rows(name):
 def test_run_determinism_bit_identical():
     sc = build("sawtooth")
     op = AlternatingProjections(sc.A, sc.B)
-    cfg = lambda: IterationConfig(seed_point=[0.09, 0.03], max_iter=500)
-    t1, t2 = run(op, cfg()), run(op, cfg())
+    t1, t2 = (run(op, [0.09, 0.03], max_iter=500) for _ in range(2))
     assert all(np.array_equal(a, b) for a, b in zip(t1.x, t2.x))
     assert t1.to_csv_text() == t2.to_csv_text()
 
@@ -397,7 +401,7 @@ def test_step_ratio_nondecreasing_on_convex_traces():
     for sc in cases:
         op = AlternatingProjections(sc.A, sc.B)
         seed = sc.base_point + 0.1 * sc.boundary_ray if sc.boundary_ray is not None else [1.0, 0.0]
-        tr = run(op, IterationConfig(seed_point=seed))
+        tr = run(op, seed)
         steps = [norm(tr.z[k + 1] - tr.z[k]) for k in range(len(tr.z) - 1)]
         ratios = [
             steps[k + 1] / steps[k]
@@ -414,7 +418,7 @@ def test_traces_fejer_monotone_for_convex_pairs():
     for i in range(6):
         sc = random_convex_pair(i, 2, "box_affine")
         op = AlternatingProjections(sc.A, sc.B)
-        tr = run(op, IterationConfig(seed_point=sc.base_point + 0.1 * sc.boundary_ray))
+        tr = run(op, sc.base_point + 0.1 * sc.boundary_ray)
         probe = [sc.base_point, tr.limit]
         assert check_fejer(tr.x, probe).holds
 
@@ -422,7 +426,7 @@ def test_traces_fejer_monotone_for_convex_pairs():
 def test_trace_csv_header_and_shape():
     sc = build("two_lines_pi3")
     op = AlternatingProjections(sc.A, sc.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0], max_iter=10))
+    tr = run(op, [1.0, 0.0], max_iter=10)
     buf = io.StringIO()
     tr.write(csv_file=buf)
     lines = buf.getvalue().splitlines()
@@ -457,7 +461,7 @@ def reference_csv(tr):
 
 def _non_finite_trace():
     sc = build("two_lines_pi3")
-    tr = run(AlternatingProjections(sc.A, sc.B), IterationConfig(seed_point=[1.0, 0.0], max_iter=6))
+    tr = run(AlternatingProjections(sc.A, sc.B), [1.0, 0.0], max_iter=6)
     tr.x[2] = np.array([math.nan, -math.inf])
     tr.b = tr.b[:4]  # rows past b_3 have blank b columns
     tr.dist_A[0], tr.dist_B[1], tr.residual[3] = math.inf, -math.inf, math.nan
@@ -468,7 +472,7 @@ def _non_finite_trace():
 def _sequence_trace():
     sc = build("monotone_not_fejer")
     xs = [np.array(p, float) for p in sc.sequence]
-    return Trace.record(xs, sc.A, sc.B, sc.intersection, [math.nan] * len(xs), "sequence",
+    return Trace.record(xs, sc.A, sc.B, sc.intersection, np.full(len(xs), math.nan), "sequence",
                         {"operator": "none"})
 
 
@@ -486,7 +490,7 @@ def _layout_edge_trace():
     columns also hold inf, -inf and nan."""
     n = len(LAYOUT_EDGES)
     edges = np.array(LAYOUT_EDGES)
-    columns = [np.roll(edges, 3 * i).tolist() for i in range(len(COLUMNS))]
+    columns = [np.roll(edges, 3 * i) for i in range(len(COLUMNS))]
     columns[0][1], columns[1][2], columns[4][0] = math.inf, -math.inf, math.nan
     return Trace(edges.reshape(n, 1), -edges[:n - 4].reshape(n - 4, 1),
                  **dict(zip(COLUMNS, columns)), stop_reason="max_iter",
@@ -501,7 +505,7 @@ def block_rows(dim):
 def _dr_r8_trace():
     """A DR trace in R^8 (no b rows) of several blocks."""
     A, B, seed = _lines_in_r8(angle=0.15)
-    return run(DouglasRachford(A, B), IterationConfig(seed_point=seed))
+    return run(DouglasRachford(A, B), seed)
 
 
 def _non_finite_at_block_joint():
@@ -518,13 +522,13 @@ def _non_finite_at_block_joint():
 
 
 TRACES = {
-    "ap": lambda: run(two_lines_op(), IterationConfig(seed_point=[1.0, 0.3])),
+    "ap": lambda: run(two_lines_op(), [1.0, 0.3]),
     "dr": lambda: run(DouglasRachford(line_through_origin(0.0), line_through_origin(math.pi / 3)),
-                      IterationConfig(seed_point=[1.0, 0.3])),
+                      [1.0, 0.3]),
     "ap_long": lambda: run(two_lines_op(0.05),
-                           IterationConfig(seed_point=[1.0, 0.2], residual_tol=1e-6)),
+                           [1.0, 0.2], residual_tol=1e-6),
     "sequence": _sequence_trace,
-    "one_iterate": lambda: run(two_lines_op(), IterationConfig(seed_point=[0.0, 0.0])),
+    "one_iterate": lambda: run(two_lines_op(), [0.0, 0.0]),
     "non_finite": _non_finite_trace,
     "layout_edges": _layout_edge_trace,
     "dr_r8_blocks": _dr_r8_trace,
@@ -579,7 +583,7 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
     for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
         op = operator(A, B)
         probe = [np.zeros(A.dim), np.full(A.dim, 0.1)]
-        tr = run(op, IterationConfig(seed_point=seed, max_iter=max_iter, target=probe))
+        tr = run(op, seed, max_iter=max_iter, target=probe)
         n = len(tr.x)
         assert tr.x.shape == (n, A.dim) and tr.x.dtype == float
         xs, x = [], project_one(A, seed)
@@ -587,21 +591,22 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
             xs.append(x)
             x = apply(op, x)
         assert np.array_equal(tr.x, xs)
-        assert tr.step_norm[:-1] == tr.residual[:n - 1] and tr.step_norm[-1] == 0.0
-        assert tr.step_norm[:-1] == [norm(tr.x[k + 1] - tr.x[k]) for k in range(n - 1)]
-        assert tr.residual == [norm(apply(op, p) - p) for p in tr.x]
-        assert tr.dist_target == [distance(FinitePointSet(probe), p) for p in tr.x]
-        assert tr.dist_A == A._distance_many(tr.x).tolist()
-        assert tr.dist_A == [distance(A, p) for p in tr.x]
+        assert tr.step_norm.tobytes() == bits([*tr.residual[:n - 1], 0.0])
+        steps = [norm(tr.x[k + 1] - tr.x[k]) for k in range(n - 1)]
+        assert tr.step_norm[:-1].tobytes() == bits(steps)
+        assert tr.residual.tobytes() == bits([norm(apply(op, p) - p) for p in tr.x])
+        assert tr.dist_target.tobytes() == bits([distance(FinitePointSet(probe), p) for p in tr.x])
+        assert tr.dist_A.tobytes() == bits(A._distance_many(tr.x))
+        assert tr.dist_A.tobytes() == bits([distance(A, p) for p in tr.x])
         if operator is AlternatingProjections:
             assert np.array_equal(tr.b, [project_one(B, p) for p in tr.x])
             # B is affine: dist_B is ||x_k - b_k||, which is B's distance
-            assert tr.dist_B == [norm(b - p) for p, b in zip(tr.x, tr.b)]
-            assert tr.dist_B == [distance(B, p) for p in tr.x]
+            assert tr.dist_B.tobytes() == bits([norm(b - p) for p, b in zip(tr.x, tr.b)])
+            assert tr.dist_B.tobytes() == bits([distance(B, p) for p in tr.x])
         else:
             assert tr.b.shape == (0, A.dim)
-            assert tr.dist_B == B._distance_many(tr.x).tolist()
-            assert tr.dist_B == [distance(B, p) for p in tr.x]
+            assert tr.dist_B.tobytes() == bits(B._distance_many(tr.x))
+            assert tr.dist_B.tobytes() == bits([distance(B, p) for p in tr.x])
 
 
 def test_ap_dist_B_is_the_distance_at_a_nonconvex_near_tie():
@@ -609,18 +614,42 @@ def test_ap_dist_B_is_the_distance_at_a_nonconvex_near_tie():
     # lexicographically smaller point 1e-10 away: dist_B is the distance
     A = line_through_origin(0.0)
     B = FinitePointSet([[0.0, 0.0], [-1e-10, 0.0]])
-    tr = run(AlternatingProjections(A, B), IterationConfig(seed_point=[0.0, 0.0]))
+    tr = run(AlternatingProjections(A, B), [0.0, 0.0])
     assert norm(tr.b[0] - tr.x[0]) == 1e-10
-    assert tr.dist_B == [distance(B, p) for p in tr.x] and tr.dist_B[0] == 0.0
+    assert tr.dist_B.tobytes() == bits([distance(B, p) for p in tr.x]) and tr.dist_B[0] == 0.0
     assert tr.solved_at == 0
 
 
-def test_iteration_config_validation():
-    with pytest.raises(ValueError):
-        IterationConfig(seed_point=[0, 0], max_iter=0)
+def first_solved(tr):
+    """solved_at as a generator over the columns: the first k with x_k in A and in B (to 1e-12)."""
+    return next((k for k, (da, db) in enumerate(zip(tr.dist_A, tr.dist_B))
+                 if da <= 1e-12 and db <= 1e-12), None)
+
+
+def test_trace_columns_are_float64_arrays_and_solved_at_a_python_int():
+    from fixpoint.cli import _sequence_trace
+
+    for tr in (TRACES["ap"](), TRACES["dr"](), _sequence_trace(build("monotone_not_fejer"))):
+        for name in COLUMNS:
+            column = getattr(tr, name)
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64, name
+            assert column.shape == (len(tr.x),), name
+    sc = build("geometric_n2")
+    solved = run(AlternatingProjections(sc.A, sc.B), [1.0, 0.0])
+    at_start = run(two_lines_op(), [0.0, 0.0])  # x_0 = 0 lies in A and in B
+    never = run(two_lines_op(), [1.0, 0.3], max_iter=5)
+    for tr, want in ((solved, 2), (at_start, 0), (never, None)):
+        assert tr.solved_at == first_solved(tr) == want
+        assert type(tr.solved_at) is type(want)  # a Python int, which json serializes
+
+
+def test_run_checks_its_stop_rule():
+    op = two_lines_op()
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        run(op, [0, 0], max_iter=0)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="residual_tol must be a finite number > 0"):
-            IterationConfig(seed_point=[0, 0], residual_tol=tol)
+            run(op, [0, 0], residual_tol=tol)
 
 
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
@@ -632,9 +661,9 @@ def test_probe_target_distances_round_as_the_probe_formula(operator):
 
     A, B = line_through_origin(0.0), line_through_origin(0.3)
     probe = [np.array([0.0, 0.0]), np.array([0.3, -0.1]), np.array([1e-3, 2e-3])]
-    tr = run(operator(A, B), IterationConfig(seed_point=[1.0, 0.3], target=probe))
+    tr = run(operator(A, B), [1.0, 0.3], target=probe)
     assert len(tr.x) > 100
-    assert tr.dist_target == [reference(x, probe) for x in tr.x]
+    assert tr.dist_target.tobytes() == bits([reference(x, probe) for x in tr.x])
 
 
 @pytest.mark.parametrize("probe, message", [
@@ -644,7 +673,7 @@ def test_probe_target_distances_round_as_the_probe_formula(operator):
 def test_run_rejects_a_malformed_target_probe(probe, message):
     sc = build("two_lines_pi3")
     with pytest.raises(ValueError, match=message):
-        run(AlternatingProjections(sc.A, sc.B), IterationConfig([1.0, 0.3], target=probe))
+        run(AlternatingProjections(sc.A, sc.B), [1.0, 0.3], target=probe)
 
 
 def test_run_respects_affine_constraint():
@@ -655,6 +684,6 @@ def test_run_respects_affine_constraint():
     B = AffineSubspace([0, 0, 0], [[c3, s3, 0.0]])
     lam = AffineSubspace([0, 0, 0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     op = AlternatingProjections(A, B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.3, 0.9], lam=lam))
+    tr = run(op, [1.0, 0.3, 0.9], lam=lam)
     assert all(abs(p[2]) <= 1e-12 for p in tr.x)
     assert np.allclose(tr.limit, [0, 0, 0], atol=1e-9)

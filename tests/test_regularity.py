@@ -6,7 +6,6 @@ import pytest
 from fixpoint.engine import (
     AlternatingProjections,
     DouglasRachford,
-    IterationConfig,
     residual_map,
     residual_map_many,
     run,
@@ -554,7 +553,7 @@ def test_kappa_tightness_and_sufficiency_two_lines():
     from fixpoint.diagnostics import check_linear_monotone
 
     op = AlternatingProjections(PI3.A, PI3.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0]))
+    tr = run(op, [1.0, 0.0])
     c_hat = check_linear_monotone(tr.x, ORIGIN).c
     kap = estimate_kappa(op, ORIGIN, [0, 0], 1.0, on_set=PI3.A, samples=128, seed=3)
     assert abs(kap.value - 1.0 / (1.0 - c_hat)) <= 1e-3
@@ -565,7 +564,7 @@ def test_rate_ordering_two_lines():
     eps = estimate_violation(op, [0, 0], 2.0 / 3.0, [0, 0], 0.5, samples=96, seed=5)
     kap = estimate_kappa(op, ORIGIN, [0, 0], 0.5, on_set=PI3.A, samples=96, seed=6)
     pred = predicted_rate_msr(eps.value, 2.0 / 3.0, kap.value)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0]))
+    tr = run(op, [1.0, 0.0])
     from fixpoint.diagnostics import check_linear_monotone
 
     assert pred is not None
@@ -646,7 +645,7 @@ def test_extracted_k1_feeds_linear_convergence_bound():
     )
 
     op = AlternatingProjections(PI3.A, PI3.B)
-    tr = run(op, IterationConfig(seed_point=[1.0, 0.0]))
+    tr = run(op, [1.0, 0.0])
     r = estimate_r_rate(tr.x, limit=[0, 0])
     rep = extract_monotone_subsequence(tr.x, ORIGIN, c=r.c, gamma=r.gamma, limit=[0, 0])
     assert rep.k1 is not None
