@@ -268,9 +268,9 @@ def check_convex_dichotomy(trace, tol: float = DEFAULT_TOL) -> DichotomyReport:
         return DichotomyReport("solved_in_one", None, None, None)
     sqrt_c = norm(trace.x[1] - b0) / den
     c = sqrt_c * sqrt_c
-    d0 = trace.dist_B[0]
+    d0 = float(trace.dist_B[0])
     first_violation = None
-    for k, dk in enumerate(trace.dist_B):
+    for k, dk in enumerate(trace.dist_B.tolist()):  # Python floats, no numpy scalar per step
         if dk < c**k * d0 - tol:
             first_violation = k
             break

@@ -207,10 +207,11 @@ class Trace:
         trace.csv has a header and one row per iterate (b_k blank where none
         is recorded).  trace.json is what ``json.dumps(..., sort_keys=True,
         indent=1)`` writes for x, b, the columns, stop_reason and metadata (not
-        ``z``, which x and b determine).  Each float is formatted once, to its
-        shortest round-trip repr (:func:`floatrepr.templates`), a block of
-        rows at a time, and laid out for each file with its separators and
-        spelling of nan and inf (:func:`floatrepr.layout`).
+        ``z``, which x and b determine).  Each float the files hold is formatted
+        once, to its shortest round-trip repr (:func:`floatrepr.templates`), a
+        block of rows at a time, and laid out for each file with its separators
+        and spelling of nan and inf (:func:`floatrepr.layout`).  A block's rows
+        all record b_k or none does, and it holds the rows WRITE_BLOCK floats fill.
         """
         (n, dim), nb = self.x.shape, len(self.b)
         items: dict = {name: [] for name in ("x", "b", *COLUMNS)}  # the blocks of each list
@@ -219,23 +220,26 @@ class Trace:
         if csv_file is not None:
             csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
                                      *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")
-        rows = max(1, WRITE_BLOCK // (2 * dim + len(COLUMNS)))
-        for i in range(0, n, rows):
-            grid = np.zeros((min(n - i, rows), 2 * dim + len(COLUMNS)))  # x_k, b_k, columns
+        i = 0
+        while i < n:
+            xb = 2 * dim if i < nb else dim  # x_k, and b_k where the rows record it
+            rows = min((nb if i < nb else n) - i, max(1, WRITE_BLOCK // (xb + len(COLUMNS))))
+            grid = np.zeros((rows, xb + len(COLUMNS)))  # x_k, b_k, columns
             grid[:, :dim] = self.x[i:i + rows]
-            grid[:max(nb - i, 0), dim:2 * dim] = self.b[i:i + rows]
-            grid[:, 2 * dim:] = np.transpose([getattr(self, name)[i:i + rows] for name in COLUMNS])
+            grid[:max(nb - i, 0), dim:xb] = self.b[i:i + rows, :xb - dim]
+            grid[:, xb:] = np.transpose([getattr(self, name)[i:i + rows] for name in COLUMNS])
             F = templates(grid)
             if json_file is not None:
                 items["x"].append(layout(F[:, :dim], **point))
-                if nb > i:
-                    items["b"].append(layout(F[:nb - i, dim:2 * dim], **point))
-                for name, text in zip(COLUMNS, layout(F[:, 2 * dim:].transpose(1, 0, 2), **value)):
+                if xb > dim:
+                    items["b"].append(layout(F[:, dim:xb], **point))
+                for name, text in zip(COLUMNS, layout(F[:, xb:].transpose(1, 0, 2), **value)):
                     items[name].append(text)
             if csv_file is not None:
-                F[max(nb - i, 0):, dim:2 * dim] = 0  # blank b_k where none is recorded
+                F = F if xb > dim else np.insert(F, [dim] * dim, 0, axis=1)  # blank b_k fields
                 csv_file.write(layout(F, sep=",", end="\n", prefix=",", index=i))
             del grid, F  # before the next block's are made
+            i += rows
         if json_file is not None:
             # each block's items are led by a comma, which the list's first drops
             items = {name: ["[", blocks[0][1:], *blocks[1:], "\n ]"] if blocks else ["[]"]
@@ -279,7 +283,7 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
     # the one loop: x0 is checked above, and every iterate is a kernel's
     # output; after max_iter steps one more is taken, for the last residual
     record_b = isinstance(op, AlternatingProjections)
-    PA, PB, enter, leave = A._project, B._project, op._enter, op._leave
+    PA, PB, enter, leave = A._row_kernel(), B._row_kernel(), op._enter, op._leave
     xs, bs, residuals, x = [], [], [], x0
     for k in range(max_iter + 1):
         pb = PB(x)

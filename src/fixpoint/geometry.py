@@ -114,6 +114,10 @@ class SetSpec:
     def _project(self, x: Vector) -> Vector:
         return self._project_many(x[None, :])[0]
 
+    def _row_kernel(self):
+        """``_project`` with the set's constant operands bound, fetched by the loop once per run."""
+        return self._project
+
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
         return by_blocks(Y, lambda B: dot_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
 
@@ -269,9 +273,11 @@ class AffineSubspace(_ConvexSet):
         return self.point.shape[-1]
 
     def _project(self, x):
-        if self.basis.size == 0:
-            return self.point.copy()
-        return self.point + self.basis.T.dot(self.basis.dot(x - self.point))
+        return self._row_kernel()(x)
+
+    def _row_kernel(self):
+        p, coef, span = self.point, self.basis.dot, self.basis.T.dot
+        return (lambda x: p + span(coef(x - p))) if self.basis.size else (lambda x: p.copy())
 
     def _project_many(self, Y):
         if self.basis.size == 0:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fixpoint import engine
 from fixpoint.engine import (
     COLUMNS,
     WRITE_BLOCK,
@@ -40,6 +41,7 @@ from fixpoint.geometry import (
     sorted_unique,
     stack,
 )
+from fixpoint.floatrepr import templates
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
 
 
@@ -497,15 +499,26 @@ def _layout_edge_trace():
                  metadata={"operator": "none"})
 
 
-def block_rows(dim):
-    """Rows per block of a trace in R^dim as Trace.write formats it."""
-    return WRITE_BLOCK // (2 * dim + len(COLUMNS))
+def block_rows(dim, b=True):
+    """Rows per block of a trace in R^dim as Trace.write formats it: the
+    floats of a row are x_k, b_k if the block records any, and the columns."""
+    return WRITE_BLOCK // ((2 if b else 1) * dim + len(COLUMNS))
 
 
 def _dr_r8_trace():
     """A DR trace in R^8 (no b rows) of several blocks."""
-    A, B, seed = _lines_in_r8(angle=0.15)
+    A, B, seed = _lines(angle=0.15)
     return run(DouglasRachford(A, B), seed)
+
+
+def _r3_b_ends_at(rows):
+    """An AP trace in R^3 of four blocks of rows, b kept for its first rows only."""
+    def trace():
+        A, B, seed = _lines(3, angle=0.05, seed=3)
+        tr = run(AlternatingProjections(A, B), seed, residual_tol=1e-6)
+        tr.b = tr.b[:rows]
+        return tr
+    return trace
 
 
 def _non_finite_at_block_joint():
@@ -533,6 +546,8 @@ TRACES = {
     "layout_edges": _layout_edge_trace,
     "dr_r8_blocks": _dr_r8_trace,
     "non_finite_at_block_joint": _non_finite_at_block_joint,
+    "r3_b_ends_at_block_joint": _r3_b_ends_at(block_rows(3)),
+    "r3_b_ends_mid_block": _r3_b_ends_at(block_rows(3) * 3 // 2),
 }
 
 
@@ -554,21 +569,46 @@ def test_one_iterate_and_dr_traces_have_the_expected_shape():
     assert dr["b"] == [] and "z" not in dr
     assert len(TRACES["ap_long"]().x) > 2048  # more than one block of rows
     dr_r8 = TRACES["dr_r8_blocks"]()
-    assert len(dr_r8.x) > 3 * block_rows(8) and dr_r8.b.shape == (0, 8)
+    assert len(dr_r8.x) > 3 * block_rows(8, b=False) and dr_r8.b.shape == (0, 8)
+    for case in ("r3_b_ends_at_block_joint", "r3_b_ends_mid_block"):
+        # past its b rows, more than one block of rows without b
+        tr = TRACES[case]()
+        assert len(tr.x) > 2 * block_rows(3) + block_rows(3, b=False), case
     assert "NaN" in trace_to_json_text(TRACES["sequence"]())
 
 
-def _lines_in_r8(angle=0.2, seed=8):
-    """Two lines through the origin of R^8 at the given angle, and a seed on A:
-    each dot product sums eight terms, so a row rounded another way would show."""
+def test_the_writer_formats_only_the_floats_the_files_hold(monkeypatch):
+    # a row formats x_k, the five columns and b_k if the trace records it: a
+    # DR trace (no b) n (d + 5) floats, an AP trace n (2d + 5), in one
+    # templates call per block
+    sizes = []
+
+    def counting(a):
+        sizes.append(a.size)
+        return templates(a)
+
+    monkeypatch.setattr(engine, "templates", counting)
+    for case, b in (("dr_r8_blocks", False), ("dr", False), ("ap_long", True), ("ap", True)):
+        tr = TRACES[case]()
+        (n, d), sizes[:] = tr.x.shape, []
+        assert len(tr.b) == (n if b else 0)
+        tr.write(io.StringIO(), io.StringIO())
+        assert sum(sizes) == n * ((2 if b else 1) * d + len(COLUMNS)), case
+        assert len(sizes) == -(-n // block_rows(d, b)), case
+
+
+def _lines(dim=8, angle=0.2, seed=8):
+    """Two lines through the origin of R^dim at the given angle, and a seed on
+    A: in R^8 each dot product sums eight terms, so a row rounded another way
+    would show."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(8)
+    a = rng.standard_normal(dim)
     a /= norm(a)
-    w = rng.standard_normal(8)
+    w = rng.standard_normal(dim)
     w -= (w @ a) * a
     w /= norm(w)
     b = math.cos(angle) * a + math.sin(angle) * w
-    return AffineSubspace(np.zeros(8), [a]), AffineSubspace(np.zeros(8), [b]), a + 0.3 * w
+    return AffineSubspace(np.zeros(dim), [a]), AffineSubspace(np.zeros(dim), [b]), a + 0.3 * w
 
 
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
@@ -579,7 +619,7 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
     # distance() bit for bit; AP's dist_B is read off b_k, the scalar
     # projection, which is the batched kernel's row
     sc = build("two_lines_pi3")
-    pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines_in_r8()]
+    pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines()]
     for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
         op = operator(A, B)
         probe = [np.zeros(A.dim), np.full(A.dim, 0.1)]

@@ -742,6 +742,37 @@ def test_a_non_contiguous_basis_rounds_as_its_contiguous_copy():
             assert_rows_are_the_closed_forms([sliced], Y, np.zeros(len(Y), int))
 
 
+def test_the_affine_row_kernel_is_the_projection_bit_for_bit():
+    # the iteration loop's kernel has point and the .dot of basis and of
+    # basis.T bound once; each row it returns is point + B^T (B (x - point)),
+    # spelled here as the one-point projection spelled it, and the batched row,
+    # at every rank in R^1-R^8; the bound operands are stored on no set
+    rng = np.random.default_rng(27)
+    for d in range(1, 9):
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        Y = 2.0 * rng.standard_normal((16, d))
+        Y[1, 0] = -0.0
+        for k in range(d + 1):
+            point = rng.standard_normal(d)
+            point[0] = -0.0
+            s = AffineSubspace(point, Q[:, :k].T)
+            kernel = s._row_kernel()
+            for y in Y:
+                if k == 0:
+                    want = s.point.copy()
+                else:
+                    want = s.point + s.basis.T.dot(s.basis.dot(y - s.point))
+                got = kernel(y)
+                assert got.tobytes() == s._project(y).tobytes() == want.tobytes(), (d, k)
+                assert got is not s.point
+            assert s._project_many(Y).tobytes() == np.array([kernel(y) for y in Y]).tobytes()
+            assert set(vars(s)) == {"point", "basis"}
+            stacked = stack([s, AffineSubspace(-point, Q[:, :k].T)])
+            stacked._project_many(Y[:2])
+            assert set(vars(stacked)) == {"point", "basis", "_members"}
+            assert set(vars(take(stacked, np.array([0, 1])))) == {"point", "basis"}
+
+
 @pytest.mark.parametrize("s", [
     PiecewiseCurve((ParabolicPiece(1.0, 0.0, 0.0, -1.0, 1.0),)),
     PiecewiseCurve((LinearPiece([-1, 0], [0, 1]), ParabolicPiece(0.5, 0, 1, 0, 2))),
