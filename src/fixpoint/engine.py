@@ -105,8 +105,9 @@ def residual_map_many(op: OperatorSpec, X: np.ndarray,
     row at once, another pair's least dot_norms over its image, by blocks."""
     if op.A.closed_form and op.B.closed_form:
         return dot_norms(op._image_many(X, owner) - X)
-    return by_blocks(np.arange(len(X)), lambda i: dot_norms(op._candidates_many(
-        X[i], None if owner is None else owner[i]) - X[i, None, None, :]).min(axis=(1, 2)))
+    return by_blocks(len(X), lambda r: dot_norms(op._candidates_many(
+        X[r], None if owner is None else owner[r]) - X[r, None, None, :]).min(axis=(1, 2)),
+        op.A._slots * op.B._slots)
 
 
 def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int,

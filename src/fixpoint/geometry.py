@@ -107,6 +107,7 @@ class SetSpec:
     #: True when a row's one candidate is its closed-form projection, so a
     #: pair of such sets has one image per row (see engine.residual_map_many)
     closed_form = False
+    _slots = 1  #: k of the (m, k, dim) ``_candidates_many`` array (or a bound), as by_blocks reads it
 
     def _candidates_many(self, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -119,19 +120,22 @@ class SetSpec:
         return self._project
 
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
-        return by_blocks(Y, lambda B: dot_norms(self._candidates_many(B) - B[:, None, :]).min(axis=1))
+        return by_blocks(len(Y), lambda r: dot_norms(self._candidates_many(Y[r]) - Y[r, None, :]).min(axis=1),
+                         self._slots)
 
     def _project_many(self, Y: np.ndarray) -> np.ndarray:
-        return by_blocks(Y, lambda B: _select(self._candidates_many(B), B))
+        return by_blocks(len(Y), lambda r: _select(self._candidates_many(Y[r]), Y[r]), self._slots)
 
 
-#: rows per call of a candidate enumeration: bounds its (rows, slots, dim)
-#: temporaries; rows never interact, so blocking changes no bit
-_BLOCK_ROWS = 64
+#: candidate slots per call of an enumeration: bounds its (rows, slots, dim) temporaries
+#: while a kernel pays its fixed cost once a block; rows never interact, so no bit changes
+_BLOCK_SLOTS = 2**14
 
 
-def by_blocks(Y: np.ndarray, kernel) -> np.ndarray:
-    return np.concatenate([kernel(Y[i:i + _BLOCK_ROWS]) for i in range(0, max(len(Y), 1), _BLOCK_ROWS)])
+def by_blocks(m: int, kernel, slots: int) -> np.ndarray:
+    """kernel(r) over slices r of m rows, max(1, _BLOCK_SLOTS // slots) rows each, concatenated."""
+    n = max(1, _BLOCK_SLOTS // slots)
+    return np.concatenate([kernel(slice(i, i + n)) for i in range(0, max(m, 1), n)])
 
 
 def _select(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -423,6 +427,7 @@ class FinitePointSet(SetSpec):
     per point, which rounds as the scalar dot product does."""
 
     variant = "finite_point_set"
+    _slots = property(lambda self: self.points.shape[-2])
 
     points: np.ndarray  # shape (n, dim)
 
@@ -441,11 +446,17 @@ class FinitePointSet(SetSpec):
     def dim(self) -> int:
         return self.points.shape[-1]
 
-    def _candidates_many(self, Y):
-        return np.broadcast_to(self.points, (len(Y),) + self.points.shape[-2:])
+    def _points(self, r):  # the points of rows r: a gathered stack's lead with a row axis
+        return self.points[r] if self.points.ndim == 3 else self.points
+
+    def _candidates_many(self, Y, r=slice(None)):
+        return np.broadcast_to(self._points(r), (len(Y),) + self.points.shape[-2:])
 
     def _distance_many(self, Y):
-        return dot_norms(Y[:, None, :] - self.points).min(axis=1)
+        return by_blocks(len(Y), lambda r: dot_norms(Y[r, None, :] - self._points(r)).min(axis=1), self._slots)
+
+    def _project_many(self, Y):
+        return by_blocks(len(Y), lambda r: _select(self._candidates_many(Y[r], r), Y[r]), self._slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,6 +572,7 @@ class PiecewiseCurve(SetSpec):
     the stationary points and the finite ends of the parabolic pieces."""
 
     variant = "piecewise_curve"
+    _slots = property(lambda self: len(self._lin_starts) + 5 * len(self._arcs.arcs))
 
     pieces: tuple
 
@@ -614,6 +626,7 @@ class Epigraph(SetSpec):
     """
 
     variant = "epigraph"
+    _slots = property(lambda self: self._boundary._slots)  # a row on or above the graph has 1
 
     breakpoints: Vector
     pieces: np.ndarray  # shape (len(breakpoints)+1, 3)
@@ -669,6 +682,7 @@ class SetUnion(SetSpec):
     are its members', a member farther than TIE_TOL beyond the nearest left empty."""
 
     variant = "union"
+    _slots = property(lambda self: sum(m._slots for m in self.members))
 
     members: tuple
 

@@ -403,7 +403,7 @@ def estimate_violation(
                / dot_norms(Xb - y)[:, None, None] ** 2 - 1.0)
         return np.where(np.isfinite(C[..., 0]), val, -math.inf).max(axis=(1, 2))
 
-    worst = float(by_blocks(X, deficits).max())
+    worst = float(by_blocks(len(X), lambda r: deficits(X[r]), op.A._slots * op.B._slots).max())
     return RegularityEstimate(
         "violation_eps",
         max(0.0, worst),

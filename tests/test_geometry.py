@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixpoint
+from fixpoint import geometry
 from fixpoint.geometry import (
-    _BLOCK_ROWS,
+    _BLOCK_SLOTS,
     TIE_TOL,
     AffineSubspace,
     Ball,
@@ -34,6 +35,7 @@ from fixpoint.geometry import (
     ascend,
     ball_point,
     ball_points,
+    by_blocks,
     distance,
     dot_norms,
     norm,
@@ -635,14 +637,122 @@ def test_exact_ties_are_broken_lexicographically_with_signed_zeros():
     _assert_batched_equals_one_row(pts, as_points([[0.0, 0.0], [-0.0, 0.0], [0.5, 0.5]], 2))
 
 
-def test_batches_larger_than_a_block_equal_the_one_row_calls():
-    saw = sawtooth_graph(SAWTOOTH_DEPTH)
+def test_batches_larger_than_a_block_equal_the_one_row_calls(monkeypatch):
+    # a block holds _BLOCK_SLOTS // slots rows: with a smaller budget, the
+    # rows span more than 3 blocks of the sawtooth's and of the epigraph's
+    monkeypatch.setattr(geometry, "_BLOCK_SLOTS", 2**10)
+    saw, epi = sawtooth_graph(SAWTOOTH_DEPTH), build("epigraph").A
+    blocks = [geometry._BLOCK_SLOTS // s._slots for s in (saw, epi)]  # rows a block
+    rows = 3 * max(blocks) + 5
+    assert rows >= 3 * 64 + 5 and all(rows > 3 * n for n in blocks)
     rng = np.random.default_rng(2)
-    Y = as_points(rng.uniform([-0.1, -0.3], [1.1, 0.3], size=(3 * _BLOCK_ROWS + 5, 2)), 2)
+    Y = as_points(rng.uniform([-0.1, -0.3], [1.1, 0.3], size=(rows, 2)), 2)
     _assert_batched_equals_one_row(saw, Y)
-    for s in (saw, build("epigraph").A):
+    for s in (saw, epi):
         P = s._project_many(Y)
         assert all(any(np.array_equal(p, q) for q in project_all(s, y)) for y, p in zip(Y, P))
+
+
+def _slot_cases() -> dict:
+    """Sets of every variant, each with rows whose candidates fill all its slots."""
+    rng = np.random.default_rng(3)
+    Y = as_points(rng.uniform(-2.0, 2.0, (30, 2)), 2)
+    flat = build("epigraph").A
+    jump = Epigraph([-1.0, 0.5], [[0.0, -1.0, 0.0], [1.3, 0.2, -0.1], [-0.6, 1.1, 2.0]])
+    segments = [sum(isinstance(p, LinearPiece) for p in e._boundary.pieces) for e in (flat, jump)]
+    assert segments[0] == 0 < segments[1]
+    below = as_points(np.c_[rng.uniform(-3.0, 3.0, 30), np.full(30, -5.0)], 2)
+    probes = [FinitePointSet(rng.standard_normal((4, 2))) for _ in range(3)]
+    gathered = take(stack(probes), rng.integers(0, 3, len(Y)))
+    return {
+        **{f"one-{type(s).__name__}": (s, Y) for s in VARIANTS if s.convex or isinstance(s, Sphere)},
+        "finite": (FinitePointSet(rng.standard_normal((7, 2))), Y),
+        "finite-stacked": (stack(probes), Y[:3]),  # a stack's one row per member
+        "finite-gathered": (gathered, Y),
+        **{f"curve-{k}": (c, Y) for k, c in _CURVES.items()},
+        "epigraph": (flat, below),
+        "epigraph-with-a-jump": (jump, below),
+        "union-nested": (SetUnion((sawtooth_graph(3), SetUnion((jump, _CURVES["both"])),
+                                   FinitePointSet([[0.0, 1.0], [1.0, 0.0]]))), below),
+    }
+
+
+SLOT_CASES = _slot_cases()
+
+
+@pytest.mark.parametrize("name", list(SLOT_CASES))
+def test_slots_are_the_width_of_the_candidates(name):
+    # _slots sizes every block: a count below the true width would let a
+    # block's (rows, slots, dim) temporaries outgrow the budget unseen
+    s, Y = SLOT_CASES[name]
+    assert s._slots == s._candidates_many(Y).shape[1]
+    if name.startswith("one-"):  # a convex set's or a sphere's one candidate
+        assert s._slots == 1
+    if isinstance(s, Epigraph):  # a row on or above the graph is its own one candidate
+        assert s._candidates_many(Y + [0.0, 20.0]).shape[1] == 1 <= s._slots
+
+
+@pytest.mark.parametrize("slots", [1, 3, 43, 4096, 2**14, 2**15])
+def test_by_blocks_holds_at_most_its_budget_of_slots(slots):
+    # a spy kernel: blocks of max(1, _BLOCK_SLOTS // slots) rows, in order, the last one short
+    seen, X = [], np.arange(40_000)
+    out = by_blocks(len(X), lambda r: seen.append(len(X[r])) or X[r], slots)
+    assert out.tolist() == X.tolist()
+    rows = max(1, _BLOCK_SLOTS // slots)
+    assert max(seen) == rows and all(n == rows for n in seen[:-1])
+
+
+@pytest.mark.parametrize("name", ["sawtooth", "epigraph", "geometric_n3"])
+def test_kernels_see_at_most_a_budget_of_slots_a_block(name, monkeypatch):
+    # a spy on every candidate enumeration (and a finite set's read of its
+    # points for a block): a call of a set's kernels or of the residual map
+    # hands each at most _BLOCK_SLOTS // slots rows at once, slots being the
+    # enumerating set's (a pair's: A's times B's)
+    from fixpoint.engine import AlternatingProjections, residual_map_many
+
+    monkeypatch.setattr(geometry, "_BLOCK_SLOTS", 2**9)
+    sc = build(name)
+    op = AlternatingProjections(sc.A, sc.B)
+    width = lambda s: sc.A._slots * sc.B._slots if s is op else s._slots
+    seen = []
+    for cls in (SetUnion, PiecewiseCurve, Epigraph, FinitePointSet, AlternatingProjections):
+        real = cls._candidates_many
+        monkeypatch.setattr(cls, "_candidates_many",
+                            lambda self, X, *rest, real=real: seen.append((self, len(X))) or real(self, X, *rest))
+    points = FinitePointSet._points
+
+    def spy_points(self, r):
+        if r.stop is not None:  # a block's rows, not a whole batch's
+            seen.append((self, r.stop - r.start))
+        return points(self, r)
+
+    monkeypatch.setattr(FinitePointSet, "_points", spy_points)
+    X = np.array(sample_ball(sc.seed_region[0], 0.5, 1_000, seed=4))
+    for call, top in ((sc.A._distance_many, None), (sc.A._project_many, sc.A),
+                      (lambda X: residual_map_many(op, X), op)):
+        seen.clear()
+        call(X)
+        assert seen and all(n <= max(1, geometry._BLOCK_SLOTS // width(s)) for s, n in seen)
+        if top is not None:  # the rows span several blocks of the called kernel
+            assert sum(s is top for s, _ in seen) > 1
+
+
+def test_a_large_finite_point_set_works_in_blocks_of_its_budget():
+    # 1,000 rows against 4,096 points: one call would hold tens of MB of
+    # (rows, points, dim) temporaries; a block of 4 rows holds 256 KiB
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    s = FinitePointSet(rng.standard_normal((4096, 2)))
+    Y = as_points(rng.standard_normal((1000, 2)), 2)
+    for kernel in (s._project_many, s._distance_many):
+        tracemalloc.start()
+        try:
+            kernel(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, kernel.__name__
 
 
 def random_convex_sets(rng, d: int, count: int, ranks) -> dict:
@@ -686,6 +796,19 @@ def test_stacked_kernels_equal_each_members_kernels(name):
         got = getattr(gathered, kernel)(Y)
         for k, m in enumerate(members):
             assert np.array_equal(got[owner == k], getattr(m, kernel)(Y[owner == k])), (kernel, k)
+
+
+def test_a_gathered_stack_spans_blocks_row_by_row(monkeypatch):
+    # a gathered stack's points lead with a row axis: each block takes its own rows' points
+    monkeypatch.setattr(geometry, "_BLOCK_SLOTS", 8)
+    members = STACKABLE["probe"]
+    rng = np.random.default_rng(8)
+    Y, owner = as_points(rng.uniform(-2, 2, (50, 3)), 3), rng.integers(0, 3, 50)
+    gathered = take(stack(members), owner)
+    assert geometry._BLOCK_SLOTS // gathered._slots < len(Y)
+    for kernel in ("_project_many", "_distance_many"):
+        want = np.array([getattr(members[k], kernel)(y[None, :])[0] for k, y in zip(owner, Y)])
+        assert getattr(gathered, kernel)(Y).tobytes() == want.tobytes(), kernel
 
 
 def test_a_stack_takes_one_variant_and_one_set_is_itself():
