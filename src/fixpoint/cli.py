@@ -24,13 +24,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import regularity as reg
-from .engine import (
-    AlternatingProjections,
-    DouglasRachford,
-    Trace,
-    check_stop_rule,
-    run,
-)
+from .engine import OPERATORS, AlternatingProjections, Trace, check_stop_rule, run
 from .geometry import as_target, ball_point, distance, norm
 from .scenarios import EXPECTED, Scenario, build, builtin_names, estimable, load_scenario
 
@@ -208,8 +202,8 @@ def execute_run(
     try:
         reg.check_sampling(delta, samples)
         check_stop_rule(max_iter, residual_tol)
-        if operator not in ("ap", "dr"):
-            raise ValueError("operator must be 'ap' or 'dr'")
+        if operator not in OPERATORS:
+            raise ValueError(f"operator must be {' or '.join(map(repr, OPERATORS))}")
         if scenario == "all":
             codes = [
                 execute_run(name, str(Path(out_dir, name)), seed, max_iter, residual_tol,
@@ -219,14 +213,14 @@ def execute_run(
             return 1 if 1 in codes else max(codes)
         sc = _load(scenario)
         seed = _resolve_seed(seed)
-        if operator == "dr" and "extendible_c" in sc.expected:
+        if not OPERATORS[operator].records_b and "extendible_c" in sc.expected:
             raise ValueError("scenario key 'expected.extendible_c' cannot be checked with "
-                             "--operator dr: a DR run records no joining sequence")
+                             f"--operator {operator}: a {operator.upper()} run records no "
+                             "joining sequence")
         if sc.sequence is not None:
             tr = _sequence_trace(sc)
         else:
-            op_cls = AlternatingProjections if operator == "ap" else DouglasRachford
-            op = op_cls(sc.A, sc.B)
+            op = OPERATORS[operator](sc.A, sc.B)
             tr = run(op, ball_point(*sc.seed_region, seed, 0), max_iter, residual_tol,
                      lam=sc.lam, target=sc.intersection)
 
@@ -322,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--delta", type=float, default=0.5)
     pr.add_argument("--samples", type=int, default=256)
     pr.add_argument("--out", default="out")
-    pr.add_argument("--operator", choices=("ap", "dr"), default="ap")
+    pr.add_argument("--operator", choices=tuple(OPERATORS), default="ap")
     pr.add_argument("--residual-tol", type=float, default=1e-12)
 
     pv = sub.add_parser("verify", help="run a verification suite")

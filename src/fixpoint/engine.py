@@ -1,11 +1,12 @@
 """Fixed-point operators of a pair of sets A, B, and trace recording.
 
-Each operator states its two stage formulas once, evaluated three ways:
-with the deterministic projection selection at each stage (:func:`apply`,
-and :func:`run`'s loop step by step), ``_image_many`` with the batched selections
-(what :func:`settle_many` steps), and ``_candidates_many`` over every
-candidate of both stages: the multivalued image, over which
-:func:`residual_map_many` takes its infimum in blocks of rows.
+An operator is one class, which states its two stage formulas once and in
+``records_b`` whether :func:`run` records b_k = P_B x_k, and one row of
+:data:`OPERATORS`.  ``_image_many`` evaluates the formulas with each stage's
+batched deterministic selection (:func:`settle_many` steps it, :func:`apply`
+is its one row), ``_candidates_many`` over every candidate of both stages, the
+multivalued image, whose infimum :func:`residual_map_many` takes in blocks of
+rows; :func:`run`'s loop follows them with each set's scalar kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -43,10 +43,7 @@ class _SetPair:
 
     A: SetSpec
     B: SetSpec
-
-    def apply(self, x):
-        y = self._enter(x, self.B._project(x))
-        return self._leave(x, y, self.A._project(y))
+    records_b = False  #: whether :func:`run` records b_k, and with it the joining sequence
 
     def _image_many(self, X, owner=None):
         Y = self._enter(X, take(self.B, owner)._project_many(X))
@@ -67,6 +64,7 @@ class _SetPair:
 class AlternatingProjections(_SetPair):
     """T = P_A o P_B."""
 
+    records_b = True
     _enter = staticmethod(lambda x, pb: pb)
     _leave = staticmethod(lambda x, y, pa: pa)
 
@@ -78,13 +76,14 @@ class DouglasRachford(_SetPair):
     _leave = staticmethod(lambda x, y, pa: 0.5 * (x + (2.0 * pa - y)))
 
 
-OperatorSpec = Union[AlternatingProjections, DouglasRachford]
+#: each operator by the name the CLI gives it
+OPERATORS = {"ap": AlternatingProjections, "dr": DouglasRachford}
+OperatorSpec = _SetPair
 
 
 def apply(op: OperatorSpec, x) -> Vector:
-    """Single-valued evaluation via the deterministic selection at each stage.
-    x is checked here once; ``op.apply`` takes a checked vector."""
-    return op.apply(as_vector(x, op.A.dim))
+    """T x via the deterministic selection at each stage: ``op._image_many``'s one row."""
+    return op._image_many(as_vector(x, op.A.dim)[None, :])[0]
 
 
 def candidates(op: OperatorSpec, x) -> list[Vector]:
@@ -269,10 +268,10 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
 
     The raw seed is projected onto the constraint set lam (if any) and then
     onto A, so recorded iterates start on A; the raw seed is kept in the
-    metadata.  For alternating projections the intermediate B-projections
-    b_k are recorded as well, and with them the joining sequence
-    ``Trace.z``.  residual[k] is the step length from x_k.  The seed, the
-    stop rule and the target are checked before the first step.
+    metadata.  An operator with ``records_b`` (alternating projections)
+    records the intermediate B-projections b_k as well, and with them the
+    joining sequence ``Trace.z``.  residual[k] is the step length from x_k.
+    The seed, the stop rule and the target are checked before the first step.
     """
     A, B = op.A, op.B
     seed_point = as_vector(seed_point)
@@ -283,17 +282,15 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
 
     # the one loop: x0 is checked above, and every iterate is a kernel's
     # output; after max_iter steps one more is taken, for the last residual
-    record_b = isinstance(op, AlternatingProjections)
+    record_b = op.records_b
     PA, PB, enter, leave = A._row_kernel(), B._row_kernel(), op._enter, op._leave
     xs, bs, residuals, x = [], [], [], x0
     for k in range(max_iter + 1):
         pb = PB(x)
         if record_b:
-            bs.append(pb)  # b_k, reused for x_{k+1} = P_A b_k
-            x_next = PA(pb)
-        else:
-            y = enter(x, pb)
-            x_next = leave(x, y, PA(y))
+            bs.append(pb)  # b_k (AP's A stage projects b_k itself)
+        y = enter(x, pb)
+        x_next = leave(x, y, PA(y))
         d = x_next - x
         r = math.sqrt(d.dot(d))  # norm(d), without its frame
         xs.append(x)

@@ -133,9 +133,12 @@ _BLOCK_SLOTS = 2**14
 
 
 def by_blocks(m: int, kernel, slots: int) -> np.ndarray:
-    """kernel(r) over slices r of m rows, max(1, _BLOCK_SLOTS // slots) rows each, concatenated."""
+    """kernel(r) over slices r of m rows, max(1, _BLOCK_SLOTS // slots) rows each,
+    concatenated; one block's array is returned as the kernel made it."""
     n = max(1, _BLOCK_SLOTS // slots)
-    return np.concatenate([kernel(slice(i, i + n)) for i in range(0, max(m, 1), n)])
+    if m <= n:
+        return kernel(slice(0, n))
+    return np.concatenate([kernel(slice(i, i + n)) for i in range(0, m, n)])
 
 
 def _select(C: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -306,14 +306,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _unit_orthogonal(rng, nu: np.ndarray) -> np.ndarray:
-    for _ in range(8):
-        w = rng.standard_normal(nu.size)
-        w = w - (w @ nu) * nu
-        if norm(w) > 1e-8:
-            return _unit(w)
-    w = np.zeros(nu.size)
-    w[int(np.argmin(np.abs(nu)))] = 1.0
+    """A seeded unit vector orthogonal to the unit vector nu, from one draw."""
+    w = rng.standard_normal(nu.size)
     w = w - (w @ nu) * nu
+    if norm(w) <= 1e-8:
+        raise RuntimeError("a draw fell within 1e-8 of the line through nu")
     return _unit(w)
 
 

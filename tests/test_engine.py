@@ -13,6 +13,7 @@ import pytest
 from fixpoint import engine
 from fixpoint.engine import (
     COLUMNS,
+    OPERATORS,
     WRITE_BLOCK,
     AlternatingProjections,
     DouglasRachford,
@@ -32,6 +33,7 @@ from fixpoint.geometry import (
     DimensionMismatch,
     FinitePointSet,
     Halfspace,
+    ball_point,
     distance,
     dot_norms,
     norm,
@@ -42,7 +44,13 @@ from fixpoint.geometry import (
     stack,
 )
 from fixpoint.floatrepr import templates
-from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
+from fixpoint.scenarios import (
+    FAMILIES,
+    build,
+    builtin_names,
+    line_through_origin,
+    random_convex_pair,
+)
 
 
 def bits(values) -> bytes:
@@ -73,7 +81,7 @@ def test_apply_dr_same_halfspace():
 
 #: each entry point that checks its point, and what it is on a checked vector
 ENTRY_POINTS = {
-    "apply": (apply, lambda op, x: op.apply(x)),
+    "apply": (apply, lambda op, x: op._image_many(x[None, :])[0]),
     "candidates": (candidates, lambda op, x: list(op._candidates_many(x[None, :])[0, 0])),
     "residual_map": (residual_map, lambda op, x: residual_map_many(op, x[None, :])[0]),
 }
@@ -638,7 +646,7 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
         assert tr.dist_target.tobytes() == bits([distance(FinitePointSet(probe), p) for p in tr.x])
         assert tr.dist_A.tobytes() == bits(A._distance_many(tr.x))
         assert tr.dist_A.tobytes() == bits([distance(A, p) for p in tr.x])
-        if operator is AlternatingProjections:
+        if operator.records_b:
             assert np.array_equal(tr.b, [project_one(B, p) for p in tr.x])
             # B is affine: dist_B is ||x_k - b_k||, which is B's distance
             assert tr.dist_B.tobytes() == bits([norm(b - p) for p, b in zip(tr.x, tr.b)])
@@ -647,6 +655,30 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
             assert tr.b.shape == (0, A.dim)
             assert tr.dist_B.tobytes() == bits(B._distance_many(tr.x))
             assert tr.dist_B.tobytes() == bits([distance(B, p) for p in tr.x])
+
+
+def _iterating_pairs():
+    """Every built-in that iterates (no shipped sequence), and one pair of each random family."""
+    scs = [sc for sc in map(build, builtin_names()) if sc.sequence is None]
+    assert {"two_lines_pi2", "two_lines_pi3", "sawtooth", "geometric_n1", "geometric_n2",
+            "geometric_n3", "epigraph"} <= {sc.name for sc in scs}
+    return scs + [random_convex_pair(2, 3, family) for family in FAMILIES]
+
+
+@pytest.mark.parametrize("operator", list(OPERATORS.values()))
+def test_the_loop_step_is_apply_bit_for_bit(operator):
+    # run steps with each set's scalar kernel, apply with the batched
+    # kernels' one row: every x_{k+1} is apply(x_k), and a run that records
+    # b_k records each set's deterministic selection
+    for sc, seed in itertools.product(_iterating_pairs(), range(4)):
+        op = operator(sc.A, sc.B)
+        tr = run(op, ball_point(*sc.seed_region, seed, 0), max_iter=2_000, lam=sc.lam)
+        for k in range(len(tr.x) - 1):
+            assert apply(op, tr.x[k]).tobytes() == tr.x[k + 1].tobytes(), (sc.name, k)
+        last = apply(op, tr.x[-1]) - tr.x[-1]
+        assert tr.residual[-1].tobytes() == bits([math.sqrt(last.dot(last))]), sc.name
+        want = [project_one(sc.B, p) for p in tr.x] if operator.records_b else np.zeros((0, sc.A.dim))
+        assert np.asarray(want).tobytes() == tr.b.tobytes(), sc.name
 
 
 def test_ap_dist_B_is_the_distance_at_a_nonconvex_near_tie():

@@ -700,6 +700,11 @@ def test_by_blocks_holds_at_most_its_budget_of_slots(slots):
     assert out.tolist() == X.tolist()
     rows = max(1, _BLOCK_SLOTS // slots)
     assert max(seen) == rows and all(n == rows for n in seen[:-1])
+    # a batch within one block, or of no rows, is one call, whose array comes back itself
+    for m in (0, 1, rows):
+        made, calls = np.arange(m), []
+        assert by_blocks(m, lambda r: calls.append(r) or made, slots) is made
+        assert calls == [slice(0, rows)]
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "epigraph", "geometric_n3"])

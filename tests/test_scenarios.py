@@ -120,6 +120,32 @@ def test_random_pair_certified_common_point(family):
         assert abs(norm(sc.boundary_ray) - 1.0) <= 1e-9
 
 
+def reference_unit_orthogonal(rng, nu: np.ndarray) -> np.ndarray:
+    """The unit vector orthogonal to nu that the reference drew: up to 8
+    draws, then the axis least aligned with nu."""
+    for _ in range(8):
+        w = rng.standard_normal(nu.size)
+        w = w - (w @ nu) * nu
+        if norm(w) > 1e-8:
+            return _unit(w)
+    w = np.zeros(nu.size)
+    w[int(np.argmin(np.abs(nu)))] = 1.0
+    w = w - (w @ nu) * nu
+    return _unit(w)
+
+
+def test_unit_orthogonal_raises_on_a_draw_along_nu():
+    class Along:  # a generator whose every draw is a multiple of nu
+        def standard_normal(self, n):
+            return 3.0 * nu
+
+    nu = _unit(np.array([1.0, 2.0, 2.0]))
+    with pytest.raises(RuntimeError, match="within 1e-8"):
+        _unit_orthogonal(Along(), nu)
+    w = _unit_orthogonal(np.random.default_rng(0), nu)
+    assert abs(w @ nu) <= 1e-15 and norm(w) == pytest.approx(1.0, abs=1e-15)
+
+
 def reference_random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
     """The if-chain over the three first families, with its retry loop, that
     drew random pairs before the family table, kept as the reference its rows
@@ -128,7 +154,7 @@ def reference_random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
     for _ in range(16):
         x_bar = rng.uniform(-1.0, 1.0, size=dim)
         nu = _unit(rng.standard_normal(dim))
-        w = _unit_orthogonal(rng, nu)
+        w = reference_unit_orthogonal(rng, nu)
         theta = rng.uniform(math.radians(25.0), math.radians(65.0))
         if family == "halfspace_ball":
             r = rng.uniform(0.7, 1.5)
@@ -151,7 +177,7 @@ def reference_random_convex_pair(seed: int, dim: int, family: str) -> Scenario:
             center[0] -= half[0]  # x_bar sits at the middle of the +e0 face
             A = Box(center - half, center + half)
             e0 = np.eye(dim)[0]
-            w_face = _unit_orthogonal(rng, e0)  # tangent to the face
+            w_face = reference_unit_orthogonal(rng, e0)  # tangent to the face
             u = _unit(-math.sin(theta) * w_face - math.cos(theta) * e0)
             B = AffineSubspace(x_bar, [u])
             ray = w_face  # along the face, away from the line's shadow
