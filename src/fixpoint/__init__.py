@@ -11,8 +11,6 @@ from .engine import (
     AlternatingProjections,
     DouglasRachford,
     Trace,
-    apply,
-    candidates,
     residual_map,
     run,
 )
@@ -31,7 +29,6 @@ from .geometry import (
     Sphere,
     WholeSpace,
     distance,
-    project_all,
     project_one,
 )
 from .scenarios import Scenario, build, builtin_names, random_convex_pair

@@ -96,9 +96,8 @@ class SetSpec:
     within TIE_TOL of that least norm (the first such slot on an exact tie).
     ``_distance_many`` and ``_project_many`` apply it in blocks of rows, and
     closed forms override both; :func:`distance` is the one-row case of the
-    first.  ``_project`` on a checked vector is the one-row case of the
-    second; a convex variant overrides it, for the iteration loop's speed,
-    with the same closed form, whose bits are those of the batched row.
+    first.  ``_row_kernel()`` is the one way to project one checked vector,
+    with the bits of the second's one-row case.
     """
 
     dim: int
@@ -112,12 +111,9 @@ class SetSpec:
     def _candidates_many(self, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _project(self, x: Vector) -> Vector:
-        return self._project_many(x[None, :])[0]
-
     def _row_kernel(self):
-        """``_project`` with the set's constant operands bound, fetched by the loop once per run."""
-        return self._project
+        """The projector of one checked vector; the loop fetches it once per run."""
+        return lambda x: self._project_many(x[None, :])[0]
 
     def _distance_many(self, Y: np.ndarray) -> np.ndarray:
         return by_blocks(len(Y), lambda r: dot_norms(self._candidates_many(Y[r]) - Y[r, None, :]).min(axis=1),
@@ -189,10 +185,16 @@ def as_target(target: Target | None, dim: int, what: str) -> SetSpec:
 
 
 class _ConvexSet(SetSpec):
-    """A convex variant: ``_project`` is its closed-form projector."""
+    """A convex variant: ``_project_many`` is its closed-form projector, and,
+    as it takes a 1-d row too, its row kernel.  Ball and AffineSubspace have
+    a scalar closed form as their row kernel instead, with the batched row's
+    bits, where the benchmark's one-row calls pay for it (README, "Set kernels")."""
 
     convex = True
     closed_form = True
+
+    def _row_kernel(self):
+        return self._project_many
 
     def _candidates_many(self, Y):
         return self._project_many(Y)[:, None, :]
@@ -238,16 +240,10 @@ class Halfspace(_ConvexSet):
     def dim(self) -> int:
         return self.normal.shape[-1]
 
-    def _project(self, x):
-        excess = float(self.normal @ x) - self.offset
-        if excess <= 0.0:
-            return x.copy()
-        return x - (excess / self._sq_norm) * self.normal
-
     def _project_many(self, Y):
         excess = np.vecdot(Y, self.normal) - self.offset
-        moved = Y - (excess / self._sq_norm)[:, None] * self.normal
-        return np.where(excess[:, None] > 0.0, moved, Y)
+        moved = Y - (excess / self._sq_norm)[..., None] * self.normal
+        return np.where(excess[..., None] > 0.0, moved, Y)
 
     def _distance_many(self, Y):
         d = (np.vecdot(Y, self.normal) - self.offset) / self._norm
@@ -279,9 +275,6 @@ class AffineSubspace(_ConvexSet):
     def dim(self) -> int:
         return self.point.shape[-1]
 
-    def _project(self, x):
-        return self._row_kernel()(x)
-
     def _row_kernel(self):
         p, coef, span = self.point, self.basis.dot, self.basis.T.dot
         return (lambda x: p + span(coef(x - p))) if self.basis.size else (lambda x: p.copy())
@@ -312,12 +305,14 @@ class Ball(_ConvexSet):
     def dim(self) -> int:
         return self.center.shape[-1]
 
-    def _project(self, x):
-        u = x - self.center
-        nu = norm(u)
-        if nu <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / nu) * u
+    def _row_kernel(self):
+        c, r = self.center, self.radius
+
+        def project(x):
+            u = x - c
+            nu = norm(u)
+            return x.copy() if nu <= r else c + (r / nu) * u
+        return project
 
     def _project_many(self, Y):
         U = Y - self.center
@@ -350,9 +345,6 @@ class Box(_ConvexSet):
     def dim(self) -> int:
         return self.lo.shape[-1]
 
-    def _project(self, x):
-        return np.minimum(np.maximum(x, self.lo), self.hi)
-
     def _project_many(self, Y):
         return np.minimum(np.maximum(Y, self.lo), self.hi)
 
@@ -372,9 +364,6 @@ class WholeSpace(_ConvexSet):
     @property
     def dim(self) -> int:
         return self.space_dim
-
-    def _project(self, x):
-        return x.copy()
 
     def _project_many(self, Y):
         return Y.copy()
@@ -769,8 +758,8 @@ def nearest_candidates(s: SetSpec, Y: np.ndarray) -> np.ndarray:
 
 
 def project_one(s: SetSpec, x) -> Vector:
-    """Deterministic selection: the lexicographically smallest projection."""
-    return s._project(as_vector(x, s.dim))
+    """Deterministic selection: the lexicographically smallest projection, the row kernel's."""
+    return s._row_kernel()(as_vector(x, s.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -446,10 +446,9 @@ def _assert_batched_equals_one_row(s, Y):
     """Distances and projections of a batch equal the one-row calls bit for
     bit, signed zeros included, and each projection is the selection
     ``min(_nearest(candidates), key=tolist)`` among the row's candidates."""
-    dists, projs = s._distance_many(Y), s._project_many(Y)
+    dists, projs, kernel = s._distance_many(Y), s._project_many(Y), s._row_kernel()
     for y, d, p in zip(Y, dists, projs):
-        one = s._project(y)
-        assert d == distance(s, y) and p.tobytes() == one.tobytes()
+        assert d == distance(s, y) and p.tobytes() == kernel(y).tobytes() == project_one(s, y).tobytes()
         C = s._candidates_many(y[None, :])[0]
         ref = min(_nearest(list(C[np.isfinite(C[:, 0])]), y), key=np.ndarray.tolist)
         assert p.tobytes() == ref.tobytes()
@@ -826,15 +825,38 @@ def test_a_stack_takes_one_variant_and_one_set_is_itself():
             stack(sets)
 
 
+def reference_closed_form(s, y):
+    """A convex set's projection of the point y in scalar closed form, apart
+    from the set's kernels: the reference every row of them equals."""
+    if isinstance(s, Halfspace):
+        excess = float(s.normal @ y) - s.offset
+        return y.copy() if excess <= 0.0 else y - (excess / float(s.normal @ s.normal)) * s.normal
+    if isinstance(s, AffineSubspace):
+        if s.basis.size == 0:
+            return s.point.copy()
+        return s.point + s.basis.T.dot(s.basis.dot(y - s.point))
+    if isinstance(s, Ball):
+        u = y - s.center
+        nu = norm(u)
+        return y.copy() if nu <= s.radius else s.center + (s.radius / nu) * u
+    if isinstance(s, Box):
+        return np.minimum(np.maximum(y, s.lo), s.hi)
+    assert isinstance(s, WholeSpace), s
+    return y.copy()
+
+
 def assert_rows_are_the_closed_forms(sets, Y, owner) -> None:
     """Row i of ``take(stack(sets), owner)``'s kernels, and of set owner[i]'s
-    one-row calls, is set owner[i]'s closed form at Y[i], byte for byte."""
-    want = np.array([sets[k]._project(y) for k, y in zip(owner, Y)]).reshape(Y.shape)
+    one-row calls (its batched kernel, its row kernel and project_one), is
+    the reference closed form of set owner[i] at Y[i], byte for byte."""
+    want = np.array([reference_closed_form(sets[k], y) for k, y in zip(owner, Y)]).reshape(Y.shape)
     s = take(stack(sets), owner)
     assert s._project_many(Y).tobytes() == want.tobytes()
     assert s._distance_many(Y).tolist() == [distance(sets[k], y) for k, y in zip(owner, Y)]
+    kernels = [t._row_kernel() for t in sets]
     for k, y, w in zip(owner, Y, want):
         assert sets[k]._project_many(y[None, :]).tobytes() == w.tobytes()
+        assert kernels[k](y).tobytes() == project_one(sets[k], y).tobytes() == w.tobytes()
 
 
 CONVEX = {**random_convex_sets(np.random.default_rng(25), 5, 7, range(6)), "whole_space": [WholeSpace(5)]}
@@ -854,6 +876,15 @@ def test_convex_rows_are_the_same_at_every_batch_size(name):
         assert_rows_are_the_closed_forms(sets[:1], Y[:n], np.zeros(n, int))
 
 
+def test_a_row_kernel_is_stored_on_no_set():
+    # a row kernel binds its set's operands when fetched; the set keeps only its fields
+    y = np.linspace(-2.0, 2.0, 5)
+    for name, sets in CONVEX.items():
+        fields = set(vars(sets[0]))
+        sets[0]._row_kernel()(y)
+        assert set(vars(sets[0])) == fields, name
+
+
 def test_a_non_contiguous_basis_rounds_as_its_contiguous_copy():
     # a transposed slice of an orthogonal matrix is stored C-contiguous, so
     # its products round as those of its copy, scalar and batched
@@ -866,7 +897,7 @@ def test_a_non_contiguous_basis_rounds_as_its_contiguous_copy():
             sliced, copied = AffineSubspace(point, Q[:, :k].T), AffineSubspace(point, Q[:, :k].T.copy())
             assert not Q[:, :k].T.flags.c_contiguous and sliced.basis.flags.c_contiguous
             assert sliced._project_many(Y).tobytes() == copied._project_many(Y).tobytes()
-            assert all(sliced._project(y).tobytes() == copied._project(y).tobytes() for y in Y)
+            assert all(project_one(sliced, y).tobytes() == project_one(copied, y).tobytes() for y in Y)
             assert_rows_are_the_closed_forms([sliced], Y, np.zeros(len(Y), int))
 
 
@@ -891,7 +922,7 @@ def test_the_affine_row_kernel_is_the_projection_bit_for_bit():
                 else:
                     want = s.point + s.basis.T.dot(s.basis.dot(y - s.point))
                 got = kernel(y)
-                assert got.tobytes() == s._project(y).tobytes() == want.tobytes(), (d, k)
+                assert got.tobytes() == project_one(s, y).tobytes() == want.tobytes(), (d, k)
                 assert got is not s.point
             assert s._project_many(Y).tobytes() == np.array([kernel(y) for y in Y]).tobytes()
             assert set(vars(s)) == {"point", "basis"}

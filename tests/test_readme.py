@@ -1,24 +1,28 @@
 """The README's "Library use" snippet runs and gives the values it documents,
-its scenario schema is the one the loader reads, and its layout names every
-module."""
+its scenario schema is the one the loader reads, its layout names every
+module, and the package exports only names that have a caller."""
 
+import ast
 import json
 import math
 import re
 from pathlib import Path
 
+import fixpoint
 from fixpoint.cli import main
 from fixpoint.scenarios import EXPECTED, PIECES, SCENARIO, SETS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _library_use() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 def test_library_use_snippet_runs():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     env: dict = {}
-    exec(compile(code, "README.md", "exec"), env)
+    exec(compile(_library_use(), "README.md", "exec"), env)
     assert abs(env["q"].c - 0.25) <= 1e-6
     assert abs(env["srp"].value - 2 / math.sqrt(3)) <= 1e-3
     regularity = env["regularity"]
@@ -26,6 +30,25 @@ def test_library_use_snippet_runs():
         alone = regularity.estimate_sr_prime(p.A, p.B, p.base_point, 0.1,
                                              intersection=p.intersection, seed=seed)
         assert est.value == alone.value > 0
+
+
+def test_every_export_has_a_caller():
+    # a name fixpoint exports is used by a module of the package, or named
+    # by the README's "Library use" block
+    used = set()
+    for path in (README.parent / "src" / "fixpoint").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):  # an imported name
+                    used.add(node.name)
+                elif isinstance(node, ast.ImportFrom) and node.module:  # from .floatrepr import ...
+                    used.add(node.module.rpartition(".")[2])
+    named = set(re.findall(r"\w+", _library_use()))
+    assert [name for name in fixpoint.__all__ if name not in used | named] == []
 
 
 def test_schema_section_lists_the_loaders_keys():
