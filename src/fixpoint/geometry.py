@@ -186,9 +186,9 @@ def as_target(target: Target | None, dim: int, what: str) -> SetSpec:
 
 class _ConvexSet(SetSpec):
     """A convex variant: ``_project_many`` is its closed-form projector, and,
-    as it takes a 1-d row too, its row kernel.  Ball and AffineSubspace have
-    a scalar closed form as their row kernel instead, with the batched row's
-    bits, where the benchmark's one-row calls pay for it (README, "Set kernels")."""
+    as it takes a 1-d row too, its row kernel.  AffineSubspace has a scalar
+    closed form as its row kernel instead, with the batched row's bits, as
+    the benchmark's one-row calls pay for it (README, "Set kernels")."""
 
     convex = True
     closed_form = True
@@ -305,21 +305,12 @@ class Ball(_ConvexSet):
     def dim(self) -> int:
         return self.center.shape[-1]
 
-    def _row_kernel(self):
-        c, r = self.center, self.radius
-
-        def project(x):
-            u = x - c
-            nu = norm(u)
-            return x.copy() if nu <= r else c + (r / nu) * u
-        return project
-
     def _project_many(self, Y):
         U = Y - self.center
         nu = dot_norms(U)
         outside = nu > self.radius
         scale = np.divide(self.radius, nu, out=np.ones_like(nu), where=outside)
-        return np.where(outside[:, None], self.center + scale[:, None] * U, Y)
+        return np.where(outside[..., None], self.center + scale[..., None] * U, Y)
 
     def _distance_many(self, Y):
         d = dot_norms(Y - self.center) - self.radius

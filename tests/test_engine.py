@@ -624,8 +624,8 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
     # x, b and residual are the loop's own values, and the post-pass step_norm
     # rounds as the residual; each distance column is one batched kernel
     # call, of which distance() is the one-row case, so the columns equal
-    # distance() bit for bit; AP's dist_B is read off b_k, the scalar
-    # projection, which is the batched kernel's row
+    # distance() bit for bit; AP's dist_B is read off b_k, the row
+    # kernel's projection, which is the batched kernel's row
     sc = build("two_lines_pi3")
     pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines()]
     for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
@@ -667,7 +667,7 @@ def _iterating_pairs():
 
 @pytest.mark.parametrize("operator", list(OPERATORS.values()))
 def test_the_loop_step_is_apply_bit_for_bit(operator):
-    # run steps with each set's scalar kernel, apply with the batched
+    # run steps with each set's row kernel, apply with the batched
     # kernels' one row: every x_{k+1} is apply(x_k), and a run that records
     # b_k records each set's deterministic selection
     for sc, seed in itertools.product(_iterating_pairs(), range(4)):

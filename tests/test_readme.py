@@ -32,23 +32,44 @@ def test_library_use_snippet_runs():
         assert est.value == alone.value > 0
 
 
+def _package_names(tree: ast.Module, package: str) -> set:
+    """The names a module imports from the package's modules, the modules it
+    imports among them, and the attributes it reads of those modules: a name
+    of the package spelled by a local variable or an unrelated attribute
+    does not count."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(package)):
+            if node.module:  # from .geometry import ... uses the module geometry
+                names.add(node.module.rpartition(".")[2])
+            for alias in node.names:
+                names.add(alias.name)
+                if node.module in (None, package):  # from . import regularity as reg
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(node.attr)
+    return names
+
+
+def _module_level_loads(tree: ast.Module) -> set:
+    """The names a module's own top-level statements read, outside any
+    function or class body, as engine.OPERATORS reads DouglasRachford: each
+    is the module's global of that name, never a local variable."""
+    return {n.id for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def test_every_export_has_a_caller():
-    # a name fixpoint exports is used by a module of the package, or named
-    # by the README's "Library use" block
-    used = set()
+    # a name fixpoint exports is imported, or read off an imported module, by
+    # another module of the package or by the README's "Library use" block,
+    # or read at the top level of a module of the package
+    used = _package_names(ast.parse(_library_use()), "fixpoint")
     for path in (README.parent / "src" / "fixpoint").glob("*.py"):
         if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):  # an imported name
-                    used.add(node.name)
-                elif isinstance(node, ast.ImportFrom) and node.module:  # from .floatrepr import ...
-                    used.add(node.module.rpartition(".")[2])
-    named = set(re.findall(r"\w+", _library_use()))
-    assert [name for name in fixpoint.__all__ if name not in used | named] == []
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= _package_names(tree, "fixpoint") | _module_level_loads(tree)
+    assert [name for name in fixpoint.__all__ if name not in used] == []
 
 
 def test_schema_section_lists_the_loaders_keys():
