@@ -762,18 +762,17 @@ def ball_points(centers, radii, seeds, indices) -> np.ndarray:
     about centers[i], the first draws of ``default_rng([seed, index])``: n points of a seed are a
     prefix of 2n.  Each row's state is loaded into one generator, so every draw keeps its bits."""
     C = as_points(centers)
-    U, scale = np.empty(C.shape), np.empty(len(C))
+    U, R = np.empty(C.shape), np.empty(len(C))
     gen = np.random.Generator(np.random.PCG64(0))  # numpy loads numpy.random on first use
-    for k, radius, (st, inc) in zip(range(len(C)), np.asarray(radii, float).tolist(),
-                                    pcg64_states(seeds, indices), strict=True):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": st, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        u = gen.standard_normal(C.shape[1])
-        nu = norm(u)
-        if nu == 0.0:
-            u[0] = nu = 1.0
-        U[k] = u
-        scale[k] = radius * gen.random() ** (1.0 / C.shape[1]) / nu
+    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    for k, (st, inc) in zip(range(len(C)), pcg64_states(seeds, indices), strict=True):
+        state["state"] = {"state": st, "inc": inc}
+        gen.bit_generator.state = state
+        U[k], R[k] = gen.standard_normal(C.shape[1]), gen.random() ** (1.0 / C.shape[1])
+    nu = dot_norms(U)
+    U[nu == 0.0, 0] = 1.0  # a zero draw, as unlikely as it is, points along the first axis
+    nu[nu == 0.0] = 1.0
+    scale = np.asarray(radii, float).reshape(len(C)) * R / nu
     return C + scale[:, None] * U
 
 

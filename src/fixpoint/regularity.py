@@ -3,7 +3,8 @@
 Every estimator reports a supremum over a seeded, certified sample; the
 polish can push it above the true constant, so it is no lower bound.
 Doubling the sample count never decreases a value because samples are
-drawn from per-index streams and polished independently.
+drawn from per-index streams and polished independently, so a doubling
+check reads both counts off one draw of the larger.
 
 The sampled estimators share one skeleton, :func:`_sup_estimate`: it scores
 a ratio of each point's distance to a target, plain during the pattern
@@ -151,15 +152,16 @@ class _Region:
         self.centers, self.delta, self.on_set = centers, delta, on_set
         self.lam = None if isinstance(lam, WholeSpace) else lam
 
-    def sample(self, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-        """The admitted map of each center's ball stream (seed seeds[k]), and the rows' owners."""
+    def sample(self, samples: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The admitted map of each center's ball stream (seed seeds[k]), owners and indices."""
         check_sampling(self.delta, samples)
         seeds = [seed for _, seed in zip(self.centers, seeds, strict=True)]  # one per center
         owner = np.repeat(np.arange(len(seeds)), samples)
+        index = np.tile(np.arange(samples), len(seeds))
         X = ball_points(self.centers[owner], np.full(len(owner), self.delta),
-                        np.repeat(seeds, samples), np.tile(np.arange(samples), len(seeds)))
+                        np.repeat(seeds, samples), index)
         Y, ok = self.feasible(X, owner)
-        return Y[ok], owner[ok]
+        return Y[ok], owner[ok], index[ok]
 
     def feasible(self, Y: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The map of row i into region owner[i]: (mapped rows, which rows it
@@ -189,49 +191,57 @@ class _Region:
 
 
 def _sup_estimate(
-    kind: str, region: _Region, sample: tuple[np.ndarray, np.ndarray], ratio: Callable,
-    target: SetSpec, op: engine.OperatorSpec, samples: int, seeds,
+    kind: str, region: _Region, sample: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ratio: Callable, target: SetSpec, op: engine.OperatorSpec, counts: tuple[int, ...], seeds,
     refine_numerator: bool = False, polish_starts: int = POLISH_STARTS,
 ) -> list[RegularityEstimate]:
-    """Per region, the max of ``ratio(X, dist(X, target), owner)`` over its
-    points of the sample (P, owner: row i in region owner[i], regions in
-    turn) and over polished pattern-ascent endpoints, with its certificate.
-    A region's samples among its first ``polish_starts`` with a finite value
-    are polished, all in one :func:`ascend`, each depending only on its own
-    start.  The ascent climbs the plain ratio; with ``refine_numerator``,
-    ``op`` refines the distance to the target of every sample and polished
-    endpoint, once per point instead of once per step.  A +inf sample
-    decides its region's supremum and none of its starts is polished.  sr
-    and sr' clamp at 0 and flag a supremum <= 0; kappa flags only an
-    all-fixed-point sample (reported as 0); sigma raises on no usable one."""
+    """Per count n of the increasing ``counts`` and per region in turn, the
+    max of ``ratio(X, dist(X, target), owner)`` over its points of the sample
+    (P, owner, index: row i, point index[i] of region owner[i]'s stream,
+    regions in turn) drawn below n, and over polished pattern-ascent
+    endpoints, with its certificate.  Count n polishes those of its points
+    among its region's first ``polish_starts`` with a finite value, all in
+    one :func:`ascend`, each depending only on its own start, so a count
+    reads what a draw of n alone gives.  The ascent climbs the plain ratio;
+    with ``refine_numerator``, ``op`` refines the distance to the target of
+    every sample and polished endpoint, once per point.  A +inf point decides
+    its region's supremum at the counts that draw it, which polish none of
+    its starts.  sr and sr' clamp at 0 and flag a supremum <= 0; kappa flags
+    only an all-fixed-point sample (reported as 0); sigma raises on no usable one."""
 
     def scored(refine_op):
         return lambda X, owner: ratio(X, _intersection_distance(X, target, owner, refine_op), owner)
 
     plain = scored(None)
     final = scored(op) if refine_numerator else plain
-    P, owner = sample
+    P, owner, index = sample
     centers, delta = region.centers, region.delta
     vals = final(P, owner)
-    best = np.full(len(centers), -math.inf)
-    np.maximum.at(best, owner, vals)
+    drawn = index < np.array(counts)[:, None]  # drawn[k, i]: count k draws row i
+    best = np.full((len(counts), len(centers)), -math.inf)  # per count and region
+    for b, rows in zip(best, drawn):
+        np.maximum.at(b, owner[rows], vals[rows])
     rank = np.arange(len(P)) - np.searchsorted(owner, owner)  # within its region
-    starts = np.flatnonzero((rank < polish_starts) & np.isfinite(vals) & (best[owner] < math.inf))
-    if starts.size:
-        of = owner[starts]
-        cheap, Q = ascend(P[starts], lambda Y, at: plain(Y, of[at]),
+    starts = drawn & (rank < polish_starts) & np.isfinite(vals) & (best[:, owner] < math.inf)
+    polished = np.flatnonzero(starts.any(axis=0))
+    if polished.size:
+        of = owner[polished]
+        cheap, Q = ascend(P[polished], lambda Y, at: plain(Y, of[at]),
                           lambda Y, at: region.feasible(Y, of[at]), step=delta / 4)
         done = np.isfinite(cheap)
-        np.maximum.at(best, of[done], final(Q[done], of[done]))
-    if kind == "sigma" and not all(0.0 <= b < math.inf for b in best.tolist()):
+        ends = final(Q[done], of[done])
+        for b, rows in zip(best, starts[:, polished[done]]):
+            np.maximum.at(b, of[done][rows], ends[rows])
+    if kind == "sigma" and not all(0.0 <= b < math.inf for b in best.ravel().tolist()):
         raise ValueError("no usable samples (all residuals below the floor)")
-    spacing = _nominal_spacing(delta, samples, centers.shape[1])
     out = []
-    for center, seed, b in zip(centers, seeds, best.tolist()):
-        # a degenerate supremum is reported as 0: sr's and sr''s <= 0, kappa's over no point
-        degenerate = kind != "sigma" and (b == -math.inf if kind == "kappa_msr" else b <= 0.0)
-        out.append(RegularityEstimate(kind, 0.0 if degenerate else b, center, delta, region.lam,
-                                      SampleCertificate(seed, samples, spacing), degenerate))
+    for n, best_n in zip(counts, best.tolist()):
+        for center, seed, b in zip(centers, seeds, best_n):
+            # a degenerate supremum is reported as 0: sr's and sr''s <= 0, kappa's over no point
+            degenerate = kind != "sigma" and (b == -math.inf if kind == "kappa_msr" else b <= 0.0)
+            certificate = SampleCertificate(seed, n, _nominal_spacing(delta, n, centers.shape[1]))
+            out.append(RegularityEstimate(kind, 0.0 if degenerate else b, center, delta, region.lam,
+                                          certificate, degenerate))
     return out
 
 
@@ -272,6 +282,15 @@ def estimate_sr_prime_stack(
     """:func:`estimate_sr_prime` of pairs As[k], Bs[k] at base_points[k] with
     probes intersections[k] and seeds[k], all in one lockstep: A's, B's and
     probes each :func:`geometry.stack`.  Each estimate is its pair's own."""
+    return _sr_prime_counts(As, Bs, base_points, intersections, seeds, delta, lam, (samples,),
+                            refine_numerator, polish_starts)
+
+
+def _sr_prime_counts(As, Bs, base_points, intersections, seeds, delta: float, lam: Lambda | None,
+                     counts: tuple[int, ...], refine_numerator: bool = False,
+                     polish_starts: int = POLISH_STARTS) -> list[RegularityEstimate]:
+    """:func:`estimate_sr_prime_stack` at each of the increasing sample counts, read off
+    one draw of the largest: per count, each pair's estimate in turn."""
     xs, targets = zip(*[_common_point(*pair) for pair in
                         zip(As, Bs, base_points, intersections, strict=True)])
     A, B = stack(As), stack(Bs)
@@ -280,8 +299,8 @@ def estimate_sr_prime_stack(
     def ratio(X: np.ndarray, dn: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _feasibility_ratio(dn, take(B, owner)._distance_many(X))
 
-    return _sup_estimate("sr_prime", region, region.sample(samples, seeds), ratio, stack(targets),
-                         engine.AlternatingProjections(A, B), samples, seeds,
+    return _sup_estimate("sr_prime", region, region.sample(counts[-1], seeds), ratio,
+                         stack(targets), engine.AlternatingProjections(A, B), counts, seeds,
                          refine_numerator, polish_starts)
 
 
@@ -306,7 +325,7 @@ def estimate_sr(
         return _feasibility_ratio(dn, np.maximum(A._distance_many(X), B._distance_many(X)))
 
     return _sup_estimate("sr", region, region.sample(samples, [seed]), ratio, intersection,
-                         engine.AlternatingProjections(A, B), samples, [seed],
+                         engine.AlternatingProjections(A, B), (samples,), [seed],
                          refine_numerator, polish_starts)[0]
 
 
@@ -328,7 +347,7 @@ def estimate_sigma(
         return _divide(np.hypot(d_A, B._distance_many(X)), r, r > RES_FLOOR, -math.inf)
 
     return _sup_estimate("sigma", region, region.sample(samples, [seed]), ratio, A, op,
-                         samples, [seed])[0]
+                         (samples,), [seed])[0]
 
 
 def estimate_kappa(
@@ -364,9 +383,10 @@ def estimate_kappa(
     # shrunk onto a stuck point reports the sentinel rather than a large
     # finite ratio
     anchor, ok = region.feasible(center[None, :], np.zeros(1, int))
-    P = np.concatenate([anchor[ok], region.sample(samples, [seed])[0]])
-    return _sup_estimate("kappa_msr", region, (P, np.zeros(len(P), int)), ratio, fix_probe, op,
-                         samples, [seed], refine_numerator, polish_starts)[0]
+    P, _, index = region.sample(samples, [seed])
+    P, index = np.concatenate([anchor[ok], P]), np.r_[np.zeros(ok.sum(), int), index]
+    return _sup_estimate("kappa_msr", region, (P, np.zeros(len(P), int), index), ratio, fix_probe,
+                         op, (samples,), [seed], refine_numerator, polish_starts)[0]
 
 
 def estimate_violation(

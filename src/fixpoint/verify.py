@@ -13,6 +13,7 @@ import io
 import json
 import math
 import tempfile
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +41,42 @@ class CriterionResult:
         return f"[{mark}] criterion {self.cid:>2}: {self.name} ({self.details})"
 
 
-def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000):
+#: inside a run_suite call: the criteria not yet started, and key -> [result, reads left]
+_WORK: ContextVar[tuple[list, dict] | None] = ContextVar("work", default=None)
+
+
+def _shared(key, compute, readers=()):
+    """compute(), or in a run_suite call its result by key (a value, never an id), kept
+    for the criteria of readers the suite has yet to start, until the last has read it."""
+    if (work := _WORK.get()) is None:
+        return compute()
+    ahead, items = work
+    if key not in items:
+        items[key] = [compute(), 1 + sum(c in ahead for c in readers)]
+    items[key][1] -= 1
+    return (items.pop(key) if items[key][1] == 0 else items[key])[0]
+
+
+def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000, readers=()):
+    """The operator and its AP trace from seed_point, its arrays read-only, shared by
+    the scenario's name (a built-in's, or a random pair's seed, dimension and family)."""
     op = AlternatingProjections(sc.A, sc.B)
-    return op, run(op, seed_point, max_iter, target=sc.intersection)
+    tr = _shared((sc.name, np.asarray(seed_point, float).tobytes(), max_iter),
+                 lambda: run(op, seed_point, max_iter, target=sc.intersection), readers)
+    for a in (tr.x, tr.b, tr.dist_A, tr.dist_B, tr.dist_target, tr.residual, tr.step_norm):
+        a.setflags(write=False)
+    return op, tr
+
+
+def _dichotomy(sc: Scenario, seed_point, readers=()):
+    """The iterates of the AP trace from seed_point and its convex dichotomy
+    report, shared as one item: its reader needs no more, and keeping the
+    whole trace for it would hold the trace's other six columns too."""
+    def iterates_and_report():
+        tr = _ap_trace(sc, seed_point)[1]
+        return tr.x, diag.check_convex_dichotomy(tr)
+
+    return _shared(("dichotomy", sc.name, seed_point.tobytes()), iterates_and_report, readers)
 
 
 def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
@@ -51,10 +85,21 @@ def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def _convex_corpus(count: int, dims=(2, 3), families=("halfspace_ball", "box_affine", "ball_ball")):
-    """Pair i of a corpus: seed i, dimension and family cycling through their tuples."""
-    for i in range(count):
-        yield i, random_convex_pair(i, dims[i % len(dims)], families[i % len(families)])
+def _corpus(count: int, dims=(2, 3), families=("halfspace_ball", "box_affine", "ball_ball")):
+    """Keys (seed i, dimension, family) of pair i, its dimension and family cycling, in a dict."""
+    return dict.fromkeys((i, dims[i % len(dims)], families[i % len(families)]) for i in range(count))
+
+
+#: each criterion's random pairs
+_CORPORA = {6: _corpus(200), 7: _corpus(100, (2, 3, 4)), 8: _corpus(100),
+            9: _corpus(20, (2,), ("box_affine",)), 12: _corpus(5, (2,), ("box_affine",))}
+
+
+def _pairs(keys):
+    """(key, pair) of each key, the pair shared with the criteria whose corpus holds it."""
+    for key in keys:
+        readers = [c for c in _CORPORA if key in _CORPORA[c]]
+        yield key, _shared(key, lambda: random_convex_pair(*key), readers)
 
 
 def _stacks(cases: dict) -> list:
@@ -97,7 +142,7 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Two lines at pi/3: measured rates, kappa, and the tight msr bound."""
     sc = build("two_lines_pi3")
-    op, tr = _ap_trace(sc, [1.0, 0.0])
+    op, tr = _ap_trace(sc, [1.0, 0.0], readers=(9,))  # criterion 9's first windowed trace
     q = diag.estimate_q_rate(tr.x, limit=sc.base_point)
     mon = diag.check_linear_monotone(tr.x, sc.intersection)
     kap = reg.estimate_kappa(
@@ -181,11 +226,8 @@ def criterion_5() -> CriterionResult:
         if is_peak and tr.stop_reason == "fixed_point" and tr.dist_target[-1] >= 0.5 ** (n + 2):
             stuck_ok += 1
             details.append(f"1/2^{n}")
-    srp_a, srp_b = (
-        reg.estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.5, intersection=sc.intersection,
-                              samples=n, seed=11, polish_starts=8)
-        for n in (192, 384)
-    )
+    srp_a, srp_b = reg._sr_prime_counts([sc.A], [sc.B], [sc.base_point], [sc.intersection], [11],
+                                        0.5, None, (192, 384), polish_starts=8)
     stable = (
         math.isfinite(srp_a.value)
         and srp_b.value >= srp_a.value
@@ -204,15 +246,16 @@ def criterion_6() -> CriterionResult:
     """Convex dichotomy holds on every trace of a 200-pair random corpus."""
     bad = 0
     outcomes = {"already_solved": 0, "solved_in_one": 0, "never_reaches": 0}
-    corpus = list(_convex_corpus(200))
+    corpus = list(_pairs(_CORPORA[6]))
     drawn = {}  # pair i's seed point: point 0 of seed 900 + i on its seed region
     for d in {sc.A.dim for _, sc in corpus}:
-        ids, group = zip(*[(i, sc) for i, sc in corpus if sc.A.dim == d])
+        ids, group = zip(*[(i, sc) for (i, *_), sc in corpus if sc.A.dim == d])
         centers, radii = zip(*[sc.seed_region for sc in group])
         drawn.update(zip(ids, ball_points(centers, radii, [900 + i for i in ids], [0] * len(ids))))
-    for i, sc in corpus:
-        for s in (sc.base_point + 0.08 * sc.boundary_ray, drawn[i]):
-            rep = diag.check_convex_dichotomy(_ap_trace(sc, s)[1])
+    for key, sc in corpus:  # criterion 8 reads the boundary runs of its pairs
+        for s, readers in ((sc.base_point + 0.08 * sc.boundary_ray, (8,) if key in _CORPORA[8] else ()),
+                           (drawn[key[0]], ())):
+            rep = _dichotomy(sc, s, readers)[1]
             outcomes[rep.outcome] += 1
             if rep.outcome == "never_reaches" and not rep.bound_holds:
                 bad += 1
@@ -230,7 +273,7 @@ def criterion_7() -> CriterionResult:
     rng = np.random.default_rng(1905)
     bad_ratio = bad_sides = 0
     per_pair = 100
-    for _, sc in _convex_corpus(100, dims=(2, 3, 4)):
+    for _, sc in _pairs(_CORPORA[7]):
         A, B, x_common = sc.A, sc.B, sc.base_point
         # the pair's queries in one draw, the stream of per_pair draws of A.dim
         X = A._project_many(x_common + rng.uniform(-1, 1, (per_pair, A.dim)))
@@ -258,18 +301,17 @@ def criterion_8() -> CriterionResult:
     fails = n_linear = 0
     worst_i = worst_ii = math.inf
     cases, rates = {}, {}  # corpus index -> sr' arguments, and -> (c_mon, c_r)
-    for i, sc in _convex_corpus(100):
-        _, tr = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)
-        rep = diag.check_convex_dichotomy(tr)
-        x_lim = tr.limit
+    for (i, *_), sc in _pairs(_CORPORA[8]):
+        X, rep = _dichotomy(sc, sc.base_point + 0.08 * sc.boundary_ray)
+        x_lim = X[-1]
         probe = [x_lim, sc.base_point]
         if rep.outcome == "never_reaches":
-            ds = as_target(probe, x_lim.size, "probe")._distance_many(tr.x)
+            ds = as_target(probe, x_lim.size, "probe")._distance_many(X)
             idx = [k for k, d in enumerate(ds) if 1e-8 <= d <= 0.02]
             if len(idx) < 4:
                 continue
             n_linear += 1
-            tail = tr.x[idx[0] : idx[-1] + 1]
+            tail = X[idx[0] : idx[-1] + 1]
             c_mon = diag.check_linear_monotone(tail, probe, floor=1e-8).c
             c_r = diag.estimate_r_rate(tail, limit=x_lim, floor=1e-8).c
         else:
@@ -300,11 +342,11 @@ def criterion_8() -> CriterionResult:
 def _windowed_traces():
     """(trace, K, frequency-2 extendibility of the joining sequence up to
     x_K) for each AP trace of the convex corpus whose window ends at K >= 3."""
-    corpus = [(build("two_lines_pi3"), [1.0, 0.0])]
-    for _, sc in _convex_corpus(20, dims=(2,), families=("box_affine",)):
-        corpus.append((sc, sc.base_point + 0.1 * sc.boundary_ray))
-    for sc, seed_point in corpus:
-        tr = _ap_trace(sc, seed_point)[1]
+    corpus = [(build("two_lines_pi3"), [1.0, 0.0], ())]
+    for key, sc in _pairs(_CORPORA[9]):
+        corpus.append((sc, sc.base_point + 0.1 * sc.boundary_ray, (12,) if key in _CORPORA[12] else ()))
+    for sc, seed_point, readers in corpus:
+        tr = _ap_trace(sc, seed_point, readers=readers)[1]
         K = _window_end(tr)
         if K >= 3:
             yield tr, K, diag.check_linear_extendible(tr.z[: 2 * K + 2], 2)
@@ -313,7 +355,7 @@ def _windowed_traces():
 def criterion_9() -> CriterionResult:
     """On Q-linear convex traces the joining sequence extends with rate <= c."""
     fails = checked = 0
-    for tr, K, ext in _windowed_traces():
+    for tr, K, ext in _shared("windowed", lambda: list(_windowed_traces()), readers=(10,)):
         checked += 1
         q = diag.estimate_q_rate(tr.x[: K + 1], limit=tr.limit, floor=WINDOW_FLOOR)
         if q.c < 1.0 and not (ext.holds and ext.c <= q.c + 1e-9):
@@ -329,7 +371,7 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Extendibility certifies the explicit geometric envelope."""
     fails = checked = 0
-    for tr, K, ext in _windowed_traces():
+    for tr, K, ext in _shared("windowed", lambda: list(_windowed_traces())):  # criterion 9's
         if not ext.holds:
             continue
         checked += 1
@@ -346,11 +388,8 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Epigraph pair: finite local modulus, divergent global ratio."""
     sc = build("epigraph")
-    srp_a, srp_b = (
-        reg.estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.3, intersection=sc.intersection,
-                              samples=n, seed=3)
-        for n in (128, 256)
-    )
+    srp_a, srp_b = reg._sr_prime_counts([sc.A], [sc.B], [sc.base_point], [sc.intersection], [3],
+                                        0.3, None, (128, 256))
     local_ok = (
         math.isfinite(srp_a.value)
         and srp_a.value <= srp_b.value <= 1.1 * srp_a.value
@@ -369,9 +408,7 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     """Measured monotonicity never beats the certified rate formula."""
     fails = checked = 0
-    cases = [build("two_lines_pi3"), build("two_lines_pi2")] + [
-        random_convex_pair(i, 2, "box_affine") for i in range(5)
-    ]
+    cases = [build("two_lines_pi3"), build("two_lines_pi2")] + [sc for _, sc in _pairs(_CORPORA[12])]
     for sc in cases:
         seed = (
             sc.base_point + 0.1 * sc.boundary_ray
@@ -464,4 +501,9 @@ SUITES = {
 def run_suite(name: str) -> list[CriterionResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    return [ALL_CRITERIA[cid - 1]() for cid in SUITES[name]]
+    ahead = list(SUITES[name])
+    token = _WORK.set((ahead, {}))  # the work its criteria share lives for this call only
+    try:
+        return [ALL_CRITERIA[ahead.pop(0) - 1]() for _ in SUITES[name]]
+    finally:
+        _WORK.reset(token)

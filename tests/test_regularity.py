@@ -13,8 +13,10 @@ from fixpoint.engine import (
 from fixpoint.geometry import (
     AffineSubspace,
     Ball,
+    Box,
     DimensionMismatch,
     Halfspace,
+    SetUnion,
     Sphere,
     WholeSpace,
     as_target,
@@ -27,6 +29,7 @@ from fixpoint.geometry import (
 from fixpoint.regularity import (
     _feasibility_ratio,
     _Region,
+    _sr_prime_counts,
     estimate_kappa,
     estimate_sigma,
     estimate_sr,
@@ -39,7 +42,7 @@ from fixpoint.regularity import (
     verify_bracket,
 )
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
-from fixpoint.verify import _ap_trace, _convex_corpus, _stacks
+from fixpoint.verify import _ap_trace, _corpus, _pairs, _stacks
 
 PI3 = build("two_lines_pi3")
 ORIGIN = [np.zeros(2)]
@@ -306,7 +309,7 @@ def test_bracket_accepts_a_whole_space_lam_beside_none():
 
 
 def test_bracket_property_on_random_pairs():
-    for i, sc in _convex_corpus(100, dims=(2,)):
+    for (i, *_), sc in _pairs(_corpus(100, (2,))):
         kw = dict(intersection=[sc.base_point], samples=48, seed=50 + i,
                   refine_numerator=True, polish_starts=6)
         srp = estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.1, **kw)
@@ -372,6 +375,47 @@ def test_monotone_refinement_never_decreases():
     assert vals[0] <= vals[1]
 
 
+# a line A and a B that is a line at pi/3 with a small ball off A: sr' ratios
+# range from 1/sin(pi/3) to about 6.16 near the ball, which the polish finds;
+# BOXED adds a box on A, whose points score +inf (in B, away from the probe)
+LINE = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+NEAR = (AffineSubspace(np.zeros(2), np.array([[0.5, math.sqrt(3.0) / 2]])), Ball(np.array([-0.3, 0.1]), 0.05))
+BALLED, BOXED = SetUnion(NEAR), SetUnion(NEAR + (Box(np.array([0.44, -0.01]), np.array([0.46, 0.01])),))
+
+
+def _args(*scenarios):
+    return [(sc.A, sc.B, sc.base_point, sc.intersection) for sc in scenarios]
+
+
+@pytest.mark.parametrize(
+    "pairs, delta, counts, seeds, options",
+    [
+        (_args(build("sawtooth")), 0.5, (192, 384), [11], dict(polish_starts=8)),  # criterion 5
+        (_args(build("epigraph")), 0.3, (128, 256), [3], {}),  # criterion 11
+        (_args(PI3), 0.5, (64, 128, 256), [7], {}),
+        # +inf beyond the smaller count only: the smaller count polishes (3.44 -> 6.16), the
+        # larger does not
+        ([(LINE, BOXED, np.zeros(2), ORIGIN)], 0.5, (16, 64), [4], dict(polish_starts=8)),
+        # the smaller count admits fewer rows than polish_starts: its 4 polish to 1.15, the
+        # larger count's 32 to 6.16
+        ([(LINE, BALLED, np.zeros(2), ORIGIN)], 0.5, (4, 64), [2], {}),
+        # three regions in one lockstep, the numerator refined
+        (_args(*(random_convex_pair(i, 3, "box_affine") for i in (3, 4, 6))), 0.3, (24, 48),
+         [1, 2, 3], dict(refine_numerator=True, polish_starts=12)),
+    ],
+    ids=["sawtooth", "epigraph", "two_lines_pi3", "inf_beyond_the_smaller", "few_admitted", "stack"],
+)
+def test_estimates_at_nested_counts_equal_separate_estimates(pairs, delta, counts, seeds, options):
+    # one draw of the largest count and one ascent give, per count, the
+    # estimate that a draw of that count alone gives, byte for byte
+    args = (*zip(*pairs), seeds, delta, None)
+    nested = _sr_prime_counts(*args, counts, **options)
+    alone = [e for n in counts for e in estimate_sr_prime_stack(*args, samples=n, **options)]
+    assert [repr(e.to_json_dict()) for e in nested] == [repr(e.to_json_dict()) for e in alone]
+    if pairs[0][1] is BOXED:
+        assert 6.16 < nested[0].value < math.inf and nested[1].value == math.inf
+
+
 def _polish_maps(pairs, seeds, lam=None):
     """The sr' polish of the pairs' regions (radius 0.3 on A, each with its
     own seed and, if given, its own lam): their sample and owners, and the
@@ -381,7 +425,7 @@ def _polish_maps(pairs, seeds, lam=None):
                      lam=None if lam is None else stack([lam(sc) for sc in pairs]))
     probe = stack([as_target(sc.intersection, sc.A.dim, "intersection") for sc in pairs])
     B = stack([sc.B for sc in pairs])
-    P, owner = region.sample(12, seeds)
+    P, owner, _ = region.sample(12, seeds)
 
     def ratio(X, at):
         return _feasibility_ratio(take(probe, owner[at])._distance_many(X),
@@ -425,7 +469,7 @@ def test_stacked_sr_prime_estimates_equal_the_per_pair_estimates():
     # stacks (a family and a dimension each): one stacked estimate per
     # stack reports every pair's own estimate, bit for bit
     cases = {}
-    for i, sc in _convex_corpus(18):
+    for (i, *_), sc in _pairs(_corpus(18)):
         x_lim = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)[1].limit
         cases[i] = sc.A, sc.B, x_lim, [x_lim, sc.base_point], 100 + i
     options = dict(samples=96, refine_numerator=True, polish_starts=12)
@@ -493,7 +537,7 @@ def test_region_maps_points_into_on_set_and_lam():
     # the sample is the admitted rows of the map of the ball stream
     Y, ok = region.feasible(np.array(sample_ball(np.zeros(2), 0.3, 16, 3)), np.zeros(16, int))
     assert 0 < ok.sum() < 16 and np.array_equal(region.sample(16, [3])[0], Y[ok])
-    P, owner = _Region(np.zeros(2), 1.0, lam=lam).sample(8, [0])
+    P, owner, _ = _Region(np.zeros(2), 1.0, lam=lam).sample(8, [0])
     assert all(distance(lam, p) <= 1e-12 for p in P) and not owner.any()
 
 
@@ -601,7 +645,7 @@ def test_estimates_restricted_to_affine_constraint():
 @pytest.mark.parametrize("i", range(4))
 def test_a_whole_space_lam_is_no_constraint(i, refine):
     # every estimate with lam=WholeSpace(d) is the lam=None one, bit for bit
-    sc = dict(_convex_corpus(4))[i]
+    sc = random_convex_pair(*list(_corpus(4))[i])
     d = sc.A.dim
     probe = [sc.base_point]
     kw = dict(samples=32, seed=20 + i, refine_numerator=refine, polish_starts=6)
