@@ -4,7 +4,8 @@ Every estimator reports a supremum over a seeded, certified sample; the
 polish can push it above the true constant, so it is no lower bound.
 Doubling the sample count never decreases a value because samples are
 drawn from per-index streams and polished independently, so a doubling
-check reads both counts off one draw of the larger.
+check reads both counts off one draw of the larger
+(:func:`estimate_sr_prime_stack` takes increasing sample counts).
 
 The sampled estimators share one skeleton, :func:`_sup_estimate`: it scores
 a ratio of each point's distance to a target, plain during the pattern
@@ -272,25 +273,19 @@ def estimate_sr_prime(
     skipping points where both distances vanish (those contribute 0).
     """
     return estimate_sr_prime_stack([A], [B], [base_point], [intersection], [seed], delta, lam,
-                                   samples, refine_numerator, polish_starts)[0]
+                                   (samples,), refine_numerator, polish_starts)[0]
 
 
 def estimate_sr_prime_stack(
     As, Bs, base_points, intersections, seeds, delta: float, lam: Lambda | None = None,
-    samples: int = 256, refine_numerator: bool = False, polish_starts: int = POLISH_STARTS,
+    counts: tuple[int, ...] = (256,), refine_numerator: bool = False,
+    polish_starts: int = POLISH_STARTS,
 ) -> list[RegularityEstimate]:
     """:func:`estimate_sr_prime` of pairs As[k], Bs[k] at base_points[k] with
     probes intersections[k] and seeds[k], all in one lockstep: A's, B's and
-    probes each :func:`geometry.stack`.  Each estimate is its pair's own."""
-    return _sr_prime_counts(As, Bs, base_points, intersections, seeds, delta, lam, (samples,),
-                            refine_numerator, polish_starts)
-
-
-def _sr_prime_counts(As, Bs, base_points, intersections, seeds, delta: float, lam: Lambda | None,
-                     counts: tuple[int, ...], refine_numerator: bool = False,
-                     polish_starts: int = POLISH_STARTS) -> list[RegularityEstimate]:
-    """:func:`estimate_sr_prime_stack` at each of the increasing sample counts, read off
-    one draw of the largest: per count, each pair's estimate in turn."""
+    probes each :func:`geometry.stack`.  Per count of the increasing
+    ``counts``, each pair's estimate in turn, read off one draw of the largest;
+    each estimate is its pair's own at that sample count."""
     xs, targets = zip(*[_common_point(*pair) for pair in
                         zip(As, Bs, base_points, intersections, strict=True)])
     A, B = stack(As), stack(Bs)

@@ -3,6 +3,13 @@
 Each criterion is a function returning a :class:`CriterionResult`; the CLI
 ``verify`` subcommand and the acceptance test module both run these, so a
 pass here is exactly a pass there.
+
+A :func:`run_suite` call hands two results forward, each kept only until its
+one reader reads it: criterion 6's boundary runs of its first 100 pairs, which
+are criterion 8's whole corpus, and criterion 9's windowed traces, which
+criterion 10 checks.  A criterion called alone, or in a suite without the
+criterion that hands its result forward, computes that result itself and
+prints the same line.
 """
 
 from __future__ import annotations
@@ -41,42 +48,33 @@ class CriterionResult:
         return f"[{mark}] criterion {self.cid:>2}: {self.name} ({self.details})"
 
 
-#: inside a run_suite call: the criteria not yet started, and key -> [result, reads left]
+#: inside a run_suite call: the criteria not yet started, and key -> a result handed forward
 _WORK: ContextVar[tuple[list, dict] | None] = ContextVar("work", default=None)
 
 
-def _shared(key, compute, readers=()):
-    """compute(), or in a run_suite call its result by key (a value, never an id), kept
-    for the criteria of readers the suite has yet to start, until the last has read it."""
+def _shared(key, compute, reader=None):
+    """compute(), or in a run_suite call the result that an earlier criterion kept
+    under key, removed by this one read; a result is kept only while criterion
+    ``reader`` has yet to start in the call."""
     if (work := _WORK.get()) is None:
         return compute()
     ahead, items = work
-    if key not in items:
-        items[key] = [compute(), 1 + sum(c in ahead for c in readers)]
-    items[key][1] -= 1
-    return (items.pop(key) if items[key][1] == 0 else items[key])[0]
+    if key in items:
+        return items.pop(key)
+    value = compute()
+    if reader in ahead:
+        items[key] = value
+    return value
 
 
-def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000, readers=()):
-    """The operator and its AP trace from seed_point, its arrays read-only, shared by
-    the scenario's name (a built-in's, or a random pair's seed, dimension and family)."""
+def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000):
+    """The operator and its AP trace from seed_point, the trace's arrays
+    read-only: a criterion handed a trace forward cannot change it."""
     op = AlternatingProjections(sc.A, sc.B)
-    tr = _shared((sc.name, np.asarray(seed_point, float).tobytes(), max_iter),
-                 lambda: run(op, seed_point, max_iter, target=sc.intersection), readers)
+    tr = run(op, seed_point, max_iter, target=sc.intersection)
     for a in (tr.x, tr.b, tr.dist_A, tr.dist_B, tr.dist_target, tr.residual, tr.step_norm):
         a.setflags(write=False)
     return op, tr
-
-
-def _dichotomy(sc: Scenario, seed_point, readers=()):
-    """The iterates of the AP trace from seed_point and its convex dichotomy
-    report, shared as one item: its reader needs no more, and keeping the
-    whole trace for it would hold the trace's other six columns too."""
-    def iterates_and_report():
-        tr = _ap_trace(sc, seed_point)[1]
-        return tr.x, diag.check_convex_dichotomy(tr)
-
-    return _shared(("dichotomy", sc.name, seed_point.tobytes()), iterates_and_report, readers)
 
 
 def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
@@ -86,20 +84,19 @@ def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
 
 
 def _corpus(count: int, dims=(2, 3), families=("halfspace_ball", "box_affine", "ball_ball")):
-    """Keys (seed i, dimension, family) of pair i, its dimension and family cycling, in a dict."""
-    return dict.fromkeys((i, dims[i % len(dims)], families[i % len(families)]) for i in range(count))
+    """(key, pair) of pair i, key (seed i, dimension, family), its dimension and family cycling."""
+    keys = [(i, dims[i % len(dims)], families[i % len(families)]) for i in range(count)]
+    return [(key, random_convex_pair(*key)) for key in keys]
 
 
-#: each criterion's random pairs
-_CORPORA = {6: _corpus(200), 7: _corpus(100, (2, 3, 4)), 8: _corpus(100),
-            9: _corpus(20, (2,), ("box_affine",)), 12: _corpus(5, (2,), ("box_affine",))}
-
-
-def _pairs(keys):
-    """(key, pair) of each key, the pair shared with the criteria whose corpus holds it."""
-    for key in keys:
-        readers = [c for c in _CORPORA if key in _CORPORA[c]]
-        yield key, _shared(key, lambda: random_convex_pair(*key), readers)
+def _boundary_runs(corpus) -> list:
+    """(key, pair, iterates, dichotomy report) of each pair's AP run from 0.08
+    along its boundary ray."""
+    out = []
+    for key, sc in corpus:
+        tr = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)[1]
+        out.append((key, sc, tr.x, diag.check_convex_dichotomy(tr)))
+    return out
 
 
 def _stacks(cases: dict) -> list:
@@ -142,7 +139,7 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Two lines at pi/3: measured rates, kappa, and the tight msr bound."""
     sc = build("two_lines_pi3")
-    op, tr = _ap_trace(sc, [1.0, 0.0], readers=(9,))  # criterion 9's first windowed trace
+    op, tr = _ap_trace(sc, [1.0, 0.0])
     q = diag.estimate_q_rate(tr.x, limit=sc.base_point)
     mon = diag.check_linear_monotone(tr.x, sc.intersection)
     kap = reg.estimate_kappa(
@@ -226,8 +223,8 @@ def criterion_5() -> CriterionResult:
         if is_peak and tr.stop_reason == "fixed_point" and tr.dist_target[-1] >= 0.5 ** (n + 2):
             stuck_ok += 1
             details.append(f"1/2^{n}")
-    srp_a, srp_b = reg._sr_prime_counts([sc.A], [sc.B], [sc.base_point], [sc.intersection], [11],
-                                        0.5, None, (192, 384), polish_starts=8)
+    srp_a, srp_b = reg.estimate_sr_prime_stack([sc.A], [sc.B], [sc.base_point], [sc.intersection],
+                                               [11], 0.5, None, (192, 384), polish_starts=8)
     stable = (
         math.isfinite(srp_a.value)
         and srp_b.value >= srp_a.value
@@ -246,19 +243,20 @@ def criterion_6() -> CriterionResult:
     """Convex dichotomy holds on every trace of a 200-pair random corpus."""
     bad = 0
     outcomes = {"already_solved": 0, "solved_in_one": 0, "never_reaches": 0}
-    corpus = list(_pairs(_CORPORA[6]))
+    corpus = _corpus(200)
     drawn = {}  # pair i's seed point: point 0 of seed 900 + i on its seed region
     for d in {sc.A.dim for _, sc in corpus}:
         ids, group = zip(*[(i, sc) for (i, *_), sc in corpus if sc.A.dim == d])
         centers, radii = zip(*[sc.seed_region for sc in group])
         drawn.update(zip(ids, ball_points(centers, radii, [900 + i for i in ids], [0] * len(ids))))
-    for key, sc in corpus:  # criterion 8 reads the boundary runs of its pairs
-        for s, readers in ((sc.base_point + 0.08 * sc.boundary_ray, (8,) if key in _CORPORA[8] else ()),
-                           (drawn[key[0]], ())):
-            rep = _dichotomy(sc, s, readers)[1]
-            outcomes[rep.outcome] += 1
-            if rep.outcome == "never_reaches" and not rep.bound_holds:
-                bad += 1
+    # the boundary runs of the first 100 pairs are criterion 8's corpus
+    reports = [rep for *_, rep in _shared("boundary runs", lambda: _boundary_runs(corpus[:100]), 8)
+               + _boundary_runs(corpus[100:])]
+    reports += [diag.check_convex_dichotomy(_ap_trace(sc, drawn[i])[1]) for (i, *_), sc in corpus]
+    for rep in reports:
+        outcomes[rep.outcome] += 1
+        if rep.outcome == "never_reaches" and not rep.bound_holds:
+            bad += 1
     ok = bad == 0
     return CriterionResult(
         6,
@@ -273,7 +271,7 @@ def criterion_7() -> CriterionResult:
     rng = np.random.default_rng(1905)
     bad_ratio = bad_sides = 0
     per_pair = 100
-    for _, sc in _pairs(_CORPORA[7]):
+    for _, sc in _corpus(100, (2, 3, 4)):
         A, B, x_common = sc.A, sc.B, sc.base_point
         # the pair's queries in one draw, the stream of per_pair draws of A.dim
         X = A._project_many(x_common + rng.uniform(-1, 1, (per_pair, A.dim)))
@@ -297,12 +295,12 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Convex necessity and sufficiency loop over 100 random pairs."""
+    """Convex necessity and sufficiency loop over 100 random pairs: criterion
+    6's first 100, from their boundary runs."""
     fails = n_linear = 0
     worst_i = worst_ii = math.inf
     cases, rates = {}, {}  # corpus index -> sr' arguments, and -> (c_mon, c_r)
-    for (i, *_), sc in _pairs(_CORPORA[8]):
-        X, rep = _dichotomy(sc, sc.base_point + 0.08 * sc.boundary_ray)
+    for (i, *_), sc, X, rep in _shared("boundary runs", lambda: _boundary_runs(_corpus(100))):
         x_lim = X[-1]
         probe = [x_lim, sc.base_point]
         if rep.outcome == "never_reaches":
@@ -321,7 +319,7 @@ def criterion_8() -> CriterionResult:
     for group in _stacks(cases):
         srp.update(zip(group, reg.estimate_sr_prime_stack(
             *zip(*(cases[i] for i in group)), 0.02,
-            samples=96, refine_numerator=True, polish_starts=12)))
+            counts=(96,), refine_numerator=True, polish_starts=12)))
     for i, (c_mon, c_r) in rates.items():  # corpus order
         value = srp[i].value
         rhs_i = 1.0 - value**-2 + 1e-2 if value > 0 else math.inf
@@ -342,11 +340,11 @@ def criterion_8() -> CriterionResult:
 def _windowed_traces():
     """(trace, K, frequency-2 extendibility of the joining sequence up to
     x_K) for each AP trace of the convex corpus whose window ends at K >= 3."""
-    corpus = [(build("two_lines_pi3"), [1.0, 0.0], ())]
-    for key, sc in _pairs(_CORPORA[9]):
-        corpus.append((sc, sc.base_point + 0.1 * sc.boundary_ray, (12,) if key in _CORPORA[12] else ()))
-    for sc, seed_point, readers in corpus:
-        tr = _ap_trace(sc, seed_point, readers=readers)[1]
+    corpus = [(build("two_lines_pi3"), [1.0, 0.0])]
+    for _, sc in _corpus(20, (2,), ("box_affine",)):
+        corpus.append((sc, sc.base_point + 0.1 * sc.boundary_ray))
+    for sc, seed_point in corpus:
+        tr = _ap_trace(sc, seed_point)[1]
         K = _window_end(tr)
         if K >= 3:
             yield tr, K, diag.check_linear_extendible(tr.z[: 2 * K + 2], 2)
@@ -355,7 +353,7 @@ def _windowed_traces():
 def criterion_9() -> CriterionResult:
     """On Q-linear convex traces the joining sequence extends with rate <= c."""
     fails = checked = 0
-    for tr, K, ext in _shared("windowed", lambda: list(_windowed_traces()), readers=(10,)):
+    for tr, K, ext in _shared("windowed", lambda: list(_windowed_traces()), 10):
         checked += 1
         q = diag.estimate_q_rate(tr.x[: K + 1], limit=tr.limit, floor=WINDOW_FLOOR)
         if q.c < 1.0 and not (ext.holds and ext.c <= q.c + 1e-9):
@@ -388,8 +386,8 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Epigraph pair: finite local modulus, divergent global ratio."""
     sc = build("epigraph")
-    srp_a, srp_b = reg._sr_prime_counts([sc.A], [sc.B], [sc.base_point], [sc.intersection], [3],
-                                        0.3, None, (128, 256))
+    srp_a, srp_b = reg.estimate_sr_prime_stack([sc.A], [sc.B], [sc.base_point], [sc.intersection],
+                                               [3], 0.3, None, (128, 256))
     local_ok = (
         math.isfinite(srp_a.value)
         and srp_a.value <= srp_b.value <= 1.1 * srp_a.value
@@ -408,7 +406,8 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     """Measured monotonicity never beats the certified rate formula."""
     fails = checked = 0
-    cases = [build("two_lines_pi3"), build("two_lines_pi2")] + [sc for _, sc in _pairs(_CORPORA[12])]
+    cases = [build("two_lines_pi3"), build("two_lines_pi2")]
+    cases += [sc for _, sc in _corpus(5, (2,), ("box_affine",))]
     for sc in cases:
         seed = (
             sc.base_point + 0.1 * sc.boundary_ray
@@ -502,7 +501,7 @@ def run_suite(name: str) -> list[CriterionResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     ahead = list(SUITES[name])
-    token = _WORK.set((ahead, {}))  # the work its criteria share lives for this call only
+    token = _WORK.set((ahead, {}))  # what its criteria hand forward lives for this call only
     try:
         return [ALL_CRITERIA[ahead.pop(0) - 1]() for _ in SUITES[name]]
     finally:

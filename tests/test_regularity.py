@@ -29,7 +29,6 @@ from fixpoint.geometry import (
 from fixpoint.regularity import (
     _feasibility_ratio,
     _Region,
-    _sr_prime_counts,
     estimate_kappa,
     estimate_sigma,
     estimate_sr,
@@ -42,7 +41,7 @@ from fixpoint.regularity import (
     verify_bracket,
 )
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
-from fixpoint.verify import _ap_trace, _corpus, _pairs, _stacks
+from fixpoint.verify import _ap_trace, _corpus, _stacks
 
 PI3 = build("two_lines_pi3")
 ORIGIN = [np.zeros(2)]
@@ -309,7 +308,7 @@ def test_bracket_accepts_a_whole_space_lam_beside_none():
 
 
 def test_bracket_property_on_random_pairs():
-    for (i, *_), sc in _pairs(_corpus(100, (2,))):
+    for (i, *_), sc in _corpus(100, (2,)):
         kw = dict(intersection=[sc.base_point], samples=48, seed=50 + i,
                   refine_numerator=True, polish_starts=6)
         srp = estimate_sr_prime(sc.A, sc.B, sc.base_point, 0.1, **kw)
@@ -409,8 +408,8 @@ def test_estimates_at_nested_counts_equal_separate_estimates(pairs, delta, count
     # one draw of the largest count and one ascent give, per count, the
     # estimate that a draw of that count alone gives, byte for byte
     args = (*zip(*pairs), seeds, delta, None)
-    nested = _sr_prime_counts(*args, counts, **options)
-    alone = [e for n in counts for e in estimate_sr_prime_stack(*args, samples=n, **options)]
+    nested = estimate_sr_prime_stack(*args, counts, **options)
+    alone = [e for n in counts for e in estimate_sr_prime_stack(*args, (n,), **options)]
     assert [repr(e.to_json_dict()) for e in nested] == [repr(e.to_json_dict()) for e in alone]
     if pairs[0][1] is BOXED:
         assert 6.16 < nested[0].value < math.inf and nested[1].value == math.inf
@@ -469,18 +468,20 @@ def test_stacked_sr_prime_estimates_equal_the_per_pair_estimates():
     # stacks (a family and a dimension each): one stacked estimate per
     # stack reports every pair's own estimate, bit for bit
     cases = {}
-    for (i, *_), sc in _pairs(_corpus(18)):
+    for (i, *_), sc in _corpus(18):
         x_lim = _ap_trace(sc, sc.base_point + 0.08 * sc.boundary_ray)[1].limit
         cases[i] = sc.A, sc.B, x_lim, [x_lim, sc.base_point], 100 + i
-    options = dict(samples=96, refine_numerator=True, polish_starts=12)
+    options = dict(refine_numerator=True, polish_starts=12)
     groups = _stacks(cases)
     assert groups == [[g, g + 6, g + 12] for g in range(6)]  # a family and a dimension each
     for group in groups:
-        stacked = estimate_sr_prime_stack(*zip(*(cases[i] for i in group)), 0.02, **options)
+        stacked = estimate_sr_prime_stack(*zip(*(cases[i] for i in group)), 0.02, counts=(96,),
+                                          **options)
         assert len(stacked) == len(group)
         for i, est in zip(group, stacked):
             A, B, x_lim, probe, seed = cases[i]
-            alone = estimate_sr_prime(A, B, x_lim, 0.02, intersection=probe, seed=seed, **options)
+            alone = estimate_sr_prime(A, B, x_lim, 0.02, intersection=probe, seed=seed, samples=96,
+                                      **options)
             assert repr(est.to_json_dict()) == repr(alone.to_json_dict()), i
             assert est.value > 0 and est.certificate.seed == 100 + i
 
@@ -490,15 +491,15 @@ def test_a_stacked_estimate_checks_its_pairs():
     args = ([sc.A for sc in pairs], [sc.B for sc in pairs], [sc.base_point for sc in pairs],
             [sc.intersection for sc in pairs])
     with pytest.raises(ValueError, match="zip"):  # one seed for two pairs
-        estimate_sr_prime_stack(*args, [0], 0.1, samples=8)
+        estimate_sr_prime_stack(*args, [0], 0.1, counts=(8,))
     with pytest.raises(ValueError, match="base point must lie in both sets"):
         estimate_sr_prime_stack(*args[:2], [sc.base_point + 1.0 for sc in pairs], *args[3:],
-                                [0, 1], 0.1, samples=8)
+                                [0, 1], 0.1, counts=(8,))
     mixed = [random_convex_pair(0, 2, "ball_ball"), random_convex_pair(0, 2, "halfspace_ball")]
     with pytest.raises(ValueError, match="a stack takes sets of one variant among"):
         estimate_sr_prime_stack([sc.A for sc in mixed], [sc.B for sc in mixed],
                                 [sc.base_point for sc in mixed], [sc.intersection for sc in mixed],
-                                [0, 1], 0.1, samples=8)
+                                [0, 1], 0.1, counts=(8,))
 
 
 def _line_through_base_point(sc):
@@ -645,7 +646,7 @@ def test_estimates_restricted_to_affine_constraint():
 @pytest.mark.parametrize("i", range(4))
 def test_a_whole_space_lam_is_no_constraint(i, refine):
     # every estimate with lam=WholeSpace(d) is the lam=None one, bit for bit
-    sc = random_convex_pair(*list(_corpus(4))[i])
+    sc = _corpus(4)[i][1]
     d = sc.A.dim
     probe = [sc.base_point]
     kw = dict(samples=32, seed=20 + i, refine_numerator=refine, polish_starts=6)

@@ -1,17 +1,17 @@
-"""A run_suite call shares work between its criteria and changes no result."""
+"""A run_suite call hands two results forward and changes no result."""
 
 import collections
 
 import pytest
 
 from fixpoint import verify
-from fixpoint.scenarios import build
 
 
 @pytest.fixture(scope="module")
 def counted():
     """Each criterion's line alone and in two run_suite("all") calls, with the
-    engine.run and random_convex_pair calls each of the three made."""
+    engine.run and random_convex_pair calls that each criterion alone, and each
+    suite call, made."""
     calls = collections.Counter()
     run, pair = verify.run, verify.random_convex_pair
 
@@ -27,10 +27,15 @@ def counted():
         for side in ("alone", "first", "second"):
             calls.clear()
             if side == "alone":
-                lines = [criterion().line() for criterion in verify.ALL_CRITERIA]
+                lines, made = [], []
+                for criterion in verify.ALL_CRITERIA:
+                    lines.append(criterion().line())
+                    made.append(collections.Counter(calls))
+                    calls.clear()
+                out[side] = lines, made
             else:
                 lines = [r.line() for r in verify.run_suite("all")]
-            out[side] = lines, dict(calls)
+                out[side] = lines, collections.Counter(calls)
         return out
     finally:
         verify.run, verify.random_convex_pair = run, pair
@@ -51,11 +56,22 @@ def test_shared_work_lives_for_one_suite_call(counted):
     # a second call in the same process redoes all of it: nothing outlives a call
     (_, alone), (_, first), (_, second) = counted["alone"], counted["first"], counted["second"]
     assert first == second
-    assert first["run"] < alone["run"] and first["pair"] < alone["pair"]
+    total = sum(alone, collections.Counter())
+    assert first["run"] < total["run"] and first["pair"] < total["pair"]
     assert verify._WORK.get() is None
 
 
+def test_a_suite_skips_exactly_the_work_criteria_8_and_10_are_handed(counted):
+    # criterion 8 reads criterion 6's boundary runs and criterion 10 criterion
+    # 9's windowed traces; every other criterion does in the suite what it does alone
+    alone, first = counted["alone"][1], counted["first"][1]
+    assert alone[7] == {"run": 100, "pair": 100} and alone[9] == {"run": 21, "pair": 20}
+    assert first == sum(alone, collections.Counter()) - alone[7] - alone[9]
+    assert first == {"run": 438, "pair": 325}
+
+
 def test_a_shared_result_lives_until_its_last_reader():
+    # a result has one reader: kept while it has yet to start, removed by its read
     ahead, items = [5, 7], {}
     made = []
 
@@ -65,31 +81,30 @@ def test_a_shared_result_lives_until_its_last_reader():
 
     token = verify._WORK.set((ahead, items))
     try:
-        assert verify._shared("k", compute, readers=(5, 7, 9)) == 1  # 9 is not in the suite
-        assert items["k"][1] == 2
+        assert verify._shared("k", compute, 7) == 1 and items == {"k": 1}
+        assert verify._shared("j", compute, 9) == 2 and "j" not in items  # 9 is not in the suite
         ahead.pop(0)
-        assert verify._shared("k", compute) == 1 and "k" in items
-        ahead.pop(0)
-        assert verify._shared("k", compute) == 1 and "k" not in items
-        assert verify._shared("k", compute, readers=(5,)) == 2 and not items  # 5 has started
+        ahead.pop(0)  # 7 starts
+        assert verify._shared("k", compute) == 1 and not items
+        assert verify._shared("k", compute, 5) == 3 and not items  # 5 has started
     finally:
         verify._WORK.reset(token)
-    assert verify._shared("k", compute, readers=(5,)) == 3  # outside a suite call
+    assert verify._shared("k", compute, 5) == 4  # outside a suite call
+    assert made == [1, 2, 3, 4]
 
 
 def test_a_criterion_that_writes_into_a_shared_trace_raises():
     def writer():
-        # criterion 2's trace, which the suite keeps for criterion 9
-        tr = verify._ap_trace(build("two_lines_pi3"), [1.0, 0.0])[1]
-        for a in (tr.x, tr.b, tr.dist_A, tr.dist_B, tr.dist_target, tr.residual, tr.step_norm):
-            assert not a.flags.writeable
-        tr.x[0, 0] = 2.0
+        # criterion 6's boundary runs, which the suite keeps for criterion 8
+        key, sc, X, rep = verify._shared("boundary runs", lambda: pytest.fail("nothing kept"))[0]
+        assert not X.flags.writeable
+        X[0, 0] = 2.0
 
-    third = verify.ALL_CRITERIA[2]
-    verify.ALL_CRITERIA[2] = writer  # in criterion 3's place
+    seventh = verify.ALL_CRITERIA[6]
+    verify.ALL_CRITERIA[6] = writer  # in criterion 7's place
     try:
         with pytest.raises(ValueError, match="read-only"):
             verify.run_suite("all")
     finally:
-        verify.ALL_CRITERIA[2] = third
+        verify.ALL_CRITERIA[6] = seventh
     assert verify._WORK.get() is None  # the suite's shared work ended with the raise
