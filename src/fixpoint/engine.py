@@ -100,9 +100,9 @@ def residual_map(op: OperatorSpec, x) -> float:
 def residual_map_many(op: OperatorSpec, X: np.ndarray,
                       owner: np.ndarray | None = None) -> np.ndarray:
     """:func:`residual_map` of each row i of a checked (m, d) array (under
-    pair owner[i] of stacked sets): a closed-form pair's one image of every
-    row at once, another pair's least dot_norms over its image, by blocks."""
-    if op.A.closed_form and op.B.closed_form:
+    pair owner[i] of stacked sets): a pair of one-candidate sets' one image of
+    every row at once, another pair's least dot_norms over its image, by blocks."""
+    if op.A._slots * op.B._slots == 1:
         return dot_norms(op._image_many(X, owner) - X)
     return by_blocks(len(X), lambda r: dot_norms(op._candidates_many(
         X[r], None if owner is None else owner[r]) - X[r, None, None, :]).min(axis=(1, 2)),

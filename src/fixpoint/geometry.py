@@ -103,9 +103,6 @@ class SetSpec:
     dim: int
     #: True when the projector is single-valued everywhere
     convex = False
-    #: True when a row's one candidate is its closed-form projection, so a
-    #: pair of such sets has one image per row (see engine.residual_map_many)
-    closed_form = False
     _slots = 1  #: k of the (m, k, dim) ``_candidates_many`` array (or a bound), as by_blocks reads it
 
     def _candidates_many(self, Y: np.ndarray) -> np.ndarray:
@@ -191,7 +188,6 @@ class _ConvexSet(SetSpec):
     the benchmark's one-row calls pay for it (README, "Set kernels")."""
 
     convex = True
-    closed_form = True
 
     def _row_kernel(self):
         return self._project_many
@@ -779,12 +775,6 @@ def ball_points(centers, radii, seeds, indices) -> np.ndarray:
 def ball_point(center, radius: float, seed: int, index: int) -> Vector:
     """The index-th point of a seed's stream on a ball: the one-row case of :func:`ball_points`."""
     return ball_points(as_vector(center)[None, :], [radius], [seed], [index])[0]
-
-
-def sample_ball(center, radius: float, count: int, seed: int) -> list[Vector]:
-    """The first ``count`` points of one seed's stream: the one-seed case of :func:`ball_points`."""
-    return list(ball_points(np.tile(as_vector(center), (count, 1)), [radius] * count,
-                            [seed] * count, range(count)))
 
 
 _POLISH_DIRS: dict[int, np.ndarray] = {}

@@ -1,8 +1,12 @@
 """Named verification suites covering the package's headline guarantees.
 
-Each criterion is a function returning a :class:`CriterionResult`; the CLI
-``verify`` subcommand and the acceptance test module both run these, so a
-pass here is exactly a pass there.
+A criterion is one function ``criterion_N`` declared with its name and the
+suites that run it, ``@criterion("name", "suite", ...)``; it returns
+``(passed, details)``.  N is its place among the declarations, checked
+against its name, and the declarations build :data:`ALL_CRITERIA` (each entry
+returns a :class:`CriterionResult`) and :data:`SUITES`, whose ``"all"`` runs
+every criterion.  The CLI ``verify`` subcommand and the acceptance test module
+both run these, so a pass here is exactly a pass there.
 
 A :func:`run_suite` call hands two results forward, each kept only until its
 one reader reads it: criterion 6's boundary runs of its first 100 pairs, which
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import filecmp
+import functools
 import io
 import json
 import math
@@ -46,6 +51,34 @@ class CriterionResult:
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] criterion {self.cid:>2}: {self.name} ({self.details})"
+
+
+#: criterion N's result-returning function is entry N - 1
+ALL_CRITERIA: list = []
+#: suite name -> the numbers of the criteria it runs, in order
+SUITES: dict[str, tuple[int, ...]] = {}
+
+
+def criterion(name: str, *suites: str):
+    """Declare the next criterion, ``criterion_N`` for N its place: the
+    declared function returns (passed, details), and the name it binds
+    returns the :class:`CriterionResult`."""
+
+    def declare(check):
+        cid = len(ALL_CRITERIA) + 1
+        if check.__name__ != f"criterion_{cid}":
+            raise NameError(f"criterion {cid} is declared as {check.__name__}")
+
+        @functools.wraps(check)
+        def result() -> CriterionResult:
+            return CriterionResult(cid, name, *check())
+
+        ALL_CRITERIA.append(result)
+        for suite in suites:
+            SUITES[suite] = SUITES.get(suite, ()) + (cid,)
+        return result
+
+    return declare
 
 
 #: inside a run_suite call: the criteria not yet started, and key -> a result handed forward
@@ -112,7 +145,8 @@ def _stacks(cases: dict) -> list:
 # criteria
 
 
-def criterion_1() -> CriterionResult:
+@criterion("two lines pi/3 moduli and bracket", "paper_examples")
+def criterion_1():
     """Two lines at pi/3: sr' and sr estimates and the strict bracket."""
     sc = build("two_lines_pi3")
     srp = reg.estimate_sr_prime(
@@ -128,15 +162,11 @@ def criterion_1() -> CriterionResult:
         and reg.verify_bracket(sr, srp)
         and srp.value < sr.value < 1.0 + 2.0 * srp.value
     )
-    return CriterionResult(
-        1,
-        "two lines pi/3 moduli and bracket",
-        ok,
-        f"sr'={srp.value:.6f} (target {tgt_srp:.6f}), sr={sr.value:.6f} (target 2)",
-    )
+    return ok, f"sr'={srp.value:.6f} (target {tgt_srp:.6f}), sr={sr.value:.6f} (target 2)"
 
 
-def criterion_2() -> CriterionResult:
+@criterion("two lines pi/3 rates and tight kappa bound", "paper_examples")
+def criterion_2():
     """Two lines at pi/3: measured rates, kappa, and the tight msr bound."""
     sc = build("two_lines_pi3")
     op, tr = _ap_trace(sc, [1.0, 0.0])
@@ -153,15 +183,11 @@ def criterion_2() -> CriterionResult:
         and kap.value <= bound + 1e-3
         and abs(kap.value - bound) <= 1e-3
     )
-    return CriterionResult(
-        2,
-        "two lines pi/3 rates and tight kappa bound",
-        ok,
-        f"q={q.c:.8f}, c={mon.c:.8f}, kappa={kap.value:.6f}, 1/(1-c)={bound:.6f}",
-    )
+    return ok, f"q={q.c:.8f}, c={mon.c:.8f}, kappa={kap.value:.6f}, 1/(1-c)={bound:.6f}"
 
 
-def criterion_3() -> CriterionResult:
+@criterion("monotone-not-Fejer sequence", "paper_examples")
+def criterion_3():
     """Linearly monotone but not Fejer: exact constant and witness."""
     sc = build("monotone_not_fejer")
     mon = diag.check_linear_monotone(sc.sequence, sc.intersection)
@@ -173,15 +199,11 @@ def criterion_3() -> CriterionResult:
         and np.allclose(fej.witness_point, [2.0, 0.0])
     )
     witness = None if fej.witness_point is None else tuple(float(t) for t in fej.witness_point)
-    return CriterionResult(
-        3,
-        "monotone-not-Fejer sequence",
-        ok,
-        f"c={mon.c!r}, fejer={fej.holds}, witness={witness}",
-    )
+    return ok, f"c={mon.c!r}, fejer={fej.holds}, witness={witness}"
 
 
-def criterion_4() -> CriterionResult:
+@criterion("geometric pairs solve in exactly n iterations", "paper_examples")
+def criterion_4():
     """Geometric finite pairs solve in exactly n projection rounds."""
     details = []
     ok = True
@@ -191,10 +213,11 @@ def criterion_4() -> CriterionResult:
         took = -1 if took is None else took
         details.append(f"n={n}:{took}")
         ok = ok and took == n
-    return CriterionResult(4, "geometric pairs solve in exactly n iterations", ok, ", ".join(details))
+    return ok, ", ".join(details)
 
 
-def criterion_5() -> CriterionResult:
+@criterion("sawtooth stuck points and stable sr'", "paper_examples")
+def criterion_5():
     """Sawtooth: iterations get stuck at tooth peaks; sr' at the origin is
     finite and stable under sample doubling."""
     sc = build("sawtooth")
@@ -231,15 +254,11 @@ def criterion_5() -> CriterionResult:
         and srp_b.value <= 1.1 * srp_a.value
     )
     ok = stuck_ok >= 5 and stable
-    return CriterionResult(
-        5,
-        "sawtooth stuck points and stable sr'",
-        ok,
-        f"stuck at {details}; sr'={srp_a.value:.6f} -> {srp_b.value:.6f} on doubling",
-    )
+    return ok, f"stuck at {details}; sr'={srp_a.value:.6f} -> {srp_b.value:.6f} on doubling"
 
 
-def criterion_6() -> CriterionResult:
+@criterion("convex dichotomy on 200 random pairs", "convex_properties")
+def criterion_6():
     """Convex dichotomy holds on every trace of a 200-pair random corpus."""
     bad = 0
     outcomes = {"already_solved": 0, "solved_in_one": 0, "never_reaches": 0}
@@ -257,16 +276,11 @@ def criterion_6() -> CriterionResult:
         outcomes[rep.outcome] += 1
         if rep.outcome == "never_reaches" and not rep.bound_holds:
             bad += 1
-    ok = bad == 0
-    return CriterionResult(
-        6,
-        "convex dichotomy on 200 random pairs",
-        ok,
-        f"outcomes={outcomes}, bound violations={bad}",
-    )
+    return bad == 0, f"outcomes={outcomes}, bound violations={bad}"
 
 
-def criterion_7() -> CriterionResult:
+@criterion("step-ratio and side-length inequalities on 1e4 queries", "convex_properties")
+def criterion_7():
     """Projection inequalities for convex pairs on 1e4 random queries each."""
     rng = np.random.default_rng(1905)
     bad_ratio = bad_sides = 0
@@ -285,16 +299,11 @@ def criterion_7() -> CriterionResult:
         # at a = x: PBa is PB and PAPBa is PA
         lhs, rhs = dot_norms(PB - x_common) * step_b, dot_norms(X - x_common) * step_a
         bad_sides += np.count_nonzero(lhs < rhs - 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs))
-    ok = bad_ratio == 0 and bad_sides == 0
-    return CriterionResult(
-        7,
-        "step-ratio and side-length inequalities on 1e4 queries",
-        ok,
-        f"ratio violations={bad_ratio}, side violations={bad_sides}",
-    )
+    return bad_ratio == 0 and bad_sides == 0, f"ratio violations={bad_ratio}, side violations={bad_sides}"
 
 
-def criterion_8() -> CriterionResult:
+@criterion("local necessity/sufficiency loop on 100 pairs", "necessity_bounds")
+def criterion_8():
     """Convex necessity and sufficiency loop over 100 random pairs: criterion
     6's first 100, from their boundary runs."""
     fails = n_linear = 0
@@ -328,13 +337,7 @@ def criterion_8() -> CriterionResult:
         worst_ii = min(worst_ii, rhs_ii - value)
         if not (c_mon <= rhs_i and value <= rhs_ii):
             fails += 1
-    ok = fails == 0
-    return CriterionResult(
-        8,
-        "local necessity/sufficiency loop on 100 pairs",
-        ok,
-        f"fails={fails}, linear traces={n_linear}, margins=({worst_i:.4f},{worst_ii:.4f})",
-    )
+    return fails == 0, f"fails={fails}, linear traces={n_linear}, margins=({worst_i:.4f},{worst_ii:.4f})"
 
 
 def _windowed_traces():
@@ -350,7 +353,8 @@ def _windowed_traces():
             yield tr, K, diag.check_linear_extendible(tr.z[: 2 * K + 2], 2)
 
 
-def criterion_9() -> CriterionResult:
+@criterion("Q-linear implies frequency-2 extendibility", "convex_properties")
+def criterion_9():
     """On Q-linear convex traces the joining sequence extends with rate <= c."""
     fails = checked = 0
     for tr, K, ext in _shared("windowed", lambda: list(_windowed_traces()), 10):
@@ -358,15 +362,11 @@ def criterion_9() -> CriterionResult:
         q = diag.estimate_q_rate(tr.x[: K + 1], limit=tr.limit, floor=WINDOW_FLOOR)
         if q.c < 1.0 and not (ext.holds and ext.c <= q.c + 1e-9):
             fails += 1
-    return CriterionResult(
-        9,
-        "Q-linear implies frequency-2 extendibility",
-        fails == 0,
-        f"fails={fails} over {checked} certified traces",
-    )
+    return fails == 0, f"fails={fails} over {checked} certified traces"
 
 
-def criterion_10() -> CriterionResult:
+@criterion("extendibility implies the explicit R-envelope", "convex_properties")
+def criterion_10():
     """Extendibility certifies the explicit geometric envelope."""
     fails = checked = 0
     for tr, K, ext in _shared("windowed", lambda: list(_windowed_traces())):  # criterion 9's
@@ -375,15 +375,11 @@ def criterion_10() -> CriterionResult:
         checked += 1
         if not diag.verify_r_certificate(tr.x[: K + 1], tr.limit, ext.c, ext.gamma, tol=1e-9):
             fails += 1
-    return CriterionResult(
-        10,
-        "extendibility implies the explicit R-envelope",
-        fails == 0,
-        f"fails={fails} over {checked} extendible traces",
-    )
+    return fails == 0, f"fails={fails} over {checked} extendible traces"
 
 
-def criterion_11() -> CriterionResult:
+@criterion("epigraph: finite local modulus, global divergence", "paper_examples")
+def criterion_11():
     """Epigraph pair: finite local modulus, divergent global ratio."""
     sc = build("epigraph")
     srp_a, srp_b = reg.estimate_sr_prime_stack([sc.A], [sc.B], [sc.base_point], [sc.intersection],
@@ -394,16 +390,12 @@ def criterion_11() -> CriterionResult:
         and abs(srp_a.value - math.sqrt(2.0)) <= 1e-2
     )
     ratios, growth_ok = reg.global_ratio_growth(sc.intersection, sc.B, 4)
-    ok = local_ok and growth_ok
-    return CriterionResult(
-        11,
-        "epigraph: finite local modulus, global divergence",
-        ok,
-        f"sr'({sc.base_point.tolist()})={srp_a.value:.6f}, ratios={['%.1f' % r for r in ratios]}",
-    )
+    return (local_ok and growth_ok,
+            f"sr'({sc.base_point.tolist()})={srp_a.value:.6f}, ratios={['%.1f' % r for r in ratios]}")
 
 
-def criterion_12() -> CriterionResult:
+@criterion("rate-formula ordering on certified scenarios", "necessity_bounds")
+def criterion_12():
     """Measured monotonicity never beats the certified rate formula."""
     fails = checked = 0
     cases = [build("two_lines_pi3"), build("two_lines_pi2")]
@@ -433,15 +425,11 @@ def criterion_12() -> CriterionResult:
         checked += 1
         if c_mon > c_pred + 1e-2:
             fails += 1
-    return CriterionResult(
-        12,
-        "rate-formula ordering on certified scenarios",
-        fails == 0,
-        f"fails={fails} over {checked} certified cases",
-    )
+    return fails == 0, f"fails={fails} over {checked} certified cases"
 
 
-def criterion_13() -> CriterionResult:
+@criterion("byte-identical repeated runs")
+def criterion_13():
     """Byte-identical outputs when a run is repeated with the same seed."""
     from .cli import execute_run
 
@@ -456,7 +444,7 @@ def criterion_13() -> CriterionResult:
                     samples=64, delta=0.5, operator="ap",
                 )
             if code != 0:
-                return CriterionResult(13, "determinism", False, f"run exited {code}")
+                return False, f"run exited {code}"
         names = ["trace.csv", "trace.json", "report.json", "plot.svg"]
         same = all(
             filecmp.cmp(out_a / n, out_b / n, shallow=False) for n in names
@@ -469,32 +457,10 @@ def criterion_13() -> CriterionResult:
             for _ in range(2)
         )
         same_est = est_a == est_b
-    ok = same and same_est
-    return CriterionResult(13, "byte-identical repeated runs", ok, f"files equal={same}, estimates equal={same_est}")
+    return same and same_est, f"files equal={same}, estimates equal={same_est}"
 
 
-ALL_CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
-]
-
-SUITES = {
-    "paper_examples": (1, 2, 3, 4, 5, 11),
-    "convex_properties": (6, 7, 9, 10),
-    "necessity_bounds": (8, 12),
-    "all": tuple(range(1, len(ALL_CRITERIA) + 1)),
-}
+SUITES["all"] = tuple(range(1, len(ALL_CRITERIA) + 1))
 
 
 def run_suite(name: str) -> list[CriterionResult]:

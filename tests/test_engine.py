@@ -33,13 +33,17 @@ from fixpoint.geometry import (
     DimensionMismatch,
     FinitePointSet,
     Halfspace,
+    LinearPiece,
+    PiecewiseCurve,
+    SetUnion,
+    Sphere,
     ball_point,
+    ball_points,
     distance,
     dot_norms,
     norm,
     project_all,
     project_one,
-    sample_ball,
     sorted_unique,
     stack,
 )
@@ -51,6 +55,11 @@ from fixpoint.scenarios import (
     line_through_origin,
     random_convex_pair,
 )
+
+
+def sample_ball(center, radius, count, seed):
+    """The first ``count`` points of one seed's stream on a ball (see geometry.ball_points)."""
+    return list(ball_points(np.tile(center, (count, 1)), [radius] * count, [seed] * count, range(count)))
 
 
 def bits(values) -> bytes:
@@ -366,21 +375,27 @@ def test_candidate_image_matches_the_scalar_reference(name, operator):
 
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
 def test_the_closed_form_image_is_the_candidate_image(operator):
-    # a pair of closed-form sets takes residual_map_many's shortcut through
-    # _image_many; its residuals are those of the candidate image, bit for bit,
-    # alone and as pairs of stacks gathered by owner
+    # a pair of one-candidate sets takes residual_map_many's shortcut through
+    # _image_many; its residuals are those of the candidate image, bit for bit:
+    # convex pairs alone and as pairs of stacks gathered by owner, and pairs
+    # of a sphere, a segment, a point, a one-member union and a ball
     rng = np.random.default_rng(9)
+    cases = []
     for dim, family in itertools.product((2, 3, 8), ("halfspace_ball", "box_affine", "ball_ball")):
         pairs = [random_convex_pair(seed, dim, family) for seed in range(4)]
         owner = rng.integers(len(pairs), size=300)
         X = np.array([sc.base_point for sc in pairs])[owner] + rng.uniform(-1, 1, (300, dim))
-        ops = [(operator(sc.A, sc.B), None) for sc in pairs]
-        ops.append((operator(stack([sc.A for sc in pairs]), stack([sc.B for sc in pairs])), owner))
-        for op, at in ops:
-            assert op.A.closed_form and op.B.closed_form
-            C = op._candidates_many(X, at)
-            want = dot_norms(C - X[:, None, None, :]).min(axis=(1, 2))
-            assert residual_map_many(op, X, at).tobytes() == want.tobytes()
+        cases += [(operator(sc.A, sc.B), X, None) for sc in pairs]
+        cases.append((operator(stack([sc.A for sc in pairs]), stack([sc.B for sc in pairs])), X, owner))
+    ones = [Sphere([0.3, -0.2], 1.1), PiecewiseCurve((LinearPiece((-1.0, 0.5), (2.0, -0.5)),)),
+            FinitePointSet([[0.4, 0.7]]), SetUnion((Sphere([-0.5, 0.1], 0.8),)), Ball([0.1, 0.2], 0.6)]
+    X = np.vstack([[0.3, -0.2], rng.uniform(-2, 2, (500, 2))])  # the first sphere's center first
+    cases += [(operator(A, B), X, None) for A, B in itertools.permutations(ones, 2)]
+    for op, X, at in cases:
+        assert op.A._slots * op.B._slots == 1
+        C = op._candidates_many(X, at)
+        want = dot_norms(C - X[:, None, None, :]).min(axis=(1, 2))
+        assert residual_map_many(op, X, at).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "epigraph"])

@@ -42,12 +42,16 @@ from fixpoint.geometry import (
     pattern_polish,
     project_all,
     project_one,
-    sample_ball,
     stack,
     take,
 )
 from fixpoint.regularity import _Region
 from fixpoint.scenarios import SAWTOOTH_DEPTH, build, sawtooth_graph, set_from_json, set_to_json
+
+
+def sample_ball(center, radius, count, seed):
+    """The first ``count`` points of one seed's stream on a ball (see geometry.ball_points)."""
+    return list(ball_points(np.tile(center, (count, 1)), [radius] * count, [seed] * count, range(count)))
 
 
 def _nearest(cands: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:

@@ -21,8 +21,8 @@ from fixpoint.geometry import (
     WholeSpace,
     as_target,
     ascend,
+    ball_points,
     distance,
-    sample_ball,
     stack,
     take,
 )
@@ -42,6 +42,12 @@ from fixpoint.regularity import (
 )
 from fixpoint.scenarios import build, builtin_names, line_through_origin, random_convex_pair
 from fixpoint.verify import _ap_trace, _corpus, _stacks
+
+
+def sample_ball(center, radius, count, seed):
+    """The first ``count`` points of one seed's stream on a ball (see geometry.ball_points)."""
+    return list(ball_points(np.tile(center, (count, 1)), [radius] * count, [seed] * count, range(count)))
+
 
 PI3 = build("two_lines_pi3")
 ORIGIN = [np.zeros(2)]

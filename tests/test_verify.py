@@ -1,10 +1,37 @@
-"""A run_suite call hands two results forward and changes no result."""
+"""The declared criteria build verify's tables, and a run_suite call hands
+two results forward and changes no result."""
 
 import collections
 
 import pytest
 
 from fixpoint import verify
+
+
+def test_the_declarations_build_the_tables():
+    assert [c.__name__ for c in verify.ALL_CRITERIA] == [f"criterion_{n}" for n in range(1, 14)]
+    assert all(c is getattr(verify, c.__name__) for c in verify.ALL_CRITERIA)
+    assert list(verify.SUITES.items()) == [
+        ("paper_examples", (1, 2, 3, 4, 5, 11)),
+        ("convex_properties", (6, 7, 9, 10)),
+        ("necessity_bounds", (8, 12)),
+        ("all", tuple(range(1, 14))),
+    ]
+
+
+def test_a_criterion_is_declared_at_its_place():
+    with pytest.raises(NameError, match="criterion 14 is declared as criterion_15"):
+        @verify.criterion("out of place")
+        def criterion_15():
+            return True, ""
+    assert len(verify.ALL_CRITERIA) == 13
+
+
+def test_a_failing_criterion_keeps_its_name(monkeypatch):
+    # criterion 13 returns early when a run fails; its line names it as a pass does
+    monkeypatch.setattr("fixpoint.cli.execute_run", lambda **kwargs: 1)
+    line = verify.criterion_13().line()
+    assert line == "[FAIL] criterion 13: byte-identical repeated runs (run exited 1)"
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +72,7 @@ def test_a_suite_prints_each_criterions_own_line(counted):
     assert counted["first"][0] == counted["alone"][0]
 
 
-@pytest.mark.parametrize("suite", ["paper_examples", "convex_properties", "necessity_bounds"])
+@pytest.mark.parametrize("suite", [suite for suite in verify.SUITES if suite != "all"])
 def test_a_sub_suite_prints_each_criterions_own_line(counted, suite):
     # a sub-suite shares differently: necessity_bounds runs criterion 8 without criterion 6
     lines = [r.line() for r in verify.run_suite(suite)]
