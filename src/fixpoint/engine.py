@@ -11,9 +11,12 @@ rows; :func:`run`'s loop follows them with each set's scalar kernel.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +75,9 @@ class AlternatingProjections(_SetPair):
 class DouglasRachford(_SetPair):
     """T = (Id + R_A R_B) / 2 with reflectors R_C = 2 P_C - Id: A's stage projects R_B x."""
 
-    _enter = staticmethod(lambda x, pb: 2.0 * pb - x)
-    _leave = staticmethod(lambda x, y, pa: 0.5 * (x + (2.0 * pa - y)))
+    # p + p is 2.0 * p bit for bit (doubling is exact), without converting 2.0 on each call
+    _enter = staticmethod(lambda x, pb: pb + pb - x)
+    _leave = staticmethod(lambda x, y, pa: 0.5 * (x + ((pa + pa) - y)))
 
 
 #: each operator by the name the CLI gives it
@@ -143,6 +147,9 @@ COLUMNS = ("dist_A", "dist_B", "dist_target", "step_norm", "residual")
 #: floats per block when a trace is written: a block is one call of the float
 #: kernel, so that its work arrays stay bounded, and is laid out for each file
 WRITE_BLOCK = CHUNK
+#: characters of a trace.json list held in memory before its spill moves to a
+#: temporary file, so that a short trace's lists never touch the disk
+SPILL_CHARS = 2**13
 
 
 @dataclass
@@ -164,12 +171,12 @@ class Trace:
     @classmethod
     def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=()) -> "Trace":
         """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
-        any) and their distances to A, B and the target (the last iterate if
-        None), one batched kernel call per column; with b and a convex B,
-        dist_B is ||x_k - b_k||.  step_norm[k] = ||x_{k+1} - x_k||, which
-        rounds as the loop's residual[k]."""
-        X = np.array(xs, dtype=float)
-        Bk = np.array(b, dtype=float).reshape(-1, X.shape[1])
+        any; float64 arrays are kept, not copied) and their distances to A, B
+        and the target (the last iterate if None), one batched kernel call per
+        column; with b and a convex B, dist_B is ||x_k - b_k||.  step_norm[k] =
+        ||x_{k+1} - x_k||, which rounds as the loop's residual[k]."""
+        X = np.asarray(xs, dtype=float)
+        Bk = np.asarray(b, dtype=float).reshape(-1, X.shape[1])
         target = as_target(target if target is not None else X[-1:], X.shape[1], "target")
         # a nonconvex B's selected b_k may lie up to TIE_TOL beyond its nearest point
         from_b = len(Bk) > 0 and B.convex
@@ -201,6 +208,40 @@ class Trace:
         n = len(self.b)
         return np.stack((self.x[:n], self.b), axis=1).reshape(2 * n, self.x.shape[1])
 
+    def _blocks(self):
+        """Each block of rows as (its first row, the width of its x_k and b_k,
+        its fields (rows, width + 5, FIELD)), formatted in one templates call.
+        A block's rows all record b_k or none does, and it holds the rows
+        WRITE_BLOCK floats fill.  step_norm's fields are residual's where the
+        two hold the same bits, so only the others are formatted: a loop's
+        last row, or a shipped sequence's every row (its residual is nan)."""
+        (n, dim), nb = self.x.shape, len(self.b)
+        # step_norm's index, where residual sits in a row without step_norm
+        # (it is the column after it); its fields are a copy of residual's
+        at = COLUMNS.index("step_norm")
+        i = 0
+        while i < n:
+            xb = 2 * dim if i < nb else dim  # x_k, and b_k where the rows record it
+            rows = min((nb if i < nb else n) - i, max(1, WRITE_BLOCK // (xb + len(COLUMNS))))
+            step, res = self.step_norm[i:i + rows], self.residual[i:i + rows]
+            moved = np.flatnonzero(step.view(np.uint64) != res.view(np.uint64))
+            # x_k, b_k and the columns but step_norm, row by row; then the moved step_norms
+            cols = xb + len(COLUMNS) - 1
+            grid = np.zeros(rows * cols + moved.size)
+            G = grid[:rows * cols].reshape(rows, cols)
+            G[:, :dim] = self.x[i:i + rows]
+            G[:max(nb - i, 0), dim:xb] = self.b[i:i + rows, :xb - dim]
+            G[:, xb:] = np.transpose([getattr(self, name)[i:i + rows]
+                                      for name in COLUMNS if name != "step_norm"])
+            grid[rows * cols:] = step[moved]
+            T = templates(grid)
+            F = T[:rows * cols].reshape(rows, cols, -1)
+            F = np.insert(F, xb + at, F[:, xb + at], axis=1)
+            F[moved, xb + at] = T[rows * cols:]
+            yield i, xb, F
+            del grid, G, T, F  # before the next block's are made
+            i += rows
+
     def write(self, csv_file=None, json_file=None) -> None:
         """Stream trace.csv and trace.json into open text files.
 
@@ -209,55 +250,70 @@ class Trace:
         indent=1)`` writes for x, b, the columns, stop_reason and metadata (not
         ``z``, which x and b determine).  Each float the files hold is formatted
         once, to its shortest round-trip repr (:func:`floatrepr.templates`), a
-        block of rows at a time, and laid out for each file with its separators
-        and spelling of nan and inf (:func:`floatrepr.layout`).  A block's rows
-        all record b_k or none does, and it holds the rows WRITE_BLOCK floats fill.
+        block of rows at a time (:meth:`_blocks`), and laid out for each file
+        with its separators and spelling of nan and inf (:func:`floatrepr.layout`).
+        trace.json's keys are sorted, so x comes last: each list's blocks go
+        to a spill of its own, copied into json_file when the pass ends and
+        closed on every way out.  So the writer holds one block, never a file's text.
         """
         (n, dim), nb = self.x.shape, len(self.b)
-        items: dict = {name: [] for name in ("x", "b", *COLUMNS)}  # the blocks of each list
         point = {"sep": ",\n   ", "end": "\n  ]", "prefix": ",\n  [\n   ", "spelling": JSON}
         value = {"sep": ",\n  ", "prefix": ",\n  ", "spelling": JSON, "each_row": True}
         if csv_file is not None:
             csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
                                      *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")
-        i = 0
-        while i < n:
-            xb = 2 * dim if i < nb else dim  # x_k, and b_k where the rows record it
-            rows = min((nb if i < nb else n) - i, max(1, WRITE_BLOCK // (xb + len(COLUMNS))))
-            grid = np.zeros((rows, xb + len(COLUMNS)))  # x_k, b_k, columns
-            grid[:, :dim] = self.x[i:i + rows]
-            grid[:max(nb - i, 0), dim:xb] = self.b[i:i + rows, :xb - dim]
-            grid[:, xb:] = np.transpose([getattr(self, name)[i:i + rows] for name in COLUMNS])
-            F = templates(grid)
+        with contextlib.ExitStack() as stack:
+            spills = {} if json_file is None else {
+                name: stack.enter_context(
+                    tempfile.SpooledTemporaryFile(SPILL_CHARS, "w+", encoding="utf-8"))
+                for name in ("x", "b", *COLUMNS) if (nb if name == "b" else n)}
+            for i, xb, F in self._blocks():
+                if spills:
+                    texts = {"x": layout(F[:, :dim], **point)}
+                    if xb > dim:
+                        texts["b"] = layout(F[:, dim:xb], **point)
+                    texts.update(zip(COLUMNS, layout(F[:, xb:].transpose(1, 0, 2), **value)))
+                    for name, text in texts.items():
+                        # each block's items are led by a comma, which the list's first drops
+                        spills[name].write(text[1:] if i == 0 else text)
+                if csv_file is not None:
+                    F = F if xb > dim else np.insert(F, [dim] * dim, 0, axis=1)  # blank b_k fields
+                    csv_file.write(layout(F, sep=",", end="\n", prefix=",", index=i))
+                del F
             if json_file is not None:
-                items["x"].append(layout(F[:, :dim], **point))
-                if xb > dim:
-                    items["b"].append(layout(F[:, dim:xb], **point))
-                for name, text in zip(COLUMNS, layout(F[:, xb:].transpose(1, 0, 2), **value)):
-                    items[name].append(text)
-            if csv_file is not None:
-                F = F if xb > dim else np.insert(F, [dim] * dim, 0, axis=1)  # blank b_k fields
-                csv_file.write(layout(F, sep=",", end="\n", prefix=",", index=i))
-            del grid, F  # before the next block's are made
-            i += rows
-        if json_file is not None:
-            # each block's items are led by a comma, which the list's first drops
-            items = {name: ["[", blocks[0][1:], *blocks[1:], "\n ]"] if blocks else ["[]"]
-                     for name, blocks in items.items()}
-            # the metadata laid out as the value of a top-level key
-            metadata = json.dumps({"metadata": self.metadata}, sort_keys=True, indent=1)
-            items.update(stop_reason=[json.dumps(self.stop_reason)],
-                         metadata=[metadata[len('{\n "metadata": '):-len("\n}")]])
-            for n, key in enumerate(sorted(items)):
-                json_file.write(f'{"," if n else "{"}\n "{key}": ')
-                json_file.writelines(items[key])
-            json_file.write("\n}")
+                # the metadata laid out as the value of a top-level key
+                metadata = json.dumps({"metadata": self.metadata}, sort_keys=True, indent=1)
+                values = {"stop_reason": json.dumps(self.stop_reason),
+                          "metadata": metadata[len('{\n "metadata": '):-len("\n}")]}
+                for k, key in enumerate(sorted(["x", "b", *COLUMNS, *values])):
+                    json_file.write(f'{"," if k else "{"}\n "{key}": ')
+                    if key in spills:
+                        json_file.write("[")
+                        spills[key].seek(0)
+                        shutil.copyfileobj(spills[key], json_file)
+                        json_file.write("\n ]")
+                    else:
+                        json_file.write(values.get(key, "[]"))  # an empty list
+                json_file.write("\n}")
 
     def to_csv_text(self) -> str:
         """trace.csv as a string."""
         buf = io.StringIO()
         self.write(csv_file=buf)
         return buf.getvalue()
+
+
+#: rows :func:`run` allots before its first doubling
+_FIRST_ROWS = 64
+
+
+def _resize(rows: int, *arrays: np.ndarray) -> None:
+    """Give each of :func:`run`'s own arrays ``rows`` rows in place, keeping
+    its leading rows: the allocator grows or trims the block, often without a
+    copy.  No view of these arrays exists while the loop runs, so numpy's
+    reference check is skipped."""
+    for a in arrays:
+        a.resize((rows, *a.shape[1:]), refcheck=False)
 
 
 def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: float = 1e-12,
@@ -272,6 +328,12 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
     records the intermediate B-projections b_k as well, and with them the
     joining sequence ``Trace.z``.  residual[k] is the step length from x_k.
     The seed, the stop rule and the target are checked before the first step.
+
+    The loop writes x_k, b_k and residual[k] into rows of float64 arrays,
+    which start with _FIRST_ROWS rows, double in place when full and are
+    trimmed in place to the iterates at the end (a run that never doubled
+    keeps a copy of its rows); :meth:`Trace.record` takes them without a
+    copy, so no list of one array per iterate is ever built.
     """
     A, B = op.A, op.B
     seed_point = as_vector(seed_point)
@@ -284,25 +346,38 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
     # output; after max_iter steps one more is taken, for the last residual
     record_b = op.records_b
     PA, PB, enter, leave = A._row_kernel(), B._row_kernel(), op._enter, op._leave
-    xs, bs, residuals, x = [], [], [], x0
+    rows = min(max_iter + 1, _FIRST_ROWS)
+    X, R = np.empty((rows, x0.size)), np.empty(rows)
+    Bk = np.empty((rows if record_b else 0, x0.size))
+    grown, x = (X, R, Bk) if record_b else (X, R), x0
     for k in range(max_iter + 1):
+        if k == rows:
+            rows = min(2 * rows, max_iter + 1)
+            _resize(rows, *grown)
         pb = PB(x)
         if record_b:
-            bs.append(pb)  # b_k (AP's A stage projects b_k itself)
+            Bk[k] = pb  # b_k (AP's A stage projects b_k itself)
         y = enter(x, pb)
         x_next = leave(x, y, PA(y))
         d = x_next - x
         r = math.sqrt(d.dot(d))  # norm(d), without its frame
-        xs.append(x)
-        residuals.append(r)
+        X[k] = x
+        R[k] = r
         if r <= residual_tol or k == max_iter:
             break
         x = x_next
     stop_reason = "max_iter" if k == max_iter else "fixed_point"
+    if rows <= _FIRST_ROWS:
+        # a run that never outgrew its first rows keeps a copy of them: a
+        # small block trimmed in place leaves a hole in the heap, and a
+        # process that keeps many short traces grows with the holes
+        X, R, Bk = X[:k + 1].copy(), R[:k + 1].copy(), Bk[:k + 1].copy()
+    else:
+        _resize(k + 1, *grown)
 
     metadata = {"raw_seed": seed_point.tolist(), "seed_point": x0.tolist(),
                 "operator": type(op).__name__}
-    return Trace.record(xs, A, B, target, residuals, stop_reason, metadata, bs)
+    return Trace.record(X, A, B, target, R, stop_reason, metadata, Bk)
 
 
 def trace_to_json_text(trace: Trace) -> str:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -412,6 +413,50 @@ def test_residual_map_many_works_in_blocks_of_rows(name):
     assert peak <= 4 * 2**20
 
 
+def test_a_long_run_and_its_write_hold_the_trace_and_one_block(tmp_path):
+    # DR on two lines at 0.04 rad in R^8 for 16,000 steps: the loop records
+    # into float64 rows and the writer spills trace.json's lists, so neither
+    # phase holds more than a bounded allowance beyond the returned trace's
+    # arrays: 1.9 and 3.1 MB here, where lists of one ndarray per iterate and
+    # trace.json's 5.4 MB of text held until the end took 5.2 and 8.2 MB
+    A, B, seed = _lines(dim=8, angle=0.04)
+    tracemalloc.start()
+    try:
+        tr = run(DouglasRachford(A, B), seed, max_iter=16_000)
+        ran = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(tmp_path / "trace.csv", "w", encoding="utf-8") as fc, \
+                open(tmp_path / "trace.json", "w", encoding="utf-8") as fj:
+            tr.write(fc, fj)
+        wrote = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.stop_reason == "max_iter" and tr.x.shape == (16_001, 8)
+    arrays = sum(getattr(tr, name).nbytes for name in ("x", "b", *COLUMNS))
+    assert ran - arrays <= 4 * 2**20 and wrote - arrays <= 4 * 2**20, (ran, wrote, arrays)
+
+
+def test_dr_doubles_by_addition_bit_for_bit():
+    # DR's stages write 2 p as p + p, which is 2.0 * p for every double:
+    # signed zeros, subnormals, sums that overflow to inf, inf and nan
+    rng = np.random.default_rng(34)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                        -2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+    def rows():
+        bits = rng.integers(0, 2**64, (4000, 8), dtype=np.uint64).view(float)
+        return np.where(rng.random((4000, 8)) < 0.3, rng.choice(special, (4000, 8)), bits)
+
+    X, Y, P = rows(), rows(), rows()
+    dr = DouglasRachford
+    with np.errstate(all="ignore"):
+        assert dr._enter(X, P).tobytes() == (2.0 * P - X).tobytes()
+        assert dr._leave(X, Y, P).tobytes() == (0.5 * (X + (2.0 * P - Y))).tobytes()
+        for x, y, p in zip(X[:200], Y, P):  # the loop's one-row arrays
+            assert dr._enter(x, p).tobytes() == (2.0 * p - x).tobytes()
+            assert dr._leave(x, y, p).tobytes() == (0.5 * (x + (2.0 * p - y))).tobytes()
+
+
 def test_run_determinism_bit_identical():
     sc = build("sawtooth")
     op = AlternatingProjections(sc.A, sc.B)
@@ -601,9 +646,11 @@ def test_one_iterate_and_dr_traces_have_the_expected_shape():
 
 
 def test_the_writer_formats_only_the_floats_the_files_hold(monkeypatch):
-    # a row formats x_k, the five columns and b_k if the trace records it: a
-    # DR trace (no b) n (d + 5) floats, an AP trace n (2d + 5), in one
-    # templates call per block
+    # a row formats x_k, b_k if the trace records it and four columns: a DR
+    # trace (no b) n (d + 4) floats, an AP trace n (2d + 4), in one templates
+    # call per block; step_norm is formatted only where its bits are not
+    # residual's: a loop's last row (0.0 against the last step), every row of
+    # a shipped sequence (its residual is nan)
     sizes = []
 
     def counting(a):
@@ -611,13 +658,53 @@ def test_the_writer_formats_only_the_floats_the_files_hold(monkeypatch):
         return templates(a)
 
     monkeypatch.setattr(engine, "templates", counting)
-    for case, b in (("dr_r8_blocks", False), ("dr", False), ("ap_long", True), ("ap", True)):
+    cases = (("dr_r8_blocks", False), ("dr", False), ("ap_long", True), ("ap", True),
+             ("sequence", False))
+    for case, b in cases:
         tr = TRACES[case]()
         (n, d), sizes[:] = tr.x.shape, []
         assert len(tr.b) == (n if b else 0)
+        moved = n if case == "sequence" else 1
+        assert tr.residual[-1] != 0.0 or case == "sequence"
         tr.write(io.StringIO(), io.StringIO())
-        assert sum(sizes) == n * ((2 if b else 1) * d + len(COLUMNS)), case
+        assert sum(sizes) == n * ((2 if b else 1) * d + len(COLUMNS) - 1) + moved, case
         assert len(sizes) == -(-n // block_rows(d, b)), case
+
+
+def test_the_writer_closes_its_spills_when_a_file_fails(monkeypatch):
+    # trace.json's lists are spilled to temporary files until the pass ends;
+    # a failing write of either file, during the pass or during the copy,
+    # leaves none of them open
+    made = []
+
+    class Counted(tempfile.SpooledTemporaryFile):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    class Failing(io.StringIO):
+        def __init__(self, after):
+            super().__init__()
+            self.calls = after
+
+        def write(self, text):
+            self.calls -= 1
+            if self.calls < 0:
+                raise OSError("disk full")
+            return super().write(text)
+
+    monkeypatch.setattr(tempfile, "SpooledTemporaryFile", Counted)
+    tr = TRACES["dr_r8_blocks"]()
+    # a file fails at its write after the given count: the CSV's fourth
+    # writes a block (the pass has more than three), the JSON's fourth opens a
+    # list and its 31st copies a chunk of x's spill
+    for csv_file, json_file in ((Failing(3), io.StringIO()), (None, Failing(3)),
+                                (None, Failing(30))):
+        made.clear()
+        with pytest.raises(OSError, match="disk full"):
+            tr.write(csv_file, json_file)
+        assert len(made) == 6 and all(f.closed for f in made)  # x and the columns
+        assert any(f._rolled for f in made)  # x went to a file on disk
 
 
 def _lines(dim=8, angle=0.2, seed=8):
