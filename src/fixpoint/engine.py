@@ -154,9 +154,9 @@ SPILL_CHARS = 2**13
 
 @dataclass
 class Trace:
-    """Full iteration record of a fixed-point run: x and b as (n, d) arrays
-    (b has no rows where none is recorded), and each column a float64 array
-    with one entry per iterate."""
+    """Full iteration record of a fixed-point run: x as an (n, d) array, b
+    as one too or with no rows (an operator that records no b_k), and each
+    column a float64 array with one entry per iterate."""
 
     x: np.ndarray
     b: np.ndarray
@@ -172,19 +172,16 @@ class Trace:
     def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=()) -> "Trace":
         """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
         any; float64 arrays are kept, not copied) and their distances to A, B
-        and the target (the last iterate if None), one batched kernel call per
-        column; with b and a convex B, dist_B is ||x_k - b_k||.  step_norm[k] =
-        ||x_{k+1} - x_k||, which rounds as the loop's residual[k]."""
+        and the target (the last iterate if None), each its set's batched
+        kernel, which :func:`geometry.distance` equals bit for bit.  step_norm[k]
+        = ||x_{k+1} - x_k||, which rounds as the loop's residual[k]."""
         X = np.asarray(xs, dtype=float)
-        Bk = np.asarray(b, dtype=float).reshape(-1, X.shape[1])
         target = as_target(target if target is not None else X[-1:], X.shape[1], "target")
-        # a nonconvex B's selected b_k may lie up to TIE_TOL beyond its nearest point
-        from_b = len(Bk) > 0 and B.convex
         return cls(
             x=X,
-            b=Bk,
+            b=np.asarray(b, dtype=float).reshape(-1, X.shape[1]),
             dist_A=A._distance_many(X),
-            dist_B=dot_norms(Bk - X) if from_b else B._distance_many(X),
+            dist_B=B._distance_many(X),
             dist_target=target._distance_many(X),
             residual=np.asarray(residual, dtype=float),
             step_norm=np.append(dot_norms(np.diff(X, axis=0)), 0.0),
@@ -205,101 +202,94 @@ class Trace:
     @property
     def z(self) -> np.ndarray:
         """The joining sequence x_0, b_0, x_1, b_1, ... (no rows without b)."""
-        n = len(self.b)
-        return np.stack((self.x[:n], self.b), axis=1).reshape(2 * n, self.x.shape[1])
+        return np.stack((self.x[:len(self.b)], self.b), axis=1).reshape(-1, self.x.shape[1])
 
     def _blocks(self):
-        """Each block of rows as (its first row, the width of its x_k and b_k,
-        its fields (rows, width + 5, FIELD)), formatted in one templates call.
-        A block's rows all record b_k or none does, and it holds the rows
-        WRITE_BLOCK floats fill.  step_norm's fields are residual's where the
-        two hold the same bits, so only the others are formatted: a loop's
-        last row, or a shipped sequence's every row (its residual is nan)."""
-        (n, dim), nb = self.x.shape, len(self.b)
+        """Each block of the rows WRITE_BLOCK floats fill as (its first row,
+        its fields (rows, width + 5, FIELD)), formatted in one templates call;
+        width is x_k's and, where b has rows, b_k's.  step_norm's fields are
+        residual's where the two hold the same bits, so only the others are
+        formatted: a loop's last row, or a shipped sequence's every row."""
+        n, dim = self.x.shape
+        points = (self.x, self.b) if len(self.b) else (self.x,)
+        width = dim * len(points)
         # step_norm's index, where residual sits in a row without step_norm
         # (it is the column after it); its fields are a copy of residual's
-        at = COLUMNS.index("step_norm")
-        i = 0
-        while i < n:
-            xb = 2 * dim if i < nb else dim  # x_k, and b_k where the rows record it
-            rows = min((nb if i < nb else n) - i, max(1, WRITE_BLOCK // (xb + len(COLUMNS))))
+        at = width + COLUMNS.index("step_norm")
+        cols = width + len(COLUMNS) - 1  # x_k, b_k and the columns but step_norm
+        rows = max(1, WRITE_BLOCK // (cols + 1))
+        for i in range(0, n, rows):
             step, res = self.step_norm[i:i + rows], self.residual[i:i + rows]
             moved = np.flatnonzero(step.view(np.uint64) != res.view(np.uint64))
-            # x_k, b_k and the columns but step_norm, row by row; then the moved step_norms
-            cols = xb + len(COLUMNS) - 1
-            grid = np.zeros(rows * cols + moved.size)
-            G = grid[:rows * cols].reshape(rows, cols)
-            G[:, :dim] = self.x[i:i + rows]
-            G[:max(nb - i, 0), dim:xb] = self.b[i:i + rows, :xb - dim]
-            G[:, xb:] = np.transpose([getattr(self, name)[i:i + rows]
-                                      for name in COLUMNS if name != "step_norm"])
-            grid[rows * cols:] = step[moved]
+            m = step.size * cols
+            grid = np.zeros(m + moved.size)  # the block's rows, then its moved step_norms
+            G = grid[:m].reshape(step.size, cols)
+            for j, p in enumerate(points):
+                G[:, j * dim:(j + 1) * dim] = p[i:i + rows]
+            G[:, width:] = np.transpose([getattr(self, name)[i:i + rows]
+                                         for name in COLUMNS if name != "step_norm"])
+            grid[m:] = step[moved]
             T = templates(grid)
-            F = T[:rows * cols].reshape(rows, cols, -1)
-            F = np.insert(F, xb + at, F[:, xb + at], axis=1)
-            F[moved, xb + at] = T[rows * cols:]
-            yield i, xb, F
+            F = T[:m].reshape(step.size, cols, -1)
+            F = np.insert(F, at, F[:, at], axis=1)
+            F[moved, at] = T[m:]
+            yield i, F
             del grid, G, T, F  # before the next block's are made
-            i += rows
 
-    def write(self, csv_file=None, json_file=None) -> None:
-        """Stream trace.csv and trace.json into open text files.
+    def write(self, csv_file, json_file) -> None:
+        """Stream trace.csv and trace.json into open text files; b must have a
+        row per iterate or none, else ValueError and nothing is written.
 
-        trace.csv has a header and one row per iterate (b_k blank where none
-        is recorded).  trace.json is what ``json.dumps(..., sort_keys=True,
-        indent=1)`` writes for x, b, the columns, stop_reason and metadata (not
-        ``z``, which x and b determine).  Each float the files hold is formatted
-        once, to its shortest round-trip repr (:func:`floatrepr.templates`), a
-        block of rows at a time (:meth:`_blocks`), and laid out for each file
-        with its separators and spelling of nan and inf (:func:`floatrepr.layout`).
-        trace.json's keys are sorted, so x comes last: each list's blocks go
-        to a spill of its own, copied into json_file when the pass ends and
-        closed on every way out.  So the writer holds one block, never a file's text.
-        """
+        trace.csv has a header and one row per iterate (b_k blank without b).
+        trace.json is what ``json.dumps(..., sort_keys=True, indent=1)`` writes
+        for x, b, the columns, stop_reason and metadata (not ``z``, which x and
+        b determine).  Each float the files hold is formatted once, to its
+        shortest round-trip repr (:func:`floatrepr.templates`), a block of rows
+        at a time (:meth:`_blocks`), and laid out for each file with its
+        separators and spelling of nan and inf (:func:`floatrepr.layout`).
+        trace.json's keys are sorted, so x comes last: each list's blocks go to
+        a spill of its own, copied into json_file when the pass ends and closed
+        on every way out.  So the writer holds one block, never a file's text."""
         (n, dim), nb = self.x.shape, len(self.b)
+        if nb not in (0, n):
+            raise ValueError(f"b has {nb} rows for {n} iterates: it needs one per iterate or none")
         point = {"sep": ",\n   ", "end": "\n  ]", "prefix": ",\n  [\n   ", "spelling": JSON}
         value = {"sep": ",\n  ", "prefix": ",\n  ", "spelling": JSON, "each_row": True}
-        if csv_file is not None:
-            csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
-                                     *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")
+        csv_file.write(",".join(["k", *(f"x_{i}" for i in range(dim)),
+                                 *(f"b_{i}" for i in range(dim)), *COLUMNS]) + "\n")
         with contextlib.ExitStack() as stack:
-            spills = {} if json_file is None else {
-                name: stack.enter_context(
-                    tempfile.SpooledTemporaryFile(SPILL_CHARS, "w+", encoding="utf-8"))
+            spills = {name: stack.enter_context(
+                tempfile.SpooledTemporaryFile(SPILL_CHARS, "w+", encoding="utf-8"))
                 for name in ("x", "b", *COLUMNS) if (nb if name == "b" else n)}
-            for i, xb, F in self._blocks():
-                if spills:
-                    texts = {"x": layout(F[:, :dim], **point)}
-                    if xb > dim:
-                        texts["b"] = layout(F[:, dim:xb], **point)
-                    texts.update(zip(COLUMNS, layout(F[:, xb:].transpose(1, 0, 2), **value)))
-                    for name, text in texts.items():
-                        # each block's items are led by a comma, which the list's first drops
-                        spills[name].write(text[1:] if i == 0 else text)
-                if csv_file is not None:
-                    F = F if xb > dim else np.insert(F, [dim] * dim, 0, axis=1)  # blank b_k fields
-                    csv_file.write(layout(F, sep=",", end="\n", prefix=",", index=i))
+            for i, F in self._blocks():
+                texts = {"x": layout(F[:, :dim], **point)}
+                if nb:
+                    texts["b"] = layout(F[:, dim:-len(COLUMNS)], **point)
+                texts.update(zip(COLUMNS, layout(F[:, -len(COLUMNS):].transpose(1, 0, 2), **value)))
+                for name, text in texts.items():
+                    # each block's items are led by a comma, which the list's first drops
+                    spills[name].write(text[1:] if i == 0 else text)
+                F = F if nb else np.insert(F, [dim] * dim, 0, axis=1)  # blank b_k fields
+                csv_file.write(layout(F, sep=",", end="\n", prefix=",", index=i))
                 del F
-            if json_file is not None:
-                # the metadata laid out as the value of a top-level key
-                metadata = json.dumps({"metadata": self.metadata}, sort_keys=True, indent=1)
-                values = {"stop_reason": json.dumps(self.stop_reason),
-                          "metadata": metadata[len('{\n "metadata": '):-len("\n}")]}
-                for k, key in enumerate(sorted(["x", "b", *COLUMNS, *values])):
-                    json_file.write(f'{"," if k else "{"}\n "{key}": ')
-                    if key in spills:
-                        json_file.write("[")
-                        spills[key].seek(0)
-                        shutil.copyfileobj(spills[key], json_file)
-                        json_file.write("\n ]")
-                    else:
-                        json_file.write(values.get(key, "[]"))  # an empty list
-                json_file.write("\n}")
+            # the metadata laid out as the value of a top-level key
+            metadata = json.dumps({"metadata": self.metadata}, sort_keys=True, indent=1)
+            values = {"stop_reason": json.dumps(self.stop_reason),
+                      "metadata": metadata[len('{\n "metadata": '):-len("\n}")]}
+            for k, key in enumerate(sorted(["x", "b", *COLUMNS, *values])):
+                json_file.write(f'{"," if k else "{"}\n "{key}": ')
+                if key in spills:
+                    json_file.write("[")
+                    spills[key].seek(0)
+                    shutil.copyfileobj(spills[key], json_file)
+                    json_file.write("\n ]")
+                else:
+                    json_file.write(values.get(key, "[]"))  # an empty list
+            json_file.write("\n}")
 
     def to_csv_text(self) -> str:
         """trace.csv as a string."""
-        buf = io.StringIO()
-        self.write(csv_file=buf)
+        self.write(buf := io.StringIO(), io.StringIO())  # the JSON is discarded
         return buf.getvalue()
 
 
@@ -382,6 +372,5 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
 
 def trace_to_json_text(trace: Trace) -> str:
     """trace.json as a string."""
-    buf = io.StringIO()
-    trace.write(json_file=buf)
+    trace.write(io.StringIO(), buf := io.StringIO())  # the CSV is discarded
     return buf.getvalue()

@@ -110,9 +110,9 @@ def _ap_trace(sc: Scenario, seed_point, max_iter: int = 50_000):
     return op, tr
 
 
-def _window_end(trace, floor: float = WINDOW_FLOOR) -> int:
-    """Last index whose error to the limit is above the rounding floor."""
-    above = np.flatnonzero(diag.errors(trace.x, trace.limit) > floor)
+def _window_end(trace) -> int:
+    """Last index whose error to the limit is above the rounding floor WINDOW_FLOOR."""
+    above = np.flatnonzero(diag.errors(trace.x, trace.limit) > WINDOW_FLOOR)
     return int(above[-1]) if above.size else 0
 
 

@@ -498,7 +498,7 @@ def test_trace_csv_header_and_shape():
     op = AlternatingProjections(sc.A, sc.B)
     tr = run(op, [1.0, 0.0], max_iter=10)
     buf = io.StringIO()
-    tr.write(csv_file=buf)
+    tr.write(buf, io.StringIO())
     lines = buf.getvalue().splitlines()
     assert lines[0] == "k,x_0,x_1,b_0,b_1,dist_A,dist_B,dist_target,step_norm,residual"
     assert len(lines) == len(tr.x) + 1
@@ -532,8 +532,7 @@ def reference_csv(tr):
 def _non_finite_trace():
     sc = build("two_lines_pi3")
     tr = run(AlternatingProjections(sc.A, sc.B), [1.0, 0.0], max_iter=6)
-    tr.x[2] = np.array([math.nan, -math.inf])
-    tr.b = tr.b[:4]  # rows past b_3 have blank b columns
+    tr.x[2], tr.b[4] = np.array([math.nan, -math.inf]), np.array([math.inf, 0.0])
     tr.dist_A[0], tr.dist_B[1], tr.residual[3] = math.inf, -math.inf, math.nan
     tr.metadata["note"] = "inf nan"  # non-float strings keep their letters
     return tr
@@ -562,14 +561,14 @@ def _layout_edge_trace():
     edges = np.array(LAYOUT_EDGES)
     columns = [np.roll(edges, 3 * i) for i in range(len(COLUMNS))]
     columns[0][1], columns[1][2], columns[4][0] = math.inf, -math.inf, math.nan
-    return Trace(edges.reshape(n, 1), -edges[:n - 4].reshape(n - 4, 1),
+    return Trace(edges.reshape(n, 1), -edges.reshape(n, 1),
                  **dict(zip(COLUMNS, columns)), stop_reason="max_iter",
                  metadata={"operator": "none"})
 
 
 def block_rows(dim, b=True):
     """Rows per block of a trace in R^dim as Trace.write formats it: the
-    floats of a row are x_k, b_k if the block records any, and the columns."""
+    floats of a row are x_k, b_k if the trace records b, and the columns."""
     return WRITE_BLOCK // ((2 if b else 1) * dim + len(COLUMNS))
 
 
@@ -577,16 +576,6 @@ def _dr_r8_trace():
     """A DR trace in R^8 (no b rows) of several blocks."""
     A, B, seed = _lines(angle=0.15)
     return run(DouglasRachford(A, B), seed)
-
-
-def _r3_b_ends_at(rows):
-    """An AP trace in R^3 of four blocks of rows, b kept for its first rows only."""
-    def trace():
-        A, B, seed = _lines(3, angle=0.05, seed=3)
-        tr = run(AlternatingProjections(A, B), seed, residual_tol=1e-6)
-        tr.b = tr.b[:rows]
-        return tr
-    return trace
 
 
 def _non_finite_at_block_joint():
@@ -614,8 +603,6 @@ TRACES = {
     "layout_edges": _layout_edge_trace,
     "dr_r8_blocks": _dr_r8_trace,
     "non_finite_at_block_joint": _non_finite_at_block_joint,
-    "r3_b_ends_at_block_joint": _r3_b_ends_at(block_rows(3)),
-    "r3_b_ends_mid_block": _r3_b_ends_at(block_rows(3) * 3 // 2),
 }
 
 
@@ -638,10 +625,6 @@ def test_one_iterate_and_dr_traces_have_the_expected_shape():
     assert len(TRACES["ap_long"]().x) > 2048  # more than one block of rows
     dr_r8 = TRACES["dr_r8_blocks"]()
     assert len(dr_r8.x) > 3 * block_rows(8, b=False) and dr_r8.b.shape == (0, 8)
-    for case in ("r3_b_ends_at_block_joint", "r3_b_ends_mid_block"):
-        # past its b rows, more than one block of rows without b
-        tr = TRACES[case]()
-        assert len(tr.x) > 2 * block_rows(3) + block_rows(3, b=False), case
     assert "NaN" in trace_to_json_text(TRACES["sequence"]())
 
 
@@ -671,6 +654,18 @@ def test_the_writer_formats_only_the_floats_the_files_hold(monkeypatch):
         assert len(sizes) == -(-n // block_rows(d, b)), case
 
 
+@pytest.mark.parametrize("rows", [1, 5, -1])
+def test_the_writer_rejects_a_b_that_stops_partway(rows):
+    # b has a row per iterate or none; a b with fewer rows than x is refused
+    # before either file is written
+    tr = TRACES["ap"]()
+    tr.b = tr.b[:rows]
+    fc, fj = io.StringIO(), io.StringIO()
+    with pytest.raises(ValueError, match=rf"b has {len(tr.b)} rows for {len(tr.x)} iterates"):
+        tr.write(fc, fj)
+    assert fc.getvalue() == fj.getvalue() == ""
+
+
 def test_the_writer_closes_its_spills_when_a_file_fails(monkeypatch):
     # trace.json's lists are spilled to temporary files until the pass ends;
     # a failing write of either file, during the pass or during the copy,
@@ -698,8 +693,8 @@ def test_the_writer_closes_its_spills_when_a_file_fails(monkeypatch):
     # a file fails at its write after the given count: the CSV's fourth
     # writes a block (the pass has more than three), the JSON's fourth opens a
     # list and its 31st copies a chunk of x's spill
-    for csv_file, json_file in ((Failing(3), io.StringIO()), (None, Failing(3)),
-                                (None, Failing(30))):
+    for csv_file, json_file in ((Failing(3), io.StringIO()), (io.StringIO(), Failing(3)),
+                                (io.StringIO(), Failing(30))):
         made.clear()
         with pytest.raises(OSError, match="disk full"):
             tr.write(csv_file, json_file)
@@ -726,8 +721,7 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
     # x, b and residual are the loop's own values, and the post-pass step_norm
     # rounds as the residual; each distance column is one batched kernel
     # call, of which distance() is the one-row case, so the columns equal
-    # distance() bit for bit; AP's dist_B is read off b_k, the row
-    # kernel's projection, which is the batched kernel's row
+    # distance() bit for bit
     sc = build("two_lines_pi3")
     pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines()]
     for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
@@ -750,13 +744,29 @@ def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
         assert tr.dist_A.tobytes() == bits([distance(A, p) for p in tr.x])
         if operator.records_b:
             assert np.array_equal(tr.b, [project_one(B, p) for p in tr.x])
-            # B is affine: dist_B is ||x_k - b_k||, which is B's distance
+            # B is affine: its distance is ||x_k - b_k||, b_k the row kernel's projection
             assert tr.dist_B.tobytes() == bits([norm(b - p) for p, b in zip(tr.x, tr.b)])
             assert tr.dist_B.tobytes() == bits([distance(B, p) for p in tr.x])
         else:
             assert tr.b.shape == (0, A.dim)
             assert tr.dist_B.tobytes() == bits(B._distance_many(tr.x))
             assert tr.dist_B.tobytes() == bits([distance(B, p) for p in tr.x])
+
+
+@pytest.mark.parametrize("family", ["halfspace_ball", "ball_ball"])
+def test_every_distance_column_is_its_sets_distance_bit_for_bit(family):
+    # AP records b_k, but dist_B is B's distance kernel like the other
+    # columns, not ||x_k - b_k||: a ball's and a halfspace's distances are
+    # closed forms of their own, which that norm need not equal in the last bits
+    for dim, seed in itertools.product((2, 3, 8), range(6)):
+        sc = random_convex_pair(seed, dim, family)
+        tr = run(AlternatingProjections(sc.A, sc.B), sc.base_point + 0.1 * sc.boundary_ray,
+                 target=sc.intersection)
+        assert len(tr.b) == len(tr.x)
+        sets = {"dist_A": sc.A, "dist_B": sc.B, "dist_target": FinitePointSet(sc.intersection)}
+        for name, S in sets.items():
+            assert getattr(tr, name).tobytes() == bits([distance(S, x) for x in tr.x]), \
+                (name, dim, seed)
 
 
 def _iterating_pairs():
