@@ -55,7 +55,7 @@ def _resolve_seed(seed: int) -> int:
 def _sequence_trace(sc: Scenario) -> Trace:
     """Wrap an explicitly shipped sequence as a trace record."""
     xs = np.asarray(sc.sequence, dtype=float)
-    return Trace.record(xs, sc.A, sc.B, sc.intersection, np.full(len(xs), math.nan), "sequence",
+    return Trace.record(xs, sc.A, sc.B, sc.intersection, None, "sequence",
                         {"operator": "none", "seed_point": [float(t) for t in xs[0]]})
 
 

@@ -36,13 +36,13 @@ class FejerReport:
     witness_point: Vector | None = None
 
 
-def check_fejer(points, probe: Sequence[Vector], tol: float = DEFAULT_TOL) -> FejerReport:
-    """Distances to every probe point must never increase along the sequence."""
+def check_fejer(points, probe: Sequence[Vector]) -> FejerReport:
+    """Distances to every probe point must not rise by more than DEFAULT_TOL along the sequence."""
     if len(probe) == 0:
         raise ValueError("probe must be nonempty")
     for w in np.asarray(probe, dtype=float):
         d = errors(points, w)
-        rises = np.flatnonzero(d[1:] > d[:-1] + tol)
+        rises = np.flatnonzero(d[1:] > d[:-1] + DEFAULT_TOL)
         if rises.size:
             return FejerReport(False, int(rises[0]), w)
     return FejerReport(True)
@@ -148,9 +148,7 @@ class ExtendibilityReport:
     d0: float
 
 
-def check_linear_extendible(
-    z, m: int, tol: float = DEFAULT_TOL, floor: float = RATIO_FLOOR
-) -> ExtendibilityReport:
+def check_linear_extendible(z, m: int) -> ExtendibilityReport:
     """Verify the sequence z has nonincreasing steps whose frequency-m
     block ratios contract.
 
@@ -166,15 +164,15 @@ def check_linear_extendible(
     if len(zs) < m + 2:
         raise ValueError("joining sequence too short for this frequency")
     steps = errors(zs[1:], zs[:-1])
-    rises = np.flatnonzero(steps[1:] > steps[:-1] + tol)
+    rises = np.flatnonzero(steps[1:] > steps[:-1] + DEFAULT_TOL)
     failing = int(rises[0]) if rises.size else None
     # block k compares steps[m (k + 1)] with steps[m k]
     blocks = steps[: m * ((len(steps) - 1) // m) + 1 : m]
-    ratios = _ratios(blocks, floor, np.greater_equal)
+    ratios = _ratios(blocks, RATIO_FLOOR, np.greater_equal)
     c = float(ratios.max()) if ratios.size else 0.0
     holds = failing is None and c < 1.0
     if not holds and failing is None and ratios.size:
-        failing = int(np.flatnonzero(blocks[:-1] >= floor)[ratios.argmax()])
+        failing = int(np.flatnonzero(blocks[:-1] >= RATIO_FLOOR)[ratios.argmax()])
     d0 = float(steps[0])
     gamma = m * d0 / (1.0 - c) if c < 1.0 else None
     return ExtendibilityReport(m, c, holds, failing, gamma, d0)
@@ -249,29 +247,29 @@ class DichotomyReport:
     first_violation: int | None
 
 
-def check_convex_dichotomy(trace, tol: float = DEFAULT_TOL) -> DichotomyReport:
+def check_convex_dichotomy(trace) -> DichotomyReport:
     """Classify a convex projection-pair trace: one-step solve vs never.
 
-    With x_0 on A, either dist(x_1, B) <= tol (solved after one iteration)
-    or the distances to B obey dist(x_k, B) >= c^k dist(x_0, B) at every
-    recorded index, where sqrt(c) = ||x_1 - b_0|| / ||b_0 - x_0||.
+    With x_0 on A, either dist(x_1, B) <= DEFAULT_TOL (solved after one
+    iteration) or the distances to B obey dist(x_k, B) >= c^k dist(x_0, B)
+    at every recorded index, where sqrt(c) = ||x_1 - b_0|| / ||b_0 - x_0||.
     """
     if len(trace.b) == 0:
         raise ValueError("dichotomy check needs a projection-pair trace")
-    if trace.dist_A[0] <= tol and trace.dist_B[0] <= tol:
+    if trace.dist_A[0] <= DEFAULT_TOL and trace.dist_B[0] <= DEFAULT_TOL:
         return DichotomyReport("already_solved", None, None, None)
     x0, b0 = trace.x[0], trace.b[0]
     den = norm(b0 - x0)
-    if den <= tol:
+    if den <= DEFAULT_TOL:
         return DichotomyReport("already_solved", None, None, None)
-    if len(trace.x) < 2 or trace.dist_B[1] <= tol:
+    if len(trace.x) < 2 or trace.dist_B[1] <= DEFAULT_TOL:
         return DichotomyReport("solved_in_one", None, None, None)
     sqrt_c = norm(trace.x[1] - b0) / den
     c = sqrt_c * sqrt_c
     d0 = float(trace.dist_B[0])
     first_violation = None
     for k, dk in enumerate(trace.dist_B.tolist()):  # Python floats, no numpy scalar per step
-        if dk < c**k * d0 - tol:
+        if dk < c**k * d0 - DEFAULT_TOL:
             first_violation = k
             break
     return DichotomyReport("never_reaches", c, first_violation is None, first_violation)

@@ -1,12 +1,13 @@
 """Fixed-point operators of a pair of sets A, B, and trace recording.
 
 An operator is one class, which states its two stage formulas once and in
-``records_b`` whether :func:`run` records b_k = P_B x_k, and one row of
+``records_b`` whether its trace has b_k = P_B x_k, and one row of
 :data:`OPERATORS`.  ``_image_many`` evaluates the formulas with each stage's
 batched deterministic selection (:func:`settle_many` steps it, :func:`apply`
 is its one row), ``_candidates_many`` over every candidate of both stages, the
 multivalued image, whose infimum :func:`residual_map_many` takes in blocks of
-rows; :func:`run`'s loop follows them with each set's scalar kernel.
+rows; :func:`run`'s loop follows them with each set's scalar kernel and
+records only the iterates, from which :meth:`Trace.record` computes the rest.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ class _SetPair:
 
     A: SetSpec
     B: SetSpec
-    records_b = False  #: whether :func:`run` records b_k, and with it the joining sequence
+    records_b = False  #: whether a run's trace has b_k, and with it the joining sequence
+    dim = property(lambda self: self.A.dim, doc="the dimension of the points it maps: A's")
+    #: the block budget of every reduction over candidate images
+    _slots = property(lambda self: self.A._slots * self.B._slots)
 
     def _image_many(self, X, owner=None):
         Y = self._enter(X, take(self.B, owner)._project_many(X))
@@ -87,18 +91,18 @@ OperatorSpec = _SetPair
 
 def apply(op: OperatorSpec, x) -> Vector:
     """T x via the deterministic selection at each stage: ``op._image_many``'s one row."""
-    return op._image_many(as_vector(x, op.A.dim)[None, :])[0]
+    return op._image_many(as_vector(x, op.dim)[None, :])[0]
 
 
 def candidates(op: OperatorSpec, x) -> list[Vector]:
     """The image Tx, deduplicated, in lexicographic order: ``op._candidates_many``'s one row."""
-    C = op._candidates_many(as_vector(x, op.A.dim)[None, :]).reshape(-1, op.A.dim)
+    C = op._candidates_many(as_vector(x, op.dim)[None, :]).reshape(-1, op.dim)
     return sorted_unique(list(C[np.isfinite(C[:, 0])]), DEDUP_TOL)
 
 
 def residual_map(op: OperatorSpec, x) -> float:
     """dist(0, Tx - x), the least ||x+ - x|| over Tx: :func:`residual_map_many`'s one row."""
-    return float(residual_map_many(op, as_vector(x, op.A.dim)[None, :])[0])
+    return float(residual_map_many(op, as_vector(x, op.dim)[None, :])[0])
 
 
 def residual_map_many(op: OperatorSpec, X: np.ndarray,
@@ -106,11 +110,11 @@ def residual_map_many(op: OperatorSpec, X: np.ndarray,
     """:func:`residual_map` of each row i of a checked (m, d) array (under
     pair owner[i] of stacked sets): a pair of one-candidate sets' one image of
     every row at once, another pair's least dot_norms over its image, by blocks."""
-    if op.A._slots * op.B._slots == 1:
+    if op._slots == 1:
         return dot_norms(op._image_many(X, owner) - X)
     return by_blocks(len(X), lambda r: dot_norms(op._candidates_many(
         X[r], None if owner is None else owner[r]) - X[r, None, None, :]).min(axis=(1, 2)),
-        op.A._slots * op.B._slots)
+        op._slots)
 
 
 def settle_many(op: OperatorSpec, X: np.ndarray, tol: float, max_iter: int,
@@ -169,22 +173,27 @@ class Trace:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def record(cls, xs, A, B, target, residual, stop_reason, metadata, b=()) -> "Trace":
-        """The one trace builder: checked iterates xs (with b_k = P_B x_k, if
-        any; float64 arrays are kept, not copied) and their distances to A, B
-        and the target (the last iterate if None), each its set's batched
-        kernel, which :func:`geometry.distance` equals bit for bit.  step_norm[k]
-        = ||x_{k+1} - x_k||, which rounds as the loop's residual[k]."""
+    def record(cls, xs, A, B, target, last_step, stop_reason, metadata,
+               records_b=False) -> "Trace":
+        """The one trace builder: checked iterates xs (a float64 array is kept,
+        not copied) and every other column, each one batched call over them:
+        b_k = P_B x_k if records_b; the distances to A, B and the target (the
+        last iterate if None), which :func:`geometry.distance` equals bit for
+        bit; step_norm[k] = ||x_{k+1} - x_k||, 0.0 at the end; and residual[k],
+        the step from x_k: step_norm[k], but the loop's last_step at the end
+        (all NaN if None, as for a shipped sequence)."""
         X = np.asarray(xs, dtype=float)
         target = as_target(target if target is not None else X[-1:], X.shape[1], "target")
+        steps = dot_norms(np.diff(X, axis=0))
+        residual = np.full(len(X), math.nan) if last_step is None else np.append(steps, last_step)
         return cls(
             x=X,
-            b=np.asarray(b, dtype=float).reshape(-1, X.shape[1]),
+            b=B._project_many(X) if records_b else np.empty((0, X.shape[1])),
             dist_A=A._distance_many(X),
             dist_B=B._distance_many(X),
             dist_target=target._distance_many(X),
-            residual=np.asarray(residual, dtype=float),
-            step_norm=np.append(dot_norms(np.diff(X, axis=0)), 0.0),
+            residual=residual,
+            step_norm=np.append(steps, 0.0),
             stop_reason=stop_reason,
             metadata=metadata,
         )
@@ -297,15 +306,6 @@ class Trace:
 _FIRST_ROWS = 64
 
 
-def _resize(rows: int, *arrays: np.ndarray) -> None:
-    """Give each of :func:`run`'s own arrays ``rows`` rows in place, keeping
-    its leading rows: the allocator grows or trims the block, often without a
-    copy.  No view of these arrays exists while the loop runs, so numpy's
-    reference check is skipped."""
-    for a in arrays:
-        a.resize((rows, *a.shape[1:]), refcheck=False)
-
-
 def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: float = 1e-12,
         lam: Lambda | None = None, target: Target | None = None) -> Trace:
     """Iterate x_{k+1} = T x_k from seed_point until a step is at most
@@ -314,16 +314,17 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
 
     The raw seed is projected onto the constraint set lam (if any) and then
     onto A, so recorded iterates start on A; the raw seed is kept in the
-    metadata.  An operator with ``records_b`` (alternating projections)
-    records the intermediate B-projections b_k as well, and with them the
+    metadata.  An operator with ``records_b`` (alternating projections) has
+    the intermediate B-projections b_k in its trace as well, and with them the
     joining sequence ``Trace.z``.  residual[k] is the step length from x_k.
     The seed, the stop rule and the target are checked before the first step.
 
-    The loop writes x_k, b_k and residual[k] into rows of float64 arrays,
-    which start with _FIRST_ROWS rows, double in place when full and are
-    trimmed in place to the iterates at the end (a run that never doubled
-    keeps a copy of its rows); :meth:`Trace.record` takes them without a
-    copy, so no list of one array per iterate is ever built.
+    The loop writes x_k alone into the rows of one float64 array, which
+    starts with _FIRST_ROWS rows, doubles in place when full and is trimmed
+    in place to the iterates at the end (a run that never doubled keeps a
+    copy of its rows); :meth:`Trace.record` takes it without a copy and
+    computes b_k, the steps and the distances from it after the loop, so no
+    list of one array per iterate is ever built.
     """
     A, B = op.A, op.B
     seed_point = as_vector(seed_point)
@@ -333,26 +334,21 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
     x0 = project_one(A, seed_point if lam is None else project_one(lam, seed_point))
 
     # the one loop: x0 is checked above, and every iterate is a kernel's
-    # output; after max_iter steps one more is taken, for the last residual
-    record_b = op.records_b
+    # output; after max_iter steps one more is taken, for the last residual.
+    # No view of X exists while the loop runs, so its resizes skip numpy's
+    # reference check, and the allocator may grow or trim it without a copy
     PA, PB, enter, leave = A._row_kernel(), B._row_kernel(), op._enter, op._leave
     rows = min(max_iter + 1, _FIRST_ROWS)
-    X, R = np.empty((rows, x0.size)), np.empty(rows)
-    Bk = np.empty((rows if record_b else 0, x0.size))
-    grown, x = (X, R, Bk) if record_b else (X, R), x0
+    X, x = np.empty((rows, x0.size)), x0
     for k in range(max_iter + 1):
         if k == rows:
             rows = min(2 * rows, max_iter + 1)
-            _resize(rows, *grown)
-        pb = PB(x)
-        if record_b:
-            Bk[k] = pb  # b_k (AP's A stage projects b_k itself)
-        y = enter(x, pb)
+            X.resize((rows, x0.size), refcheck=False)
+        y = enter(x, PB(x))
         x_next = leave(x, y, PA(y))
         d = x_next - x
         r = math.sqrt(d.dot(d))  # norm(d), without its frame
         X[k] = x
-        R[k] = r
         if r <= residual_tol or k == max_iter:
             break
         x = x_next
@@ -361,13 +357,13 @@ def run(op: OperatorSpec, seed_point, max_iter: int = 100_000, residual_tol: flo
         # a run that never outgrew its first rows keeps a copy of them: a
         # small block trimmed in place leaves a hole in the heap, and a
         # process that keeps many short traces grows with the holes
-        X, R, Bk = X[:k + 1].copy(), R[:k + 1].copy(), Bk[:k + 1].copy()
+        X = X[:k + 1].copy()
     else:
-        _resize(k + 1, *grown)
+        X.resize((k + 1, x0.size), refcheck=False)
 
     metadata = {"raw_seed": seed_point.tolist(), "seed_point": x0.tolist(),
                 "operator": type(op).__name__}
-    return Trace.record(X, A, B, target, R, stop_reason, metadata, Bk)
+    return Trace.record(X, A, B, target, r, stop_reason, metadata, op.records_b)
 
 
 def trace_to_json_text(trace: Trace) -> str:

@@ -365,8 +365,8 @@ def estimate_kappa(
     reported.  If every sample is a fixed point the report is degenerate
     with kappa_hat = 0.
     """
-    center = as_vector(center, op.A.dim)
-    fix_probe = as_target(fix_probe, op.A.dim, "fixed-point probe")
+    center = as_vector(center, op.dim)
+    fix_probe = as_target(fix_probe, op.dim, "fixed-point probe")
     region = _Region(center, delta, on_set=on_set, lam=lam)
 
     def ratio(X: np.ndarray, dn: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -402,10 +402,10 @@ def estimate_violation(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    y = as_vector(y, op.A.dim)
+    y = as_vector(y, op.dim)
     if engine.residual_map(op, y) > 1e-9:
         raise ValueError("y must be a fixed point of the operator")
-    center = as_vector(center, op.A.dim)
+    center = as_vector(center, op.dim)
     coef = (1.0 - alpha) / alpha
     X = _Region(center, delta).sample(samples, [seed])[0]
     X = X[dot_norms(X - y) > 1e-12]
@@ -418,7 +418,7 @@ def estimate_violation(
                / dot_norms(Xb - y)[:, None, None] ** 2 - 1.0)
         return np.where(np.isfinite(C[..., 0]), val, -math.inf).max(axis=(1, 2))
 
-    worst = float(by_blocks(len(X), lambda r: deficits(X[r]), op.A._slots * op.B._slots).max())
+    worst = float(by_blocks(len(X), lambda r: deficits(X[r]), op._slots).max())
     return RegularityEstimate(
         "violation_eps",
         max(0.0, worst),
@@ -476,10 +476,12 @@ def necessity_bound(kind: str, c: float, n: int | None = None, m: int | None = N
     raise ValueError(f"unknown bound kind: {kind}")
 
 
-def verify_bracket(
-    sr_est: RegularityEstimate, sr_prime_est: RegularityEstimate, tol: float = 1e-2
-) -> bool:
-    """sr' <= sr <= 1 + 2 sr' within the sampling slack."""
+#: the slack of :func:`verify_bracket`: it absorbs the sampled estimates' shortfall
+BRACKET_SLACK = 1e-2
+
+
+def verify_bracket(sr_est: RegularityEstimate, sr_prime_est: RegularityEstimate) -> bool:
+    """sr' <= sr <= 1 + 2 sr' within BRACKET_SLACK."""
     if sr_est.kind != "sr" or sr_prime_est.kind != "sr_prime":
         raise ValueError("arguments must be an sr and an sr_prime estimate")
     lams = [None if e.lam is None else set_to_json(e.lam) for e in (sr_est, sr_prime_est)]
@@ -491,7 +493,7 @@ def verify_bracket(
     if not same:
         raise ValueError("estimates carry mismatched certificates")
     sr, srp = sr_est.value, sr_prime_est.value
-    return srp <= sr + tol and sr <= 1.0 + 2.0 * srp + tol
+    return srp <= sr + BRACKET_SLACK and sr <= 1.0 + 2.0 * srp + BRACKET_SLACK
 
 
 def global_ratio_growth(intersection: SetSpec, B: SetSpec, count: int) -> tuple[list, bool]:

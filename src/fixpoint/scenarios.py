@@ -380,6 +380,8 @@ _RUN = ("an iteration run (a shipped sequence has no joining sequence)",
         lambda sc: sc.sequence is None)
 _FEJER_PROBE = ("a fejer_witness or an intersection probe (a list of points)",
                 lambda sc: "fejer_witness" in sc.expected or isinstance(sc.intersection, list))
+_FEJER_CHECK = ("a fejer_holds entry (it is that check's probe)",
+                lambda sc: "fejer_holds" in sc.expected)
 _PLANE_SET = ("an intersection set in the plane",
               lambda sc: isinstance(sc.intersection, SetSpec) and sc.A.dim == 2)
 
@@ -394,7 +396,7 @@ EXPECTED = {
     "linear_c": ("number", (_INTERSECTION, _TWO_POINTS)),
     "extendible_c": ("number", (_RUN,)),
     "fejer_holds": ("bool", (_FEJER_PROBE,)),
-    "fejer_witness": ("point", ()),
+    "fejer_witness": ("point", (_FEJER_CHECK,)),
     "iterations_to_solve": ("count", ()),
     "solution": ("point", ()),
     "stuck_points": ("points", (_INTERSECTION,)),

@@ -221,6 +221,8 @@ def _as_builtin(obj: dict, name: str) -> dict:
         (lambda o: o.update(intersection={"variant": "halfspace", "normal": [0, 1], "offset": 0},
                             expected={"fejer_holds": {"value": True}}),
          "scenario key 'expected.fejer_holds' needs a fejer_witness or an intersection probe"),
+        (lambda o: o.update(expected={"fejer_witness": {"value": [2.0, 0.0]}}),
+         "scenario key 'expected.fejer_witness' needs a fejer_holds entry"),
         (lambda o: o.update(expected={"global_ratio_diverges": {"value": True}}),
          "scenario key 'expected.global_ratio_diverges' needs an intersection set in the plane"),
         (lambda o: (o.pop("intersection"), o.update(expected={"stuck_points": {"value": [[0, 0]]}})),
@@ -326,8 +328,9 @@ def _as_builtin(obj: dict, name: str) -> dict:
          "seed_region_radius_negative",
          "expected_value", "expected_unknown_key", "expected_tol_type", "expected_tol_nan",
          "expected_tol_negative", "expected_value_type", "sr_not_convex",
-         "fejer_holds_set_intersection", "global_ratio_probe", "stuck_points_no_intersection",
-         "sequence_empty", "intersection_empty", "lambda_ball", "set_point_type",
+         "fejer_holds_set_intersection", "fejer_witness_alone", "global_ratio_probe",
+         "stuck_points_no_intersection", "sequence_empty", "intersection_empty", "lambda_ball",
+         "set_point_type",
          "set_variant_type", "union_members_type", "set_null", "fejer_holds_type",
          "global_ratio_diverges_type", "iterations_to_solve_string", "iterations_to_solve_bool",
          "iterations_to_solve_negative", "solution_dimension", "intersection_point_type",

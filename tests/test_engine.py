@@ -414,26 +414,33 @@ def test_residual_map_many_works_in_blocks_of_rows(name):
 
 
 def test_a_long_run_and_its_write_hold_the_trace_and_one_block(tmp_path):
-    # DR on two lines at 0.04 rad in R^8 for 16,000 steps: the loop records
-    # into float64 rows and the writer spills trace.json's lists, so neither
+    # two lines at 0.04 rad in R^8: DR cut at 16,000 steps, and AP, which
+    # reaches its fixed point at 13,243 iterates with b on every row.  The
+    # loop records x_k alone into float64 rows, b and the columns are batched
+    # calls after it, and the writer spills trace.json's lists, so neither
     # phase holds more than a bounded allowance beyond the returned trace's
-    # arrays: 1.9 and 3.1 MB here, where lists of one ndarray per iterate and
-    # trace.json's 5.4 MB of text held until the end took 5.2 and 8.2 MB
+    # arrays: 1.8 and 3.0 MB (DR) and 1.5 and 2.9 MB (AP) here, where lists
+    # of one ndarray per iterate and trace.json's 5.4 MB of text held until
+    # the end took 5.2 and 8.2 MB (DR)
     A, B, seed = _lines(dim=8, angle=0.04)
-    tracemalloc.start()
-    try:
-        tr = run(DouglasRachford(A, B), seed, max_iter=16_000)
-        ran = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        with open(tmp_path / "trace.csv", "w", encoding="utf-8") as fc, \
-                open(tmp_path / "trace.json", "w", encoding="utf-8") as fj:
-            tr.write(fc, fj)
-        wrote = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert tr.stop_reason == "max_iter" and tr.x.shape == (16_001, 8)
-    arrays = sum(getattr(tr, name).nbytes for name in ("x", "b", *COLUMNS))
-    assert ran - arrays <= 4 * 2**20 and wrote - arrays <= 4 * 2**20, (ran, wrote, arrays)
+    for op, stop in ((DouglasRachford(A, B), "max_iter"),
+                     (AlternatingProjections(A, B), "fixed_point")):
+        tracemalloc.start()
+        try:
+            tr = run(op, seed, max_iter=16_000)
+            ran = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(tmp_path / "trace.csv", "w", encoding="utf-8") as fc, \
+                    open(tmp_path / "trace.json", "w", encoding="utf-8") as fj:
+                tr.write(fc, fj)
+            wrote = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(tr.x)
+        assert tr.stop_reason == stop and n > 13_000 and tr.x.shape == (n, 8), (stop, n)
+        assert tr.b.shape == ((n, 8) if op.records_b else (0, 8))
+        arrays = sum(getattr(tr, name).nbytes for name in ("x", "b", *COLUMNS))
+        assert ran - arrays <= 4 * 2**20 and wrote - arrays <= 4 * 2**20, (op, ran, wrote, arrays)
 
 
 def test_dr_doubles_by_addition_bit_for_bit():
@@ -541,8 +548,7 @@ def _non_finite_trace():
 def _sequence_trace():
     sc = build("monotone_not_fejer")
     xs = [np.array(p, float) for p in sc.sequence]
-    return Trace.record(xs, sc.A, sc.B, sc.intersection, np.full(len(xs), math.nan), "sequence",
-                        {"operator": "none"})
+    return Trace.record(xs, sc.A, sc.B, sc.intersection, None, "sequence", {"operator": "none"})
 
 
 #: floats where the repr layout changes: subnormals, the smallest normal,
@@ -718,10 +724,11 @@ def _lines(dim=8, angle=0.2, seed=8):
 
 @pytest.mark.parametrize("operator", [AlternatingProjections, DouglasRachford])
 def test_post_pass_reuses_the_loop_step_and_the_distance_kernels(operator):
-    # x, b and residual are the loop's own values, and the post-pass step_norm
-    # rounds as the residual; each distance column is one batched kernel
-    # call, of which distance() is the one-row case, so the columns equal
-    # distance() bit for bit
+    # x is the loop's own; b, step_norm and residual are one batched call
+    # each over the iterates, residual the steps and then the loop's last,
+    # so residual is norm(apply(x_k) - x_k) and step_norm rounds as it; each
+    # distance column is one batched kernel call, of which distance() is the
+    # one-row case, so the columns equal distance() bit for bit
     sc = build("two_lines_pi3")
     pairs = [(sc.A, sc.B, np.array([1.0, 0.3])), _lines()]
     for (A, B, seed), max_iter in itertools.product(pairs, (5, 100_000)):
@@ -780,15 +787,17 @@ def _iterating_pairs():
 @pytest.mark.parametrize("operator", list(OPERATORS.values()))
 def test_the_loop_step_is_apply_bit_for_bit(operator):
     # run steps with each set's row kernel, apply with the batched
-    # kernels' one row: every x_{k+1} is apply(x_k), and a run that records
-    # b_k records each set's deterministic selection
+    # kernels' one row: every x_{k+1} is apply(x_k); the post-pass residual
+    # column is each step ||apply(x_k) - x_k||, the last the loop's own, and
+    # a run that records b_k has B's batched projection of each iterate,
+    # which is each set's deterministic selection
     for sc, seed in itertools.product(_iterating_pairs(), range(4)):
         op = operator(sc.A, sc.B)
         tr = run(op, ball_point(*sc.seed_region, seed, 0), max_iter=2_000, lam=sc.lam)
+        images = [apply(op, p) for p in tr.x]
         for k in range(len(tr.x) - 1):
-            assert apply(op, tr.x[k]).tobytes() == tr.x[k + 1].tobytes(), (sc.name, k)
-        last = apply(op, tr.x[-1]) - tr.x[-1]
-        assert tr.residual[-1].tobytes() == bits([math.sqrt(last.dot(last))]), sc.name
+            assert images[k].tobytes() == tr.x[k + 1].tobytes(), (sc.name, k)
+        assert tr.residual.tobytes() == bits([norm(y - p) for y, p in zip(images, tr.x)]), sc.name
         want = [project_one(sc.B, p) for p in tr.x] if operator.records_b else np.zeros((0, sc.A.dim))
         assert np.asarray(want).tobytes() == tr.b.tobytes(), sc.name
 
