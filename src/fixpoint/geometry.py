@@ -23,7 +23,8 @@ Vector = np.ndarray
 
 #: absolute tolerance for projection ties
 TIE_TOL = 1e-9
-#: points closer than this are one point in projection and image lists
+#: points closer than this are one point in an operator's image list; a
+#: projection list (project_all) merges within max(DEDUP_TOL, TIE_TOL * 1e-2) = 1e-11
 DEDUP_TOL = 1e-12
 
 
@@ -658,7 +659,8 @@ class Epigraph(SetSpec):
 @dataclass(frozen=True, eq=False)
 class SetUnion(SetSpec):
     """Union of member sets; multivalued projector on ties.  A row's candidates
-    are its members', a member farther than TIE_TOL beyond the nearest left empty."""
+    are its members', in member order: the tie rule, :func:`_near`, is applied by
+    the selection and by :func:`nearest_candidates`, not by the union."""
 
     variant = "union"
     _slots = property(lambda self: sum(m._slots for m in self.members))
@@ -679,11 +681,7 @@ class SetUnion(SetSpec):
         return self.members[0].dim
 
     def _candidates_many(self, Y):
-        Cs = [m._candidates_many(Y) for m in self.members]
-        # each member's least candidate norm, the norms the selection compares
-        near = _near(np.stack([dot_norms(C - Y[:, None, :]).min(axis=1) for C in Cs], axis=1))
-        return np.concatenate([np.where(n[:, None, None], C, np.inf) for C, n in zip(Cs, near.T)],
-                              axis=1)
+        return np.concatenate([m._candidates_many(Y) for m in self.members], axis=1)
 
     def _distance_many(self, Y):
         return np.min([m._distance_many(Y) for m in self.members], axis=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -38,6 +39,7 @@ from fixpoint.geometry import (
     by_blocks,
     distance,
     dot_norms,
+    nearest_candidates,
     norm,
     pattern_polish,
     project_all,
@@ -46,7 +48,14 @@ from fixpoint.geometry import (
     take,
 )
 from fixpoint.regularity import _Region
-from fixpoint.scenarios import SAWTOOTH_DEPTH, build, sawtooth_graph, set_from_json, set_to_json
+from fixpoint.scenarios import (
+    SAWTOOTH_DEPTH,
+    build,
+    line_through_origin,
+    sawtooth_graph,
+    set_from_json,
+    set_to_json,
+)
 
 
 def sample_ball(center, radius, count, seed):
@@ -693,6 +702,89 @@ def test_slots_are_the_width_of_the_candidates(name):
         assert s._slots == 1
     if isinstance(s, Epigraph):  # a row on or above the graph is its own one candidate
         assert s._candidates_many(Y + [0.0, 20.0]).shape[1] == 1 <= s._slots
+
+
+def reference_union_candidates(u, Y):
+    """A union's candidates with its members pre-selected by the tie rule: a
+    member whose least candidate norm lies beyond TIE_TOL of the least of all
+    leaves its slots +inf (a nested union pre-selects its own members)."""
+    Cs = [reference_union_candidates(m, Y) if isinstance(m, SetUnion) else m._candidates_many(Y)
+          for m in u.members]
+    least = np.stack([dot_norms(C - Y[:, None, :]).min(axis=1) for C in Cs], axis=1)
+    near = least <= (least.min(axis=1) + TIE_TOL)[:, None]
+    return np.concatenate([np.where(n[:, None, None], C, np.inf) for C, n in zip(Cs, near.T)], axis=1)
+
+
+def _union_cases() -> dict:
+    """Unions, each with random rows and rows built on exact ties: equidistant
+    from two members, signed zeros, the sawtooth's tooth joints, and gaps just
+    inside and just beyond TIE_TOL."""
+    rng = np.random.default_rng(37)
+    saw = sawtooth_graph(SAWTOOTH_DEPTH)
+    joints = [[t, dy] for n in range(8) for t in (0.5**n, 3.0 * 0.25 * 0.5**n)
+              for dy in (0.0, -0.0, 1e-3, -0.5**(n + 3))]
+    saw_rows = np.r_[rng.uniform([-0.1, -0.3], [1.1, 0.3], (200, 2)), joints,
+                     [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [1e-13, 0.0], [-1e-3, 1e-3]]]
+    mixed = SetUnion((Ball([0, 0], 0.5), Box([1, 1], [2, 2]), FinitePointSet([[-3, 0]])))
+    # (1.5, 0) is 1 from both the ball and the box, (-1.75, 0) 1.25 from the ball and the point
+    mixed_rows = np.r_[rng.uniform(-4, 4, (200, 2)),
+                       [[1.5, 0.0], [1.5, -0.0], [0.0, 1.5], [-1.75, 0.0], [-1.75, -0.0]]]
+    # (1.5, 0) ties the curve's end (1, 0) with both points there; (-0.5, 0) is
+    # 5e-10 farther from (-1 - 5e-10, 0) than from the origin, 2e-9 from (-1 - 2e-9, 0)
+    ties = SetUnion((FinitePointSet([[1.0, -0.0]]), FinitePointSet([[-1.0 - 5e-10, 0.0]]), sawtooth_graph(3),
+                     FinitePointSet([[1.0, 0.0], [-0.0, -1.0]]), FinitePointSet([[-1.0 - 2e-9, -0.0]])))
+    tie_rows = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [1.5, 0.0], [1.5, -0.0], [-0.5, 0.0], [-0.5, -0.0],
+                [0.0, -0.5], [-0.0, -0.5], [0.0, 2.0]]
+    planes = SetUnion(tuple(AffineSubspace(np.zeros(6), np.eye(6)[[i, j]])
+                            for i, j in itertools.combinations(range(6), 2)))
+    plane_rows = np.r_[rng.standard_normal((200, 6)),
+                       [[1, 1, 1, 0, 0, 0], [-1, 1, -0.0, 1, 0, 0], [0.0] * 6, [-0.0] * 6,
+                        [2, -2, 1, 1, -1, 1], [3, 1, 1 + 5e-10, 0, 0, 0], [3, 1, 1 + 2e-9, 1, 0, 0]]]
+    nested, below = SLOT_CASES["union-nested"]
+    return {
+        "sawtooth": (saw, saw_rows),
+        "ball-box-points": (mixed, mixed_rows),
+        "nested": (nested, np.r_[below, rng.uniform(-2.0, 2.0, (30, 2))]),
+        "ties": (ties, np.array(tie_rows)),
+        "coordinate-planes-r6": (planes, plane_rows),
+    }
+
+
+UNION_CASES = _union_cases()
+
+
+@pytest.mark.parametrize("name", list(UNION_CASES))
+def test_a_union_candidates_are_its_members_in_member_order(name):
+    # no member's slots are emptied: the tie rule is applied once, by the selection
+    u, Y = UNION_CASES[name]
+    Y = as_points(Y, u.dim)
+    want = np.concatenate([m._candidates_many(Y) for m in u.members], axis=1)
+    got = u._candidates_many(Y)
+    assert got.shape == want.shape == (len(Y), u._slots, u.dim) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(UNION_CASES))
+def test_union_selection_equals_the_members_pre_selected(name, monkeypatch):
+    # every reader of a union's candidates applies the tie rule itself, so
+    # pre-selecting the members moves no bit of a projection, a candidate
+    # list or an AP or DR image, the union as A or as B
+    from fixpoint.engine import AlternatingProjections, DouglasRachford, candidates, residual_map_many
+
+    u, Y = UNION_CASES[name]
+    Y = as_points(Y, u.dim)
+    other = line_through_origin(0.3) if u.dim == 2 else AffineSubspace(np.zeros(6), [np.ones(6) / math.sqrt(6)])
+    ops = [cls(*pair) for cls in (AlternatingProjections, DouglasRachford) for pair in ((u, other), (other, u))]
+    few = Y[::7]
+
+    def outputs():
+        return ([u._project_many(Y).tobytes(), nearest_candidates(u, Y).tobytes()]
+                + [[p.tobytes() for p in project_all(u, y)] for y in Y]
+                + [residual_map_many(op, Y).tobytes() for op in ops]
+                + [[p.tobytes() for p in candidates(op, y)] for op in ops for y in few])
+
+    got = outputs()
+    monkeypatch.setattr(SetUnion, "_candidates_many", reference_union_candidates)
+    assert outputs() == got
 
 
 @pytest.mark.parametrize("slots", [1, 3, 43, 4096, 2**14, 2**15])
