@@ -826,41 +826,47 @@ def ascend(
     Returns the best score of each row and the point attaining it (-inf and
     the start for an inadmissible start).
     """
+
+    def poll(Y, at):  # the mapped rows, their scores (-inf where not admitted), the admitted
+        Y, ok = feasible(Y, at)
+        if ok.all() and ok.size:
+            return Y, score(Y, at), ok
+        s = np.full(at.size, -math.inf)
+        if ok.any():
+            s[ok] = score(Y[ok], at[ok])
+        return Y, s, ok
+
     X0 = as_points(X0)
     m = len(X0)
-    X, ok = feasible(X0, np.arange(m))
-    X = np.where(ok[:, None], X, X0)
-    best = np.full(m, -math.inf)
-    if ok.any():
-        best[ok] = score(X[ok], np.flatnonzero(ok))
-    steps = np.full(m, float(step))
-    active = ok.copy()
+    X, s, ok = poll(X0, np.arange(m))
+    X, best = np.where(ok[:, None], X, X0), np.where(ok, s, -math.inf)
+    steps, active = np.full(m, float(step)), ok.copy()
     dirs = _polish_directions(X0.shape[1])
     n_dirs = len(dirs)
+    cycle, lead = np.tile(np.arange(n_dirs), m), np.ones(m * n_dirs, dtype=bool)  # first-pass k, hit flags
     for _ in range(max_rounds):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         first = np.zeros(m, dtype=int)  # each row's first untried direction
-        pending = rows
-        while pending.size:
-            # trials row by row, each row's untried directions in order
-            r, j = np.nonzero(np.arange(n_dirs) >= first[pending, None])
-            at = pending[r]
-            Y, ok = feasible(X[at] + steps[at, None] * dirs[j], at)
-            s = np.full(at.size, -math.inf)
-            if ok.any():
-                s[ok] = score(Y[ok], at[ok])
+        # the round's first pass: every row polls every direction from its point
+        at, k = np.repeat(rows, n_dirs), cycle[:rows.size * n_dirs]
+        Y, s, _ = poll((X[rows, None, :] + steps[rows, None, None] * dirs).reshape(at.size, -1), at)
+        while True:
             hits = np.flatnonzero(s > best[at] + 1e-15)
-            if hits.size == 0:
-                break
-            # the first improving trial of each row (trials are grouped by row)
-            hits = hits[np.r_[True, at[hits[1:]] != at[hits[:-1]]]]
+            lead[1:hits.size] = at[hits[1:]] != at[hits[:-1]]
+            hits = hits[lead[:hits.size]]  # each row's first improving trial
             moved = at[hits]
             X[moved] = Y[hits]
             best[moved] = s[hits]
-            first[moved] = j[hits] + 1
+            first[moved] = k[hits] + 1
             pending = moved[first[moved] < n_dirs]
+            if pending.size == 0:
+                break
+            # a later pass: each row's untried directions in order, from its new point
+            r, k = np.nonzero(np.arange(n_dirs) >= first[pending, None])
+            at = pending[r]
+            Y, s, _ = poll(X[at] + steps[at, None] * dirs[k], at)
         halved = rows[first[rows] == 0]  # no move this round
         steps[halved] *= 0.5
         active[halved[steps[halved] < floor]] = False

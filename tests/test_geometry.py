@@ -48,6 +48,7 @@ from fixpoint.geometry import (
     take,
 )
 from fixpoint.regularity import _Region
+from fixpoint.seeding import _seeding_step, pcg64_states
 from fixpoint.scenarios import (
     SAWTOOTH_DEPTH,
     build,
@@ -319,17 +320,42 @@ def reference_ball_point(center, radius, seed, index):
     return center + (r / nu) * u
 
 
+#: seeds of one to four uint32 words, and one longer than SeedSequence's pool
+STREAM_SEEDS = [0, 5, 900, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 1]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_ball_points_are_the_per_index_generators_draws(d):
-    # seeds of one to four uint32 words, and one longer than SeedSequence's pool
-    seeds = [0, 5, 900, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 1]
-    rows = [(s, i) for s in seeds for i in [*range(256), 2**31]]
+    rows = [(s, i) for s in STREAM_SEEDS for i in [*range(256), 2**31]]
     rng = np.random.default_rng(d)
     C, R = rng.uniform(-2, 2, (len(rows), d)), rng.uniform(0.1, 2, len(rows))
     got = ball_points(C, R, [s for s, _ in rows], [i for _, i in rows])
     want = np.array([reference_ball_point(c, r, s, i) for c, r, (s, i) in zip(C, R, rows)])
     assert got.tobytes() == want.tobytes()
     assert ball_point(C[3], R[3], *rows[3]).tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 96, 600])
+def test_pcg64_states_are_the_seed_sequence_seeded_states(count):
+    # seeds of several word counts in one call; 600 rows span three 256-row
+    # chunks; past one row, the last seed is longer than the hash constants
+    # precomputed at import (16 words with its index)
+    rows = [(STREAM_SEEDS[k % len(STREAM_SEEDS)], k * 7919 % 2**33) for k in range(count)]
+    if count > 1:
+        rows[-1] = (2**600 + 5, 2**40)
+    got = [{"state": st, "inc": inc} for st, inc in pcg64_states(*zip(*rows))]
+    assert got == [np.random.PCG64(np.random.SeedSequence([s, i])).state["state"] for s, i in rows]
+
+
+def test_seeding_step_is_the_128_bit_formula_where_every_carry_fires():
+    # rows (s_hi, s_lo, i_hi, i_lo): every mix of all-zero and all-ones words, then random ones
+    words = [list(w) for w in itertools.product([0, 2**64 - 1], repeat=4)]
+    words += np.random.default_rng(7).integers(0, 2**64, (64, 4), np.uint64).tolist()
+    got = _seeding_step(np.array(words, np.uint64)).tolist()
+    for (s1, s0, i1, i0), (h, lo, inc_h, inc_lo) in zip(words, got, strict=True):
+        inc = ((i1 << 64 | i0) << 1 | 1) % 2**128
+        state = (((s1 << 64 | s0) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+        assert (h << 64 | lo, inc_h << 64 | inc_lo) == (state, inc)
 
 
 def test_ball_points_reject_a_negative_seed_or_index():
@@ -1171,6 +1197,43 @@ def test_ascend_makes_one_call_per_pass():
         moved = sum(m[k - 1] for m in moves if len(m) >= k)
         assert calls[k] - calls[k - 1] <= 1 + moved
     assert sum(map(sum, moves)) > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("admits", ["every_trial", "some_trials"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ascend_equals_the_scalar_ascent_on_random_starts(d, admits, data):
+    # a box far larger than the steps admits every trial (projecting those
+    # that leave it), so each pass scores the trials as feasible returns them;
+    # the unit ball admits only some
+    starts = np.array(data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                         min_size=1, max_size=6)))
+    box, radius = (Box([-3.0] * d, [3.0] * d), math.inf) if admits == "every_trial" else (
+        Box([-1.0] * d, [1.0] * d), 1.0)
+    peak = np.linspace(0.3183, -0.2718, d)
+
+    def feasible_many(Y, at):
+        P = box._project_many(Y)
+        return P, dot_norms(P) <= radius
+
+    def score_many(Y, at):  # its one maximum is the kink at peak
+        return 0.1 * np.sin(5.0 * Y[:, 0]) - dot_norms(Y - peak)
+
+    def feasible(y):
+        P, ok = feasible_many(y[None, :], np.zeros(1, int))
+        return P[0] if ok[0] else None
+
+    def score(y):
+        return float(score_many(y[None, :], np.zeros(1, int))[0])
+
+    best, X = ascend(starts, score_many, feasible_many, step=0.25, max_rounds=24)
+    for i, x0 in enumerate(starts):
+        ref_best, ref_x = reference_pattern_polish(x0, score, feasible, step=0.25, max_rounds=24)
+        assert best[i] == ref_best and X[i].tobytes() == ref_x.tobytes()
+    if admits == "every_trial":  # every start away from the peak moves
+        far = dot_norms(starts - peak) > 1e-6
+        assert (X != starts).any(axis=1)[far].all()
 
 
 # ---------------------------------------------------------------------------
